@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .errors import WebfoldError
+from .errors import MalformedInput, WebfoldError
 from .matchings import Matching2, fold2, tableau_of_web2, web2_of_tableau
 from .oracle import PREDICATES, THEOREMS, EnumerationFilter, enumerate_tableaux, verify
 from .planarweb import PlanarWeb
@@ -46,11 +46,20 @@ def _read_json(path: str) -> dict:
         return json.load(f)
 
 
+def _read_object(parse, path: str):
+    """parse() of the JSON file at path; a payload of the wrong shape is MalformedInput."""
+    data = _read_json(path)
+    try:
+        return parse(data)
+    except (TypeError, KeyError, ValueError, AttributeError, IndexError) as exc:
+        raise MalformedInput(f"{path}: {type(exc).__name__}: {exc}") from None
+
+
 def _read_tableau(args: argparse.Namespace) -> tuple[Tableau, bool]:
     """The input tableau plus whether it arrived as an inline word."""
     if args.word is not None:
         return from_word(args.word), True
-    return Tableau.from_dict(_read_json(args.infile)), False
+    return _read_object(Tableau.from_dict, args.infile), False
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -90,7 +99,7 @@ def _cmd_web2(args: argparse.Namespace) -> int:
     if args.word is not None:
         m = web2_of_tableau(from_word(args.word))
     else:
-        m = Matching2.from_dict(_read_json(args.infile))
+        m = _read_object(Matching2.from_dict, args.infile)
     if args.action == "to-tableau":
         _emit(args, tableau_of_web2(m).word + "\n")
         return 0
@@ -108,7 +117,7 @@ def _cmd_web3(args: argparse.Namespace) -> int:
     if args.word is not None:
         w = web_of_tableau(from_word(args.word))
     else:
-        w = PlanarWeb.from_dict(_read_json(args.infile))
+        w = _read_object(PlanarWeb.from_dict, args.infile)
     if args.action == "to-tableau":
         _emit(args, tableau_of_web(w).word + "\n")
     else:
@@ -126,7 +135,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    _emit(args, svg_of_json(_read_json(args.infile)))
+    _emit(args, _read_object(svg_of_json, args.infile))
     return 0
 
 

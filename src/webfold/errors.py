@@ -59,3 +59,11 @@ class UnknownTheorem(WebfoldError):
 
 class NotAWeb(WebfoldError):
     """A planar map fails the defining conditions of a web."""
+
+
+class MalformedInput(WebfoldError):
+    """A JSON input has the wrong structure for the object it should describe."""
+
+
+class InvalidWorkerCount(WebfoldError):
+    """WEBFOLD_WORKERS is set to something that is not an integer."""

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 
 from .errors import ConcurrentArcs, InvalidBoundaryDegrees, UnknownFace
-from .planarweb import ARC, BOUNDARY, INTERSECTION, Edge, PlanarWeb, boundary_face, faces
+from .planarweb import ARC, BOUNDARY, INTERSECTION, Edge, PlanarWeb, boundary_face
 
 FIRST = "first"
 SECOND = "second"
@@ -57,11 +57,21 @@ class MDiagram:
             if a.tail not in known or a.head not in known:
                 raise ValueError(f"arc ({a.tail}, {a.head}) leaves the boundary")
 
+    @cached_property
+    def abscissas(self) -> dict[str, Fraction]:
+        """Each boundary label's abscissa."""
+        return {b.label: b.x for b in self.boundary}
+
+    @cached_property
+    def resolution(self) -> Resolution:
+        """The resolved web and its bookkeeping, built on first use."""
+        return _resolve(self)
+
     def x_of(self, label: str) -> Fraction:
-        for b in self.boundary:
-            if b.label == label:
-                return b.x
-        raise ValueError(f"no boundary vertex {label}")
+        try:
+            return self.abscissas[label]
+        except KeyError:
+            raise ValueError(f"no boundary vertex {label}") from None
 
     def to_dict(self) -> dict:
         return {
@@ -108,28 +118,33 @@ def crossings(m: MDiagram) -> tuple[Crossing, ...]:
     interleave; a shared endpoint is a tangency, never a crossing.
     Raises ConcurrentArcs if three arcs pass through one point.
     """
+    # abscissas strictly increase, so boundary positions order them exactly
+    position = {b.label: p for p, b in enumerate(m.boundary)}
+    spans = []
+    for a in m.arcs:
+        p, q = position[a.tail], position[a.head]
+        spans.append((p, q) if p < q else (q, p))
+    bx = [b.x for b in m.boundary]
     found = []
-    for i in range(len(m.arcs)):
-        for j in range(i + 1, len(m.arcs)):
-            a, b = m.arcs[i], m.arcs[j]
-            lo1, hi1 = _span(m, a)
-            lo2, hi2 = _span(m, b)
+    for i, (lo1, hi1) in enumerate(spans):
+        for j in range(i + 1, len(spans)):
+            lo2, hi2 = spans[j]
             if not (lo1 < lo2 < hi1 < hi2 or lo2 < lo1 < hi2 < hi1):
                 continue
-            c1, r1 = (lo1 + hi1) / 2, (hi1 - lo1) / 2
-            c2, r2 = (lo2 + hi2) / 2, (hi2 - lo2) / 2
-            x = (c2 * c2 - c1 * c1 + r1 * r1 - r2 * r2) / (2 * (c2 - c1))
-            found.append(Crossing(a, b, x))
+            # where the two circles' equations agree; centre^2 - radius^2 = lo * hi
+            l1, h1, l2, h2 = bx[lo1], bx[hi1], bx[lo2], bx[hi2]
+            x = (l2 * h2 - l1 * h1) / ((l2 + h2) - (l1 + h1))
+            found.append((x, i, j))
     per_arc: dict[Arc, list[Fraction]] = {}
-    for c in found:
-        per_arc.setdefault(c.arc_a, []).append(c.x)
-        per_arc.setdefault(c.arc_b, []).append(c.x)
+    for x, i, j in found:
+        per_arc.setdefault(m.arcs[i], []).append(x)
+        per_arc.setdefault(m.arcs[j], []).append(x)
     for arc, xs in per_arc.items():
         if len(set(xs)) != len(xs):
             raise ConcurrentArcs(
                 f"three arcs meet at one point on ({arc.tail}, {arc.head})"
             )
-    return tuple(sorted(found, key=lambda c: (c.x, m.arcs.index(c.arc_a), m.arcs.index(c.arc_b))))
+    return tuple(Crossing(m.arcs[i], m.arcs[j], x) for x, i, j in sorted(found))
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,9 +155,33 @@ class Resolution:
     pair_edges: tuple[tuple[frozenset[Arc], int], ...]
     boundary_index: dict[str, int]
 
+    @cached_property
+    def face_arcs(self) -> dict[frozenset[int], frozenset[Arc]]:
+        """The arcs passing over each inner face, by a walk from B_0."""
+        table = self.web.face_table
+        start = table.index[boundary_face(self.web, 0)]
+        sets: dict[int, frozenset[Arc]] = {start: frozenset()}
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for fi in frontier:
+                for d in table.faces[fi]:
+                    e = d // 2
+                    if self.web.edges[e].tag == BOUNDARY:
+                        continue
+                    gi = table.face_of[d ^ 1]
+                    arcs = sets[fi] ^ self.toggles[e]
+                    if gi in sets:
+                        if sets[gi] != arcs:
+                            raise RuntimeError("inconsistent arc sets across faces")
+                        continue
+                    sets[gi] = arcs
+                    nxt.append(gi)
+            frontier = nxt
+        return {table.faces[i]: s for i, s in sets.items()}
 
-@lru_cache(maxsize=None)
-def _resolution(m: MDiagram) -> Resolution:
+
+def _resolve(m: MDiagram) -> Resolution:
     n = len(m.boundary)
     windex = {b.label: i + 1 for i, b in enumerate(m.boundary)}
     tails: dict[str, list[Arc]] = {b.label: [] for b in m.boundary}
@@ -158,26 +197,20 @@ def _resolution(m: MDiagram) -> Resolution:
             )
     sinks = [b.label for b in m.boundary if heads[b.label]]
 
+    # crossings are named by their index t in all_crossings below
     all_crossings = crossings(m)
-    by_arc: dict[Arc, list[Crossing]] = {a: [] for a in m.arcs}
-    for c in all_crossings:
-        by_arc[c.arc_a].append(c)
-        by_arc[c.arc_b].append(c)
+    by_arc: dict[Arc, list[int]] = {a: [] for a in m.arcs}
+    for t, c in enumerate(all_crossings):
+        by_arc[c.arc_a].append(t)
+        by_arc[c.arc_b].append(t)
     for a in m.arcs:
         reverse = m.x_of(a.tail) > m.x_of(a.head)
-        by_arc[a].sort(key=lambda c: c.x, reverse=reverse)
+        by_arc[a].sort(key=lambda t: all_crossings[t].x, reverse=reverse)
 
-    next_id = n
-    sink_vertex = {}
-    for lab in sinks:
-        next_id += 1
-        sink_vertex[lab] = next_id
-    cross_u = {}
-    cross_w = {}
-    for c in all_crossings:
-        cross_u[c] = next_id + 1
-        cross_w[c] = next_id + 2
-        next_id += 2
+    sink_vertex = {lab: n + 1 + s for s, lab in enumerate(sinks)}
+    base = n + len(sinks)
+    cross_u = [base + 2 * t + 1 for t in range(len(all_crossings))]
+    cross_w = [base + 2 * t + 2 for t in range(len(all_crossings))]
 
     edges: list[Edge] = []
     toggles: list[frozenset[Arc]] = []
@@ -190,24 +223,24 @@ def _resolution(m: MDiagram) -> Resolution:
 
     source_dart: dict[str, int] = {}
     sink_arc_darts: dict[str, list[tuple[tuple, int]]] = {lab: [] for lab in sinks}
-    in_dart: dict[tuple[Crossing, Arc], int] = {}
-    out_dart: dict[tuple[Crossing, Arc], int] = {}
+    in_dart: dict[tuple[int, Arc], int] = {}
+    out_dart: dict[tuple[int, Arc], int] = {}
 
     for arc in m.arcs:
         prev_vertex = windex[arc.tail]
-        prev_crossing: Crossing | None = None
+        prev_crossing: int | None = None
         x_head = m.x_of(arc.head)
-        for c in by_arc[arc] + [None]:
-            head_vertex = cross_u[c] if c is not None else sink_vertex[arc.head]
+        for t in by_arc[arc] + [None]:
+            head_vertex = cross_u[t] if t is not None else sink_vertex[arc.head]
             i = add_edge(prev_vertex, head_vertex, ARC, frozenset({arc}))
             if prev_crossing is None:
                 source_dart[arc.tail] = 2 * i
             else:
                 out_dart[(prev_crossing, arc)] = 2 * i
-            if c is not None:
-                in_dart[(c, arc)] = 2 * i + 1
-                prev_vertex = cross_w[c]
-                prev_crossing = c
+            if t is not None:
+                in_dart[(t, arc)] = 2 * i + 1
+                prev_vertex = cross_w[t]
+                prev_crossing = t
             else:
                 x_tail = m.x_of(arc.tail)
                 key = (0, x_tail) if x_tail > x_head else (1, x_tail)
@@ -222,14 +255,14 @@ def _resolution(m: MDiagram) -> Resolution:
         feed_boundary_dart[lab] = 2 * i
         feed_sink_dart[lab] = 2 * i + 1
 
-    int_u_dart = {}
-    int_w_dart = {}
-    for c in all_crossings:
+    int_u_dart = []
+    int_w_dart = []
+    for t, c in enumerate(all_crossings):
         pair = frozenset({c.arc_a, c.arc_b})
-        i = add_edge(cross_w[c], cross_u[c], INTERSECTION, pair)
+        i = add_edge(cross_w[t], cross_u[t], INTERSECTION, pair)
         pair_edges.append((pair, i))
-        int_w_dart[c] = 2 * i
-        int_u_dart[c] = 2 * i + 1
+        int_w_dart.append(2 * i)
+        int_u_dart.append(2 * i + 1)
 
     bnd_next = {}
     bnd_prev = {}
@@ -249,7 +282,7 @@ def _resolution(m: MDiagram) -> Resolution:
     for lab in sinks:
         darts = [d for _, d in sorted(sink_arc_darts[lab])]
         rotation[sink_vertex[lab]] = (*darts, feed_sink_dart[lab])
-    for c in all_crossings:
+    for t, c in enumerate(all_crossings):
         cycle = []
         for arc in sorted(
             (c.arc_a, c.arc_b), key=lambda a: m.x_of(a.tail) + m.x_of(a.head)
@@ -262,14 +295,14 @@ def _resolution(m: MDiagram) -> Resolution:
             if cycle[s][0] == "in" and cycle[(s + 1) % 4][0] == "in":
                 start = s
                 break
-        ordered = [cycle[(start + t) % 4] for t in range(4)]
+        ordered = [cycle[(start + k) % 4] for k in range(4)]
 
-        def dart(entry, c=c):
+        def dart(entry, t=t):
             kind, arc = entry
-            return in_dart[(c, arc)] if kind == "in" else out_dart[(c, arc)]
+            return in_dart[(t, arc)] if kind == "in" else out_dart[(t, arc)]
 
-        rotation[cross_u[c]] = (dart(ordered[0]), dart(ordered[1]), int_u_dart[c])
-        rotation[cross_w[c]] = (dart(ordered[2]), dart(ordered[3]), int_w_dart[c])
+        rotation[cross_u[t]] = (dart(ordered[0]), dart(ordered[1]), int_u_dart[t])
+        rotation[cross_w[t]] = (dart(ordered[2]), dart(ordered[3]), int_w_dart[t])
 
     layout: dict[int, tuple[Fraction, Fraction]] = {}
     for b in m.boundary:
@@ -279,61 +312,30 @@ def _resolution(m: MDiagram) -> Resolution:
             abs(m.x_of(a.tail) - m.x_of(a.head)) / 2 for a in heads[lab]
         ]
         layout[sink_vertex[lab]] = (m.x_of(lab), min(radii) / 2)
-    for c in all_crossings:
+    for t, c in enumerate(all_crossings):
         lo, hi = _span(m, c.arc_a)
         ctr, rad = (lo + hi) / 2, (hi - lo) / 2
         y2 = rad * rad - (c.x - ctr) * (c.x - ctr)
         y = Fraction(float(y2) ** 0.5).limit_denominator(10**6)
-        layout[cross_u[c]] = (c.x, y * Fraction(9, 10))
-        layout[cross_w[c]] = (c.x, y * Fraction(11, 10))
+        layout[cross_u[t]] = (c.x, y * Fraction(9, 10))
+        layout[cross_w[t]] = (c.x, y * Fraction(11, 10))
 
     web = PlanarWeb(n, tuple(edges), rotation, layout)
     return Resolution(m, web, tuple(toggles), tuple(pair_edges), windex)
 
 
 def resolution(m: MDiagram) -> Resolution:
-    return _resolution(m)
+    return m.resolution
 
 
 def resolve(m: MDiagram) -> PlanarWeb:
     """The planar web obtained by the local changes at sinks and crossings."""
-    return _resolution(m).web
-
-
-@lru_cache(maxsize=None)
-def _face_arcs(m: MDiagram) -> dict[frozenset[int], frozenset[Arc]]:
-    res = _resolution(m)
-    w = res.web
-    all_faces = faces(w)
-    index = {}
-    for i, f in enumerate(all_faces):
-        for d in f:
-            index[d] = i
-    start = index[min(boundary_face(w, 0))]
-    sets: dict[int, frozenset[Arc]] = {start: frozenset()}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for fi in frontier:
-            for d in all_faces[fi]:
-                e = d // 2
-                if w.edges[e].tag == BOUNDARY:
-                    continue
-                gi = index[d ^ 1]
-                arcs = sets[fi] ^ res.toggles[e]
-                if gi in sets:
-                    if sets[gi] != arcs:
-                        raise RuntimeError("inconsistent arc sets across faces")
-                    continue
-                sets[gi] = arcs
-                nxt.append(gi)
-        frontier = nxt
-    return {all_faces[i]: s for i, s in sets.items()}
+    return m.resolution.web
 
 
 def arcs_above(m: MDiagram, face: frozenset[int]) -> frozenset[Arc]:
     """The arcs passing over the given face of resolve(m)."""
-    table = _face_arcs(m)
+    table = m.resolution.face_arcs
     if face not in table:
         raise UnknownFace("not an inner face of the resolved diagram")
     return table[face]
@@ -353,15 +355,12 @@ def coherent_separators(
     identified by restricting a face's arc set to {a, b}.
     """
     sx, sy = arcs_above(m, x), arcs_above(m, y)
-    res = _resolution(m)
-    table = _face_arcs(m)
-    face_of = {}
-    for f in table:
-        for d in f:
-            face_of[d] = f
+    res = m.resolution
+    table = res.face_arcs
+    faces, face_of = res.web.face_table.faces, res.web.face_table.face_of
     out = []
     for pair, e in res.pair_edges:
-        f1, f2 = face_of[2 * e], face_of[2 * e + 1]
+        f1, f2 = faces[face_of[2 * e]], faces[face_of[2 * e + 1]]
         sides = {table[f1] & pair, table[f2] & pair}
         if {sx & pair, sy & pair} == sides:
             out.append(pair)
@@ -380,7 +379,7 @@ def mirror_arc(a: Arc) -> Arc:
 
 def reflected_face(m: MDiagram, face: frozenset[int]) -> frozenset[int]:
     """The face whose arc set is the mirror image of this one's."""
-    table = _face_arcs(m)
+    table = m.resolution.face_arcs
     if face not in table:
         raise UnknownFace("not an inner face of the resolved diagram")
     want = frozenset(mirror_arc(a) for a in table[face])
@@ -388,14 +387,6 @@ def reflected_face(m: MDiagram, face: frozenset[int]) -> frozenset[int]:
         if s == want:
             return f
     raise UnknownFace("diagram has no mirror of this face")
-
-
-def is_between_vertical_pair(
-    m: MDiagram, pair: tuple[Arc, Arc], face: frozenset[int]
-) -> bool:
-    """Exactly one of the pair's two replacement arcs passes over the face."""
-    above = arcs_above(m, face)
-    return (pair[0] in above) != (pair[1] in above)
 
 
 def epsilon(m: MDiagram, face: frozenset[int]) -> int:

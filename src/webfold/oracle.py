@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .errors import UnknownTheorem, WebfoldError
+from .errors import InvalidWorkerCount, UnknownTheorem, WebfoldError
 from .matchings import fold2, reflect2, rotate2, web2_of_tableau
 from .mdiagram import (
     arc_distance,
@@ -211,12 +211,8 @@ def _words_3row(max_n: int) -> list[str]:
     return _rect_words(3, max_n)
 
 
-def _words_web_correspondence(max_n: int) -> list[str]:
-    # 3-row instances build webs per tableau, so they stay capped at 4
-    return _rect_words(2, max_n) + _rect_words(3, min(max_n, 4))
-
-
-def _words_operator_algebra(max_n: int) -> list[str]:
+def _words_2row_3row(max_n: int) -> list[str]:
+    # 3-row instances build webs or run N promotions per tableau, so they stay capped at 4
     return _rect_words(2, max_n) + _rect_words(3, min(max_n, 4))
 
 
@@ -563,9 +559,9 @@ _SUITES: dict[str, tuple[int, Callable[[int], list[str]], Callable[[str], list[F
     "thm-fw1": (5, _words_3row_symmetric, _check_fw1),
     "thm-fw2": (5, _words_3row_symmetric, _check_fw2),
     "roundtrip-3web": (5, _words_3row, _check_roundtrip),
-    "promotion-rotation": (8, _words_web_correspondence, _check_rotation),
-    "evacuation-reflection": (8, _words_web_correspondence, _check_reflection),
-    "promotion-order": (8, _words_operator_algebra, _check_operator_algebra),
+    "promotion-rotation": (8, _words_2row_3row, _check_rotation),
+    "evacuation-reflection": (8, _words_2row_3row, _check_reflection),
+    "promotion-order": (8, _words_2row_3row, _check_operator_algebra),
     "fold-domino": (8, _words_fold_domino, _check_fold_domino),
     "distance-lemmas": (4, _words_3row, _check_distance_lemmas),
     "block-patterns": (5, _words_3row_domino, _check_block_patterns),
@@ -574,13 +570,28 @@ _SUITES: dict[str, tuple[int, Callable[[int], list[str]], Callable[[str], list[F
 THEOREMS = tuple(sorted(_SUITES))
 
 
+def worker_count() -> int:
+    """Processes a sweep may use: WEBFOLD_WORKERS, 1 if unset, at most os.cpu_count()."""
+    text = os.environ.get("WEBFOLD_WORKERS", "")
+    if not text:
+        return 1
+    try:
+        workers = int(text)
+    except ValueError:
+        raise InvalidWorkerCount(
+            f"WEBFOLD_WORKERS must be an integer, got {text!r}"
+        ) from None
+    return max(1, min(workers, os.cpu_count() or 1))
+
+
 def verify(theorem_id: str, max_n: int | None = None) -> VerificationReport:
     """Run one exhaustive suite and report every failing instance.
 
     Suites covering both 2-row and 3-row families read max_n as the 2-row
-    bound and cap the 3-row side (4 where webs are built per tableau, 5 for
-    tableau-only checks) so default runs stay within a minute.  Set
-    WEBFOLD_WORKERS to fan instances out over that many processes.
+    bound and cap the 3-row side (4 where webs are built or N promotions
+    run per tableau, 5 for fold-domino) so default runs stay within a
+    minute.  Set WEBFOLD_WORKERS to fan instances out over that many
+    processes, at most one per CPU.
     """
     if theorem_id not in _SUITES:
         raise UnknownTheorem(
@@ -593,7 +604,7 @@ def verify(theorem_id: str, max_n: int | None = None) -> VerificationReport:
     start = time.perf_counter()
     words = build(bound)
     failures: list[Failure] = []
-    workers = int(os.environ.get("WEBFOLD_WORKERS", "1") or "1")
+    workers = worker_count()
     if workers > 1 and len(words) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for found in pool.map(check, words, chunksize=64):

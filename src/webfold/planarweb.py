@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import UnknownFace
 
@@ -58,6 +59,11 @@ class PlanarWeb:
     def dart_edge(self, d: int) -> Edge:
         return self.edges[d // 2]
 
+    @cached_property
+    def face_table(self) -> FaceTable:
+        """Faces and dual distances, built on first use and kept with this web."""
+        return FaceTable(self)
+
     @property
     def vertices(self) -> list[int]:
         return sorted(self.rotation)
@@ -94,36 +100,93 @@ class PlanarWeb:
         return cls(d["n"], edges, rotation, layout)
 
 
-def next_face_dart(w: PlanarWeb, d: int) -> int:
-    """The dart after d along the face on d's left."""
-    t = d ^ 1
-    rot = w.rotation[w.origin(t)]
-    return rot[rot.index(t) - 1]
+class FaceTable:
+    """The faces of one web and its dual graph.
+
+    A face is the set of darts met by walking with the face on the left:
+    after dart d comes the dart before d's twin in the rotation at the
+    twin's origin.  Faces are listed in order of their smallest dart.
+    Dual adjacency crosses only non-boundary edges, and breadth-first
+    distances are kept per source face once computed.
+    """
+
+    def __init__(self, w: PlanarWeb) -> None:
+        darts = 2 * len(w.edges)
+        prev = [0] * darts
+        for rot in w.rotation.values():
+            for i, d in enumerate(rot):
+                prev[d] = rot[i - 1]
+        face_of = [-1] * darts
+        faces: list[frozenset[int]] = []
+        for d0 in range(darts):
+            if face_of[d0] >= 0:
+                continue
+            orbit = []
+            d = d0
+            while face_of[d] < 0:
+                face_of[d] = len(faces)
+                orbit.append(d)
+                d = prev[d ^ 1]
+            faces.append(frozenset(orbit))
+        wall = [e.tag == BOUNDARY for e in w.edges]
+        self.faces = tuple(faces)
+        self.face_of = face_of
+        self.index = {f: i for i, f in enumerate(faces)}
+        self.exterior = next(
+            (i for i, f in enumerate(faces) if all(wall[d // 2] for d in f)), None
+        )
+        # the non-exterior side of the first boundary edge joining each pair
+        inner_side: dict[frozenset[int], int] = {}
+        self.adjacency: list[set[int]] = [set() for _ in faces]
+        for i, e in enumerate(w.edges):
+            a, b = face_of[2 * i], face_of[2 * i + 1]
+            if not wall[i]:
+                self.adjacency[a].add(b)
+                self.adjacency[b].add(a)
+                continue
+            key = frozenset((e.tail, e.head))
+            side = a if a != self.exterior else b
+            if key not in inner_side and side != self.exterior:
+                inner_side[key] = side
+        n = w.n_boundary
+        self.boundary = tuple(
+            inner_side.get(frozenset((k, k + 1) if 1 <= k < n else (n, 1)))
+            for k in range(n + 1)
+        )
+        self._distances: dict[int, list[int | None]] = {}
+
+    def distances(self, source: int) -> list[int | None]:
+        """Dual distance from face `source` to every face (None if unreachable)."""
+        dist = self._distances.get(source)
+        if dist is None:
+            dist = [None] * len(self.faces)
+            dist[source] = 0
+            frontier = [source]
+            step = 0
+            while frontier:
+                step += 1
+                nxt = []
+                for f in frontier:
+                    for g in self.adjacency[f]:
+                        if dist[g] is None:
+                            dist[g] = step
+                            nxt.append(g)
+                frontier = nxt
+            self._distances[source] = dist
+        return dist
 
 
 def faces(w: PlanarWeb) -> list[frozenset[int]]:
-    out = []
-    unseen = set(range(2 * len(w.edges)))
-    while unseen:
-        d0 = min(unseen)
-        orbit = []
-        d = d0
-        while True:
-            orbit.append(d)
-            unseen.discard(d)
-            d = next_face_dart(w, d)
-            if d == d0:
-                break
-        out.append(frozenset(orbit))
-    return out
+    """Every face, as its dart set, in order of each face's smallest dart."""
+    return list(w.face_table.faces)
 
 
 def exterior_face(w: PlanarWeb) -> frozenset[int]:
     """The face outside the boundary circle: all its darts are boundary darts."""
-    for f in faces(w):
-        if all(w.dart_edge(d).tag == BOUNDARY for d in f):
-            return f
-    raise UnknownFace("no exterior face; boundary circle is broken")
+    table = w.face_table
+    if table.exterior is None:
+        raise UnknownFace("no exterior face; boundary circle is broken")
+    return table.faces[table.exterior]
 
 
 def boundary_face(w: PlanarWeb, k: int) -> frozenset[int]:
@@ -131,59 +194,26 @@ def boundary_face(w: PlanarWeb, k: int) -> frozenset[int]:
     n = w.n_boundary
     if not (0 <= k <= n):
         raise UnknownFace(f"boundary face index {k} outside 0..{n}")
-    pair = {k, k + 1} if 1 <= k < n else {n, 1}
-    for i, e in enumerate(w.edges):
-        if e.tag == BOUNDARY and {e.tail, e.head} == pair:
-            ext = exterior_face(w)
-            for d in (2 * i, 2 * i + 1):
-                f = _face_of(w, d)
-                if f != ext:
-                    return f
-    raise UnknownFace(f"no boundary edge between {sorted(pair)}")
-
-
-def _face_of(w: PlanarWeb, d0: int) -> frozenset[int]:
-    orbit = []
-    d = d0
-    while True:
-        orbit.append(d)
-        d = next_face_dart(w, d)
-        if d == d0:
-            break
-    return frozenset(orbit)
+    table = w.face_table
+    if table.exterior is None:
+        raise UnknownFace("no exterior face; boundary circle is broken")
+    f = table.boundary[k]
+    if f is None:
+        pair = {k, k + 1} if 1 <= k < n else {n, 1}
+        raise UnknownFace(f"no boundary edge between {sorted(pair)}")
+    return table.faces[f]
 
 
 def web_distance(w: PlanarWeb, x: frozenset[int], y: frozenset[int]) -> int:
     """Fewest non-boundary edges separating faces x and y in the dual."""
-    all_faces = faces(w)
-    if x not in all_faces or y not in all_faces:
+    table = w.face_table
+    i, j = table.index.get(x), table.index.get(y)
+    if i is None or j is None:
         raise UnknownFace("argument is not a face of this web")
-    if x == y:
-        return 0
-    index = {}
-    for i, f in enumerate(all_faces):
-        for d in f:
-            index[d] = i
-    adj: list[set[int]] = [set() for _ in all_faces]
-    for i, e in enumerate(w.edges):
-        if e.tag != BOUNDARY:
-            a, b = index[2 * i], index[2 * i + 1]
-            adj[a].add(b)
-            adj[b].add(a)
-    start, goal = index[min(x)], index[min(y)]
-    dist = {start: 0}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for f in frontier:
-            for g in adj[f]:
-                if g not in dist:
-                    dist[g] = dist[f] + 1
-                    if g == goal:
-                        return dist[g]
-                    nxt.append(g)
-        frontier = nxt
-    raise UnknownFace("faces lie in different dual components")
+    d = table.distances(i)[j]
+    if d is None:
+        raise UnknownFace("faces lie in different dual components")
+    return d
 
 
 @dataclass(frozen=True)
@@ -234,10 +264,6 @@ def validate_3web(w: PlanarWeb) -> WebReport:
                     f"internal face with {len(f)} sides: darts {sorted(f)}"
                 )
     return WebReport(not bad, tuple(bad))
-
-
-def euler_characteristic(w: PlanarWeb) -> int:
-    return len(w.rotation) - len(w.edges) + len(faces(w))
 
 
 @dataclass(frozen=True)

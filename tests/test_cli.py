@@ -115,3 +115,27 @@ def test_outputs_are_byte_stable(capsys):
     first = run(capsys, "web3", "from-tableau", "--word", "112233")
     second = run(capsys, "web3", "from-tableau", "--word", "112233")
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["web3", "to-tableau"], {"n": 3, "edges": 5, "rotation": {}}),
+        (["op", "--apply", "promote"], {"outer": [2, 2], "word": 12}),
+        (["web2", "fold"], {"n": 2, "arcs": [[1, 2, 3]]}),
+        (["web3", "to-domino"], [1, 2, 3]),
+        (["render"], {"n": 3, "edges": 5, "rotation": {}}),
+    ],
+)
+def test_malformed_json_exits_one(capsys, tmp_path, argv, payload):
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(payload))
+    code, out, err = run(capsys, *argv, "--in", str(src))
+    assert (code, out) == (1, "")
+    assert err.startswith("MalformedInput: ") and err.count("\n") == 1
+
+
+def test_bad_worker_count_exits_one(capsys, monkeypatch):
+    monkeypatch.setenv("WEBFOLD_WORKERS", "many")
+    code, _, err = run(capsys, "verify", "--theorem", "thm-2byn", "--max-n", "2")
+    assert code == 1 and err.startswith("InvalidWorkerCount: ")

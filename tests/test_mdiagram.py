@@ -15,7 +15,6 @@ from webfold.mdiagram import (
     coherent_separators,
     crossings,
     epsilon,
-    is_between_vertical_pair,
     mirror_arc,
     mirror_label,
     reflected_face,
@@ -28,8 +27,8 @@ from webfold.planarweb import (
     PlanarWeb,
     boundary_face,
     canonical,
-    euler_characteristic,
     exterior_face,
+    faces,
     is_symmetrical,
     validate_3web,
     web_distance,
@@ -105,7 +104,7 @@ def test_hex_resolution_is_a_web_with_expected_distances():
     m = hex_diagram()
     w = resolve(m)
     assert validate_3web(w).ok
-    assert euler_characteristic(w) == 2
+    assert len(w.rotation) - len(w.edges) + len(faces(w)) == 2
     d = [web_distance(w, boundary_face(w, 0), boundary_face(w, i)) for i in range(7)]
     assert d == [0, 1, 2, 2, 2, 1, 0]
 
@@ -162,9 +161,14 @@ def test_mirror_labels():
 def test_between_vertical_pair_uses_exactly_one_side():
     m = hex_diagram()
     w = resolve(m)
-    pair = (Arc("1", "4", FIRST), Arc("2", "3", FIRST))
-    assert is_between_vertical_pair(m, pair, boundary_face(w, 1))
-    assert not is_between_vertical_pair(m, pair, boundary_face(w, 2))
+    a, b = Arc("1", "4", FIRST), Arc("2", "3", FIRST)
+
+    def between(face):
+        above = arcs_above(m, face)
+        return (a in above) != (b in above)
+
+    assert between(boundary_face(w, 1))
+    assert not between(boundary_face(w, 2))
 
 
 def test_concurrent_arcs_detected():
@@ -213,3 +217,27 @@ def test_resolution_bookkeeping():
     for pair, e in res.pair_edges:
         assert res.toggles[e] == pair
         assert len(pair) == 2
+
+
+def test_resolution_is_kept_per_diagram_object():
+    m = hex_diagram()
+    assert resolution(m) is resolution(m)
+    assert resolve(m) is resolution(m).web
+    assert resolution(m).face_arcs is resolution(m).face_arcs
+    twin = hex_diagram()
+    assert twin == m and twin is not m
+    # equal diagrams share nothing: no cache outlives the diagram object
+    assert resolution(twin) is not resolution(m)
+    assert canonical(resolve(twin)) == canonical(resolve(m))
+
+
+def test_crossing_abscissa_matches_circle_intersection():
+    # semicircles over [0, 3] and [1, 5] meet at x = 5/3, y^2 = 20/9
+    m = MDiagram(
+        (bv("a", 0), bv("b", 1), bv("c", 3), bv("d", 5)),
+        (Arc("a", "c"), Arc("b", "d")),
+    )
+    (c,) = crossings(m)
+    assert c.x == F(5, 3)
+    assert (c.x - F(3, 2)) ** 2 + F(20, 9) == F(3, 2) ** 2
+    assert (c.x - 3) ** 2 + F(20, 9) == 2 ** 2

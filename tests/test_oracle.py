@@ -1,8 +1,9 @@
 import json
+import os
 
 import pytest
 
-from webfold.errors import UnknownTheorem
+from webfold.errors import InvalidWorkerCount, UnknownTheorem
 from webfold.oracle import (
     THEOREMS,
     EnumerationFilter,
@@ -12,6 +13,7 @@ from webfold.oracle import (
     enumerate_words,
     hook_length_count,
     verify,
+    worker_count,
 )
 from webfold.tableaux import Shape
 
@@ -109,3 +111,19 @@ def test_report_formats():
 def test_verify_rejects_bad_bound():
     with pytest.raises(ValueError):
         verify("thm-2byn", 0)
+
+
+def test_worker_count_parsing(monkeypatch):
+    monkeypatch.delenv("WEBFOLD_WORKERS", raising=False)
+    assert worker_count() == 1
+    cpus = os.cpu_count() or 1
+    for text, expected in (("", 1), ("1", 1), ("0", 1), ("-3", 1), (" 2 ", min(2, cpus))):
+        monkeypatch.setenv("WEBFOLD_WORKERS", text)
+        assert worker_count() == expected
+    # only parsed here, so no process is started for it
+    monkeypatch.setenv("WEBFOLD_WORKERS", str(cpus + 1))
+    assert worker_count() == cpus
+    for text in ("two", "1.5", "4x"):
+        monkeypatch.setenv("WEBFOLD_WORKERS", text)
+        with pytest.raises(InvalidWorkerCount, match="WEBFOLD_WORKERS"):
+            worker_count()
