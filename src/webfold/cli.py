@@ -139,12 +139,17 @@ def _cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
-    rows_text, _, cols_text = args.shape.partition("x")
+def _rectangle(text: str) -> tuple[int, int]:
+    """Rows and columns of an RxC shape argument; bad syntax is a usage error."""
+    rows_text, _, cols_text = text.partition("x")
     try:
-        rows, cols = int(rows_text), int(cols_text)
+        return int(rows_text), int(cols_text)
     except ValueError:
-        raise ValueError(f"shape must look like 3x4, got {args.shape!r}")
+        raise argparse.ArgumentTypeError(f"shape must look like 3x4, got {text!r}") from None
+
+
+def _cmd_enumerate(args: argparse.Namespace) -> int:
+    rows, cols = args.shape
     filt = EnumerationFilter(Shape((cols,) * rows), args.filter)
     lines = [t.word for t in enumerate_tableaux(filt)]
     _emit(args, "".join(line + "\n" for line in lines))
@@ -197,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("enumerate", help="list standard tableaux of a shape")
-    p.add_argument("--shape", required=True, help="RxC, e.g. 3x4")
+    p.add_argument("--shape", required=True, type=_rectangle, help="RxC, e.g. 3x4")
     p.add_argument("--filter", choices=PREDICATES, default="all")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_enumerate)
@@ -209,10 +214,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except WebfoldError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (WebfoldError, ValueError, KeyError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

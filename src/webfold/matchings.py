@@ -23,7 +23,8 @@ class Matching2:
         object.__setattr__(self, "arcs", arcs)
         n = self.n_pairs
         ends = [v for arc in arcs for v in arc]
-        if sorted(ends) != list(range(1, 2 * n + 1)):
+        # compare sizes first, so a huge n never builds a list of 2n entries
+        if len(ends) != 2 * n or sorted(ends) != list(range(1, 2 * n + 1)):
             raise ValueError("arcs must partition 1..2n")
         partner = {}
         for a, b in arcs:

@@ -324,10 +324,6 @@ def _resolve(m: MDiagram) -> Resolution:
     return Resolution(m, web, tuple(toggles), tuple(pair_edges), windex)
 
 
-def resolution(m: MDiagram) -> Resolution:
-    return m.resolution
-
-
 def resolve(m: MDiagram) -> PlanarWeb:
     """The planar web obtained by the local changes at sinks and crossings."""
     return m.resolution.web

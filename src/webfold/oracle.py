@@ -14,11 +14,14 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from dataclasses import asdict, dataclass
+from functools import partial
+from itertools import chain, islice
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator
 
-from .errors import InvalidWorkerCount, UnknownTheorem, WebfoldError
-from .matchings import fold2, reflect2, rotate2, web2_of_tableau
+from .errors import InvalidWorkerCount, UnknownTheorem
+from .matchings import Matching2, fold2, reflect2, rotate2, web2_of_tableau
 from .mdiagram import (
     arc_distance,
     coherent_separators,
@@ -27,6 +30,7 @@ from .mdiagram import (
     resolve,
 )
 from .planarweb import (
+    PlanarWeb,
     boundary_face,
     canonical,
     exterior_face,
@@ -147,12 +151,7 @@ class Failure:
     rhs: str
 
     def to_dict(self) -> dict:
-        return {
-            "word": self.word,
-            "identity": self.identity,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -188,277 +187,142 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _rect_words(rows: int, max_n: int) -> list[str]:
-    out: list[str] = []
-    for n in range(1, max_n + 1):
-        out.extend(enumerate_words((n,) * rows))
-    return out
+# a failed comparison: (identity, shown lhs, shown rhs)
+_Found = tuple[str, str, str]
 
 
-def _symmetric_only(words: list[str]) -> list[str]:
-    return [w for w in words if is_rotationally_symmetric(from_word(w))]
+def _words(rows: int, max_n: int, keep: str | None = None) -> list[str]:
+    """Words of the rows x n rectangles for n <= max_n, those passing predicate keep if given."""
+    shapes = [(n,) * rows for n in range(1, max_n + 1)]
+    if keep is None:
+        return [w for shape in shapes for w in enumerate_words(shape)]
+    filters = [EnumerationFilter(Shape(shape), keep) for shape in shapes]
+    return [t.word for filt in filters for t in enumerate_tableaux(filt)]
 
 
-def _words_2row_symmetric(max_n: int) -> list[str]:
-    return _symmetric_only(_rect_words(2, max_n))
+def _json(m: Matching2) -> str:
+    return json.dumps(m.to_dict())
 
 
-def _words_3row_symmetric(max_n: int) -> list[str]:
-    return _symmetric_only(_rect_words(3, max_n))
+def _violations(w: PlanarWeb) -> str:
+    return "; ".join(validate_3web(w).violations)
 
 
-def _words_3row(max_n: int) -> list[str]:
-    return _rect_words(3, max_n)
+def _holds(name: str, lhs, rhs, show: Callable = attrgetter("word")) -> list[_Found]:
+    """No failure if lhs == rhs, else (identity, lhs, rhs) with both sides shown."""
+    return [] if lhs == rhs else [(name, show(lhs), show(rhs))]
 
 
-def _words_2row_3row(max_n: int) -> list[str]:
-    # 3-row instances build webs or run N promotions per tableau, so they stay capped at 4
-    return _rect_words(2, max_n) + _rect_words(3, min(max_n, 4))
+def _first(steps: Iterable[list[_Found]]) -> Iterator[_Found]:
+    """The first failure of a family of steps; the steps after it are not run."""
+    return islice(chain.from_iterable(steps), 1)
 
 
-def _words_fold_domino(max_n: int) -> list[str]:
-    return _rect_words(2, max_n) + _rect_words(3, min(max_n, 5))
+# Checks take one tableau and yield (identity, lhs, rhs) for each failed
+# comparison.  A check may also yield the identity of the structural step it
+# takes next; a raise is then reported under that name instead of _COMPLETES.
+_COMPLETES = "check completes without raising"
+_VERTICAL_PAIRS = "vertical pairs are maximal non-intersecting arcs"
 
 
-def _words_3row_domino(max_n: int) -> list[str]:
-    return [w for w in _rect_words(3, max_n) if is_domino(from_word(w))]
-
-
-def _check_2byn(word: str) -> list[Failure]:
-    t = from_word(word)
+def _check_2byn(t: Tableau):
     lhs = fold2(web2_of_tableau(t))
     rhs = web2_of_tableau(fold(t))
-    if lhs != rhs:
-        return [
-            Failure(
-                word,
-                "fold2(web2(T)) = web2(fold(T))",
-                json.dumps(lhs.to_dict()),
-                json.dumps(rhs.to_dict()),
-            )
-        ]
-    return []
+    return _holds("fold2(web2(T)) = web2(fold(T))", lhs, rhs, _json)
 
 
-def _check_fw1(word: str) -> list[Failure]:
-    t = from_word(word)
+def _check_fw1(t: Tableau):
     lhs = domino_of_symmetric_web(web_of_tableau(t))
-    rhs = fold(t)
-    if lhs != rhs:
-        return [
-            Failure(
-                word,
-                "domino_of_symmetric_web(web_of_tableau(T)) = fold(T)",
-                lhs.word,
-                rhs.word,
-            )
-        ]
-    return []
+    return _holds("domino_of_symmetric_web(web_of_tableau(T)) = fold(T)", lhs, fold(t))
 
 
-def _check_fw2(word: str) -> list[Failure]:
-    t = from_word(word)
+def _check_fw2(t: Tableau):
     lhs = canonical(crossed_web(fold(t)))
     rhs = canonical(web_of_tableau(t))
-    if lhs != rhs:
-        return [
-            Failure(
-                word,
-                "crossed_web(fold(T)) = web_of_tableau(T)",
-                repr(lhs),
-                repr(rhs),
-            )
-        ]
-    return []
+    return _holds("crossed_web(fold(T)) = web_of_tableau(T)", lhs, rhs, repr)
 
 
-def _check_roundtrip(word: str) -> list[Failure]:
-    t = from_word(word)
-    back = tableau_of_web(web_of_tableau(t))
-    if back != t:
-        return [
-            Failure(word, "tableau_of_web(web_of_tableau(T)) = T", back.word, word)
-        ]
-    return []
+def _check_roundtrip(t: Tableau):
+    return _holds("tableau_of_web(web_of_tableau(T)) = T", tableau_of_web(web_of_tableau(t)), t)
 
 
-def _check_rotation(word: str) -> list[Failure]:
-    t = from_word(word)
+def _check_rotation(t: Tableau):
     if t.shape.row_count == 2:
         lhs2 = rotate2(web2_of_tableau(t))
         rhs2 = web2_of_tableau(promote(t))
-        if lhs2 != rhs2:
-            return [
-                Failure(
-                    word,
-                    "rotate2(web2(T)) = web2(promote(T))",
-                    json.dumps(lhs2.to_dict()),
-                    json.dumps(rhs2.to_dict()),
-                )
-            ]
-        return []
+        return _holds("rotate2(web2(T)) = web2(promote(T))", lhs2, rhs2, _json)
     lhs = canonical(rotate(web_of_tableau(t)))
     rhs = canonical(web_of_tableau(promote(t)))
-    if lhs != rhs:
-        return [
-            Failure(
-                word,
-                "rotate(web_of_tableau(T)) = web_of_tableau(promote(T))",
-                repr(lhs),
-                repr(rhs),
-            )
-        ]
-    return []
+    return _holds("rotate(web_of_tableau(T)) = web_of_tableau(promote(T))", lhs, rhs, repr)
 
 
-def _check_reflection(word: str) -> list[Failure]:
-    t = from_word(word)
+def _check_reflection(t: Tableau):
     if t.shape.row_count == 2:
         lhs2 = reflect2(web2_of_tableau(t))
         rhs2 = web2_of_tableau(evacuate(t))
-        if lhs2 != rhs2:
-            return [
-                Failure(
-                    word,
-                    "reflect2(web2(T)) = web2(evacuate(T))",
-                    json.dumps(lhs2.to_dict()),
-                    json.dumps(rhs2.to_dict()),
-                )
-            ]
-        return []
+        return _holds("reflect2(web2(T)) = web2(evacuate(T))", lhs2, rhs2, _json)
     lhs = canonical(reflect(web_of_tableau(t)))
     rhs = canonical(web_of_tableau(evacuate(t)))
-    if lhs != rhs:
-        return [
-            Failure(
-                word,
-                "reflect(web_of_tableau(T)) = web_of_tableau(evacuate(T))",
-                repr(lhs),
-                repr(rhs),
-            )
-        ]
-    return []
+    return _holds("reflect(web_of_tableau(T)) = web_of_tableau(evacuate(T))", lhs, rhs, repr)
 
 
-def _check_operator_algebra(word: str) -> list[Failure]:
-    fails: list[Failure] = []
-    t = from_word(word)
+def _check_operator_algebra(t: Tableau):
     total = t.size
-    chain = [t]
+    powers = [t]
     for _ in range(total):
-        chain.append(promote(chain[-1]))
-    if chain[-1] != t:
-        fails.append(Failure(word, "promote^N(T) = T", chain[-1].word, t.word))
+        powers.append(promote(powers[-1]))
+    yield from _holds("promote^N(T) = T", powers[-1], t)
     e = evacuate(t)
-    if evacuate(e) != t:
-        fails.append(Failure(word, "evacuate(evacuate(T)) = T", evacuate(e).word, word))
-    if e != rotate180_complement(t):
-        fails.append(
-            Failure(
-                word,
-                "evacuate(T) = rotate180_complement(T)",
-                e.word,
-                rotate180_complement(t).word,
-            )
+    yield from _holds("evacuate(evacuate(T)) = T", evacuate(e), t)
+    yield from _holds("evacuate(T) = rotate180_complement(T)", e, rotate180_complement(t))
+    yield from _holds("unfold(fold(T)) = T", unfold(fold(t)), t)
+    yield from _first(
+        _holds(
+            f"restrict_le(promote^{k}(T), N-{k}) = rectify(restrict_gt(T, {k}))",
+            restrict_le(powers[k], total - k),
+            rectify(restrict_gt(t, k)),
         )
-    if unfold(fold(t)) != t:
-        fails.append(Failure(word, "unfold(fold(T)) = T", unfold(fold(t)).word, word))
-    for k in range(total + 1):
-        lhs = restrict_le(chain[k], total - k)
-        rhs = rectify(restrict_gt(t, k))
-        if lhs != rhs:
-            fails.append(
-                Failure(
-                    word,
-                    f"restrict_le(promote^{k}(T), N-{k}) = rectify(restrict_gt(T, {k}))",
-                    lhs.word,
-                    rhs.word,
-                )
-            )
-            break
-    for j in range(1, total // 2 + 1):
-        bound = total + 1 - 2 * j
-        lhs = restrict_le(partial_fold(t, j), bound)
-        rhs = restrict_le(chain[j], bound)
-        if lhs != rhs:
-            fails.append(
-                Failure(
-                    word,
-                    f"restrict_le(partial_fold(T, {j}), N+1-{2 * j}) = "
-                    f"restrict_le(promote^{j}(T), N+1-{2 * j})",
-                    lhs.word,
-                    rhs.word,
-                )
-            )
-            break
-    return fails
+        for k in range(total + 1)
+    )
+    yield from _first(
+        _holds(
+            f"restrict_le(partial_fold(T, {j}), N+1-{2 * j}) = "
+            f"restrict_le(promote^{j}(T), N+1-{2 * j})",
+            restrict_le(partial_fold(t, j), total + 1 - 2 * j),
+            restrict_le(powers[j], total + 1 - 2 * j),
+        )
+        for j in range(1, total // 2 + 1)
+    )
 
 
-def _check_fold_domino(word: str) -> list[Failure]:
-    fails: list[Failure] = []
-    t = from_word(word)
+def _check_fold_domino(t: Tableau):
     symmetric = is_rotationally_symmetric(t)
     folded = fold(t)
-    if symmetric != is_domino(folded):
-        fails.append(
-            Failure(
-                word,
-                "T rotationally symmetric iff fold(T) is a domino tableau",
-                str(symmetric),
-                str(is_domino(folded)),
-            )
-        )
+    name = "T rotationally symmetric iff fold(T) is a domino tableau"
+    yield from _holds(name, symmetric, is_domino(folded), str)
     if symmetric:
-        back = unfold(folded)
-        if back != t:
-            fails.append(Failure(word, "unfold(fold(T)) = T", back.word, word))
+        yield from _holds("unfold(fold(T)) = T", unfold(folded), t)
     if is_domino(t):
         s = unfold(t)
         if not is_rotationally_symmetric(s):
-            fails.append(
-                Failure(word, "unfold(D) is rotationally symmetric", s.word, word)
-            )
-        elif fold(s) != t:
-            fails.append(Failure(word, "fold(unfold(D)) = D", fold(s).word, word))
-    return fails
+            yield ("unfold(D) is rotationally symmetric", s.word, t.word)
+        else:
+            yield from _holds("fold(unfold(D)) = D", fold(s), t)
 
 
-def _check_distance_lemmas(word: str) -> list[Failure]:
-    fails: list[Failure] = []
-    t = from_word(word)
-    w = web_of_tableau(t)
-    report = validate_3web(w)
-    if report.violations:
-        fails.append(
-            Failure(word, "resolution is a valid web", "; ".join(report.violations), "")
-        )
+def _check_distance_lemmas(t: Tableau):
+    yield from _holds("resolution is a valid web", _violations(web_of_tableau(t)), "", str)
     if not is_rotationally_symmetric(t):
-        return fails
+        return
     d = fold(t)
-    try:
-        m = crossed_mdiagram(d)
-    except WebfoldError as exc:
-        fails.append(
-            Failure(
-                word,
-                "vertical pairs are maximal non-intersecting arcs",
-                f"{type(exc).__name__}: {exc}",
-                "",
-            )
-        )
-        return fails
+    yield _VERTICAL_PAIRS
+    m = crossed_mdiagram(d)
+    yield _COMPLETES
     wx = resolve(m)
-    report = validate_3web(wx)
-    if report.violations:
-        fails.append(
-            Failure(
-                word,
-                "crossed resolution is a valid web",
-                "; ".join(report.violations),
-                "",
-            )
-        )
-        return fails
+    invalid = _holds("crossed resolution is a valid web", _violations(wx), "", str)
+    yield from invalid
+    if invalid:
+        return
     ext = exterior_face(wx)
     interior = [f for f in faces(wx) if f != ext]
     for i, x in enumerate(interior):
@@ -467,27 +331,15 @@ def _check_distance_lemmas(word: str) -> list[Failure]:
             da = arc_distance(m, x, y)
             cs = len(coherent_separators(m, x, y))
             if dw < da - cs:
-                fails.append(
-                    Failure(
-                        word,
-                        "webdist(X, Y) >= arcdist(X, Y) - |CS(X, Y)|",
-                        f"webdist={dw}",
-                        f"arcdist={da}, separators={cs}",
-                    )
-                )
+                name = "webdist(X, Y) >= arcdist(X, Y) - |CS(X, Y)|"
+                yield (name, f"webdist={dw}", f"arcdist={da}, separators={cs}")
     for x in interior:
         xr = reflected_face(m, x)
         lhs = web_distance(wx, x, xr)
         rhs = arc_distance(m, x, xr) - epsilon(m, x)
         if lhs != rhs:
-            fails.append(
-                Failure(
-                    word,
-                    "webdist(X, X') = arcdist(X, X') - epsilon(X)",
-                    f"webdist={lhs}",
-                    f"arcdist-epsilon={rhs}",
-                )
-            )
+            name = "webdist(X, X') = arcdist(X, X') - epsilon(X)"
+            yield (name, f"webdist={lhs}", f"arcdist-epsilon={rhs}")
     if t.size % 2 == 0:
         # mirror gap distances against the compression web; the identity
         # needs the compression to be a straight rectangle, so even sizes only
@@ -505,66 +357,49 @@ def _check_distance_lemmas(word: str) -> list[Failure]:
             lhs = arc_distance(m, a, ar)
             rhs = 2 * web_distance(wc, boundary_face(wc, k), boundary_face(wc, 0))
             if lhs != rhs:
-                fails.append(
-                    Failure(
-                        word,
-                        f"arcdist(A_{k}, A_{k}') = 2 webdist(B_{k}, B_0)",
-                        f"arcdist={lhs}",
-                        f"2*webdist={rhs}",
-                    )
-                )
-    return fails
+                name = f"arcdist(A_{k}, A_{k}') = 2 webdist(B_{k}, B_0)"
+                yield (name, f"arcdist={lhs}", f"2*webdist={rhs}")
 
 
-def _check_block_patterns(word: str) -> list[Failure]:
-    t = from_word(word)
-    try:
-        dec = decompose_blocks(t)
-    except WebfoldError as exc:
-        return [
-            Failure(
-                word,
-                "domino tableau decomposes into typed blocks",
-                f"{type(exc).__name__}: {exc}",
-                "",
-            )
-        ]
-    fails: list[Failure] = []
+def _check_block_patterns(t: Tableau):
+    yield "domino tableau decomposes into typed blocks"
+    dec = decompose_blocks(t)
     for i, b in enumerate(dec.blocks):
         if b.btype == 0 and (i != 0 or t.size % 2 == 0):
-            fails.append(
-                Failure(
-                    word,
-                    "lone-cell block only leads an odd tableau",
-                    f"block {i} has type 0",
-                    "",
-                )
-            )
+            yield ("lone-cell block only leads an odd tableau", f"block {i} has type 0", "")
+    yield _VERTICAL_PAIRS
+    crossed_mdiagram_of_decomposition(dec)
+
+
+def _failures(check: Callable[[Tableau], Iterable], word: str) -> list[Failure]:
+    """Every failure of one instance; an exception ends it as one more failure."""
+    failures: list[Failure] = []
+    step = _COMPLETES
     try:
-        crossed_mdiagram_of_decomposition(dec)
-    except WebfoldError as exc:
-        fails.append(
-            Failure(
-                word,
-                "vertical pairs are maximal non-intersecting arcs",
-                f"{type(exc).__name__}: {exc}",
-                "",
-            )
-        )
-    return fails
+        for found in check(from_word(word)):
+            if isinstance(found, str):
+                step = found
+            else:
+                failures.append(Failure(word, *found))
+    except Exception as exc:
+        failures.append(Failure(word, step, f"{type(exc).__name__}: {exc}", ""))
+    return failures
 
 
-_SUITES: dict[str, tuple[int, Callable[[int], list[str]], Callable[[str], list[Failure]]]] = {
-    "thm-2byn": (8, _words_2row_symmetric, _check_2byn),
-    "thm-fw1": (5, _words_3row_symmetric, _check_fw1),
-    "thm-fw2": (5, _words_3row_symmetric, _check_fw2),
-    "roundtrip-3web": (5, _words_3row, _check_roundtrip),
-    "promotion-rotation": (8, _words_2row_3row, _check_rotation),
-    "evacuation-reflection": (8, _words_2row_3row, _check_reflection),
-    "promotion-order": (8, _words_2row_3row, _check_operator_algebra),
-    "fold-domino": (8, _words_fold_domino, _check_fold_domino),
-    "distance-lemmas": (4, _words_3row, _check_distance_lemmas),
-    "block-patterns": (5, _words_3row_domino, _check_block_patterns),
+# id: (default bound, rows of the rectangles swept, cap on the 3-row bound when
+# 2-row rectangles are swept too, predicate every word passes, check)
+_SUITES: dict[str, tuple[int, tuple[int, ...], int | None, str | None, Callable]] = {
+    "thm-2byn": (8, (2,), None, "rotationally-symmetric", _check_2byn),
+    "thm-fw1": (5, (3,), None, "rotationally-symmetric", _check_fw1),
+    "thm-fw2": (5, (3,), None, "rotationally-symmetric", _check_fw2),
+    "roundtrip-3web": (5, (3,), None, None, _check_roundtrip),
+    # 3-row instances build webs or run N promotions per tableau, so they stay capped at 4
+    "promotion-rotation": (8, (2, 3), 4, None, _check_rotation),
+    "evacuation-reflection": (8, (2, 3), 4, None, _check_reflection),
+    "promotion-order": (8, (2, 3), 4, None, _check_operator_algebra),
+    "fold-domino": (8, (2, 3), 5, None, _check_fold_domino),
+    "distance-lemmas": (4, (3,), None, None, _check_distance_lemmas),
+    "block-patterns": (5, (3,), None, "domino", _check_block_patterns),
 }
 
 THEOREMS = tuple(sorted(_SUITES))
@@ -590,19 +425,22 @@ def verify(theorem_id: str, max_n: int | None = None) -> VerificationReport:
     Suites covering both 2-row and 3-row families read max_n as the 2-row
     bound and cap the 3-row side (4 where webs are built or N promotions
     run per tableau, 5 for fold-domino) so default runs stay within a
-    minute.  Set WEBFOLD_WORKERS to fan instances out over that many
-    processes, at most one per CPU.
+    minute.  An instance that raises is reported as a failure naming the
+    exception class.  Set WEBFOLD_WORKERS to fan instances out over that
+    many processes, at most one per CPU.
     """
     if theorem_id not in _SUITES:
         raise UnknownTheorem(
             f"unknown theorem id {theorem_id!r}; known: {', '.join(THEOREMS)}"
         )
-    default_n, build, check = _SUITES[theorem_id]
+    default_n, rows_swept, cap3, keep, check_one = _SUITES[theorem_id]
     bound = default_n if max_n is None else max_n
     if bound < 1:
         raise ValueError("max_n must be at least 1")
     start = time.perf_counter()
-    words = build(bound)
+    caps = {2: bound, 3: bound if cap3 is None else min(bound, cap3)}
+    words = [w for rows in rows_swept for w in _words(rows, caps[rows], keep)]
+    check = partial(_failures, check_one)
     failures: list[Failure] = []
     workers = worker_count()
     if workers > 1 and len(words) > 1:

@@ -19,7 +19,6 @@ from webfold.mdiagram import (
     mirror_label,
     reflected_face,
     resolve,
-    resolution,
 )
 from webfold.planarweb import (
     BOUNDARY,
@@ -210,7 +209,7 @@ def test_json_round_trip():
 
 def test_resolution_bookkeeping():
     m = hex_diagram()
-    res = resolution(m)
+    res = m.resolution
     assert res.boundary_index == {str(i): i for i in range(1, 7)}
     # 3 pairs resolve to an edge: two sinks, one crossing
     assert len(res.pair_edges) == 3
@@ -221,13 +220,13 @@ def test_resolution_bookkeeping():
 
 def test_resolution_is_kept_per_diagram_object():
     m = hex_diagram()
-    assert resolution(m) is resolution(m)
-    assert resolve(m) is resolution(m).web
-    assert resolution(m).face_arcs is resolution(m).face_arcs
+    assert m.resolution is m.resolution
+    assert resolve(m) is m.resolution.web
+    assert m.resolution.face_arcs is m.resolution.face_arcs
     twin = hex_diagram()
     assert twin == m and twin is not m
     # equal diagrams share nothing: no cache outlives the diagram object
-    assert resolution(twin) is not resolution(m)
+    assert twin.resolution is not m.resolution
     assert canonical(resolve(twin)) == canonical(resolve(m))
 
 

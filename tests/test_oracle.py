@@ -1,9 +1,12 @@
 import json
 import os
+import re
+from pathlib import Path
 
 import pytest
 
-from webfold.errors import InvalidWorkerCount, UnknownTheorem
+from webfold import oracle
+from webfold.errors import InvalidWorkerCount, NotAWeb, UnknownTheorem
 from webfold.oracle import (
     THEOREMS,
     EnumerationFilter,
@@ -127,3 +130,68 @@ def test_worker_count_parsing(monkeypatch):
         monkeypatch.setenv("WEBFOLD_WORKERS", text)
         with pytest.raises(InvalidWorkerCount, match="WEBFOLD_WORKERS"):
             worker_count()
+
+
+def test_fold_fault_fails_thm_2byn(monkeypatch):
+    monkeypatch.delenv("WEBFOLD_WORKERS", raising=False)
+    monkeypatch.setattr(oracle, "fold", lambda t: t)
+    report = verify("thm-2byn", 3)
+    assert not report.passed
+    failing = {f.word: f.identity for f in report.failures}
+    assert failing["111222"] == "fold2(web2(T)) = web2(fold(T))"
+
+
+def test_promote_fault_fails_first_step_of_each_family(monkeypatch):
+    monkeypatch.delenv("WEBFOLD_WORKERS", raising=False)
+    promote = oracle.promote
+    monkeypatch.setattr(oracle, "promote", lambda t: t if t.size > 4 else promote(t))
+    report = verify("promotion-order", 3)
+    assert report.instances == 56
+    by_word: dict[str, list[str]] = {}
+    for f in report.failures:
+        by_word.setdefault(f.word, []).append(f.identity)
+    assert len(by_word) == 52
+    for identities in by_word.values():
+        assert identities == [
+            "restrict_le(partial_fold(T, 1), N+1-2) = restrict_le(promote^1(T), N+1-2)",
+            "restrict_le(promote^1(T), N-1) = rectify(restrict_gt(T, 1))",
+        ]
+
+
+def test_raising_instance_is_a_failure_and_the_sweep_goes_on(monkeypatch):
+    monkeypatch.delenv("WEBFOLD_WORKERS", raising=False)
+    web_of_tableau = oracle.web_of_tableau
+
+    def broken(t):
+        if t.word == "121323":
+            raise NotAWeb("injected")
+        return web_of_tableau(t)
+
+    monkeypatch.setattr(oracle, "web_of_tableau", broken)
+    report = verify("roundtrip-3web", 3)
+    assert report.instances == 1 + 5 + 42
+    (failure,) = report.failures
+    assert (failure.word, failure.lhs) == ("121323", "NotAWeb: injected")
+    assert failure.identity == "check completes without raising"
+
+
+def test_raise_in_a_structural_step_keeps_the_step_name(monkeypatch):
+    monkeypatch.delenv("WEBFOLD_WORKERS", raising=False)
+
+    def broken(t):
+        raise KeyError(t.word)
+
+    monkeypatch.setattr(oracle, "decompose_blocks", broken)
+    report = verify("block-patterns", 2)
+    assert [f.word for f in report.failures] == ["112233", "112323", "121233", "123"]
+    for f in report.failures:
+        assert f.identity == "domino tableau decomposes into typed blocks"
+        assert f.lhs == f"KeyError: '{f.word}'"
+
+
+def test_readme_suite_table_matches_the_oracle():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Verification suites", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| ([a-z0-9-]+) \| .* \| (\d+) \|$", section, re.MULTILINE)
+    defaults = [(theorem, suite[0]) for theorem, suite in oracle._SUITES.items()]
+    assert [(theorem, int(n)) for theorem, n in rows] == defaults
