@@ -143,9 +143,12 @@ def _rectangle(text: str) -> tuple[int, int]:
     """Rows and columns of an RxC shape argument; bad syntax is a usage error."""
     rows_text, _, cols_text = text.partition("x")
     try:
-        return int(rows_text), int(cols_text)
+        rows, cols = int(rows_text), int(cols_text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"shape must look like 3x4, got {text!r}") from None
+    if rows < 1 or cols < 1:
+        raise argparse.ArgumentTypeError(f"shape needs at least one row and column, got {text!r}")
+    return rows, cols
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:

@@ -45,20 +45,25 @@ class Matching2:
         return cls(d["n"], tuple((a, b) for a, b in d["arcs"]))
 
 
+def _pair(openers: set[int], closers: set[int]) -> list[tuple[int, int]]:
+    """Nearest-unmatched matching: each closer takes the latest open opener."""
+    stack: list[int] = []
+    pairs = []
+    for k in sorted(openers | closers):
+        if k in openers:
+            stack.append(k)
+        else:
+            pairs.append((stack.pop(), k))
+    return pairs
+
+
 def web2_of_tableau(t: Tableau) -> Matching2:
     """Arcs pair each row-2 entry with the nearest unmatched row-1 entry."""
     sh = t.shape
     if not (sh.is_rectangular and sh.row_count == 2):
         raise WrongShape("2-webs correspond to tableaux of shape (n, n)")
-    row1 = set(t.rows[0])
-    stack: list[int] = []
-    arcs = []
-    for k in range(1, t.size + 1):
-        if k in row1:
-            stack.append(k)
-        else:
-            arcs.append((stack.pop(), k))
-    return Matching2(t.size // 2, tuple(arcs))
+    row1, row2 = (set(row) for row in t.rows)
+    return Matching2(t.size // 2, tuple(_pair(row1, row2)))
 
 
 def tableau_of_web2(m: Matching2) -> Tableau:

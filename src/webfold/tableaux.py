@@ -156,7 +156,10 @@ class Tableau:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Tableau":
-        return from_word(d["word"], tuple(d.get("inner", ())))
+        t = from_word(d["word"], tuple(d.get("inner", ())))
+        if t.shape.outer != tuple(d["outer"]):
+            raise ValueError(f"outer {d['outer']} is not the word's shape {list(t.shape.outer)}")
+        return t
 
     def __str__(self) -> str:
         lines = []
@@ -210,8 +213,8 @@ def _from_cells(shape: Shape, grid: dict[Cell, int]) -> Tableau:
     return Tableau(shape, tuple(rows))
 
 
-def _slide_with_terminal(t: Tableau, corner: Cell) -> tuple[Tableau, Cell]:
-    """Slide from an inner corner; also report the vacated outer cell."""
+def slide(t: Tableau, corner: Cell) -> Tableau:
+    """One jeu-de-taquin slide from a removable inner corner."""
     sh = t.shape
     r, c = corner
     if not (1 <= r <= len(sh.inner)) or c != sh.inner_at(r) or c == 0:
@@ -239,12 +242,7 @@ def _slide_with_terminal(t: Tableau, corner: Cell) -> tuple[Tableau, Cell]:
     outer[hole[0] - 1] -= 1
     while outer and outer[-1] == 0:
         outer.pop()
-    return _from_cells(Shape(tuple(outer), tuple(inner)), grid), hole
-
-
-def slide(t: Tableau, corner: Cell) -> Tableau:
-    """One jeu-de-taquin slide from a removable inner corner."""
-    return _slide_with_terminal(t, corner)[0]
+    return _from_cells(Shape(tuple(outer), tuple(inner)), grid)
 
 
 def rectify(t: Tableau, rng: random.Random | None = None) -> Tableau:
@@ -301,38 +299,58 @@ def restrict_gt(t: Tableau, k: int) -> Tableau:
     return Tableau(Shape(outer, tuple(inner)), tuple(rows))
 
 
+def _slide_forward(t: Tableau, bounds: range | list[int]) -> Tableau:
+    """Bounded promotions of a straight tableau, one per bound k in turn.
+
+    For each k the hole left by 1 slides right or down into the smaller
+    neighbour among entries <= k; the hole then takes k and entries 2..k
+    drop by one.  The steps work on plain lists; one Tableau is validated.
+    """
+    rows = [list(row) for row in t.rows]
+    for k in bounds:
+        r = c = 0
+        while True:
+            right = rows[r][c + 1] if c + 1 < len(rows[r]) else k + 1
+            below = rows[r + 1][c] if r + 1 < len(rows) and c < len(rows[r + 1]) else k + 1
+            if min(right, below) > k:
+                break
+            rows[r][c] = min(right, below)
+            r, c = (r, c + 1) if right < below else (r + 1, c)
+        rows = [[v - 1 if v <= k else v for v in row] for row in rows]
+        rows[r][c] = k
+    return Tableau(t.shape, tuple(rows))
+
+
+def _slide_back(t: Tableau, bounds: range | list[int]) -> Tableau:
+    """Inverse bounded promotions of a straight tableau, one per bound k in turn.
+
+    For each k the hole left by k slides up or left into the larger
+    neighbour until it reaches (1, 1); entries below k rise by one and 1
+    goes to (1, 1).  The steps work on plain lists, as in _slide_forward.
+    """
+    rows = [list(row) for row in t.rows]
+    for k in bounds:
+        r, c = next((r, row.index(k)) for r, row in enumerate(rows) if k in row)
+        while (r, c) != (0, 0):
+            up = rows[r - 1][c] if r > 0 else 0
+            left = rows[r][c - 1] if c > 0 else 0
+            rows[r][c] = max(up, left)
+            r, c = (r - 1, c) if up > left else (r, c - 1)
+        rows = [[v + 1 if v < k else v for v in row] for row in rows]
+        rows[0][0] = 1
+    return Tableau(t.shape, tuple(rows))
+
+
 def promote(t: Tableau) -> Tableau:
     """Promotion: delete 1, rectify the rest minus one, append N."""
     _require_straight(t)
-    n = t.size
-    if n <= 1:
-        return t
-    slid, terminal = _slide_with_terminal(restrict_gt(t, 1), (1, 1))
-    grid = _grid(slid)
-    grid[terminal] = n
-    return _from_cells(t.shape, grid)
+    return _slide_forward(t, [t.size] if t.size else [])
 
 
 def promote_inverse(t: Tableau) -> Tableau:
     """Inverse promotion: delete N, reverse-slide to (1,1), prepend 1."""
     _require_straight(t)
-    n = t.size
-    if n <= 1:
-        return t
-    grid = _grid(t)
-    hole = t.cell_of(n)
-    del grid[hole]
-    while hole != (1, 1):
-        up = (hole[0] - 1, hole[1])
-        left = (hole[0], hole[1] - 1)
-        uv = grid.get(up)
-        lv = grid.get(left)
-        nxt = up if (lv is None or (uv is not None and uv > lv)) else left
-        grid[hole] = grid.pop(nxt)
-        hole = nxt
-    grid = {cell: v + 1 for cell, v in grid.items()}
-    grid[(1, 1)] = 1
-    return _from_cells(t.shape, grid)
+    return _slide_back(t, [t.size] if t.size else [])
 
 
 def promote_bounded(t: Tableau, k: int) -> Tableau:
@@ -340,30 +358,20 @@ def promote_bounded(t: Tableau, k: int) -> Tableau:
     _require_straight(t)
     if not (1 <= k <= t.size):
         raise OutOfRange(f"k={k} outside 1..{t.size}")
-    grid = _grid(promote(restrict_le(t, k)))
-    for cell, v in _grid(t).items():
-        if v > k:
-            grid[cell] = v
-    return _from_cells(t.shape, grid)
+    return _slide_forward(t, [k])
 
 
 def promote_bounded_inverse(t: Tableau, k: int) -> Tableau:
     _require_straight(t)
     if not (1 <= k <= t.size):
         raise OutOfRange(f"k={k} outside 1..{t.size}")
-    grid = _grid(promote_inverse(restrict_le(t, k)))
-    for cell, v in _grid(t).items():
-        if v > k:
-            grid[cell] = v
-    return _from_cells(t.shape, grid)
+    return _slide_back(t, [k])
 
 
 def evacuate(t: Tableau) -> Tableau:
     """Evacuation: bounded promotions with bounds N, N-1, ..., 1."""
     _require_straight(t)
-    for k in range(t.size, 0, -1):
-        t = promote_bounded(t, k)
-    return t
+    return _slide_forward(t, range(t.size, 0, -1))
 
 
 def partial_fold(t: Tableau, j: int) -> Tableau:
@@ -372,29 +380,19 @@ def partial_fold(t: Tableau, j: int) -> Tableau:
     n = t.size
     if not (1 <= j <= n // 2):
         raise OutOfRange(f"j={j} outside 1..{n // 2}")
-    for k in range(n, n - 2 * j, -2):
-        t = promote_bounded(t, k)
-    return t
+    return _slide_forward(t, range(n, n - 2 * j, -2))
 
 
 def fold(t: Tableau) -> Tableau:
-    """The full folding operator."""
+    """The full folding operator: bounds N, N-2, ..., down to 2 or 3."""
     _require_straight(t)
-    if t.size < 2:
-        return t
-    return partial_fold(t, t.size // 2)
+    return _slide_forward(t, range(t.size, 1, -2))
 
 
 def unfold(d: Tableau) -> Tableau:
     """Inverse of fold: undo the bounded promotions in reverse order."""
     _require_straight(d)
-    n = d.size
-    if n < 2:
-        return d
-    start = 2 if n % 2 == 0 else 3
-    for k in range(start, n + 1, 2):
-        d = promote_bounded_inverse(d, k)
-    return d
+    return _slide_back(d, range(2 + d.size % 2, d.size + 1, 2))
 
 
 def rotate180_complement(t: Tableau) -> Tableau:
@@ -420,10 +418,11 @@ def is_domino(t: Tableau) -> bool:
     """
     _require_straight(t)
     n = t.size
+    cells = {v: (r, c) for r, row in enumerate(t.rows) for c, v in enumerate(row)}
     first = 1 if n % 2 == 0 else 2
     for a in range(first, n, 2):
-        (r1, c1) = t.cell_of(a)
-        (r2, c2) = t.cell_of(a + 1)
+        (r1, c1) = cells[a]
+        (r2, c2) = cells[a + 1]
         if abs(r1 - r2) + abs(c1 - c2) != 1:
             return False
     return True

@@ -23,6 +23,7 @@ from .errors import (
     VerticalPairNotAnArc,
     WrongShape,
 )
+from .matchings import _pair
 from .mdiagram import (
     FIRST,
     SECOND,
@@ -45,18 +46,6 @@ def _require_3xn(t: Tableau) -> int:
     if t.shape.inner != () or len(outer) != 3 or len(set(outer)) != 1:
         raise WrongShape(f"need a 3-row rectangle, got {outer} / {t.shape.inner}")
     return outer[0]
-
-
-def _pair(openers: set[int], closers: set[int]) -> list[tuple[int, int]]:
-    """Nearest-unmatched matching: each closer takes the latest open opener."""
-    stack: list[int] = []
-    pairs = []
-    for k in sorted(openers | closers):
-        if k in openers:
-            stack.append(k)
-        else:
-            pairs.append((stack.pop(), k))
-    return pairs
 
 
 def mdiagram_of_tableau(t: Tableau) -> MDiagram:

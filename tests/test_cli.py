@@ -107,9 +107,10 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as info:
         main(["web3", "from-tableau"])
     assert info.value.code == 2
-    with pytest.raises(SystemExit) as info:
-        main(["enumerate", "--shape", "banana"])
-    assert info.value.code == 2
+    for shape in ("banana", "0x2", "2x0"):
+        with pytest.raises(SystemExit) as info:
+            main(["enumerate", "--shape", shape])
+        assert info.value.code == 2
 
 
 def test_outputs_are_byte_stable(capsys):
@@ -127,6 +128,7 @@ def test_outputs_are_byte_stable(capsys):
         (["web3", "to-domino"], [1, 2, 3]),
         (["render"], {"n": 3, "edges": 5, "rotation": {}}),
         (["web2", "fold"], {"n": 10**12, "arcs": [[1, 2]]}),
+        (["op", "--apply", "promote"], {"outer": [3, 3], "word": "1122"}),
     ],
 )
 def test_malformed_json_exits_one(capsys, tmp_path, argv, payload):

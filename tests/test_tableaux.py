@@ -294,3 +294,26 @@ def test_shape_validation():
 def test_promotion_conjugates_evacuation(word):
     t = from_word(word)
     assert evacuate(promote(t)) == promote_inverse(evacuate(t))
+
+
+def _partitions(n, largest):
+    if n == 0:
+        yield ()
+    for first in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def test_bounded_promotion_on_straight_shapes():
+    """Every straight tableau of size <= 8 against the skew jeu-de-taquin."""
+    shapes = [shape for n in range(1, 9) for shape in _partitions(n, n)]
+    assert len(shapes) == 1 + 2 + 3 + 5 + 7 + 11 + 15 + 22
+    for shape in shapes:
+        for word in enumerate_words(shape):
+            t = from_word(word)
+            for k in range(1, t.size + 1):
+                p = promote_bounded(t, k)
+                assert restrict_le(p, k - 1) == rectify(restrict_gt(restrict_le(t, k), 1))
+                for row, moved in zip(t.rows, p.rows):
+                    assert [v if v > k else 0 for v in row] == [v if v > k else 0 for v in moved]
+                assert promote_bounded_inverse(p, k) == t
