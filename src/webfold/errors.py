@@ -67,3 +67,7 @@ class MalformedInput(WebfoldError):
 
 class InvalidWorkerCount(WebfoldError):
     """WEBFOLD_WORKERS is set to something that is not an integer."""
+
+
+class BoundTooLarge(WebfoldError):
+    """A verification run asked for more words than a sweep may enumerate."""

@@ -58,9 +58,9 @@ class MDiagram:
                 raise ValueError(f"arc ({a.tail}, {a.head}) leaves the boundary")
 
     @cached_property
-    def abscissas(self) -> dict[str, Fraction]:
-        """Each boundary label's abscissa."""
-        return {b.label: b.x for b in self.boundary}
+    def positions(self) -> dict[str, int]:
+        """Each boundary label's position 1..N, left to right."""
+        return {b.label: p for p, b in enumerate(self.boundary, start=1)}
 
     @cached_property
     def resolution(self) -> Resolution:
@@ -69,7 +69,7 @@ class MDiagram:
 
     def x_of(self, label: str) -> Fraction:
         try:
-            return self.abscissas[label]
+            return self.boundary[self.positions[label] - 1].x
         except KeyError:
             raise ValueError(f"no boundary vertex {label}") from None
 
@@ -106,11 +106,6 @@ class Crossing:
     x: Fraction
 
 
-def _span(m: MDiagram, a: Arc) -> tuple[Fraction, Fraction]:
-    xa, xb = m.x_of(a.tail), m.x_of(a.head)
-    return (xa, xb) if xa < xb else (xb, xa)
-
-
 def crossings(m: MDiagram) -> tuple[Crossing, ...]:
     """All transversal crossings, with exact rational abscissas.
 
@@ -119,7 +114,7 @@ def crossings(m: MDiagram) -> tuple[Crossing, ...]:
     Raises ConcurrentArcs if three arcs pass through one point.
     """
     # abscissas strictly increase, so boundary positions order them exactly
-    position = {b.label: p for p, b in enumerate(m.boundary)}
+    position = m.positions
     spans = []
     for a in m.arcs:
         p, q = position[a.tail], position[a.head]
@@ -132,7 +127,7 @@ def crossings(m: MDiagram) -> tuple[Crossing, ...]:
             if not (lo1 < lo2 < hi1 < hi2 or lo2 < lo1 < hi2 < hi1):
                 continue
             # where the two circles' equations agree; centre^2 - radius^2 = lo * hi
-            l1, h1, l2, h2 = bx[lo1], bx[hi1], bx[lo2], bx[hi2]
+            l1, h1, l2, h2 = bx[lo1 - 1], bx[hi1 - 1], bx[lo2 - 1], bx[hi2 - 1]
             x = (l2 * h2 - l1 * h1) / ((l2 + h2) - (l1 + h1))
             found.append((x, i, j))
     per_arc: dict[Arc, list[Fraction]] = {}
@@ -182,32 +177,38 @@ class Resolution:
 
 
 def _resolve(m: MDiagram) -> Resolution:
+    # boundary vertices are named by position 1..n, arcs by index in m.arcs
     n = len(m.boundary)
-    windex = {b.label: i + 1 for i, b in enumerate(m.boundary)}
-    tails: dict[str, list[Arc]] = {b.label: [] for b in m.boundary}
-    heads: dict[str, list[Arc]] = {b.label: [] for b in m.boundary}
-    for a in m.arcs:
-        tails[a.tail].append(a)
-        heads[a.head].append(a)
-    for b in m.boundary:
-        shape = (len(tails[b.label]), len(heads[b.label]))
+    position = m.positions
+    ends = [(position[a.tail], position[a.head]) for a in m.arcs]
+    tails: list[list[int]] = [[] for _ in range(n + 1)]
+    heads: list[list[int]] = [[] for _ in range(n + 1)]
+    for i, (p, q) in enumerate(ends):
+        tails[p].append(i)
+        heads[q].append(i)
+    for p, b in enumerate(m.boundary, start=1):
+        shape = (len(tails[p]), len(heads[p]))
         if shape not in {(1, 0), (0, 2)}:
             raise InvalidBoundaryDegrees(
                 f"vertex {b.label} has {shape[0]} outgoing and {shape[1]} incoming arcs"
             )
-    sinks = [b.label for b in m.boundary if heads[b.label]]
+    sinks = [p for p in range(1, n + 1) if heads[p]]
 
-    # crossings are named by their index t in all_crossings below
+    # crossings are named by their index t in all_crossings below; they come
+    # sorted by abscissa, so each arc meets its own in index order when it
+    # points right and in reverse when it points left
     all_crossings = crossings(m)
-    by_arc: dict[Arc, list[int]] = {a: [] for a in m.arcs}
-    for t, c in enumerate(all_crossings):
-        by_arc[c.arc_a].append(t)
-        by_arc[c.arc_b].append(t)
-    for a in m.arcs:
-        reverse = m.x_of(a.tail) > m.x_of(a.head)
-        by_arc[a].sort(key=lambda t: all_crossings[t].x, reverse=reverse)
+    # each position is the tail of exactly one arc or of none
+    pairs = [
+        (tails[position[c.arc_a.tail]][0], tails[position[c.arc_b.tail]][0])
+        for c in all_crossings
+    ]
+    by_arc: list[list[int]] = [[] for _ in m.arcs]
+    for t, (i, j) in enumerate(pairs):
+        by_arc[i].append(t)
+        by_arc[j].append(t)
 
-    sink_vertex = {lab: n + 1 + s for s, lab in enumerate(sinks)}
+    sink_vertex = {q: n + 1 + s for s, q in enumerate(sinks)}
     base = n + len(sinks)
     cross_u = [base + 2 * t + 1 for t in range(len(all_crossings))]
     cross_w = [base + 2 * t + 2 for t in range(len(all_crossings))]
@@ -221,107 +222,88 @@ def _resolve(m: MDiagram) -> Resolution:
         toggles.append(toggle)
         return len(edges) - 1
 
-    source_dart: dict[str, int] = {}
-    sink_arc_darts: dict[str, list[tuple[tuple, int]]] = {lab: [] for lab in sinks}
-    in_dart: dict[tuple[int, Arc], int] = {}
-    out_dart: dict[tuple[int, Arc], int] = {}
+    source_dart: dict[int, int] = {}
+    sink_arc_darts: dict[int, list[tuple[tuple, int]]] = {q: [] for q in sinks}
+    in_dart: dict[tuple[int, int], int] = {}
+    out_dart: dict[tuple[int, int], int] = {}
 
-    for arc in m.arcs:
-        prev_vertex = windex[arc.tail]
+    for i, (p, q) in enumerate(ends):
+        toggle = frozenset({m.arcs[i]})
+        prev_vertex = p
         prev_crossing: int | None = None
-        x_head = m.x_of(arc.head)
-        for t in by_arc[arc] + [None]:
-            head_vertex = cross_u[t] if t is not None else sink_vertex[arc.head]
-            i = add_edge(prev_vertex, head_vertex, ARC, frozenset({arc}))
+        met = by_arc[i] if p < q else by_arc[i][::-1]
+        for t in met + [None]:
+            head_vertex = cross_u[t] if t is not None else sink_vertex[q]
+            e = add_edge(prev_vertex, head_vertex, ARC, toggle)
             if prev_crossing is None:
-                source_dart[arc.tail] = 2 * i
+                source_dart[p] = 2 * e
             else:
-                out_dart[(prev_crossing, arc)] = 2 * i
+                out_dart[(prev_crossing, i)] = 2 * e
             if t is not None:
-                in_dart[(t, arc)] = 2 * i + 1
+                in_dart[(t, i)] = 2 * e + 1
                 prev_vertex = cross_w[t]
                 prev_crossing = t
             else:
-                x_tail = m.x_of(arc.tail)
-                key = (0, x_tail) if x_tail > x_head else (1, x_tail)
-                sink_arc_darts[arc.head].append((key, 2 * i + 1))
+                key = (0, p) if p > q else (1, p)
+                sink_arc_darts[q].append((key, 2 * e + 1))
 
-    feed_boundary_dart = {}
-    feed_sink_dart = {}
-    for lab in sinks:
-        pair = frozenset(heads[lab])
-        i = add_edge(windex[lab], sink_vertex[lab], ARC, pair)
-        pair_edges.append((pair, i))
-        feed_boundary_dart[lab] = 2 * i
-        feed_sink_dart[lab] = 2 * i + 1
+    feed_edge = {}
+    for q in sinks:
+        pair = frozenset(m.arcs[i] for i in heads[q])
+        feed_edge[q] = add_edge(q, sink_vertex[q], ARC, pair)
+        pair_edges.append((pair, feed_edge[q]))
 
-    int_u_dart = []
-    int_w_dart = []
+    int_edge = []
     for t, c in enumerate(all_crossings):
         pair = frozenset({c.arc_a, c.arc_b})
-        i = add_edge(cross_w[t], cross_u[t], INTERSECTION, pair)
-        pair_edges.append((pair, i))
-        int_w_dart.append(2 * i)
-        int_u_dart.append(2 * i + 1)
+        int_edge.append(add_edge(cross_w[t], cross_u[t], INTERSECTION, pair))
+        pair_edges.append((pair, int_edge[t]))
 
     bnd_next = {}
     bnd_prev = {}
     for k in range(1, n + 1):
         nxt = k + 1 if k < n else 1
-        i = add_edge(k, nxt, BOUNDARY, frozenset())
-        bnd_next[k] = 2 * i
-        bnd_prev[nxt] = 2 * i + 1
+        e = add_edge(k, nxt, BOUNDARY, frozenset())
+        bnd_next[k] = 2 * e
+        bnd_prev[nxt] = 2 * e + 1
 
     rotation: dict[int, tuple[int, ...]] = {}
-    for b in m.boundary:
-        k = windex[b.label]
-        web_dart = (
-            source_dart[b.label] if tails[b.label] else feed_boundary_dart[b.label]
-        )
+    for k in range(1, n + 1):
+        web_dart = source_dart[k] if tails[k] else 2 * feed_edge[k]
         rotation[k] = (bnd_next[k], web_dart, bnd_prev[k])
-    for lab in sinks:
-        darts = [d for _, d in sorted(sink_arc_darts[lab])]
-        rotation[sink_vertex[lab]] = (*darts, feed_sink_dart[lab])
-    for t, c in enumerate(all_crossings):
-        cycle = []
-        for arc in sorted(
-            (c.arc_a, c.arc_b), key=lambda a: m.x_of(a.tail) + m.x_of(a.head)
-        ):
-            rightward = m.x_of(arc.tail) < m.x_of(arc.head)
-            cycle.append(("out" if rightward else "in", arc))
-        for kind, arc in list(cycle):
-            cycle.append(("in" if kind == "out" else "out", arc))
-        for s in range(4):
-            if cycle[s][0] == "in" and cycle[(s + 1) % 4][0] == "in":
-                start = s
-                break
-        ordered = [cycle[(start + k) % 4] for k in range(4)]
+    for q in sinks:
+        darts = [d for _, d in sorted(sink_arc_darts[q])]
+        rotation[sink_vertex[q]] = (*darts, 2 * feed_edge[q] + 1)
+    for t, (a, b) in enumerate(pairs):
+        # a starts further left, so (the spans interleave) its centre is left
+        # of b's; in and out darts alternate around the crossing, so arcs
+        # pointing opposite ways meet u and w in the other order
+        if min(ends[b]) < min(ends[a]):
+            a, b = b, a
+        if (ends[a][0] < ends[a][1]) != (ends[b][0] < ends[b][1]):
+            a, b = b, a
+        rotation[cross_u[t]] = (in_dart[(t, a)], in_dart[(t, b)], 2 * int_edge[t] + 1)
+        rotation[cross_w[t]] = (out_dart[(t, a)], out_dart[(t, b)], 2 * int_edge[t])
 
-        def dart(entry, t=t):
-            kind, arc = entry
-            return in_dart[(t, arc)] if kind == "in" else out_dart[(t, arc)]
-
-        rotation[cross_u[t]] = (dart(ordered[0]), dart(ordered[1]), int_u_dart[t])
-        rotation[cross_w[t]] = (dart(ordered[2]), dart(ordered[3]), int_w_dart[t])
-
+    bx = [b.x for b in m.boundary]
     layout: dict[int, tuple[Fraction, Fraction]] = {}
-    for b in m.boundary:
-        layout[windex[b.label]] = (b.x, Fraction(0))
-    for lab in sinks:
-        radii = [
-            abs(m.x_of(a.tail) - m.x_of(a.head)) / 2 for a in heads[lab]
-        ]
-        layout[sink_vertex[lab]] = (m.x_of(lab), min(radii) / 2)
+    for k, b in enumerate(m.boundary, start=1):
+        layout[k] = (b.x, Fraction(0))
+    for q in sinks:
+        x = bx[q - 1]
+        near = min(abs(bx[ends[i][0] - 1] - x) for i in heads[q])
+        layout[sink_vertex[q]] = (x, near / 4)
     for t, c in enumerate(all_crossings):
-        lo, hi = _span(m, c.arc_a)
-        ctr, rad = (lo + hi) / 2, (hi - lo) / 2
-        y2 = rad * rad - (c.x - ctr) * (c.x - ctr)
+        p, q = sorted(ends[pairs[t][0]])
+        lo, hi = bx[p - 1], bx[q - 1]
+        # the height of the crossing on the semicircle over [lo, hi]
+        y2 = (hi - c.x) * (c.x - lo)
         y = Fraction(float(y2) ** 0.5).limit_denominator(10**6)
         layout[cross_u[t]] = (c.x, y * Fraction(9, 10))
         layout[cross_w[t]] = (c.x, y * Fraction(11, 10))
 
     web = PlanarWeb(n, tuple(edges), rotation, layout)
-    return Resolution(m, web, tuple(toggles), tuple(pair_edges), windex)
+    return Resolution(m, web, tuple(toggles), tuple(pair_edges), position)
 
 
 def resolve(m: MDiagram) -> PlanarWeb:

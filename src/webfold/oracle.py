@@ -20,7 +20,7 @@ from itertools import chain, islice
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
-from .errors import InvalidWorkerCount, UnknownTheorem
+from .errors import BoundTooLarge, InvalidWorkerCount, UnknownTheorem
 from .matchings import Matching2, fold2, reflect2, rotate2, web2_of_tableau
 from .mdiagram import (
     arc_distance,
@@ -404,6 +404,10 @@ _SUITES: dict[str, tuple[int, tuple[int, ...], int | None, str | None, Callable]
 
 THEOREMS = tuple(sorted(_SUITES))
 
+# words a sweep may enumerate, summed over its families; 3-row n <= 7 and
+# 2-row n <= 13 fit, and every default bound walks at most 8,571 words
+_MAX_WORDS = 2_000_000
+
 
 def worker_count() -> int:
     """Processes a sweep may use: WEBFOLD_WORKERS, 1 if unset, at most os.cpu_count()."""
@@ -425,9 +429,11 @@ def verify(theorem_id: str, max_n: int | None = None) -> VerificationReport:
     Suites covering both 2-row and 3-row families read max_n as the 2-row
     bound and cap the 3-row side (4 where webs are built or N promotions
     run per tableau, 5 for fold-domino) so default runs stay within a
-    minute.  An instance that raises is reported as a failure naming the
-    exception class.  Set WEBFOLD_WORKERS to fan instances out over that
-    many processes, at most one per CPU.
+    minute.  A bound whose families hold more than 2,000,000 words in all
+    raises BoundTooLarge before any word is enumerated.  An instance that
+    raises is reported as a failure naming the exception class.  Set
+    WEBFOLD_WORKERS to fan instances out over that many processes, at
+    most one per CPU.
     """
     if theorem_id not in _SUITES:
         raise UnknownTheorem(
@@ -437,8 +443,17 @@ def verify(theorem_id: str, max_n: int | None = None) -> VerificationReport:
     bound = default_n if max_n is None else max_n
     if bound < 1:
         raise ValueError("max_n must be at least 1")
-    start = time.perf_counter()
     caps = {2: bound, 3: bound if cap3 is None else min(bound, cap3)}
+    total = 0
+    for rows in rows_swept:
+        for n in range(1, caps[rows] + 1):
+            total += hook_length_count((n,) * rows)
+            if total > _MAX_WORDS:
+                raise BoundTooLarge(
+                    f"{theorem_id} up to n={bound} would sweep more than "
+                    f"{_MAX_WORDS:,} words"
+                )
+    start = time.perf_counter()
     words = [w for rows in rows_swept for w in _words(rows, caps[rows], keep)]
     check = partial(_failures, check_one)
     failures: list[Failure] = []

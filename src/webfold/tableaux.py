@@ -65,13 +65,6 @@ class Shape:
     def is_rectangular(self) -> bool:
         return self.is_straight and len(set(self.outer)) <= 1
 
-    def cells(self) -> list[Cell]:
-        return [
-            (r, c)
-            for r in range(1, self.row_count + 1)
-            for c in range(self.inner_at(r) + 1, self.outer_at(r) + 1)
-        ]
-
     def removable_inner_corners(self) -> list[Cell]:
         """Cells of inner whose right and below neighbors are free."""
         return [
@@ -103,11 +96,13 @@ class Tableau:
         for row in rows:
             if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
                 raise ValueError("rows must strictly increase")
-        for r in range(2, sh.row_count + 1):
-            for c in range(sh.inner_at(r) + 1, sh.outer_at(r) + 1):
-                if c > sh.inner_at(r - 1) and c <= sh.outer_at(r - 1):
-                    if self.entry(r - 1, c) >= self.entry(r, c):
-                        raise ValueError("columns must strictly increase")
+        for r in range(1, sh.row_count):
+            upper, lower = rows[r - 1], rows[r]
+            # lower[i + shift] is the cell below upper[i]
+            shift = sh.inner_at(r) - sh.inner_at(r + 1)
+            for i in range(min(len(upper), len(lower) - shift)):
+                if upper[i] >= lower[i + shift]:
+                    raise ValueError("columns must strictly increase")
 
     @classmethod
     def from_rows(cls, rows, inner=()) -> "Tableau":

@@ -265,9 +265,16 @@ def crossed_mdiagram_of_decomposition(dec: DominoDecomposition) -> MDiagram:
             )
         chosen.append(arc)
 
+    # (label, abscissa): k' mirrors k at -k, and "0" sits on the axis
+    m = dec.compression.size
+    placed = [(f"{k}'", -k) for k in range(m, 0, -1)]
+    if dec.compression0 is not None:
+        placed.append(("0", 0))
+    placed += [(str(k), k) for k in range(1, m + 1)]
+    position = dict(placed)
     spans = {}
     for a in arcs:
-        lo, hi = sorted((_label_pos(a.tail), _label_pos(a.head)))
+        lo, hi = sorted((position[a.tail], position[a.head]))
         spans[a] = (lo, hi)
     for arc in chosen:
         lo, hi = spans[arc]
@@ -296,19 +303,8 @@ def crossed_mdiagram_of_decomposition(dec: DominoDecomposition) -> MDiagram:
         final.append(Arc(mirror_label(arc.tail), arc.head, arc.kind, True))
     final.extend(a for a in arcs if a not in replaced)
 
-    m = dec.compression.size
-    labels = [f"{k}'" for k in range(m, 0, -1)]
-    if dec.compression0 is not None:
-        labels.append("0")
-    labels += [str(k) for k in range(1, m + 1)]
-    boundary = tuple(BoundaryVertex(lab, Fraction(_label_pos(lab))) for lab in labels)
+    boundary = tuple(BoundaryVertex(lab, Fraction(x)) for lab, x in placed)
     return MDiagram(boundary, tuple(final))
-
-
-def _label_pos(label: str) -> int:
-    if label.endswith("'"):
-        return -int(label[:-1])
-    return int(label)
 
 
 def crossed_web(d: Tableau) -> PlanarWeb:

@@ -20,6 +20,7 @@ from webfold.mdiagram import (
     reflected_face,
     resolve,
 )
+from webfold.oracle import enumerate_words
 from webfold.planarweb import (
     BOUNDARY,
     Edge,
@@ -32,6 +33,8 @@ from webfold.planarweb import (
     validate_3web,
     web_distance,
 )
+from webfold.tableaux import fold, from_word, is_rotationally_symmetric
+from webfold.web3 import crossed_mdiagram, mdiagram_of_tableau
 
 
 def bv(label, x):
@@ -240,3 +243,22 @@ def test_crossing_abscissa_matches_circle_intersection():
     assert c.x == F(5, 3)
     assert (c.x - F(3, 2)) ** 2 + F(20, 9) == F(3, 2) ** 2
     assert (c.x - 3) ** 2 + F(20, 9) == 2 ** 2
+
+
+def test_resolution_depends_on_boundary_order_not_spacing():
+    diagrams = []
+    for n in range(1, 5):
+        for word in enumerate_words((n, n, n)):
+            t = from_word(word)
+            diagrams.append((word, mdiagram_of_tableau(t)))
+            if is_rotationally_symmetric(t):
+                diagrams.append((f"crossed {word}", crossed_mdiagram(fold(t))))
+    for name, m in diagrams:
+        # strictly increasing, but neither evenly spaced nor integral
+        boundary = tuple(
+            BoundaryVertex(b.label, F(p * p, 3) + F(p % 3, 7))
+            for p, b in enumerate(m.boundary, start=1)
+        )
+        moved = MDiagram(boundary, m.arcs)
+        assert canonical(resolve(moved)) == canonical(resolve(m)), name
+        assert validate_3web(resolve(moved)).ok, name

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from webfold import oracle
-from webfold.errors import InvalidWorkerCount, NotAWeb, UnknownTheorem
+from webfold.errors import BoundTooLarge, InvalidWorkerCount, NotAWeb, UnknownTheorem
 from webfold.oracle import (
     THEOREMS,
     EnumerationFilter,
@@ -114,6 +114,27 @@ def test_report_formats():
 def test_verify_rejects_bad_bound():
     with pytest.raises(ValueError):
         verify("thm-2byn", 0)
+
+
+def test_verify_refuses_a_bound_past_the_word_limit(monkeypatch):
+    def no_enumeration(shape):
+        raise AssertionError(f"enumerated {shape}")
+
+    # the limit is checked from hook-length counts, before any word is listed
+    monkeypatch.setattr(oracle, "enumerate_words", no_enumeration)
+    for theorem, bound in (
+        ("roundtrip-3web", 8),
+        ("roundtrip-3web", 9),
+        ("thm-2byn", 14),
+        ("promotion-order", 14),
+        ("fold-domino", 10**9),
+    ):
+        with pytest.raises(BoundTooLarge, match=f"{theorem} up to n={bound}"):
+            verify(theorem, bound)
+    # the largest bounds under the limit get as far as enumerating
+    for theorem, bound in (("roundtrip-3web", 7), ("thm-2byn", 13)):
+        with pytest.raises(AssertionError, match="enumerated"):
+            verify(theorem, bound)
 
 
 def test_worker_count_parsing(monkeypatch):
