@@ -13,6 +13,7 @@ import sys
 from .errors import MalformedInput, WebfoldError
 from .matchings import Matching2, fold2, tableau_of_web2, web2_of_tableau
 from .oracle import PREDICATES, THEOREMS, EnumerationFilter, enumerate_tableaux, verify
+from .oracle import _check_word_limit
 from .planarweb import PlanarWeb
 from .render import svg_of_json, svg_of_matching2, svg_of_web
 from .tableaux import (
@@ -153,6 +154,7 @@ def _rectangle(text: str) -> tuple[int, int]:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     rows, cols = args.shape
+    _check_word_limit([(rows, cols)], f"enumerate --shape {rows}x{cols} would list")
     filt = EnumerationFilter(Shape((cols,) * rows), args.filter)
     lines = [t.word for t in enumerate_tableaux(filt)]
     _emit(args, "".join(line + "\n" for line in lines))

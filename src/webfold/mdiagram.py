@@ -144,11 +144,9 @@ def crossings(m: MDiagram) -> tuple[Crossing, ...]:
 
 @dataclass(frozen=True, eq=False)
 class Resolution:
-    diagram: MDiagram
     web: PlanarWeb
     toggles: tuple[frozenset[Arc], ...]
     pair_edges: tuple[tuple[frozenset[Arc], int], ...]
-    boundary_index: dict[str, int]
 
     @cached_property
     def face_arcs(self) -> dict[frozenset[int], frozenset[Arc]]:
@@ -303,7 +301,7 @@ def _resolve(m: MDiagram) -> Resolution:
         layout[cross_w[t]] = (c.x, y * Fraction(11, 10))
 
     web = PlanarWeb(n, tuple(edges), rotation, layout)
-    return Resolution(m, web, tuple(toggles), tuple(pair_edges), position)
+    return Resolution(web, tuple(toggles), tuple(pair_edges))
 
 
 def resolve(m: MDiagram) -> PlanarWeb:

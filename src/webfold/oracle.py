@@ -404,9 +404,29 @@ _SUITES: dict[str, tuple[int, tuple[int, ...], int | None, str | None, Callable]
 
 THEOREMS = tuple(sorted(_SUITES))
 
-# words a sweep may enumerate, summed over its families; 3-row n <= 7 and
-# 2-row n <= 13 fit, and every default bound walks at most 8,571 words
+# words a sweep or an enumeration may list, summed over its rectangles;
+# 3-row n <= 7 and 2-row n <= 13 fit, and every default bound walks at
+# most 8,571 words
 _MAX_WORDS = 2_000_000
+
+
+def _check_word_limit(rectangles: Iterable[tuple[int, int]], what: str) -> None:
+    """Raise BoundTooLarge, before any word is listed, if the (rows, cols)
+    rectangles hold more than _MAX_WORDS words in all.
+    """
+    total = 0
+    for rows, cols in rectangles:
+        if min(rows, cols) == 1:
+            total += 1
+        elif max(rows, cols) >= 14:
+            # it contains a 2x14 or 14x2 rectangle, and each of that one's
+            # Catalan(14) = 2,674,440 tableaux extends to one of its own; so
+            # hook_length_count never meets a shape too long to count
+            total = _MAX_WORDS + 1
+        else:
+            total += hook_length_count((cols,) * rows)
+        if total > _MAX_WORDS:
+            raise BoundTooLarge(f"{what} more than {_MAX_WORDS:,} words")
 
 
 def worker_count() -> int:
@@ -444,15 +464,10 @@ def verify(theorem_id: str, max_n: int | None = None) -> VerificationReport:
     if bound < 1:
         raise ValueError("max_n must be at least 1")
     caps = {2: bound, 3: bound if cap3 is None else min(bound, cap3)}
-    total = 0
-    for rows in rows_swept:
-        for n in range(1, caps[rows] + 1):
-            total += hook_length_count((n,) * rows)
-            if total > _MAX_WORDS:
-                raise BoundTooLarge(
-                    f"{theorem_id} up to n={bound} would sweep more than "
-                    f"{_MAX_WORDS:,} words"
-                )
+    _check_word_limit(
+        ((rows, n) for rows in rows_swept for n in range(1, caps[rows] + 1)),
+        f"{theorem_id} up to n={bound} would sweep",
+    )
     start = time.perf_counter()
     words = [w for rows in rows_swept for w in _words(rows, caps[rows], keep)]
     check = partial(_failures, check_one)

@@ -35,23 +35,6 @@ class PlanarWeb:
     rotation: dict[int, tuple[int, ...]]
     layout: dict[int, tuple[Fraction, Fraction]] | None = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", tuple(self.edges))
-        seen: dict[int, int] = {}
-        for v, darts in self.rotation.items():
-            for d in darts:
-                if d in seen:
-                    raise ValueError(f"dart {d} listed twice")
-                seen[d] = v
-        if sorted(seen) != list(range(2 * len(self.edges))):
-            raise ValueError("rotation darts do not cover the edge list")
-        for d, v in seen.items():
-            if self.origin(d) != v:
-                raise ValueError(f"dart {d} listed at {v}, not its endpoint")
-        for k in range(1, self.n_boundary + 1):
-            if k not in self.rotation:
-                raise ValueError(f"boundary vertex {k} missing")
-
     def origin(self, d: int) -> int:
         e = self.edges[d // 2]
         return e.tail if d % 2 == 0 else e.head
@@ -63,10 +46,6 @@ class PlanarWeb:
     def face_table(self) -> FaceTable:
         """Faces and dual distances, built on first use and kept with this web."""
         return FaceTable(self)
-
-    @property
-    def vertices(self) -> list[int]:
-        return sorted(self.rotation)
 
     @property
     def internal_count(self) -> int:
@@ -89,6 +68,11 @@ class PlanarWeb:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PlanarWeb":
+        """The web of a JSON form, whose rotation system must be a map.
+
+        Every dart is listed once, at its own origin, and every boundary
+        vertex is present.  Webs built in the package skip this check.
+        """
         edges = tuple(Edge(e["from"], e["to"], e["tag"]) for e in d["edges"])
         rotation = {int(v): tuple(ds) for v, ds in d["rotation"].items()}
         layout = None
@@ -97,7 +81,22 @@ class PlanarWeb:
                 int(v): (Fraction(x), Fraction(y))
                 for v, (x, y) in d["layout"].items()
             }
-        return cls(d["n"], edges, rotation, layout)
+        w = cls(d["n"], edges, rotation, layout)
+        seen: dict[int, int] = {}
+        for v, darts in rotation.items():
+            for dart in darts:
+                if dart in seen:
+                    raise ValueError(f"dart {dart} listed twice")
+                seen[dart] = v
+        if sorted(seen) != list(range(2 * len(edges))):
+            raise ValueError("rotation darts do not cover the edge list")
+        for dart, v in seen.items():
+            if w.origin(dart) != v:
+                raise ValueError(f"dart {dart} listed at {v}, not its endpoint")
+        for k in range(1, w.n_boundary + 1):
+            if k not in rotation:
+                raise ValueError(f"boundary vertex {k} missing")
+        return w
 
 
 class FaceTable:

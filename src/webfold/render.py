@@ -101,6 +101,8 @@ def _barycentric_layout(w: PlanarWeb) -> dict[int, tuple[float, float]]:
     movable = [v for v in sorted(w.rotation) if v > n]
     for i, v in enumerate(movable):
         pos[v] = (1e-3 * (i + 1), 1e-3 * (i + 1))
+    # a vertex with no web edge has nothing to average and keeps its seed
+    movable = [v for v in movable if neighbors[v]]
     for _ in range(200):
         for v in movable:
             around = neighbors[v]

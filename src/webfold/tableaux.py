@@ -65,14 +65,6 @@ class Shape:
     def is_rectangular(self) -> bool:
         return self.is_straight and len(set(self.outer)) <= 1
 
-    def removable_inner_corners(self) -> list[Cell]:
-        """Cells of inner whose right and below neighbors are free."""
-        return [
-            (r, self.inner_at(r))
-            for r in range(1, len(self.inner) + 1)
-            if self.inner_at(r) > 0 and self.inner_at(r) > self.inner_at(r + 1)
-        ]
-
 
 @dataclass(frozen=True)
 class Tableau:
@@ -113,19 +105,6 @@ class Tableau:
             for i in range(len(rows))
         )
         return cls(Shape(outer, inner), rows)
-
-    def entry(self, r: int, c: int) -> int:
-        sh = self.shape
-        if not (1 <= r <= sh.row_count and sh.inner_at(r) < c <= sh.outer_at(r)):
-            raise OutOfRange(f"no cell at ({r}, {c})")
-        return self.rows[r - 1][c - sh.inner_at(r) - 1]
-
-    def cell_of(self, value: int) -> Cell:
-        for r, row in enumerate(self.rows, start=1):
-            for i, v in enumerate(row):
-                if v == value:
-                    return (r, self.shape.inner_at(r) + 1 + i)
-        raise OutOfRange(f"no entry {value}")
 
     @property
     def size(self) -> int:
@@ -200,12 +179,31 @@ def _grid(t: Tableau) -> dict[Cell, int]:
     }
 
 
-def _from_cells(shape: Shape, grid: dict[Cell, int]) -> Tableau:
-    rows = []
-    for r in range(1, shape.row_count + 1):
-        cols = range(shape.inner_at(r) + 1, shape.outer_at(r) + 1)
-        rows.append(tuple(grid[(r, c)] for c in cols))
-    return Tableau(shape, tuple(rows))
+def _from_grid(grid: dict[Cell, int], inner: list[int]) -> Tableau:
+    """The tableau of grid's cells over inner, validated once.
+
+    A bottom row with neither a cell nor an inner cell is dropped.
+    """
+    height = max([r for r, _ in grid] + [r for r, x in enumerate(inner, start=1) if x], default=0)
+    rows: list[list[int]] = [[] for _ in range(height)]
+    for (r, _), v in sorted(grid.items()):
+        rows[r - 1].append(v)
+    outer = [len(row) + (inner[i] if i < len(inner) else 0) for i, row in enumerate(rows)]
+    return Tableau(Shape(tuple(outer), tuple(inner)), tuple(tuple(row) for row in rows))
+
+
+def _slide_out(grid: dict[Cell, int], hole: Cell) -> None:
+    """Move the hole right or down into the smaller neighbour until none is left, in place."""
+    while True:
+        right = (hole[0], hole[1] + 1)
+        below = (hole[0] + 1, hole[1])
+        rv = grid.get(right)
+        bv = grid.get(below)
+        if rv is None and bv is None:
+            return
+        nxt = right if bv is None or (rv is not None and rv < bv) else below
+        grid[hole] = grid.pop(nxt)
+        hole = nxt
 
 
 def slide(t: Tableau, corner: Cell) -> Tableau:
@@ -217,40 +215,28 @@ def slide(t: Tableau, corner: Cell) -> Tableau:
     if sh.inner_at(r + 1) >= c:
         raise NotACorner(f"({r}, {c}) has an inner cell below it")
     grid = _grid(t)
-    hole = corner
-    while True:
-        right = (hole[0], hole[1] + 1)
-        below = (hole[0] + 1, hole[1])
-        rv = grid.get(right)
-        bv = grid.get(below)
-        if rv is None and bv is None:
-            break
-        if bv is None or (rv is not None and rv < bv):
-            nxt = right
-        else:
-            nxt = below
-        grid[hole] = grid.pop(nxt)
-        hole = nxt
+    _slide_out(grid, corner)
     inner = list(sh.inner)
     inner[r - 1] -= 1
-    outer = list(sh.outer)
-    outer[hole[0] - 1] -= 1
-    while outer and outer[-1] == 0:
-        outer.pop()
-    return _from_cells(Shape(tuple(outer), tuple(inner)), grid)
+    return _from_grid(grid, inner)
 
 
 def rectify(t: Tableau, rng: random.Random | None = None) -> Tableau:
     """Slide until the shape is straight.
 
     The result does not depend on the corner order; pass an rng to pick
-    corners at random instead of always the topmost one.
+    corners at random instead of always the topmost one.  The slides run
+    on one copy of the cells, and only the straight result is validated.
     """
-    while t.shape.inner:
-        corners = t.shape.removable_inner_corners()
-        corner = rng.choice(corners) if rng else corners[0]
-        t = slide(t, corner)
-    return t
+    grid = _grid(t)
+    inner = list(t.shape.inner)
+    while any(inner):
+        # rows whose last inner cell has no inner cell below it, topmost first
+        corners = [r for r, (x, y) in enumerate(zip(inner, inner[1:] + [0]), start=1) if x > y]
+        r = rng.choice(corners) if rng else corners[0]
+        _slide_out(grid, (r, inner[r - 1]))
+        inner[r - 1] -= 1
+    return _from_grid(grid, inner)
 
 
 def _require_straight(t: Tableau) -> None:

@@ -113,8 +113,6 @@ class Block:
 
 @dataclass(frozen=True)
 class DominoDecomposition:
-    source: Tableau
-    relabeled: tuple[tuple[int, ...], ...]
     blocks: tuple[Block, ...]
     vertical_pairs: tuple[tuple[int, int], ...]
     compression: Tableau
@@ -226,8 +224,6 @@ def decompose_blocks(d: Tableau) -> DominoDecomposition:
         compression0 = None
 
     return DominoDecomposition(
-        source=d,
-        relabeled=grid,
         blocks=tuple(blocks),
         vertical_pairs=tuple(pairs),
         compression=compression,

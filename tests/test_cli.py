@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from webfold import cli
 from webfold.cli import main
+from webs import tripod
 
 CHAIN_WORD = "111122213132223333"
 CHAIN_FOLD = "112212121133332323"
@@ -99,8 +101,20 @@ def test_domain_errors_exit_one(capsys):
     for bound in ("20", "1000000000"):
         code, _, err = run(capsys, "verify", "--theorem", "thm-2byn", "--max-n", bound)
         assert code == 1 and "BoundTooLarge" in err
+    for shape in ("3x8", "3x30", "2x1000000000"):
+        code, _, err = run(capsys, "enumerate", "--shape", shape)
+        assert code == 1 and err.startswith(f"BoundTooLarge: enumerate --shape {shape} ")
     code, _, err = run(capsys, "web3", "to-domino", "--in", "/nonexistent.json")
     assert code == 1
+
+
+def test_enumerate_checks_the_word_limit_before_listing(monkeypatch):
+    def no_enumeration(filt):
+        raise AssertionError(f"enumerated {filt.shape.outer}")
+
+    monkeypatch.setattr(cli, "enumerate_tableaux", no_enumeration)
+    with pytest.raises(AssertionError, match="enumerated"):
+        main(["enumerate", "--shape", "3x7"])
 
 
 def test_usage_errors_exit_two():
@@ -140,6 +154,38 @@ def test_malformed_json_exits_one(capsys, tmp_path, argv, payload):
     code, out, err = run(capsys, *argv, "--in", str(src))
     assert (code, out) == (1, "")
     assert err.startswith("MalformedInput: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["web3", "to-tableau"], ["render"]])
+@pytest.mark.parametrize(
+    "n, rotation, message",
+    [
+        (3, {"4": [1, 3, 5, 5]}, "dart 5 listed twice"),
+        (3, {"1": [6, 2, 11], "2": [8, 0, 7]}, "dart 2 listed at 1, not its endpoint"),
+        (3, {"4": [1, 3]}, "rotation darts do not cover the edge list"),
+        (5, {}, "boundary vertex 5 missing"),
+    ],
+)
+def test_bad_rotation_system_exits_one(capsys, tmp_path, argv, n, rotation, message):
+    web = tripod().to_dict()
+    web["n"] = n
+    web["rotation"].update(rotation)
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(web))
+    code, out, err = run(capsys, *argv, "--in", str(src))
+    assert (code, out) == (1, "")
+    assert err == f"MalformedInput: {src}: ValueError: {message}\n"
+
+
+def test_render_keeps_an_internal_vertex_without_web_edges(capsys, tmp_path):
+    src = tmp_path / "w.json"
+    src.write_text(json.dumps({
+        "n": 3,
+        "edges": [{"from": k, "to": k % 3 + 1, "tag": "boundary"} for k in (1, 2, 3)],
+        "rotation": {"1": [0, 5], "2": [1, 2], "3": [3, 4], "4": []},
+    }))
+    code, out, _ = run(capsys, "render", "--in", str(src))
+    assert code == 0 and out.startswith("<svg")
 
 
 def test_bad_worker_count_exits_one(capsys, monkeypatch):

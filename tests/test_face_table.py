@@ -7,7 +7,6 @@ from webfold.oracle import enumerate_words
 from webfold.planarweb import (
     BOUNDARY,
     Edge,
-    PlanarWeb,
     boundary_face,
     exterior_face,
     faces,
@@ -15,6 +14,7 @@ from webfold.planarweb import (
 )
 from webfold.tableaux import fold, from_word, is_rotationally_symmetric
 from webfold.web3 import crossed_web, web_of_tableau
+from webs import checked_web, tripod
 
 
 def naive_faces(w):
@@ -111,15 +111,6 @@ def test_face_table_matches_naive_walk():
     assert checked == 510 + 40
 
 
-def tripod():
-    edges = (
-        Edge(1, 4), Edge(2, 4), Edge(3, 4),
-        Edge(1, 2, BOUNDARY), Edge(2, 3, BOUNDARY), Edge(3, 1, BOUNDARY),
-    )
-    rotation = {1: (6, 0, 11), 2: (8, 2, 7), 3: (10, 4, 9), 4: (1, 3, 5)}
-    return PlanarWeb(3, edges, rotation)
-
-
 def test_face_of_another_web_is_unknown():
     w = tripod()
     other = web_of_tableau(from_word("112233"))
@@ -144,7 +135,7 @@ def test_broken_boundary_circle():
         Edge(1, 2, BOUNDARY), Edge(2, 3, BOUNDARY),
     )
     rotation = {1: (6, 0), 2: (8, 2, 7), 3: (4, 9), 4: (1, 3, 5)}
-    w = PlanarWeb(3, edges, rotation)
+    w = checked_web(3, edges, rotation)
     assert len(faces(w)) == 3
     with pytest.raises(UnknownFace, match="boundary circle is broken"):
         exterior_face(w)

@@ -22,9 +22,6 @@ from webfold.mdiagram import (
 )
 from webfold.oracle import enumerate_words
 from webfold.planarweb import (
-    BOUNDARY,
-    Edge,
-    PlanarWeb,
     boundary_face,
     canonical,
     exterior_face,
@@ -35,6 +32,7 @@ from webfold.planarweb import (
 )
 from webfold.tableaux import fold, from_word, is_rotationally_symmetric
 from webfold.web3 import crossed_mdiagram, mdiagram_of_tableau
+from webs import tripod
 
 
 def bv(label, x):
@@ -76,19 +74,7 @@ def mirrored_tripods():
 def test_resolve_tripod_matches_hand_built_web():
     w = resolve(tripod_diagram())
     assert validate_3web(w).ok
-    hand = PlanarWeb(
-        3,
-        (
-            Edge(1, 4),
-            Edge(2, 4),
-            Edge(3, 4),
-            Edge(1, 2, BOUNDARY),
-            Edge(2, 3, BOUNDARY),
-            Edge(3, 1, BOUNDARY),
-        ),
-        {1: (6, 0, 11), 2: (8, 2, 7), 3: (10, 4, 9), 4: (1, 3, 5)},
-    )
-    assert canonical(w).digest == canonical(hand).digest
+    assert canonical(w).digest == canonical(tripod()).digest
 
 
 def test_crossings_exclude_shared_endpoints():
@@ -213,7 +199,7 @@ def test_json_round_trip():
 def test_resolution_bookkeeping():
     m = hex_diagram()
     res = m.resolution
-    assert res.boundary_index == {str(i): i for i in range(1, 7)}
+    assert m.positions == {str(i): i for i in range(1, 7)}
     # 3 pairs resolve to an edge: two sinks, one crossing
     assert len(res.pair_edges) == 3
     for pair, e in res.pair_edges:

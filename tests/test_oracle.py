@@ -98,6 +98,22 @@ def test_reports_are_reproducible():
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+def test_parallel_sweeps_report_what_serial_ones_do(monkeypatch):
+    def reports():
+        out = []
+        for theorem, bound in (("roundtrip-3web", 3), ("promotion-order", 3), ("fold-domino", 4)):
+            d = verify(theorem, bound).to_dict()
+            d.pop("elapsed")
+            out.append(d)
+        return out
+
+    monkeypatch.delenv("WEBFOLD_WORKERS", raising=False)
+    serial = reports()
+    # two processes where the machine has two CPUs or more
+    monkeypatch.setenv("WEBFOLD_WORKERS", "2")
+    assert reports() == serial
+
+
 def test_report_formats():
     report = VerificationReport(
         theorem="thm-fw1",

@@ -16,20 +16,7 @@ from webfold.planarweb import (
     validate_3web,
     web_distance,
 )
-
-
-def tripod() -> PlanarWeb:
-    edges = (
-        Edge(1, 4), Edge(2, 4), Edge(3, 4),
-        Edge(1, 2, BOUNDARY), Edge(2, 3, BOUNDARY), Edge(3, 1, BOUNDARY),
-    )
-    rotation = {
-        1: (6, 0, 11),
-        2: (8, 2, 7),
-        3: (10, 4, 9),
-        4: (1, 3, 5),
-    }
-    return PlanarWeb(3, edges, rotation)
+from webs import checked_web, tripod
 
 
 def square_web() -> PlanarWeb:
@@ -57,7 +44,7 @@ def square_web() -> PlanarWeb:
         11: (14, 18, 16),
         12: (19, 21, 23),
     }
-    return PlanarWeb(6, edges, rotation)
+    return checked_web(6, edges, rotation)
 
 
 def test_tripod_is_valid():
@@ -106,7 +93,7 @@ def flip_edge(w: PlanarWeb, i: int) -> PlanarWeb:
     rotation = {
         v: tuple(swap.get(d, d) for d in rot) for v, rot in w.rotation.items()
     }
-    return PlanarWeb(w.n_boundary, edges, rotation)
+    return checked_web(w.n_boundary, edges, rotation)
 
 
 def test_degree_violations_reported():

@@ -62,6 +62,23 @@ def test_slide_single_cell():
     assert slide(t, (1, 1)) == Tableau.from_rows([(1,)])
 
 
+def test_slide_drops_an_emptied_bottom_row():
+    # outer (2, 1) / inner (1, 1): the bottom row holds only an inner cell
+    t = Tableau.from_rows([(1,), ()], inner=(1, 1))
+    assert slide(t, (2, 1)) == Tableau.from_rows([(1,)], inner=(1,))
+
+
+def test_rectify_validates_only_its_result(monkeypatch):
+    expected = from_word("12134213122134")
+    built = []
+    check = Tableau.__post_init__
+    monkeypatch.setattr(Tableau, "__post_init__", lambda t: built.append(t) or check(t))
+    for rng in (None, random.Random(3)):
+        built.clear()
+        assert rectify(SKEW, rng) == expected
+        assert len(built) == 1
+
+
 def test_rectify_fixes_straight():
     t = from_word("112233")
     assert rectify(t) == t
@@ -245,7 +262,11 @@ def test_promotion_folding_symmetric_lemma():
         previous = t
         for j in range(1, 5):
             value = (8 + 1 - 2 * j) + 1
-            assert folded.cell_of(value) == previous.cell_of(value)
+            cells = [
+                next((r, row.index(value)) for r, row in enumerate(u.rows) if value in row)
+                for u in (folded, previous)
+            ]
+            assert cells[0] == cells[1]
             previous = promote(previous)
 
 

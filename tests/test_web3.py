@@ -39,6 +39,7 @@ from webfold.web3 import (
     tableau_of_web,
     web_of_tableau,
 )
+from webs import checked_web
 
 # 3x6 running example: a symmetric tableau, its folded domino tableau,
 # and the sha256 of the canonical form of its web.
@@ -52,7 +53,7 @@ def not_a_web() -> PlanarWeb:
     # two boundary vertices, so no chance of being a 3-web
     edges = (Edge(1, 2), Edge(1, 2, BOUNDARY), Edge(2, 1, BOUNDARY))
     rotation = {1: (0, 2, 5), 2: (1, 3, 4)}
-    return PlanarWeb(2, edges, rotation)
+    return checked_web(2, edges, rotation)
 
 
 def test_tripod_both_directions():
