@@ -9,11 +9,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable
 
 from .errors import MalformedInput, WebfoldError
 from .matchings import Matching2, fold2, tableau_of_web2, web2_of_tableau
 from .oracle import PREDICATES, THEOREMS, EnumerationFilter, enumerate_tableaux, verify
-from .oracle import _check_word_limit
+from .oracle import _check_rows, _check_word_limit
 from .planarweb import PlanarWeb
 from .render import svg_of_json, svg_of_matching2, svg_of_web
 from .tableaux import (
@@ -44,7 +45,10 @@ OPERATORS = {
 
 def _read_json(path: str) -> dict:
     with open(path) as f:
-        return json.load(f)
+        try:
+            return json.load(f)
+        except RecursionError:
+            raise MalformedInput(f"{path}: JSON nested too deeply") from None
 
 
 def _read_object(parse, path: str):
@@ -52,7 +56,7 @@ def _read_object(parse, path: str):
     data = _read_json(path)
     try:
         return parse(data)
-    except (TypeError, KeyError, ValueError, AttributeError, IndexError) as exc:
+    except (TypeError, KeyError, ValueError, AttributeError, IndexError, ArithmeticError) as exc:
         raise MalformedInput(f"{path}: {type(exc).__name__}: {exc}") from None
 
 
@@ -64,11 +68,16 @@ def _read_tableau(args: argparse.Namespace) -> tuple[Tableau, bool]:
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
+    _emit_lines(args, [text])
+
+
+def _emit_lines(args: argparse.Namespace, lines: Iterable[str]) -> None:
+    """Write each piece as it is produced, to --out if given, else to stdout."""
     if getattr(args, "out", None):
         with open(args.out, "w") as f:
-            f.write(text)
+            f.writelines(lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
 
 
 def _dumps(obj: dict) -> str:
@@ -155,9 +164,9 @@ def _rectangle(text: str) -> tuple[int, int]:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     rows, cols = args.shape
     _check_word_limit([(rows, cols)], f"enumerate --shape {rows}x{cols} would list")
+    _check_rows(rows)
     filt = EnumerationFilter(Shape((cols,) * rows), args.filter)
-    lines = [t.word for t in enumerate_tableaux(filt)]
-    _emit(args, "".join(line + "\n" for line in lines))
+    _emit_lines(args, (t.word + "\n" for t in enumerate_tableaux(filt)))
     return 0
 
 
@@ -220,7 +229,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (WebfoldError, ValueError, KeyError, OSError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        # one line, even when the message quotes a label from the input
+        message = str(exc).replace("\r", "\\r").replace("\n", "\\n")
+        print(f"{type(exc).__name__}: {message}", file=sys.stderr)
         return 1
 
 

@@ -11,9 +11,10 @@ distances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
 from .errors import ConcurrentArcs, InvalidBoundaryDegrees, UnknownFace
 from .planarweb import ARC, BOUNDARY, INTERSECTION, Edge, PlanarWeb, boundary_face
@@ -25,7 +26,7 @@ SECOND = "second"
 @dataclass(frozen=True)
 class BoundaryVertex:
     label: str
-    x: Fraction
+    x: Fraction | int
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,7 @@ class MDiagram:
         """The resolved web and its bookkeeping, built on first use."""
         return _resolve(self)
 
-    def x_of(self, label: str) -> Fraction:
+    def x_of(self, label: str) -> Fraction | int:
         try:
             return self.boundary[self.positions[label] - 1].x
         except KeyError:
@@ -106,12 +107,13 @@ class Crossing:
     x: Fraction
 
 
-def crossings(m: MDiagram) -> tuple[Crossing, ...]:
-    """All transversal crossings, with exact rational abscissas.
+def _crossing_pairs(m: MDiagram) -> list[tuple[int, int, int, int]]:
+    """Every transversal crossing as (i, j, num, den), i < j: arcs m.arcs[i]
+    and m.arcs[j] cross at x = num / den.  Sorted by x, then by (i, j).
 
-    Two semicircles cross iff their endpoint intervals strictly
-    interleave; a shared endpoint is a tangency, never a crossing.
-    Raises ConcurrentArcs if three arcs pass through one point.
+    All arithmetic is on integers: the abscissas are scaled by the lcm of
+    their denominators, and the crossings are ordered on a common
+    denominator.  Raises ConcurrentArcs if three arcs pass through one point.
     """
     # abscissas strictly increase, so boundary positions order them exactly
     position = m.positions
@@ -119,27 +121,47 @@ def crossings(m: MDiagram) -> tuple[Crossing, ...]:
     for a in m.arcs:
         p, q = position[a.tail], position[a.head]
         spans.append((p, q) if p < q else (q, p))
-    bx = [b.x for b in m.boundary]
+    scale = math.lcm(*(b.x.denominator for b in m.boundary))
+    bx = [b.x.numerator * (scale // b.x.denominator) for b in m.boundary]
     found = []
     for i, (lo1, hi1) in enumerate(spans):
         for j in range(i + 1, len(spans)):
             lo2, hi2 = spans[j]
             if not (lo1 < lo2 < hi1 < hi2 or lo2 < lo1 < hi2 < hi1):
                 continue
-            # where the two circles' equations agree; centre^2 - radius^2 = lo * hi
+            # where the two circles' equations agree; centre^2 - radius^2 = lo * hi;
+            # interleaved spans have distinct centres, so den is never 0
             l1, h1, l2, h2 = bx[lo1 - 1], bx[hi1 - 1], bx[lo2 - 1], bx[hi2 - 1]
-            x = (l2 * h2 - l1 * h1) / ((l2 + h2) - (l1 + h1))
-            found.append((x, i, j))
-    per_arc: dict[Arc, list[Fraction]] = {}
-    for x, i, j in found:
-        per_arc.setdefault(m.arcs[i], []).append(x)
-        per_arc.setdefault(m.arcs[j], []).append(x)
-    for arc, xs in per_arc.items():
-        if len(set(xs)) != len(xs):
-            raise ConcurrentArcs(
-                f"three arcs meet at one point on ({arc.tail}, {arc.head})"
-            )
-    return tuple(Crossing(m.arcs[i], m.arcs[j], x) for x, i, j in sorted(found))
+            found.append((i, j, l2 * h2 - l1 * h1, (l2 + h2 - l1 - h1) * scale))
+    common = math.lcm(*(den for *_, den in found))
+    # x * common, exact, so equal keys are equal abscissas
+    keys = [num * (common // den) for *_, num, den in found]
+    ranked = sorted((key, i, j, num, den) for key, (i, j, num, den) in zip(keys, found))
+    # three arcs through one point make two crossings at one abscissa
+    if any(a[0] == b[0] for a, b in zip(ranked, ranked[1:])):
+        per_arc: dict[Arc, list[int]] = {}
+        for (i, j, _, _), key in zip(found, keys):
+            per_arc.setdefault(m.arcs[i], []).append(key)
+            per_arc.setdefault(m.arcs[j], []).append(key)
+        for arc, xs in per_arc.items():
+            if len(set(xs)) != len(xs):
+                raise ConcurrentArcs(
+                    f"three arcs meet at one point on ({arc.tail}, {arc.head})"
+                )
+    return [(i, j, num, den) for _, i, j, num, den in ranked]
+
+
+def crossings(m: MDiagram) -> tuple[Crossing, ...]:
+    """All transversal crossings, with exact rational abscissas.
+
+    Two semicircles cross iff their endpoint intervals strictly
+    interleave; a shared endpoint is a tangency, never a crossing.
+    Raises ConcurrentArcs if three arcs pass through one point.
+    """
+    return tuple(
+        Crossing(m.arcs[i], m.arcs[j], Fraction(num, den))
+        for i, j, num, den in _crossing_pairs(m)
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,7 +173,7 @@ class Resolution:
     @cached_property
     def face_arcs(self) -> dict[frozenset[int], frozenset[Arc]]:
         """The arcs passing over each inner face, by a walk from B_0."""
-        table = self.web.face_table
+        table, walls = self.web.face_table, self.web._walls
         start = table.index[boundary_face(self.web, 0)]
         sets: dict[int, frozenset[Arc]] = {start: frozenset()}
         frontier = [start]
@@ -160,7 +182,7 @@ class Resolution:
             for fi in frontier:
                 for d in table.faces[fi]:
                     e = d // 2
-                    if self.web.edges[e].tag == BOUNDARY:
+                    if walls[e]:
                         continue
                     gi = table.face_of[d ^ 1]
                     arcs = sets[fi] ^ self.toggles[e]
@@ -192,87 +214,78 @@ def _resolve(m: MDiagram) -> Resolution:
             )
     sinks = [p for p in range(1, n + 1) if heads[p]]
 
-    # crossings are named by their index t in all_crossings below; they come
-    # sorted by abscissa, so each arc meets its own in index order when it
-    # points right and in reverse when it points left
-    all_crossings = crossings(m)
-    # each position is the tail of exactly one arc or of none
-    pairs = [
-        (tails[position[c.arc_a.tail]][0], tails[position[c.arc_b.tail]][0])
-        for c in all_crossings
-    ]
+    # crossings are named by their index t in found below; they come sorted
+    # by abscissa, so each arc meets its own in index order when it points
+    # right and in reverse when it points left
+    found = _crossing_pairs(m)
     by_arc: list[list[int]] = [[] for _ in m.arcs]
-    for t, (i, j) in enumerate(pairs):
+    for t, (i, j, _, _) in enumerate(found):
         by_arc[i].append(t)
         by_arc[j].append(t)
 
     sink_vertex = {q: n + 1 + s for s, q in enumerate(sinks)}
     base = n + len(sinks)
-    cross_u = [base + 2 * t + 1 for t in range(len(all_crossings))]
-    cross_w = [base + 2 * t + 2 for t in range(len(all_crossings))]
+    cross_u = [base + 2 * t + 1 for t in range(len(found))]
+    cross_w = [base + 2 * t + 2 for t in range(len(found))]
 
-    edges: list[Edge] = []
+    # edge e runs e_tail[e] -> e_head[e]; edges are numbered arc segments
+    # first (each arc from its tail), then sink feeds, intersections and the
+    # boundary circle
+    e_tail: list[int] = []
+    e_head: list[int] = []
     toggles: list[frozenset[Arc]] = []
     pair_edges: list[tuple[frozenset[Arc], int]] = []
-
-    def add_edge(tail: int, head: int, tag: str, toggle: frozenset[Arc]) -> int:
-        edges.append(Edge(tail, head, tag))
-        toggles.append(toggle)
-        return len(edges) - 1
-
-    source_dart: dict[int, int] = {}
+    source_dart = [0] * (n + 1)
     sink_arc_darts: dict[int, list[tuple[tuple, int]]] = {q: [] for q in sinks}
+    # the dart by which arc i enters crossing t at u; it leaves w by the next one
     in_dart: dict[tuple[int, int], int] = {}
-    out_dart: dict[tuple[int, int], int] = {}
 
     for i, (p, q) in enumerate(ends):
-        toggle = frozenset({m.arcs[i]})
-        prev_vertex = p
-        prev_crossing: int | None = None
         met = by_arc[i] if p < q else by_arc[i][::-1]
-        for t in met + [None]:
-            head_vertex = cross_u[t] if t is not None else sink_vertex[q]
-            e = add_edge(prev_vertex, head_vertex, ARC, toggle)
-            if prev_crossing is None:
-                source_dart[p] = 2 * e
-            else:
-                out_dart[(prev_crossing, i)] = 2 * e
-            if t is not None:
-                in_dart[(t, i)] = 2 * e + 1
-                prev_vertex = cross_w[t]
-                prev_crossing = t
-            else:
-                key = (0, p) if p > q else (1, p)
-                sink_arc_darts[q].append((key, 2 * e + 1))
+        source_dart[p] = 2 * len(e_tail)
+        e_tail.append(p)
+        for t in met:
+            in_dart[(t, i)] = 2 * len(e_head) + 1
+            e_head.append(cross_u[t])
+            e_tail.append(cross_w[t])
+        e_head.append(sink_vertex[q])
+        key = (0, p) if p > q else (1, p)
+        sink_arc_darts[q].append((key, 2 * len(e_head) - 1))
+        toggles += [frozenset({m.arcs[i]})] * (len(met) + 1)
 
     feed_edge = {}
     for q in sinks:
         pair = frozenset(m.arcs[i] for i in heads[q])
-        feed_edge[q] = add_edge(q, sink_vertex[q], ARC, pair)
+        feed_edge[q] = len(e_tail)
+        e_tail.append(q)
+        e_head.append(sink_vertex[q])
+        toggles.append(pair)
         pair_edges.append((pair, feed_edge[q]))
 
-    int_edge = []
-    for t, c in enumerate(all_crossings):
-        pair = frozenset({c.arc_a, c.arc_b})
-        int_edge.append(add_edge(cross_w[t], cross_u[t], INTERSECTION, pair))
-        pair_edges.append((pair, int_edge[t]))
+    first_int = len(e_tail)
+    for t, (i, j, _, _) in enumerate(found):
+        pair = frozenset({m.arcs[i], m.arcs[j]})
+        e_tail.append(cross_w[t])
+        e_head.append(cross_u[t])
+        toggles.append(pair)
+        pair_edges.append((pair, first_int + t))
 
-    bnd_next = {}
-    bnd_prev = {}
-    for k in range(1, n + 1):
-        nxt = k + 1 if k < n else 1
-        e = add_edge(k, nxt, BOUNDARY, frozenset())
-        bnd_next[k] = 2 * e
-        bnd_prev[nxt] = 2 * e + 1
+    # boundary edge first_bnd + k - 1 runs from k to the next vertex round the circle
+    first_bnd = len(e_tail)
+    e_tail += range(1, n + 1)
+    e_head += [k % n + 1 for k in range(1, n + 1)]
+    toggles += [frozenset()] * n
+    tags = [ARC] * first_int + [INTERSECTION] * len(found) + [BOUNDARY] * n
+    edges = tuple(map(Edge, e_tail, e_head, tags))
 
     rotation: dict[int, tuple[int, ...]] = {}
     for k in range(1, n + 1):
         web_dart = source_dart[k] if tails[k] else 2 * feed_edge[k]
-        rotation[k] = (bnd_next[k], web_dart, bnd_prev[k])
+        rotation[k] = (2 * (first_bnd + k - 1), web_dart, 2 * (first_bnd + (k - 2) % n) + 1)
     for q in sinks:
         darts = [d for _, d in sorted(sink_arc_darts[q])]
         rotation[sink_vertex[q]] = (*darts, 2 * feed_edge[q] + 1)
-    for t, (a, b) in enumerate(pairs):
+    for t, (a, b, _, _) in enumerate(found):
         # a starts further left, so (the spans interleave) its centre is left
         # of b's; in and out darts alternate around the crossing, so arcs
         # pointing opposite ways meet u and w in the other order
@@ -280,28 +293,47 @@ def _resolve(m: MDiagram) -> Resolution:
             a, b = b, a
         if (ends[a][0] < ends[a][1]) != (ends[b][0] < ends[b][1]):
             a, b = b, a
-        rotation[cross_u[t]] = (in_dart[(t, a)], in_dart[(t, b)], 2 * int_edge[t] + 1)
-        rotation[cross_w[t]] = (out_dart[(t, a)], out_dart[(t, b)], 2 * int_edge[t])
+        da, db, g = in_dart[(t, a)], in_dart[(t, b)], 2 * (first_int + t)
+        rotation[cross_u[t]] = (da, db, g + 1)
+        rotation[cross_w[t]] = (da + 1, db + 1, g)
 
-    bx = [b.x for b in m.boundary]
+    web = PlanarWeb(
+        n, edges, rotation, partial(_layout, m.boundary, ends, heads, sinks, found)
+    )
+    return Resolution(web, tuple(toggles), tuple(pair_edges))
+
+
+def _layout(
+    boundary: tuple[BoundaryVertex, ...],
+    ends: list[tuple[int, int]],
+    heads: list[list[int]],
+    sinks: list[int],
+    found: list[tuple[int, int, int, int]],
+) -> dict[int, tuple[Fraction, Fraction]]:
+    """Drawing coordinates of a resolved web, numbered as `_resolve` numbers
+    its vertices: the boundary on the x-axis, each internal sink a quarter of
+    its nearest arc's width above its boundary vertex, and each crossing's
+    pair straddling the point where the two semicircles meet.
+    """
+    n = len(boundary)
+    bx = [b.x for b in boundary]
     layout: dict[int, tuple[Fraction, Fraction]] = {}
-    for k, b in enumerate(m.boundary, start=1):
-        layout[k] = (b.x, Fraction(0))
-    for q in sinks:
+    for k, x in enumerate(bx, start=1):
+        layout[k] = (x, Fraction(0))
+    for s, q in enumerate(sinks):
         x = bx[q - 1]
         near = min(abs(bx[ends[i][0] - 1] - x) for i in heads[q])
-        layout[sink_vertex[q]] = (x, near / 4)
-    for t, c in enumerate(all_crossings):
-        p, q = sorted(ends[pairs[t][0]])
-        lo, hi = bx[p - 1], bx[q - 1]
+        layout[n + 1 + s] = (x, Fraction(near) / 4)
+    base = n + len(sinks)
+    for t, (i, _, num, den) in enumerate(found):
+        p, q = sorted(ends[i])
+        lo, hi, x = bx[p - 1], bx[q - 1], Fraction(num, den)
         # the height of the crossing on the semicircle over [lo, hi]
-        y2 = (hi - c.x) * (c.x - lo)
+        y2 = (hi - x) * (x - lo)
         y = Fraction(float(y2) ** 0.5).limit_denominator(10**6)
-        layout[cross_u[t]] = (c.x, y * Fraction(9, 10))
-        layout[cross_w[t]] = (c.x, y * Fraction(11, 10))
-
-    web = PlanarWeb(n, tuple(edges), rotation, layout)
-    return Resolution(web, tuple(toggles), tuple(pair_edges))
+        layout[base + 2 * t + 1] = (x, y * Fraction(9, 10))
+        layout[base + 2 * t + 2] = (x, y * Fraction(11, 10))
+    return layout
 
 
 def resolve(m: MDiagram) -> PlanarWeb:

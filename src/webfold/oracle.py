@@ -67,6 +67,15 @@ from .web3 import (
 )
 
 
+_LETTERS = "123456789"
+
+
+def _check_rows(rows: int) -> None:
+    """Raise ValueError if words of this many rows need more than one digit a letter."""
+    if rows > len(_LETTERS):
+        raise ValueError("words use single digits, at most 9 rows")
+
+
 def enumerate_words(shape: tuple[int, ...]) -> Iterator[str]:
     """Yield row-index words of all standard Young tableaux of `shape`.
 
@@ -75,28 +84,36 @@ def enumerate_words(shape: tuple[int, ...]) -> Iterator[str]:
     entries (the lattice condition).
     """
     rows = len(shape)
-    if rows >= 10:
-        raise ValueError("words use single digits, at most 9 rows")
+    _check_rows(rows)
     total = sum(shape)
-    counts = [0] * rows
-    word: list[str] = []
 
-    def extend() -> Iterator[str]:
-        if len(word) == total:
-            yield "".join(word)
-            return
-        for r in range(rows):
-            if counts[r] >= shape[r]:
-                continue
-            if r > 0 and counts[r - 1] <= counts[r]:
-                continue
-            counts[r] += 1
-            word.append(str(r + 1))
-            yield from extend()
-            word.pop()
-            counts[r] -= 1
+    def walk() -> Iterator[str]:
+        counts = [0] * rows
+        word: list[str] = []
+        # nxt[k] is the next row to try at position k; the last entry is the
+        # free position, so len(nxt) == len(word) + 1 while the walk runs
+        nxt = [0]
+        while nxt:
+            r = nxt[-1]
+            if len(word) == total:
+                yield "".join(word)
+                r = rows
+            while r < rows and (
+                counts[r] >= shape[r] or (r > 0 and counts[r - 1] <= counts[r])
+            ):
+                r += 1
+            if r < rows:
+                nxt[-1] = r + 1
+                counts[r] += 1
+                word.append(_LETTERS[r])
+                nxt.append(0)
+            else:
+                nxt.pop()
+                if nxt:
+                    counts[nxt[-1] - 1] -= 1
+                    word.pop()
 
-    return extend()
+    return walk()
 
 
 def hook_length_count(shape: tuple[int, ...]) -> int:

@@ -10,9 +10,10 @@ face walks and rotations are total, but they act as walls for distances.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
 from .errors import UnknownFace
 
@@ -33,7 +34,8 @@ class PlanarWeb:
     n_boundary: int
     edges: tuple[Edge, ...]
     rotation: dict[int, tuple[int, ...]]
-    layout: dict[int, tuple[Fraction, Fraction]] | None = None
+    # computes the drawing coordinates when `layout` is first read
+    _draw: Callable[[], dict[int, tuple[Fraction, Fraction]] | None] | None = None
 
     def origin(self, d: int) -> int:
         e = self.edges[d // 2]
@@ -41,6 +43,21 @@ class PlanarWeb:
 
     def dart_edge(self, d: int) -> Edge:
         return self.edges[d // 2]
+
+    @cached_property
+    def layout(self) -> dict[int, tuple[Fraction, Fraction]] | None:
+        """Drawing coordinates per vertex, or None; computed on first read."""
+        return self._draw() if self._draw else None
+
+    @cached_property
+    def _origins(self) -> list[int]:
+        """The origin of every dart: the tail of edge i at 2i, its head at 2i+1."""
+        return [v for e in self.edges for v in (e.tail, e.head)]
+
+    @cached_property
+    def _walls(self) -> list[bool]:
+        """Per edge, whether it is a boundary edge (a wall for distances)."""
+        return [e.tag == BOUNDARY for e in self.edges]
 
     @cached_property
     def face_table(self) -> FaceTable:
@@ -81,7 +98,8 @@ class PlanarWeb:
                 int(v): (Fraction(x), Fraction(y))
                 for v, (x, y) in d["layout"].items()
             }
-        w = cls(d["n"], edges, rotation, layout)
+        # a partial rather than a lambda, so that the web still pickles
+        w = cls(d["n"], edges, rotation, None if layout is None else partial(dict, layout))
         seen: dict[int, int] = {}
         for v, darts in rotation.items():
             for dart in darts:
@@ -90,8 +108,9 @@ class PlanarWeb:
                 seen[dart] = v
         if sorted(seen) != list(range(2 * len(edges))):
             raise ValueError("rotation darts do not cover the edge list")
+        origins = w._origins
         for dart, v in seen.items():
-            if w.origin(dart) != v:
+            if origins[dart] != v:
                 raise ValueError(f"dart {dart} listed at {v}, not its endpoint")
         for k in range(1, w.n_boundary + 1):
             if k not in rotation:
@@ -110,47 +129,47 @@ class FaceTable:
     """
 
     def __init__(self, w: PlanarWeb) -> None:
-        darts = 2 * len(w.edges)
-        prev = [0] * darts
+        origins, wall = w._origins, w._walls
+        prev = [0] * len(origins)
         for rot in w.rotation.values():
             for i, d in enumerate(rot):
                 prev[d] = rot[i - 1]
-        face_of = [-1] * darts
+        face_of = [-1] * len(origins)
         faces: list[frozenset[int]] = []
-        for d0 in range(darts):
-            if face_of[d0] >= 0:
+        self.exterior = None
+        for d0, seen in enumerate(face_of):
+            if seen >= 0:
                 continue
+            fi = len(faces)
             orbit = []
             d = d0
             while face_of[d] < 0:
-                face_of[d] = len(faces)
+                face_of[d] = fi
                 orbit.append(d)
                 d = prev[d ^ 1]
             faces.append(frozenset(orbit))
-        wall = [e.tag == BOUNDARY for e in w.edges]
+            if self.exterior is None and wall[d0 >> 1] and all(wall[d >> 1] for d in orbit):
+                self.exterior = fi
         self.faces = tuple(faces)
         self.face_of = face_of
         self.index = {f: i for i, f in enumerate(faces)}
-        self.exterior = next(
-            (i for i, f in enumerate(faces) if all(wall[d // 2] for d in f)), None
-        )
         # the non-exterior side of the first boundary edge joining each pair
-        inner_side: dict[frozenset[int], int] = {}
-        self.adjacency: list[set[int]] = [set() for _ in faces]
-        for i, e in enumerate(w.edges):
+        inner_side: dict[tuple[int, int], int] = {}
+        self.adjacency: list[list[int]] = [[] for _ in faces]
+        for i, is_wall in enumerate(wall):
             a, b = face_of[2 * i], face_of[2 * i + 1]
-            if not wall[i]:
-                self.adjacency[a].add(b)
-                self.adjacency[b].add(a)
+            if not is_wall:
+                self.adjacency[a].append(b)
+                self.adjacency[b].append(a)
                 continue
-            key = frozenset((e.tail, e.head))
+            u, v = origins[2 * i], origins[2 * i + 1]
+            key = (u, v) if u < v else (v, u)
             side = a if a != self.exterior else b
             if key not in inner_side and side != self.exterior:
                 inner_side[key] = side
         n = w.n_boundary
         self.boundary = tuple(
-            inner_side.get(frozenset((k, k + 1) if 1 <= k < n else (n, 1)))
-            for k in range(n + 1)
+            inner_side.get((k, k + 1) if 1 <= k < n else (1, n)) for k in range(n + 1)
         )
         self._distances: dict[int, list[int | None]] = {}
 
@@ -225,10 +244,11 @@ def validate_3web(w: PlanarWeb) -> WebReport:
     """Check the defining conditions; violations are reported, not raised."""
     bad: list[str] = []
     n = w.n_boundary
+    origins, walls = w._origins, w._walls
     if n % 3 != 0 or n == 0:
         bad.append(f"boundary count {n} is not a positive multiple of 3")
     for k in range(1, n + 1):
-        darts = [d for d in w.rotation.get(k, ()) if w.dart_edge(d).tag != BOUNDARY]
+        darts = [d for d in w.rotation.get(k, ()) if not walls[d >> 1]]
         if len(darts) != 1:
             bad.append(f"boundary vertex {k} has web-degree {len(darts)}")
         elif darts[0] % 2 != 0:
@@ -236,29 +256,24 @@ def validate_3web(w: PlanarWeb) -> WebReport:
     for v, rot in w.rotation.items():
         if 1 <= v <= n:
             continue
-        web_darts = [d for d in rot if w.dart_edge(d).tag != BOUNDARY]
-        if len(rot) != 3 or len(web_darts) != 3:
+        # three web darts, all leaving (even) or all arriving (odd)
+        if len(rot) != 3 or walls[rot[0] >> 1] or walls[rot[1] >> 1] or walls[rot[2] >> 1]:
             bad.append(f"internal vertex {v} has degree {len(rot)}")
-            continue
-        outs = {d % 2 == 0 for d in web_darts}
-        if len(outs) != 1:
+        elif not rot[0] & 1 == rot[1] & 1 == rot[2] & 1:
             bad.append(f"internal vertex {v} is neither a source nor a sink")
-    reachable = set()
-    stack = [min(w.rotation)] if w.rotation else []
-    while stack:
-        v = stack.pop()
-        if v in reachable:
-            continue
-        reachable.add(v)
+    reached = [min(w.rotation)] if w.rotation else []
+    seen = set(reached)
+    for v in reached:
         for d in w.rotation[v]:
-            stack.append(w.origin(d ^ 1))
-    if reachable != set(w.rotation):
+            u = origins[d ^ 1]
+            if u not in seen:
+                seen.add(u)
+                reached.append(u)
+    if seen != w.rotation.keys():
         bad.append("web is not connected")
     else:
-        for f in faces(w):
-            if any(w.dart_edge(d).tag == BOUNDARY for d in f):
-                continue
-            if len(f) < 6:
+        for f in w.face_table.faces:
+            if len(f) < 6 and not any(walls[d >> 1] for d in f):
                 bad.append(
                     f"internal face with {len(f)} sides: darts {sorted(f)}"
                 )
@@ -271,57 +286,62 @@ class CanonicalWebForm:
     digest: str
 
 
-def _canonical_order(w: PlanarWeb) -> tuple[list[int], dict[int, int], dict[int, int]]:
-    """Visit order, canonical names, and start darts for every vertex."""
+def _canonical_order(
+    w: PlanarWeb,
+) -> tuple[list[int], dict[int, int], dict[int, tuple[int, ...]]]:
+    """Visit order, canonical names, and each vertex's rotation from its start dart.
+
+    A boundary vertex starts at its edge to the next boundary vertex; any
+    other vertex starts at the twin of the dart it was first reached by.
+    """
     n = w.n_boundary
+    origins, walls = w._origins, w._walls
     names = {k: k for k in range(1, n + 1)}
     start: dict[int, int] = {}
     for k in range(1, n + 1):
         nxt = k + 1 if k < n else 1
         for d in w.rotation[k]:
-            e = w.dart_edge(d)
-            if e.tag == BOUNDARY and {e.tail, e.head} == {k, nxt}:
+            if walls[d >> 1] and origins[d ^ 1] == nxt:
                 start[k] = d
                 break
         else:
             raise ValueError(f"no boundary edge from {k} to {nxt}")
     order = list(range(1, n + 1))
-    queue = list(order)
-    while queue:
-        v = queue.pop(0)
-        rot = w.rotation[v]
-        i = rot.index(start[v])
-        for d in rot[i:] + rot[:i]:
-            u = w.origin(d ^ 1)
-            if u not in names:
-                names[u] = len(names) + 1
-                start[u] = d ^ 1
-                order.append(u)
-                queue.append(u)
-    if len(names) != len(w.rotation):
-        raise ValueError("web is not connected; canonical form undefined")
-    return order, names, start
-
-
-def canonical(w: PlanarWeb) -> CanonicalWebForm:
-    """Byte-stable form equal for boundary-label-preserving isomorphic webs."""
-    order, names, start = _canonical_order(w)
     rotated: dict[int, tuple[int, ...]] = {}
+    # order grows while it is walked, so this is a breadth-first visit
     for v in order:
         rot = w.rotation[v]
         i = rot.index(start[v])
         rotated[v] = rot[i:] + rot[:i]
-    position = {d: i for v in order for i, d in enumerate(rotated[v])}
+        for d in rotated[v]:
+            u = origins[d ^ 1]
+            if u not in names:
+                names[u] = len(names) + 1
+                start[u] = d ^ 1
+                order.append(u)
+    if len(names) != len(w.rotation):
+        raise ValueError("web is not connected; canonical form undefined")
+    return order, names, rotated
+
+
+def canonical(w: PlanarWeb) -> CanonicalWebForm:
+    """Byte-stable form equal for boundary-label-preserving isomorphic webs."""
+    order, names, rotated = _canonical_order(w)
+    origins, walls = w._origins, w._walls
+    position = [0] * len(origins)
+    for v in order:
+        for i, d in enumerate(rotated[v]):
+            position[d] = i
     entries = []
     for v in order:
         row = []
         for d in rotated[v]:
-            e = w.dart_edge(d)
+            wall = walls[d >> 1]
             # arc and intersection edges are interchangeable drawing artifacts,
             # so only the boundary/web distinction is serialized
-            kind = "b" if e.tag == BOUNDARY else "w"
-            out = 0 if e.tag == BOUNDARY else (1 if d % 2 == 0 else 2)
-            row.append((names[w.origin(d ^ 1)], kind, out, position[d ^ 1]))
+            kind = "b" if wall else "w"
+            out = 0 if wall else (1 if d % 2 == 0 else 2)
+            row.append((names[origins[d ^ 1]], kind, out, position[d ^ 1]))
         entries.append((names[v], tuple(row)))
     blob = repr((w.n_boundary, tuple(entries))).encode()
     return CanonicalWebForm(blob, hashlib.sha256(blob).hexdigest())

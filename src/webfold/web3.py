@@ -12,7 +12,6 @@ vertical-pair arcs are crossed over the axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     NotAWeb,
@@ -54,7 +53,7 @@ def mdiagram_of_tableau(t: Tableau) -> MDiagram:
     r1, r2, r3 = (set(row) for row in t.rows)
     arcs = [Arc(str(o), str(c), FIRST) for o, c in _pair(r1, r2)]
     arcs += [Arc(str(c), str(o), SECOND) for o, c in _pair(r2, r3)]
-    boundary = tuple(BoundaryVertex(str(i), Fraction(i)) for i in range(1, 3 * n + 1))
+    boundary = tuple(BoundaryVertex(str(i), i) for i in range(1, 3 * n + 1))
     return MDiagram(boundary, tuple(arcs))
 
 
@@ -299,7 +298,7 @@ def crossed_mdiagram_of_decomposition(dec: DominoDecomposition) -> MDiagram:
         final.append(Arc(mirror_label(arc.tail), arc.head, arc.kind, True))
     final.extend(a for a in arcs if a not in replaced)
 
-    boundary = tuple(BoundaryVertex(lab, Fraction(x)) for lab, x in placed)
+    boundary = tuple(BoundaryVertex(lab, x) for lab, x in placed)
     return MDiagram(boundary, tuple(final))
 
 

@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from webfold import cli
 from webfold.cli import main
+from webfold.tableaux import from_word
+from webfold.web3 import web_of_tableau
 from webs import tripod
 
 CHAIN_WORD = "111122213132223333"
@@ -108,6 +115,33 @@ def test_domain_errors_exit_one(capsys):
     assert code == 1
 
 
+def test_enumerate_long_and_tall_single_lines(capsys):
+    code, out, _ = run(capsys, "enumerate", "--shape", "1x2000")
+    assert (code, out) == (0, "1" * 2000 + "\n")
+    # refused before the billion-entry shape tuple is built
+    code, out, err = run(capsys, "enumerate", "--shape", "1000000000x1")
+    assert (code, out) == (1, "")
+    assert err == "ValueError: words use single digits, at most 9 rows\n"
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_enumerate_writes_each_word_as_it_is_listed(capsys, monkeypatch, tmp_path, to_file):
+    def three_then_fail(filt):
+        for word in ("112233", "112323", "121233"):
+            yield from_word(word)
+        raise ValueError("enumeration broke")
+
+    monkeypatch.setattr(cli, "enumerate_tableaux", three_then_fail)
+    argv = ["enumerate", "--shape", "3x2"]
+    dest = tmp_path / "words.txt"
+    if to_file:
+        argv += ["--out", str(dest)]
+    code, out, err = run(capsys, *argv)
+    written = dest.read_text() if to_file else out
+    assert code == 1 and err == "ValueError: enumeration broke\n"
+    assert written == "112233\n112323\n121233\n"
+
+
 def test_enumerate_checks_the_word_limit_before_listing(monkeypatch):
     def no_enumeration(filt):
         raise AssertionError(f"enumerated {filt.shape.outer}")
@@ -146,6 +180,10 @@ def test_outputs_are_byte_stable(capsys):
         (["render"], {"n": 3, "edges": 5, "rotation": {}}),
         (["web2", "fold"], {"n": 10**12, "arcs": [[1, 2]]}),
         (["op", "--apply", "promote"], {"outer": [3, 3], "word": "1122"}),
+        (["render"], {"boundary": [{"label": "1", "x": "1/0"}], "arcs": []}),
+        (["render"], {"boundary": [], "arcs": [{"tail": "a\nb", "head": "c"}]}),
+        (["render"], {"boundary": [{"label": "1", "x": "1"}, {"label": "2", "x": "1e400"}],
+                      "arcs": [{"tail": "1", "head": "2"}]}),
     ],
 )
 def test_malformed_json_exits_one(capsys, tmp_path, argv, payload):
@@ -154,6 +192,13 @@ def test_malformed_json_exits_one(capsys, tmp_path, argv, payload):
     code, out, err = run(capsys, *argv, "--in", str(src))
     assert (code, out) == (1, "")
     assert err.startswith("MalformedInput: ") and err.count("\n") == 1
+
+
+def test_deeply_nested_json_exits_one(capsys, tmp_path):
+    src = tmp_path / "deep.json"
+    src.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "render", "--in", str(src))
+    assert (code, out, err) == (1, "", f"MalformedInput: {src}: JSON nested too deeply\n")
 
 
 @pytest.mark.parametrize("argv", [["web3", "to-tableau"], ["render"]])
@@ -192,3 +237,86 @@ def test_bad_worker_count_exits_one(capsys, monkeypatch):
     monkeypatch.setenv("WEBFOLD_WORKERS", "many")
     code, _, err = run(capsys, "verify", "--theorem", "thm-2byn", "--max-n", "2")
     assert code == 1 and err.startswith("InvalidWorkerCount: ")
+
+
+# random JSON for the --in readers: valid payloads with a few fields edited,
+# and fields replaced by arbitrary JSON
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 20) | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=5,
+)
+LABELS = st.sampled_from(["0", "1", "2", "3", "4", "5", "1'", "2'"])
+ABSCISSAS = (
+    st.integers(-9, 9)
+    | st.builds(lambda p, q: f"{p}/{q}", st.integers(-9, 9), st.integers(-2, 5))
+    | st.sampled_from(["1e400", "-1e400", "1e-400", "0.5", "nan", "inf", "-0"])
+)
+
+
+def maybe(strategy):
+    """Values of the strategy three times in four, arbitrary JSON otherwise."""
+    return st.one_of(strategy, strategy, strategy, JUNK)
+
+
+@st.composite
+def diagram_payloads(draw):
+    vertex = st.fixed_dictionaries({"label": maybe(LABELS), "x": maybe(ABSCISSAS)})
+    arc = st.fixed_dictionaries(
+        {"tail": maybe(LABELS), "head": maybe(LABELS)},
+        optional={"kind": maybe(st.sampled_from(["first", "second"])), "crossed": maybe(st.booleans())},
+    )
+    return {"boundary": draw(st.lists(maybe(vertex), max_size=7)), "arcs": draw(st.lists(maybe(arc), max_size=5))}
+
+
+@st.composite
+def web_payloads(draw):
+    d = web_of_tableau(from_word(draw(st.sampled_from(["123", "112233", "121323", "112323"])))).to_dict()
+    darts = 2 * len(d["edges"])
+    small = st.integers(-1, darts + 1)
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["n", "edge", "tag", "rotation", "shuffle", "layout", "drop"]))
+        if edit == "n":
+            d["n"] = draw(maybe(st.integers(-1, 12)))
+        elif edit == "edge" and d.get("edges"):
+            e = draw(st.sampled_from(d["edges"]))
+            e[draw(st.sampled_from(["from", "to", "tag"]))] = draw(maybe(small))
+        elif edit == "tag" and d.get("edges"):
+            e = draw(st.sampled_from(d["edges"]))
+            e["tag"] = draw(st.sampled_from(["arc", "intersection", "boundary"]))
+        elif edit == "rotation" and d.get("rotation"):
+            v = draw(st.sampled_from(sorted(d["rotation"])) | st.integers(0, 20).map(str))
+            d["rotation"][v] = draw(maybe(st.lists(small, max_size=4)))
+        elif edit == "shuffle" and d.get("rotation"):
+            v = draw(st.sampled_from(sorted(d["rotation"])))
+            if isinstance(d["rotation"][v], list):
+                d["rotation"][v] = draw(st.permutations(d["rotation"][v]))
+        elif edit == "layout" and d.get("layout"):
+            v = draw(st.sampled_from(sorted(d["layout"])))
+            d["layout"][v] = draw(maybe(st.lists(maybe(ABSCISSAS), min_size=2, max_size=2)))
+        elif edit == "drop" and d:
+            del d[draw(st.sampled_from(sorted(d)))]
+    return d
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.just(("render",)), diagram_payloads()),
+        st.tuples(st.sampled_from([("render",), ("web3", "to-tableau")]), web_payloads()),
+        st.tuples(st.sampled_from([("render",), ("web3", "to-tableau")]), JUNK),
+    )
+)
+def test_in_readers_exit_zero_or_name_the_error(tmp_path_factory, case):
+    command, payload = case
+    src = tmp_path_factory.mktemp("fuzz") / "in.json"
+    src.write_text(json.dumps(payload))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*command, "--in", str(src)])
+    if code == 0:
+        assert err.getvalue() == "" and out.getvalue()
+    else:
+        assert code == 1
+        assert re.fullmatch(r"[A-Za-z]+: [^\n]*\n", err.getvalue()), err.getvalue()

@@ -2,6 +2,8 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from webfold.errors import ConcurrentArcs, InvalidBoundaryDegrees, UnknownFace
 from webfold.mdiagram import (
@@ -248,3 +250,81 @@ def test_resolution_depends_on_boundary_order_not_spacing():
         moved = MDiagram(boundary, m.arcs)
         assert canonical(resolve(moved)) == canonical(resolve(m)), name
         assert validate_3web(resolve(moved)).ok, name
+
+
+def reference_crossings(m):
+    """Crossings as Fraction arithmetic computes them: abscissa by the circle
+    formula, order by sorted((x, i, j)), concurrency grouped by arc value."""
+    x_of = {b.label: F(b.x) for b in m.boundary}
+    spans = [sorted((x_of[a.tail], x_of[a.head])) for a in m.arcs]
+    found = []
+    for i, (l1, h1) in enumerate(spans):
+        for j in range(i + 1, len(spans)):
+            l2, h2 = spans[j]
+            if l1 < l2 < h1 < h2 or l2 < l1 < h2 < h1:
+                found.append(((l2 * h2 - l1 * h1) / ((l2 + h2) - (l1 + h1)), i, j))
+    per_arc = {}
+    for x, i, j in found:
+        per_arc.setdefault(m.arcs[i], []).append(x)
+        per_arc.setdefault(m.arcs[j], []).append(x)
+    for arc, xs in per_arc.items():
+        if len(set(xs)) != len(xs):
+            raise ConcurrentArcs(f"three arcs meet at one point on ({arc.tail}, {arc.head})")
+    return [(m.arcs[i], m.arcs[j], x) for x, i, j in sorted(found)]
+
+
+@st.composite
+def rational_diagrams(draw):
+    """Diagram JSON over 2..10 strictly increasing rational abscissas, with
+    random arcs, some of them repeated."""
+    k = draw(st.integers(2, 10))
+    xs = draw(
+        st.lists(
+            st.builds(F, st.integers(-24, 24), st.integers(1, 4)),
+            min_size=k, max_size=k, unique=True,
+        )
+    )
+    # a random matching, plus up to two arcs that share an end with it
+    order = draw(st.permutations(range(k)))
+    ends = list(zip(order[::2], order[1::2]))
+    if k > 2:
+        shared = st.tuples(st.sampled_from(order[:2]), st.sampled_from(order[2:]))
+        ends += draw(st.lists(shared, max_size=2))
+    arcs = [
+        {"tail": f"v{p}", "head": f"v{q}", "kind": draw(st.sampled_from([FIRST, SECOND]))}
+        for p, q in ends
+    ]
+    if arcs and draw(st.booleans()):
+        arcs.insert(draw(st.integers(0, len(arcs))), draw(st.sampled_from(arcs)))
+    boundary = [{"label": f"v{p}", "x": str(x)} for p, x in enumerate(sorted(xs))]
+    return {"boundary": boundary, "arcs": arcs}
+
+
+SIX = [{"label": str(k), "x": x} for k, x in enumerate(["-4", "-2", "-1", "1", "2", "4"])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_diagrams())
+# three distinct arcs through one point
+@example({"boundary": SIX, "arcs": [
+    {"tail": "1", "head": "4"}, {"tail": "2", "head": "5"}, {"tail": "0", "head": "3"}]})
+# a repeated arc crossed by another: the repeated arc is named
+@example({"boundary": SIX, "arcs": [
+    {"tail": "0", "head": "2"}, {"tail": "1", "head": "3"}, {"tail": "0", "head": "2"}]})
+# two crossings of four distinct arcs, both at x = 0: (i, j) breaks the tie
+@example({"boundary": [{"label": str(k), "x": x} for k, x in enumerate(
+    ["-5", "-3", "-2", "-1", "1", "2", "3", "5"])], "arcs": [
+    {"tail": "1", "head": "4"}, {"tail": "0", "head": "5"},
+    {"tail": "3", "head": "6"}, {"tail": "2", "head": "7"}]})
+def test_crossings_match_fraction_reference(payload):
+    m = MDiagram.from_dict(payload)
+    try:
+        expected = reference_crossings(m)
+    except ConcurrentArcs as exc:
+        with pytest.raises(ConcurrentArcs) as info:
+            crossings(m)
+        assert str(info.value) == str(exc)
+        return
+    got = [(c.arc_a, c.arc_b, c.x) for c in crossings(m)]
+    assert got == expected
+    assert all(type(c.x) is F for c in crossings(m))

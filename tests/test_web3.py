@@ -11,6 +11,7 @@ from webfold.errors import (
     VerticalPairNotAnArc,
     WrongShape,
 )
+from webfold import mdiagram
 from webfold.mdiagram import crossings
 from webfold.oracle import enumerate_words
 from webfold.planarweb import (
@@ -243,3 +244,55 @@ def test_block_classifier():
     ]:
         with pytest.raises(UnrecognizedBlock):
             _classify_block(has_lone, rows, "columns 1..2")
+
+
+# web_of_tableau(from_word("111223233")).to_dict(): two crossings, three
+# sinks a quarter arc-width up, and one crossing height from limit_denominator
+GOLDEN_EDGES = [
+    (3, 10, "a"), (2, 13, "a"), (14, 11, "a"), (1, 15, "a"), (16, 12, "a"), (6, 11, "a"),
+    (8, 12, "a"), (9, 15, "a"), (16, 13, "a"), (14, 10, "a"), (4, 10, "a"), (5, 11, "a"),
+    (7, 12, "a"), (14, 13, "i"), (16, 15, "i"), (1, 2, "b"), (2, 3, "b"), (3, 4, "b"),
+    (4, 5, "b"), (5, 6, "b"), (6, 7, "b"), (7, 8, "b"), (8, 9, "b"), (9, 1, "b"),
+]
+GOLDEN_ROTATION = {
+    1: (30, 6, 47), 2: (32, 2, 31), 3: (34, 0, 33), 4: (36, 20, 35), 5: (38, 22, 37),
+    6: (40, 10, 39), 7: (42, 24, 41), 8: (44, 12, 43), 9: (46, 14, 45), 10: (19, 1, 21),
+    11: (11, 5, 23), 12: (13, 9, 25), 13: (17, 3, 27), 14: (18, 4, 26), 15: (15, 7, 29),
+    16: (16, 8, 28),
+}
+GOLDEN_LAYOUT = {
+    **{k: (str(k), "0") for k in range(1, 10)},
+    10: ("4", "1/4"), 11: ("5", "1/4"), 12: ("7", "1/4"),
+    13: ("13/3", "8154729/7264810"), 14: ("13/3", "9966891/7264810"),
+    15: ("29/5", "54/25"), 16: ("29/5", "66/25"),
+}
+
+
+def test_layout_is_computed_on_first_read(monkeypatch):
+    drawn = []
+    real_layout = mdiagram._layout
+
+    def counting_layout(*args):
+        drawn.append(args)
+        return real_layout(*args)
+
+    monkeypatch.setattr(mdiagram, "_layout", counting_layout)
+    t = from_word("111223233")
+    w = web_of_tableau(t)
+    canonical(w)
+    assert validate_3web(w).ok
+    assert tableau_of_web(w) == t
+    assert drawn == []
+    tags = {"a": "arc", "i": "intersection", "b": BOUNDARY}
+    assert w.to_dict() == {
+        "n": 9,
+        "internal": 7,
+        "edges": [{"from": a, "to": b, "tag": tags[c]} for a, b, c in GOLDEN_EDGES],
+        "rotation": {str(v): list(ds) for v, ds in GOLDEN_ROTATION.items()},
+        "layout": {str(v): list(xy) for v, xy in GOLDEN_LAYOUT.items()},
+    }
+    assert w.to_dict() == w.to_dict()
+    assert len(drawn) == 1
+    for moved in (rotate(w), reflect(w)):
+        assert moved.layout is None and "layout" not in moved.to_dict()
+    assert PlanarWeb.from_dict(w.to_dict()).to_dict() == w.to_dict()
