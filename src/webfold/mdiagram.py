@@ -166,9 +166,27 @@ def crossings(m: MDiagram) -> tuple[Crossing, ...]:
 
 @dataclass(frozen=True, eq=False)
 class Resolution:
+    """A resolved web with, per edge, the indices into arcs of the arcs it
+    toggles, and per intersecting pair its arc indices and resolution edge.
+    The arc sets themselves are built on first read.
+    """
+
     web: PlanarWeb
-    toggles: tuple[frozenset[Arc], ...]
-    pair_edges: tuple[tuple[frozenset[Arc], int], ...]
+    arcs: tuple[Arc, ...]
+    edge_arcs: tuple[tuple[int, ...], ...]
+    pair_edge_arcs: tuple[tuple[tuple[int, ...], int], ...]
+
+    @cached_property
+    def toggles(self) -> tuple[frozenset[Arc], ...]:
+        """The arcs each edge toggles: its own arc, the pair it resolves, or none."""
+        arcs = self.arcs
+        return tuple(frozenset([arcs[i] for i in ix]) for ix in self.edge_arcs)
+
+    @cached_property
+    def pair_edges(self) -> tuple[tuple[frozenset[Arc], int], ...]:
+        """Each sink's or crossing's pair of arcs, with the edge that resolves it."""
+        arcs = self.arcs
+        return tuple((frozenset([arcs[i] for i in ix]), e) for ix, e in self.pair_edge_arcs)
 
     @cached_property
     def face_arcs(self) -> dict[frozenset[int], frozenset[Arc]]:
@@ -233,8 +251,8 @@ def _resolve(m: MDiagram) -> Resolution:
     # boundary circle
     e_tail: list[int] = []
     e_head: list[int] = []
-    toggles: list[frozenset[Arc]] = []
-    pair_edges: list[tuple[frozenset[Arc], int]] = []
+    edge_arcs: list[tuple[int, ...]] = []
+    pair_edge_arcs: list[tuple[tuple[int, ...], int]] = []
     source_dart = [0] * (n + 1)
     sink_arc_darts: dict[int, list[tuple[tuple, int]]] = {q: [] for q in sinks}
     # the dart by which arc i enters crossing t at u; it leaves w by the next one
@@ -251,30 +269,29 @@ def _resolve(m: MDiagram) -> Resolution:
         e_head.append(sink_vertex[q])
         key = (0, p) if p > q else (1, p)
         sink_arc_darts[q].append((key, 2 * len(e_head) - 1))
-        toggles += [frozenset({m.arcs[i]})] * (len(met) + 1)
+        edge_arcs += [(i,)] * (len(met) + 1)
 
     feed_edge = {}
     for q in sinks:
-        pair = frozenset(m.arcs[i] for i in heads[q])
+        pair = tuple(heads[q])
         feed_edge[q] = len(e_tail)
         e_tail.append(q)
         e_head.append(sink_vertex[q])
-        toggles.append(pair)
-        pair_edges.append((pair, feed_edge[q]))
+        edge_arcs.append(pair)
+        pair_edge_arcs.append((pair, feed_edge[q]))
 
     first_int = len(e_tail)
     for t, (i, j, _, _) in enumerate(found):
-        pair = frozenset({m.arcs[i], m.arcs[j]})
         e_tail.append(cross_w[t])
         e_head.append(cross_u[t])
-        toggles.append(pair)
-        pair_edges.append((pair, first_int + t))
+        edge_arcs.append((i, j))
+        pair_edge_arcs.append(((i, j), first_int + t))
 
     # boundary edge first_bnd + k - 1 runs from k to the next vertex round the circle
     first_bnd = len(e_tail)
     e_tail += range(1, n + 1)
     e_head += [k % n + 1 for k in range(1, n + 1)]
-    toggles += [frozenset()] * n
+    edge_arcs += [()] * n
     tags = [ARC] * first_int + [INTERSECTION] * len(found) + [BOUNDARY] * n
     edges = tuple(map(Edge, e_tail, e_head, tags))
 
@@ -300,7 +317,7 @@ def _resolve(m: MDiagram) -> Resolution:
     web = PlanarWeb(
         n, edges, rotation, partial(_layout, m.boundary, ends, heads, sinks, found)
     )
-    return Resolution(web, tuple(toggles), tuple(pair_edges))
+    return Resolution(web, m.arcs, tuple(edge_arcs), tuple(pair_edge_arcs))
 
 
 def _layout(

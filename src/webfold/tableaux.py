@@ -9,11 +9,17 @@ pure functions returning new tableaux.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from itertools import chain
+from operator import add, ge, gt, lt, sub
 
 from .errors import NonLatticeWord, NotACorner, NotRectangular, OutOfRange, WrongShape
 
 Cell = tuple[int, int]
+
+# the row index each letter of a word names; nothing else is a letter
+_LETTERS = {str(r): r for r in range(1, 10)}
 
 
 @dataclass(frozen=True)
@@ -22,6 +28,7 @@ class Shape:
 
     outer: tuple[int, ...]
     inner: tuple[int, ...] = ()
+    size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         outer = tuple(self.outer)
@@ -30,32 +37,26 @@ class Shape:
             inner = inner[:-1]
         object.__setattr__(self, "outer", outer)
         object.__setattr__(self, "inner", inner)
-        if any(x <= 0 for x in outer):
+        if outer and min(outer) <= 0:
             raise ValueError("outer rows must be positive")
-        if any(outer[i] < outer[i + 1] for i in range(len(outer) - 1)):
+        if any(map(lt, outer, outer[1:])):
             raise ValueError("outer must be weakly decreasing")
-        if any(x < 0 for x in inner):
+        if inner and min(inner) < 0:
             raise ValueError("inner rows must be nonnegative")
-        if any(inner[i] < inner[i + 1] for i in range(len(inner) - 1)):
+        if any(map(lt, inner, inner[1:])):
             raise ValueError("inner must be weakly decreasing")
         if len(inner) > len(outer):
             raise ValueError("inner has more rows than outer")
-        if any(inner[i] > outer[i] for i in range(len(inner))):
+        if any(map(gt, inner, outer)):
             raise ValueError("inner does not fit inside outer")
+        object.__setattr__(self, "size", sum(outer) - sum(inner))
 
     def inner_at(self, r: int) -> int:
         return self.inner[r - 1] if 1 <= r <= len(self.inner) else 0
 
-    def outer_at(self, r: int) -> int:
-        return self.outer[r - 1] if 1 <= r <= len(self.outer) else 0
-
     @property
     def row_count(self) -> int:
         return len(self.outer)
-
-    @property
-    def size(self) -> int:
-        return sum(self.outer) - sum(self.inner)
 
     @property
     def is_straight(self) -> bool:
@@ -74,37 +75,33 @@ class Tableau:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(row) for row in self.rows)
+        rows = tuple(map(tuple, self.rows))
         object.__setattr__(self, "rows", rows)
-        sh = self.shape
-        if len(rows) != sh.row_count:
+        outer = self.shape.outer
+        if len(rows) != len(outer):
             raise ValueError("row count does not match shape")
-        for r in range(1, sh.row_count + 1):
-            if len(rows[r - 1]) != sh.outer_at(r) - sh.inner_at(r):
-                raise ValueError(f"row {r} length does not match shape")
-        entries = [v for row in rows for v in row]
-        if sorted(entries) != list(range(1, len(entries) + 1)):
+        inner = self.shape.inner + (0,) * (len(outer) - len(self.shape.inner))
+        lengths = list(map(len, rows))
+        wanted = list(map(sub, outer, inner))
+        if lengths != wanted:
+            r = next(r for r, (m, w) in enumerate(zip(lengths, wanted), start=1) if m != w)
+            raise ValueError(f"row {r} length does not match shape")
+        if sorted(chain.from_iterable(rows)) != list(range(1, sum(lengths) + 1)):
             raise ValueError("entries are not a bijection onto 1..N")
         for row in rows:
-            if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
+            if any(map(ge, row, row[1:])):
                 raise ValueError("rows must strictly increase")
-        for r in range(1, sh.row_count):
-            upper, lower = rows[r - 1], rows[r]
-            # lower[i + shift] is the cell below upper[i]
-            shift = sh.inner_at(r) - sh.inner_at(r + 1)
-            for i in range(min(len(upper), len(lower) - shift)):
-                if upper[i] >= lower[i + shift]:
-                    raise ValueError("columns must strictly increase")
+        # lower[i + shift] is the cell below upper[i]
+        for upper, lower, shift in zip(rows, rows[1:], map(sub, inner, inner[1:])):
+            if any(map(ge, upper, lower[shift:])):
+                raise ValueError("columns must strictly increase")
 
     @classmethod
     def from_rows(cls, rows, inner=()) -> "Tableau":
-        rows = tuple(tuple(row) for row in rows)
+        rows = tuple(map(tuple, rows))
         inner = tuple(inner)
-        outer = tuple(
-            len(rows[i]) + (inner[i] if i < len(inner) else 0)
-            for i in range(len(rows))
-        )
-        return cls(Shape(outer, inner), rows)
+        pad = inner + (0,) * (len(rows) - len(inner))
+        return cls(Shape(tuple(map(add, map(len, rows), pad)), inner), rows)
 
     @property
     def size(self) -> int:
@@ -116,11 +113,11 @@ class Tableau:
 
     @property
     def word(self) -> str:
-        rows = [0] * (self.size + 1)
+        letters = [0] * (self.size + 1)
         for r, row in enumerate(self.rows, start=1):
             for v in row:
-                rows[v] = r
-        return "".join(str(rows[v]) for v in range(1, self.size + 1))
+                letters[v] = r
+        return "".join(map(str, letters[1:]))
 
     def to_dict(self) -> dict:
         d = {"outer": list(self.shape.outer), "word": self.word}
@@ -147,12 +144,17 @@ def from_word(word: str, inner=()) -> Tableau:
     """Decode a row-index word, optionally against an explicit inner shape.
 
     Straight-shape words must satisfy the lattice condition.  Any word that
-    fails to encode a standard tableau raises NonLatticeWord.
+    fails to encode a standard tableau raises NonLatticeWord; so does any
+    letter other than the ASCII digits 1-9.  A word that is not a string
+    raises TypeError.
     """
+    if not isinstance(word, str):
+        raise TypeError(f"word must be a string, not {type(word).__name__}")
     inner = tuple(inner)
-    if not all(ch.isdigit() and ch != "0" for ch in word):
-        raise NonLatticeWord("word must consist of digits 1-9")
-    letters = [int(ch) for ch in word]
+    try:
+        letters = list(map(_LETTERS.__getitem__, word))
+    except KeyError:
+        raise NonLatticeWord("word must consist of digits 1-9") from None
     row_count = max(letters, default=0)
     if not inner:
         counts = [0] * (row_count + 1)
@@ -171,11 +173,11 @@ def from_word(word: str, inner=()) -> Tableau:
 
 
 def _grid(t: Tableau) -> dict[Cell, int]:
-    sh = t.shape
+    inner = t.shape.inner + (0,) * (len(t.rows) - len(t.shape.inner))
     return {
-        (r, sh.inner_at(r) + 1 + i): v
-        for r, row in enumerate(t.rows, start=1)
-        for i, v in enumerate(row)
+        (r, c): v
+        for r, (x, row) in enumerate(zip(inner, t.rows), start=1)
+        for c, v in enumerate(row, start=x + 1)
     }
 
 
@@ -188,8 +190,7 @@ def _from_grid(grid: dict[Cell, int], inner: list[int]) -> Tableau:
     rows: list[list[int]] = [[] for _ in range(height)]
     for (r, _), v in sorted(grid.items()):
         rows[r - 1].append(v)
-    outer = [len(row) + (inner[i] if i < len(inner) else 0) for i, row in enumerate(rows)]
-    return Tableau(Shape(tuple(outer), tuple(inner)), tuple(tuple(row) for row in rows))
+    return Tableau.from_rows(rows, inner)
 
 
 def _slide_out(grid: dict[Cell, int], hole: Cell) -> None:
@@ -248,36 +249,22 @@ def restrict_le(t: Tableau, k: int) -> Tableau:
     """The subtableau on entries 1..k (same inner shape)."""
     if not (0 <= k <= t.size):
         raise OutOfRange(f"k={k} outside 0..{t.size}")
-    sh = t.shape
-    outer = []
-    rows = []
-    for r in range(1, sh.row_count + 1):
-        kept = tuple(v for v in t.rows[r - 1] if v <= k)
-        outer.append(sh.inner_at(r) + len(kept))
-        rows.append(kept)
+    # rows increase, so each keeps a prefix
+    rows = [row[: bisect_right(row, k)] for row in t.rows]
     while rows and not rows[-1]:
-        outer.pop()
         rows.pop()
-    inner = sh.inner[: len(outer)]
-    return Tableau(Shape(tuple(outer), inner), tuple(rows))
+    return Tableau.from_rows(rows, t.shape.inner[: len(rows)])
 
 
 def restrict_gt(t: Tableau, k: int) -> Tableau:
     """The subtableau on entries k+1..N, relabeled by subtracting k."""
     if not (0 <= k <= t.size):
         raise OutOfRange(f"k={k} outside 0..{t.size}")
-    sh = t.shape
-    inner = []
-    rows = []
-    for r in range(1, sh.row_count + 1):
-        kept = tuple(v - k for v in t.rows[r - 1] if v > k)
-        inner.append(sh.outer_at(r) - len(kept))
-        rows.append(kept)
+    rows = [tuple([v - k for v in row[bisect_right(row, k) :]]) for row in t.rows]
     while rows and not rows[-1]:
         rows.pop()
-        inner.pop()
-    outer = sh.outer[: len(rows)]
-    return Tableau(Shape(outer, tuple(inner)), tuple(rows))
+    outer = t.shape.outer[: len(rows)]
+    return Tableau(Shape(outer, tuple(map(sub, outer, map(len, rows)))), tuple(rows))
 
 
 def _slide_forward(t: Tableau, bounds: range | list[int]) -> Tableau:
@@ -285,21 +272,33 @@ def _slide_forward(t: Tableau, bounds: range | list[int]) -> Tableau:
 
     For each k the hole left by 1 slides right or down into the smaller
     neighbour among entries <= k; the hole then takes k and entries 2..k
-    drop by one.  The steps work on plain lists; one Tableau is validated.
+    drop by one.  The steps work on plain lists padded right and below with
+    N + 1, which stops every slide; one Tableau is validated.
     """
-    rows = [list(row) for row in t.rows]
+    n = t.size
+    outer = t.shape.outer
+    wall = [n + 1] * (outer[0] + 1 if outer else 1)
+    grid = [list(row) + wall[len(row) :] for row in t.rows] + [wall]
     for k in bounds:
         r = c = 0
         while True:
-            right = rows[r][c + 1] if c + 1 < len(rows[r]) else k + 1
-            below = rows[r + 1][c] if r + 1 < len(rows) and c < len(rows[r + 1]) else k + 1
-            if min(right, below) > k:
-                break
-            rows[r][c] = min(right, below)
-            r, c = (r, c + 1) if right < below else (r + 1, c)
-        rows = [[v - 1 if v <= k else v for v in row] for row in rows]
-        rows[r][c] = k
-    return Tableau(t.shape, tuple(rows))
+            right = grid[r][c + 1]
+            below = grid[r + 1][c]
+            if right < below:
+                if right > k:
+                    break
+                grid[r][c] = right
+                c += 1
+            else:
+                if below > k:
+                    break
+                grid[r][c] = below
+                r += 1
+        # v -> v - 1 for v <= k; larger entries and the wall keep their value
+        relabel = (list(range(-1, k)) + list(range(k + 1, n + 2))).__getitem__
+        grid = [list(map(relabel, row)) for row in grid]
+        grid[r][c] = k
+    return Tableau(t.shape, tuple([tuple(row[:m]) for row, m in zip(grid, outer)]))
 
 
 def _slide_back(t: Tableau, bounds: range | list[int]) -> Tableau:
@@ -307,19 +306,33 @@ def _slide_back(t: Tableau, bounds: range | list[int]) -> Tableau:
 
     For each k the hole left by k slides up or left into the larger
     neighbour until it reaches (1, 1); entries below k rise by one and 1
-    goes to (1, 1).  The steps work on plain lists, as in _slide_forward.
+    goes to (1, 1).  The steps work on plain lists padded above and to the
+    left with 0, as in _slide_forward.
     """
-    rows = [list(row) for row in t.rows]
+    n = t.size
+    outer = t.shape.outer
+    grid = [[0] * (outer[0] + 1 if outer else 1)] + [[0, *row] for row in t.rows]
     for k in bounds:
-        r, c = next((r, row.index(k)) for r, row in enumerate(rows) if k in row)
-        while (r, c) != (0, 0):
-            up = rows[r - 1][c] if r > 0 else 0
-            left = rows[r][c - 1] if c > 0 else 0
-            rows[r][c] = max(up, left)
-            r, c = (r - 1, c) if up > left else (r, c - 1)
-        rows = [[v + 1 if v < k else v for v in row] for row in rows]
-        rows[0][0] = 1
-    return Tableau(t.shape, tuple(rows))
+        for r, row in enumerate(grid):
+            if k in row:
+                c = row.index(k)
+                break
+        while True:
+            up = grid[r - 1][c]
+            left = grid[r][c - 1]
+            if up > left:
+                grid[r][c] = up
+                r -= 1
+            elif left:
+                grid[r][c] = left
+                c -= 1
+            else:
+                break
+        # v -> v + 1 for 0 < v < k; the wall and entries from k up keep their value
+        relabel = ([0] + list(range(2, k + 1)) + list(range(k, n + 1))).__getitem__
+        grid = [list(map(relabel, row)) for row in grid]
+        grid[1][1] = 1
+    return Tableau(t.shape, tuple([tuple(row[1:]) for row in grid[1:]]))
 
 
 def promote(t: Tableau) -> Tableau:
@@ -376,19 +389,21 @@ def unfold(d: Tableau) -> Tableau:
     return _slide_back(d, range(2 + d.size % 2, d.size + 1, 2))
 
 
-def rotate180_complement(t: Tableau) -> Tableau:
-    """Rotate the rectangle by 180 degrees and complement every entry."""
+def _rotated_complement_rows(t: Tableau) -> tuple[tuple[int, ...], ...]:
     if not t.shape.is_rectangular:
         raise NotRectangular("rotate-complement needs a rectangular shape")
     n = t.size
-    rows = tuple(
-        tuple(n + 1 - v for v in reversed(row)) for row in reversed(t.rows)
-    )
-    return Tableau(t.shape, rows)
+    return tuple(tuple(n + 1 - v for v in reversed(row)) for row in reversed(t.rows))
+
+
+def rotate180_complement(t: Tableau) -> Tableau:
+    """Rotate the rectangle by 180 degrees and complement every entry."""
+    return Tableau(t.shape, _rotated_complement_rows(t))
 
 
 def is_rotationally_symmetric(t: Tableau) -> bool:
-    return t == rotate180_complement(t)
+    """Whether rotate180_complement(t) == t; a non-rectangle raises NotRectangular."""
+    return t.rows == _rotated_complement_rows(t)
 
 
 def is_domino(t: Tableau) -> bool:

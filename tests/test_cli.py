@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from webfold import cli
 from webfold.cli import main
+from webfold.matchings import web2_of_tableau
 from webfold.tableaux import from_word
 from webfold.web3 import web_of_tableau
 from webs import tripod
@@ -149,6 +150,43 @@ def test_enumerate_checks_the_word_limit_before_listing(monkeypatch):
     monkeypatch.setattr(cli, "enumerate_tableaux", no_enumeration)
     with pytest.raises(AssertionError, match="enumerated"):
         main(["enumerate", "--shape", "3x7"])
+
+
+@pytest.mark.parametrize("word", ["\u0660", "\u0661\u0662\u0663", "\u00b2", "1\u0662", "12a", "0"])
+@pytest.mark.parametrize(
+    "command",
+    [["op", "--apply", "promote"], ["web2", "to-tableau"], ["web3", "from-tableau"], ["web3", "to-domino"]],
+)
+def test_words_are_ascii_digits(capsys, command, word):
+    code, out, err = run(capsys, *command, "--word", word)
+    assert (code, out, err) == (1, "", "NonLatticeWord: word must consist of digits 1-9\n")
+
+
+@pytest.mark.parametrize("apply", sorted(cli.OPERATORS))
+def test_op_in_matches_op_word(capsys, tmp_path, apply):
+    src = tmp_path / "t.json"
+    src.write_text(json.dumps({"outer": [3, 3, 3], "word": "112213323"}))
+    code, out, err = run(capsys, "op", "--apply", apply, "--in", str(src))
+    assert (code, err) == (0, "")
+    code, word, _ = run(capsys, "op", "--apply", apply, "--word", "112213323")
+    assert json.loads(out) == {"outer": [3, 3, 3], "word": word.strip()}
+
+
+@pytest.mark.parametrize(
+    "word, error",
+    [
+        ("\u0661\u0662\u0663", "NonLatticeWord: word must consist of digits 1-9"),
+        ("\u00b2", "NonLatticeWord: word must consist of digits 1-9"),
+        (123, "MalformedInput: {src}: TypeError: word must be a string, not int"),
+        (["1", "2", "3"], "MalformedInput: {src}: TypeError: word must be a string, not list"),
+        (None, "MalformedInput: {src}: TypeError: word must be a string, not NoneType"),
+    ],
+)
+def test_op_in_reads_only_ascii_word_strings(capsys, tmp_path, word, error):
+    src = tmp_path / "t.json"
+    src.write_text(json.dumps({"outer": [1, 1, 1], "word": word}))
+    code, out, err = run(capsys, "op", "--apply", "promote", "--in", str(src))
+    assert (code, out, err) == (1, "", error.format(src=src) + "\n")
 
 
 def test_usage_errors_exit_two():
@@ -300,12 +338,55 @@ def web_payloads(draw):
     return d
 
 
-@settings(max_examples=200, deadline=None)
+@st.composite
+def tableau_payloads(draw):
+    d = from_word(draw(st.sampled_from(["", "1", "123", "1122", "112233", "121323", "11212", "111222333"]))).to_dict()
+    letters = st.text(alphabet="0123456789\u0661\u00b2a", max_size=9)
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["word", "outer", "inner", "drop"]))
+        if edit == "word":
+            d["word"] = draw(maybe(letters))
+        elif edit == "outer":
+            d["outer"] = draw(maybe(st.lists(st.integers(-1, 5), max_size=4)))
+        elif edit == "inner":
+            d["inner"] = draw(maybe(st.lists(st.integers(-1, 5), max_size=4)))
+        elif edit == "drop" and d:
+            del d[draw(st.sampled_from(sorted(d)))]
+    return d
+
+
+@st.composite
+def matching_payloads(draw):
+    d = web2_of_tableau(from_word(draw(st.sampled_from(["12", "1122", "1212", "112122", "121212"])))).to_dict()
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["n", "end", "arcs", "drop"]))
+        if edit == "n":
+            d["n"] = draw(maybe(st.integers(-1, 6)))
+        elif edit == "end" and isinstance(d.get("arcs"), list) and d["arcs"]:
+            arc = draw(st.sampled_from(d["arcs"]))
+            if isinstance(arc, list) and arc:
+                arc[draw(st.integers(0, len(arc) - 1))] = draw(maybe(st.integers(-1, 9)))
+        elif edit == "arcs":
+            d["arcs"] = draw(maybe(st.lists(maybe(st.lists(st.integers(-1, 9), max_size=3)), max_size=4)))
+        elif edit == "drop" and d:
+            del d[draw(st.sampled_from(sorted(d)))]
+    return d
+
+
+OPS = [("op", "--apply", name) for name in sorted(cli.OPERATORS)]
+
+
+@settings(max_examples=400, deadline=None)
 @given(
     st.one_of(
         st.tuples(st.just(("render",)), diagram_payloads()),
-        st.tuples(st.sampled_from([("render",), ("web3", "to-tableau")]), web_payloads()),
-        st.tuples(st.sampled_from([("render",), ("web3", "to-tableau")]), JUNK),
+        st.tuples(st.sampled_from([("render",), ("web3", "to-tableau"), ("web3", "to-domino")]), web_payloads()),
+        st.tuples(st.sampled_from(OPS), tableau_payloads()),
+        st.tuples(st.sampled_from([("web2", "to-tableau"), ("web2", "fold")]), matching_payloads()),
+        st.tuples(
+            st.sampled_from([("render",), ("web3", "to-tableau"), ("web3", "to-domino"), ("web2", "to-tableau"), *OPS]),
+            JUNK,
+        ),
     )
 )
 def test_in_readers_exit_zero_or_name_the_error(tmp_path_factory, case):

@@ -1,7 +1,8 @@
+import hashlib
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from webfold.errors import (
@@ -282,6 +283,20 @@ def test_from_word_rejects_non_lattice():
         from_word("1212x")
 
 
+@pytest.mark.parametrize("word", ["\u0660", "\u0661\u0662\u0663", "\u00b2", "1\u0662", "12a", "0", "1 2", "\uff11"])
+def test_from_word_reads_only_ascii_digits(word):
+    with pytest.raises(NonLatticeWord, match="^word must consist of digits 1-9$"):
+        from_word(word)
+    with pytest.raises(NonLatticeWord, match="^word must consist of digits 1-9$"):
+        from_word(word, inner=(1,))
+
+
+@pytest.mark.parametrize("word", [12, None, ["1", "2"], b"12"])
+def test_from_word_needs_a_string(word):
+    with pytest.raises(TypeError, match="^word must be a string"):
+        from_word(word)
+
+
 def test_skew_word_needs_inner():
     t = slide(SKEW, (2, 1))
     again = from_word(t.word, inner=t.shape.inner)
@@ -338,3 +353,154 @@ def test_bounded_promotion_on_straight_shapes():
                 for row, moved in zip(t.rows, p.rows):
                     assert [v if v > k else 0 for v in row] == [v if v > k else 0 for v in moved]
                 assert promote_bounded_inverse(p, k) == t
+
+
+# the shapes of the operator golden and the sha256 of its lines, taken from
+# the straight-shape operators before the slide loops were padded
+GOLDEN_SHAPES = [(n, n) for n in range(1, 7)] + [(n, n, n) for n in range(1, 5)] + [(4, 2, 1), (3, 3, 2)]
+GOLDEN_SHA256 = "aa75c9a3086d90ddb808425e25e1864ace5a768740b6a42db591f1728e102fd7"
+
+
+def test_operator_golden():
+    """One line per tableau: its word and the words of its images under the
+    eight straight-shape operators, every bound and j included."""
+    digest = hashlib.sha256()
+    count = 0
+    for shape in GOLDEN_SHAPES:
+        for word in enumerate_words(shape):
+            t = from_word(word)
+            n = t.size
+            images = [promote(t), promote_inverse(t), evacuate(t), fold(t), unfold(t)]
+            images += [partial_fold(t, j) for j in range(1, n // 2 + 1)]
+            images += [promote_bounded(t, k) for k in range(1, n + 1)]
+            images += [promote_bounded_inverse(t, k) for k in range(1, n + 1)]
+            digest.update((" ".join([word] + [u.word for u in images]) + "\n").encode())
+            count += 1
+    assert (count, digest.hexdigest()) == (783, GOLDEN_SHA256)
+
+
+def _reference_tableau(outer, inner, rows):
+    """The Shape and Tableau checks as first written, cell by cell: the
+    normalised (outer, inner, rows), or the first check's ValueError."""
+    outer, inner = tuple(outer), tuple(inner)
+    while inner and inner[-1] == 0:
+        inner = inner[:-1]
+    if any(x <= 0 for x in outer):
+        raise ValueError("outer rows must be positive")
+    if any(outer[i] < outer[i + 1] for i in range(len(outer) - 1)):
+        raise ValueError("outer must be weakly decreasing")
+    if any(x < 0 for x in inner):
+        raise ValueError("inner rows must be nonnegative")
+    if any(inner[i] < inner[i + 1] for i in range(len(inner) - 1)):
+        raise ValueError("inner must be weakly decreasing")
+    if len(inner) > len(outer):
+        raise ValueError("inner has more rows than outer")
+    if any(inner[i] > outer[i] for i in range(len(inner))):
+        raise ValueError("inner does not fit inside outer")
+
+    def inner_at(r):
+        return inner[r - 1] if 1 <= r <= len(inner) else 0
+
+    def outer_at(r):
+        return outer[r - 1] if 1 <= r <= len(outer) else 0
+
+    rows = tuple(tuple(row) for row in rows)
+    if len(rows) != len(outer):
+        raise ValueError("row count does not match shape")
+    for r in range(1, len(outer) + 1):
+        if len(rows[r - 1]) != outer_at(r) - inner_at(r):
+            raise ValueError(f"row {r} length does not match shape")
+    entries = [v for row in rows for v in row]
+    if sorted(entries) != list(range(1, len(entries) + 1)):
+        raise ValueError("entries are not a bijection onto 1..N")
+    for row in rows:
+        if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
+            raise ValueError("rows must strictly increase")
+    for r in range(1, len(outer)):
+        upper, lower = rows[r - 1], rows[r]
+        shift = inner_at(r) - inner_at(r + 1)
+        for i in range(min(len(upper), len(lower) - shift)):
+            if upper[i] >= lower[i + shift]:
+                raise ValueError("columns must strictly increase")
+    return outer, inner, rows, sum(outer) - sum(inner)
+
+
+def _validated(outer, inner, rows):
+    t = Tableau(Shape(outer, inner), rows)
+    return t.shape.outer, t.shape.inner, t.rows, t.size
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def fillings(draw):
+    """A shape and rows: mostly a skew or straight standard filling with up to
+    two edits, sometimes a shape or rows drawn at random."""
+    if draw(st.integers(0, 4)) == 0:
+        outer = draw(st.lists(st.integers(-1, 5), max_size=4))
+        inner = draw(st.lists(st.integers(-1, 5), max_size=5))
+    else:
+        outer = sorted(draw(st.lists(st.integers(1, 5), max_size=4)), reverse=True)
+        inner = []
+        if draw(st.booleans()):
+            inner = sorted(draw(st.lists(st.integers(0, 5), max_size=len(outer))), reverse=True)
+            inner = [min(x, o) for x, o in zip(inner, outer)]
+    try:
+        Shape(outer, inner)
+    except ValueError:
+        rows = draw(st.lists(st.lists(st.integers(-1, 12), max_size=5), max_size=5))
+        return outer, inner, rows
+    # a random standard filling: each step fills the next cell of a row
+    # whose cell above is already filled or not in the shape
+    pad = inner + [0] * (len(outer) - len(inner))
+    rows = [[] for _ in outer]
+    n = sum(outer) - sum(inner)
+    for v in range(1, n + 1):
+        ready = [
+            r for r in range(len(outer))
+            if pad[r] + len(rows[r]) < outer[r]
+            and (r == 0 or pad[r] + len(rows[r]) < pad[r - 1] + len(rows[r - 1]))
+        ]
+        rows[draw(st.sampled_from(ready))].append(v)
+    for _ in range(draw(st.integers(0, 2))):
+        edit = draw(st.sampled_from(["swap", "column", "value", "drop", "add", "row", "shape"]))
+        cells = [(r, c) for r, row in enumerate(rows) for c in range(len(row))]
+        # (r, c, d): rows[r + 1][d] is the cell below rows[r][c]
+        stacked = [
+            (r, c, c + pad[r] - pad[r + 1])
+            for r in range(min(len(rows), len(pad)) - 1)
+            for c in range(len(rows[r]))
+            if 0 <= c + pad[r] - pad[r + 1] < len(rows[r + 1])
+        ]
+        if edit == "column" and stacked:
+            r, c, d = draw(st.sampled_from(stacked))
+            rows[r][c], rows[r + 1][d] = rows[r + 1][d], rows[r][c]
+        elif edit == "swap" and len(cells) > 1:
+            (r1, c1), (r2, c2) = draw(st.permutations(cells))[:2]
+            rows[r1][c1], rows[r2][c2] = rows[r2][c2], rows[r1][c1]
+        elif edit == "value" and cells:
+            r, c = draw(st.sampled_from(cells))
+            rows[r][c] = draw(st.integers(-1, n + 2))
+        elif edit == "drop" and cells:
+            r, c = draw(st.sampled_from(cells))
+            del rows[r][c]
+        elif edit == "add" and rows:
+            draw(st.sampled_from(rows)).append(draw(st.integers(0, n + 2)))
+        elif edit == "row":
+            rows.append([]) if draw(st.booleans()) or not rows else rows.pop()
+        elif edit == "shape" and outer:
+            outer = list(outer)
+            outer[draw(st.integers(0, len(outer) - 1))] += draw(st.sampled_from([-1, 1]))
+    return outer, inner, rows
+
+
+@settings(max_examples=1000, deadline=None)
+@given(fillings())
+def test_validators_match_the_cell_by_cell_reference(case):
+    outer, inner, rows = case
+    assert _outcome(_validated, outer, inner, rows) == _outcome(_reference_tableau, outer, inner, rows)
