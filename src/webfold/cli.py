@@ -2,6 +2,10 @@
 
 Exit codes: 0 on success, 1 on a domain error (the message names the
 error class) or a failed verification, 2 on usage errors.
+
+Each command imports the modules it runs when it runs, so one call loads
+only what it uses: `op` loads nothing past `tableaux`, and `render` is
+loaded only for SVG output.
 """
 
 from __future__ import annotations
@@ -12,12 +16,8 @@ import sys
 from collections.abc import Iterable
 
 from .errors import MalformedInput, WebfoldError
-from .matchings import Matching2, fold2, tableau_of_web2, web2_of_tableau
-from .oracle import PREDICATES, THEOREMS, EnumerationFilter, enumerate_tableaux, verify
-from .oracle import _check_rows, _check_word_limit
-from .planarweb import PlanarWeb
-from .render import svg_of_json, svg_of_matching2, svg_of_web
 from .tableaux import (
+    PREDICATES,
     Shape,
     Tableau,
     evacuate,
@@ -26,12 +26,6 @@ from .tableaux import (
     promote,
     rotate180_complement,
     unfold,
-)
-from .web3 import (
-    crossed_web,
-    domino_of_symmetric_web,
-    tableau_of_web,
-    web_of_tableau,
 )
 
 OPERATORS = {
@@ -101,28 +95,41 @@ def _cmd_op(args: argparse.Namespace) -> int:
 
 
 def _cmd_web2(args: argparse.Namespace) -> int:
+    from .matchings import Matching2, fold2, tableau_of_web2, web2_of_tableau
+
     if args.action == "from-tableau":
-        t, _ = _read_tableau(args)
-        m = web2_of_tableau(t)
-        _emit(args, svg_of_matching2(m) if args.format == "svg" else _dumps(m.to_dict()))
-        return 0
-    if args.word is not None:
-        m = web2_of_tableau(from_word(args.word))
+        m = web2_of_tableau(_read_tableau(args)[0])
     else:
-        m = _read_object(Matching2.from_dict, args.infile)
-    if args.action == "to-tableau":
-        _emit(args, tableau_of_web2(m).word + "\n")
-        return 0
-    folded = fold2(m)
-    _emit(args, svg_of_matching2(folded) if args.format == "svg" else _dumps(folded.to_dict()))
+        if args.word is not None:
+            m = web2_of_tableau(from_word(args.word))
+        else:
+            m = _read_object(Matching2.from_dict, args.infile)
+        if args.action == "to-tableau":
+            _emit(args, tableau_of_web2(m).word + "\n")
+            return 0
+        m = fold2(m)
+    if args.format == "svg":
+        from .render import svg_of_matching2
+
+        _emit(args, svg_of_matching2(m))
+    else:
+        _emit(args, _dumps(m.to_dict()))
     return 0
 
 
 def _cmd_web3(args: argparse.Namespace) -> int:
+    from .planarweb import PlanarWeb
+    from .web3 import crossed_web, domino_of_symmetric_web, tableau_of_web, web_of_tableau
+
     if args.action in ("from-tableau", "crossed"):
         t, _ = _read_tableau(args)
         w = web_of_tableau(t) if args.action == "from-tableau" else crossed_web(t)
-        _emit(args, svg_of_web(w) if args.format == "svg" else _dumps(w.to_dict()))
+        if args.format == "svg":
+            from .render import svg_of_web
+
+            _emit(args, svg_of_web(w))
+        else:
+            _emit(args, _dumps(w.to_dict()))
         return 0
     if args.word is not None:
         w = web_of_tableau(from_word(args.word))
@@ -136,6 +143,8 @@ def _cmd_web3(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .oracle import verify
+
     report = verify(args.theorem, args.max_n)
     if args.format == "json":
         _emit(args, _dumps(report.to_dict()))
@@ -145,6 +154,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
+    from .render import svg_of_json
+
     _emit(args, _read_object(svg_of_json, args.infile))
     return 0
 
@@ -162,12 +173,26 @@ def _rectangle(text: str) -> tuple[int, int]:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    from .oracle import EnumerationFilter, _check_rows, _check_word_limit, enumerate_tableaux
+
     rows, cols = args.shape
     _check_word_limit([(rows, cols)], f"enumerate --shape {rows}x{cols} would list")
     _check_rows(rows)
     filt = EnumerationFilter(Shape((cols,) * rows), args.filter)
     _emit_lines(args, (t.word + "\n" for t in enumerate_tableaux(filt)))
     return 0
+
+
+class _TheoremMetavar:
+    """The metavar of `verify --theorem`: the suite names, which argparse
+    formats only to print usage or help, so other commands never load the
+    oracle.
+    """
+
+    def __str__(self) -> str:
+        from .oracle import THEOREMS
+
+        return f"{{{','.join(THEOREMS)}}}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -204,7 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_web3)
 
     p = sub.add_parser("verify", help="run an exhaustive verification suite")
-    p.add_argument("--theorem", required=True, metavar=f"{{{','.join(THEOREMS)}}}")
+    theorem = p.add_argument("--theorem", required=True)
+    # set after add_argument, which formats the metavar once to check it
+    theorem.metavar = _TheoremMetavar()
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--out")
     p.add_argument("--format", choices=["text", "json"], default="text")

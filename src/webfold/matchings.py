@@ -19,9 +19,13 @@ class Matching2:
     arcs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        n = self.n_pairs
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise TypeError(f"n must be an integer, got {type(n).__name__}")
+        if n < 1:
+            raise ValueError(f"n must be at least 1, got {n}")
         arcs = tuple(sorted((min(a, b), max(a, b)) for a, b in self.arcs))
         object.__setattr__(self, "arcs", arcs)
-        n = self.n_pairs
         ends = [v for arc in arcs for v in arc]
         # compare sizes first, so a huge n never builds a list of 2n entries
         if len(ends) != 2 * n or sorted(ends) != list(range(1, 2 * n + 1)):

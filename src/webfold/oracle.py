@@ -13,12 +13,11 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import chain, islice
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator
 
 from .errors import BoundTooLarge, InvalidWorkerCount, UnknownTheorem
 from .matchings import Matching2, fold2, reflect2, rotate2, web2_of_tableau
@@ -41,6 +40,7 @@ from .planarweb import (
     web_distance,
 )
 from .tableaux import (
+    PREDICATES,
     Shape,
     Tableau,
     evacuate,
@@ -128,9 +128,6 @@ def hook_length_count(shape: tuple[int, ...]) -> int:
         for c in range(length):
             product *= (length - c) + (cols[c] - r) - 1
     return math.factorial(total) // product
-
-
-PREDICATES = ("all", "rotationally-symmetric", "domino")
 
 
 @dataclass(frozen=True)
@@ -491,6 +488,9 @@ def verify(theorem_id: str, max_n: int | None = None) -> VerificationReport:
     failures: list[Failure] = []
     workers = worker_count()
     if workers > 1 and len(words) > 1:
+        # loaded here, so a serial sweep never imports multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for found in pool.map(check, words, chunksize=64):
                 failures.extend(found)

@@ -9,7 +9,6 @@ face walks and rotations are total, but they act as walls for distances.
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -326,6 +325,8 @@ def _canonical_order(
 
 def canonical(w: PlanarWeb) -> CanonicalWebForm:
     """Byte-stable form equal for boundary-label-preserving isomorphic webs."""
+    import hashlib
+
     order, names, rotated = _canonical_order(w)
     origins, walls = w._origins, w._walls
     position = [0] * len(origins)

@@ -8,7 +8,6 @@ pure functions returning new tableaux.
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
@@ -399,6 +398,10 @@ def _rotated_complement_rows(t: Tableau) -> tuple[tuple[int, ...], ...]:
 def rotate180_complement(t: Tableau) -> Tableau:
     """Rotate the rectangle by 180 degrees and complement every entry."""
     return Tableau(t.shape, _rotated_complement_rows(t))
+
+
+# the tableau predicates `enumerate --filter` and the sweeps select by name
+PREDICATES = ("all", "rotationally-symmetric", "domino")
 
 
 def is_rotationally_symmetric(t: Tableau) -> bool:

@@ -2,12 +2,13 @@ import contextlib
 import io
 import json
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from webfold import cli
+from webfold import cli, oracle
 from webfold.cli import main
 from webfold.matchings import web2_of_tableau
 from webfold.tableaux import from_word
@@ -132,7 +133,7 @@ def test_enumerate_writes_each_word_as_it_is_listed(capsys, monkeypatch, tmp_pat
             yield from_word(word)
         raise ValueError("enumeration broke")
 
-    monkeypatch.setattr(cli, "enumerate_tableaux", three_then_fail)
+    monkeypatch.setattr(oracle, "enumerate_tableaux", three_then_fail)
     argv = ["enumerate", "--shape", "3x2"]
     dest = tmp_path / "words.txt"
     if to_file:
@@ -147,7 +148,7 @@ def test_enumerate_checks_the_word_limit_before_listing(monkeypatch):
     def no_enumeration(filt):
         raise AssertionError(f"enumerated {filt.shape.outer}")
 
-    monkeypatch.setattr(cli, "enumerate_tableaux", no_enumeration)
+    monkeypatch.setattr(oracle, "enumerate_tableaux", no_enumeration)
     with pytest.raises(AssertionError, match="enumerated"):
         main(["enumerate", "--shape", "3x7"])
 
@@ -237,6 +238,38 @@ def test_deeply_nested_json_exits_one(capsys, tmp_path):
     src.write_text("[" * 100_000 + "]" * 100_000)
     code, out, err = run(capsys, "render", "--in", str(src))
     assert (code, out, err) == (1, "", f"MalformedInput: {src}: JSON nested too deeply\n")
+
+
+@pytest.mark.parametrize("action", ["fold", "to-tableau"])
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"n": 0, "arcs": []}, "ValueError: n must be at least 1, got 0"),
+        ({"n": True, "arcs": [[1, 2]]}, "TypeError: n must be an integer, got bool"),
+    ],
+)
+def test_matching_needs_a_positive_integer_n(capsys, tmp_path, action, payload, message):
+    src = tmp_path / "m.json"
+    src.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "web2", action, "--in", str(src))
+    assert (code, out, err) == (1, "", f"MalformedInput: {src}: {message}\n")
+
+
+USAGE = json.loads((Path(__file__).parent / "cli_usage.json").read_text())
+
+
+@pytest.mark.parametrize("case", USAGE, ids=[" ".join(c["argv"]) or "(none)" for c in USAGE])
+def test_help_and_usage_bytes(capsys, monkeypatch, case):
+    """Help and usage errors print the same bytes as before the commands
+    loaded their modules lazily (argparse of Python 3.11, 80 columns).
+    """
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(case["argv"])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (case["code"], case["stdout"], case["stderr"])
 
 
 @pytest.mark.parametrize("argv", [["web3", "to-tableau"], ["render"]])

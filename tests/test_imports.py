@@ -1,0 +1,81 @@
+"""Which modules a one-shot CLI call loads.
+
+Each case runs in a fresh interpreter, since this test process has long
+since imported the whole package.  `random` and `typing` are not checked:
+`site` may load them before any webfold code runs.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from webfold.tableaux import from_word
+from webfold.web3 import web_of_tableau
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+CALL_CLI = """
+import contextlib, io, sys
+from webfold import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(*sys.modules)
+sys.exit(code)
+"""
+
+IMPORT_ORACLE = """
+import sys
+import webfold.oracle
+print(*sys.modules)
+"""
+
+
+def loaded_after(code: str, *argv: str) -> set[str]:
+    """The modules a fresh interpreter holds after running code, which must exit 0."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("WEBFOLD_WORKERS", None)
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True
+    )
+    return set(done.stdout.split())
+
+
+def webfold_modules(modules: set[str]) -> set[str]:
+    return {m.removeprefix("webfold.") for m in modules if m.startswith("webfold.")}
+
+
+def test_op_loads_only_tableaux():
+    modules = loaded_after(CALL_CLI, "op", "--apply", "promote", "--word", "112233")
+    assert webfold_modules(modules) == {"cli", "errors", "tableaux"}
+    assert not modules & {"concurrent.futures", "fractions", "hashlib"}
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["web2", "from-tableau", "--word", "112212"], {"cli", "errors", "tableaux", "matchings"}),
+        (
+            ["web2", "from-tableau", "--word", "112212", "--format", "svg"],
+            {"cli", "errors", "tableaux", "matchings", "mdiagram", "planarweb", "render"},
+        ),
+        (
+            ["web3", "to-tableau", "--in", "{web}"],
+            {"cli", "errors", "tableaux", "matchings", "mdiagram", "planarweb", "web3"},
+        ),
+    ],
+)
+def test_web_commands_load_what_they_run(tmp_path, argv, expected):
+    web = tmp_path / "w.json"
+    web.write_text(json.dumps(web_of_tableau(from_word("112233")).to_dict()))
+    modules = loaded_after(CALL_CLI, *(a.format(web=web) for a in argv))
+    assert webfold_modules(modules) == expected
+    assert "concurrent.futures" not in modules
+
+
+def test_oracle_loads_no_process_pool():
+    modules = loaded_after(IMPORT_ORACLE)
+    assert "concurrent.futures" not in modules

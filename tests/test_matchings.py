@@ -50,6 +50,12 @@ def test_matching_validation():
         Matching2(2, ((1, 3), (2, 4)))
     with pytest.raises(ValueError):
         Matching2(2, ((1, 2), (3, 3)))
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            Matching2(n, ())
+    for n in (True, 2.0, "2", None):
+        with pytest.raises(TypeError, match="n must be an integer"):
+            Matching2(n, ((1, 2), (3, 4)))
 
 
 def test_reflect_fixes_symmetric_example():
