@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 
 from .errors import ConcurrentArcs, InvalidBoundaryDegrees, UnknownFace
-from .planarweb import ARC, BOUNDARY, INTERSECTION, Edge, PlanarWeb, boundary_face
+from .planarweb import ARC, BOUNDARY, INTERSECTION, PlanarWeb, boundary_face
 
 FIRST = "first"
 SECOND = "second"
@@ -293,7 +293,9 @@ def _resolve(m: MDiagram) -> Resolution:
     e_head += [k % n + 1 for k in range(1, n + 1)]
     edge_arcs += [()] * n
     tags = [ARC] * first_int + [INTERSECTION] * len(found) + [BOUNDARY] * n
-    edges = tuple(map(Edge, e_tail, e_head, tags))
+    origins = [0] * (2 * len(e_tail))
+    origins[0::2] = e_tail
+    origins[1::2] = e_head
 
     rotation: dict[int, tuple[int, ...]] = {}
     for k in range(1, n + 1):
@@ -315,7 +317,7 @@ def _resolve(m: MDiagram) -> Resolution:
         rotation[cross_w[t]] = (da + 1, db + 1, g)
 
     web = PlanarWeb(
-        n, edges, rotation, partial(_layout, m.boundary, ends, heads, sinks, found)
+        n, origins, tags, rotation, partial(_layout, m.boundary, ends, heads, sinks, found)
     )
     return Resolution(web, m.arcs, tuple(edge_arcs), tuple(pair_edge_arcs))
 

@@ -5,6 +5,12 @@ and 2i+1 (at its head), and every vertex lists its darts in
 counterclockwise order.  Boundary vertices are labeled 1..N and joined in
 a circle by edges tagged "boundary"; those edges close the disk so that
 face walks and rotations are total, but they act as walls for distances.
+
+The edges are stored as two flat lists: `origins`, the origin vertex of
+every dart, and `tags`, one per edge.  `PlanarWeb.edges`, the same edges
+as `Edge` objects, is built on first read.  A canonical form compares and
+hashes as the nested tuple it is built from; its bytes and its sha256
+digest are computed on first read.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from .errors import UnknownFace
 BOUNDARY = "boundary"
 ARC = "arc"
 INTERSECTION = "intersection"
+TAGS = (ARC, BOUNDARY, INTERSECTION)
 
 
 @dataclass(frozen=True)
@@ -31,17 +38,24 @@ class Edge:
 @dataclass(frozen=True, eq=False)
 class PlanarWeb:
     n_boundary: int
-    edges: tuple[Edge, ...]
+    # the origin of every dart: the tail of edge i at 2i, its head at 2i+1
+    origins: list[int]
+    # one tag per edge: ARC, BOUNDARY or INTERSECTION
+    tags: list[str]
     rotation: dict[int, tuple[int, ...]]
     # computes the drawing coordinates when `layout` is first read
     _draw: Callable[[], dict[int, tuple[Fraction, Fraction]] | None] | None = None
 
     def origin(self, d: int) -> int:
-        e = self.edges[d // 2]
-        return e.tail if d % 2 == 0 else e.head
+        return self.origins[d]
 
     def dart_edge(self, d: int) -> Edge:
         return self.edges[d // 2]
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges as `Edge` objects, built on first read."""
+        return tuple(map(Edge, self.origins[0::2], self.origins[1::2], self.tags))
 
     @cached_property
     def layout(self) -> dict[int, tuple[Fraction, Fraction]] | None:
@@ -49,14 +63,9 @@ class PlanarWeb:
         return self._draw() if self._draw else None
 
     @cached_property
-    def _origins(self) -> list[int]:
-        """The origin of every dart: the tail of edge i at 2i, its head at 2i+1."""
-        return [v for e in self.edges for v in (e.tail, e.head)]
-
-    @cached_property
     def _walls(self) -> list[bool]:
         """Per edge, whether it is a boundary edge (a wall for distances)."""
-        return [e.tag == BOUNDARY for e in self.edges]
+        return [t == BOUNDARY for t in self.tags]
 
     @cached_property
     def face_table(self) -> FaceTable:
@@ -86,35 +95,56 @@ class PlanarWeb:
     def from_dict(cls, d: dict) -> "PlanarWeb":
         """The web of a JSON form, whose rotation system must be a map.
 
-        Every dart is listed once, at its own origin, and every boundary
-        vertex is present.  Webs built in the package skip this check.
+        `n` is an integer of at least 1, every endpoint and dart is an
+        integer, and every tag is one of TAGS.  Every dart is listed once,
+        at its own origin, and every boundary vertex is present.  Webs
+        built in the package skip this check.
         """
-        edges = tuple(Edge(e["from"], e["to"], e["tag"]) for e in d["edges"])
-        rotation = {int(v): tuple(ds) for v, ds in d["rotation"].items()}
+        n = _integer("n", d["n"])
+        if n < 1:
+            raise ValueError(f"n must be at least 1, got {n}")
+        origins: list[int] = []
+        tags: list[str] = []
+        for e in d["edges"]:
+            origins.append(_integer("edge endpoint", e["from"]))
+            origins.append(_integer("edge endpoint", e["to"]))
+            tag = e["tag"]
+            if tag not in TAGS:
+                raise ValueError(f"unknown edge tag {tag!r}")
+            tags.append(tag)
+        rotation = {
+            int(v): tuple(_integer("dart", dart) for dart in ds)
+            for v, ds in d["rotation"].items()
+        }
         layout = None
         if "layout" in d:
             layout = {
                 int(v): (Fraction(x), Fraction(y))
                 for v, (x, y) in d["layout"].items()
             }
-        # a partial rather than a lambda, so that the web still pickles
-        w = cls(d["n"], edges, rotation, None if layout is None else partial(dict, layout))
         seen: dict[int, int] = {}
         for v, darts in rotation.items():
             for dart in darts:
                 if dart in seen:
                     raise ValueError(f"dart {dart} listed twice")
                 seen[dart] = v
-        if sorted(seen) != list(range(2 * len(edges))):
+        if sorted(seen) != list(range(len(origins))):
             raise ValueError("rotation darts do not cover the edge list")
-        origins = w._origins
         for dart, v in seen.items():
             if origins[dart] != v:
                 raise ValueError(f"dart {dart} listed at {v}, not its endpoint")
-        for k in range(1, w.n_boundary + 1):
+        for k in range(1, n + 1):
             if k not in rotation:
                 raise ValueError(f"boundary vertex {k} missing")
-        return w
+        # a partial rather than a lambda, so that the web still pickles
+        return cls(n, origins, tags, rotation, None if layout is None else partial(dict, layout))
+
+
+def _integer(what: str, x) -> int:
+    """x, if it is an int and not a bool; else a TypeError naming what it is."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise TypeError(f"{what} must be an integer, got {type(x).__name__}")
+    return x
 
 
 class FaceTable:
@@ -128,7 +158,7 @@ class FaceTable:
     """
 
     def __init__(self, w: PlanarWeb) -> None:
-        origins, wall = w._origins, w._walls
+        origins, wall = w.origins, w._walls
         prev = [0] * len(origins)
         for rot in w.rotation.values():
             for i, d in enumerate(rot):
@@ -243,7 +273,7 @@ def validate_3web(w: PlanarWeb) -> WebReport:
     """Check the defining conditions; violations are reported, not raised."""
     bad: list[str] = []
     n = w.n_boundary
-    origins, walls = w._origins, w._walls
+    origins, walls = w.origins, w._walls
     if n % 3 != 0 or n == 0:
         bad.append(f"boundary count {n} is not a positive multiple of 3")
     for k in range(1, n + 1):
@@ -279,10 +309,30 @@ def validate_3web(w: PlanarWeb) -> WebReport:
     return WebReport(not bad, tuple(bad))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class CanonicalWebForm:
-    serialization: bytes
-    digest: str
+    """A canonical form; it compares and hashes as its nested tuple `key`.
+
+    `repr` is injective on tuples of ints and the strings 'b' and 'w', so
+    two forms are equal exactly when their serializations are.
+    """
+
+    key: tuple
+
+    @cached_property
+    def serialization(self) -> bytes:
+        """The bytes of repr(key), computed on first read."""
+        return repr(self.key).encode()
+
+    @cached_property
+    def digest(self) -> str:
+        """The sha256 of the serialization, in hex, computed on first read."""
+        import hashlib
+
+        return hashlib.sha256(self.serialization).hexdigest()
+
+    def __repr__(self) -> str:
+        return f"CanonicalWebForm(serialization={self.serialization!r}, digest={self.digest!r})"
 
 
 def _canonical_order(
@@ -294,7 +344,7 @@ def _canonical_order(
     other vertex starts at the twin of the dart it was first reached by.
     """
     n = w.n_boundary
-    origins, walls = w._origins, w._walls
+    origins, walls = w.origins, w._walls
     names = {k: k for k in range(1, n + 1)}
     start: dict[int, int] = {}
     for k in range(1, n + 1):
@@ -325,10 +375,8 @@ def _canonical_order(
 
 def canonical(w: PlanarWeb) -> CanonicalWebForm:
     """Byte-stable form equal for boundary-label-preserving isomorphic webs."""
-    import hashlib
-
     order, names, rotated = _canonical_order(w)
-    origins, walls = w._origins, w._walls
+    origins, walls = w.origins, w._walls
     position = [0] * len(origins)
     for v in order:
         for i, d in enumerate(rotated[v]):
@@ -344,34 +392,26 @@ def canonical(w: PlanarWeb) -> CanonicalWebForm:
             out = 0 if wall else (1 if d % 2 == 0 else 2)
             row.append((names[origins[d ^ 1]], kind, out, position[d ^ 1]))
         entries.append((names[v], tuple(row)))
-    blob = repr((w.n_boundary, tuple(entries))).encode()
-    return CanonicalWebForm(blob, hashlib.sha256(blob).hexdigest())
+    return CanonicalWebForm((w.n_boundary, tuple(entries)))
 
 
 def rotate(w: PlanarWeb) -> PlanarWeb:
-    """Relabel boundary vertices k to k-1 (label 1 wraps to N)."""
+    """Relabel boundary vertices k to k-1 (label 1 wraps to N); tags are shared."""
     n = w.n_boundary
-
-    def m(v: int) -> int:
-        if 1 <= v <= n:
-            return v - 1 if v > 1 else n
-        return v
-
-    edges = tuple(Edge(m(e.tail), m(e.head), e.tag) for e in w.edges)
-    rotation = {m(v): rot for v, rot in w.rotation.items()}
-    return PlanarWeb(n, edges, rotation)
+    # only 1..N move: vertices read from JSON may be 0 or negative
+    get = {k: k - 1 if k > 1 else n for k in range(1, n + 1)}.get
+    origins = [get(v, v) for v in w.origins]
+    rotation = {get(v, v): rot for v, rot in w.rotation.items()}
+    return PlanarWeb(n, origins, w.tags, rotation)
 
 
 def reflect(w: PlanarWeb) -> PlanarWeb:
-    """Mirror: relabel k to N+1-k and reverse every rotation order."""
+    """Mirror: relabel k to N+1-k and reverse every rotation order; tags are shared."""
     n = w.n_boundary
-
-    def m(v: int) -> int:
-        return n + 1 - v if 1 <= v <= n else v
-
-    edges = tuple(Edge(m(e.tail), m(e.head), e.tag) for e in w.edges)
-    rotation = {m(v): tuple(reversed(rot)) for v, rot in w.rotation.items()}
-    return PlanarWeb(n, edges, rotation)
+    get = {k: n + 1 - k for k in range(1, n + 1)}.get
+    origins = [get(v, v) for v in w.origins]
+    rotation = {get(v, v): rot[::-1] for v, rot in w.rotation.items()}
+    return PlanarWeb(n, origins, w.tags, rotation)
 
 
 def is_symmetrical(w: PlanarWeb) -> bool:

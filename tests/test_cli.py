@@ -209,6 +209,28 @@ def test_outputs_are_byte_stable(capsys):
     assert first == second
 
 
+def tripod_json(n=3, edge=(0, {}), dart0=None):
+    """The tripod's JSON with n, fields of one edge, or the first dart at 4 replaced."""
+    web = tripod().to_dict()
+    web["n"] = n
+    web["edges"][edge[0]].update(edge[1])
+    if dart0 is not None:
+        web["rotation"]["4"][0] = dart0
+    return web
+
+
+# each passed the checks of PlanarWeb.from_dict before they required integers and known tags
+BAD_WEBS = [
+    tripod_json(n=True),
+    tripod_json(n=0),
+    tripod_json(n=-3),
+    tripod_json(edge=(0, {"from": True})),
+    tripod_json(edge=(5, {"to": True})),
+    tripod_json(edge=(0, {"tag": "zigzag"})),
+    tripod_json(dart0=True),
+]
+
+
 @pytest.mark.parametrize(
     "argv, payload",
     [
@@ -223,6 +245,8 @@ def test_outputs_are_byte_stable(capsys):
         (["render"], {"boundary": [], "arcs": [{"tail": "a\nb", "head": "c"}]}),
         (["render"], {"boundary": [{"label": "1", "x": "1"}, {"label": "2", "x": "1e400"}],
                       "arcs": [{"tail": "1", "head": "2"}]}),
+        *((argv, web) for argv in (["web3", "to-tableau"], ["web3", "to-domino"], ["render"])
+          for web in BAD_WEBS),
     ],
 )
 def test_malformed_json_exits_one(capsys, tmp_path, argv, payload):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from webfold.errors import UnknownFace
@@ -16,7 +18,18 @@ from webfold.planarweb import (
     validate_3web,
     web_distance,
 )
-from webs import checked_web, tripod
+from webs import checked_web, golden_webs, tripod
+
+# sha256 over serialization + digest of the canonical forms of golden_webs(),
+# in order, and the repr of the tripod's form
+GOLDEN_FORMS_SHA256 = "ca273287400d653171b327efad7df71080598f8acc71c1655142869c0794b8de"
+TRIPOD_FORM_REPR = (
+    "CanonicalWebForm(serialization=b\"(3, ((1, ((2, 'b', 0, 2), (4, 'w', 1, 0), "
+    "(3, 'b', 0, 0))), (2, ((3, 'b', 0, 2), (4, 'w', 1, 1), (1, 'b', 0, 0))), "
+    "(3, ((1, 'b', 0, 2), (4, 'w', 1, 2), (2, 'b', 0, 0))), "
+    "(4, ((1, 'w', 2, 1), (2, 'w', 2, 1), (3, 'w', 2, 1)))))\", "
+    "digest='7520e7813055ce64f61df3ece8784b7ed711b172146d19c6fc3583349b2a4a4a')"
+)
 
 
 def square_web() -> PlanarWeb:
@@ -137,3 +150,20 @@ def test_json_round_trip():
     w = square_web()
     again = PlanarWeb.from_dict(w.to_dict())
     assert canonical(again) == canonical(w)
+
+
+def test_canonical_bytes_are_pinned():
+    forms = [canonical(w) for w in golden_webs()]
+    pinned = hashlib.sha256()
+    for f in forms:
+        pinned.update(f.serialization + f.digest.encode())
+    assert pinned.hexdigest() == GOLDEN_FORMS_SHA256
+    assert repr(canonical(tripod())) == TRIPOD_FORM_REPR
+    # neighbours in golden_webs(): a web, its rotation, its reflection, its
+    # JSON round trip (equal to the web), then the next web
+    pairs = [(a, b) for k in range(1, 5) for a, b in zip(forms, forms[k:])]
+    assert any(a == b for a, b in pairs) and any(a != b for a, b in pairs)
+    for a, b in pairs:
+        assert (a == b) == (a.serialization == b.serialization)
+        if a == b:
+            assert hash(a) == hash(b)

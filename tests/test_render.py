@@ -1,12 +1,18 @@
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
 from webfold.matchings import web2_of_tableau
-from webfold.planarweb import PlanarWeb
 from webfold.render import svg_of_json, svg_of_matching2, svg_of_mdiagram, svg_of_web
 from webfold.tableaux import fold, from_word
 from webfold.web3 import crossed_mdiagram, mdiagram_of_tableau, web_of_tableau
+from webs import golden_webs
 
 CHAIN_WORD = "111122213132223333"
+# sha256 over the sorted-key JSON and the SVG of every web of golden_webs(), in order
+GOLDEN_WEB_BYTES_SHA256 = "b009b95cb26e096f14d14db4f3279e0a5f7c2f2d0528614f5dcbc314d79baa2f"
 
 
 def test_mdiagram_svg_marks_crossings():
@@ -29,7 +35,7 @@ def test_diagram_markers_match_crossing_count():
 def test_web_svg_uses_stored_layout_and_fallback():
     w = web_of_tableau(from_word("112233"))
     with_layout = svg_of_web(w)
-    stripped = PlanarWeb(w.n_boundary, w.edges, w.rotation)
+    stripped = dataclasses.replace(w, _draw=None)
     relaxed = svg_of_web(stripped)
     for svg in (with_layout, relaxed):
         assert svg.count("<line") == len(w.edges)
@@ -51,3 +57,11 @@ def test_json_dispatch():
     assert svg_of_json(m2.to_dict()) == svg_of_matching2(m2)
     with pytest.raises(ValueError):
         svg_of_json({"rows": [[1, 2]]})
+
+
+def test_web_json_and_svg_bytes_are_pinned():
+    pinned = hashlib.sha256()
+    for w in golden_webs():
+        pinned.update(json.dumps(w.to_dict(), sort_keys=True).encode())
+        pinned.update(svg_of_web(w).encode())
+    assert pinned.hexdigest() == GOLDEN_WEB_BYTES_SHA256

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+from functools import cached_property
 
 import pytest
 
@@ -16,6 +17,7 @@ from webfold.mdiagram import crossings
 from webfold.oracle import enumerate_words
 from webfold.planarweb import (
     BOUNDARY,
+    CanonicalWebForm,
     Edge,
     PlanarWeb,
     boundary_face,
@@ -296,3 +298,34 @@ def test_layout_is_computed_on_first_read(monkeypatch):
     for moved in (rotate(w), reflect(w)):
         assert moved.layout is None and "layout" not in moved.to_dict()
     assert PlanarWeb.from_dict(w.to_dict()).to_dict() == w.to_dict()
+
+
+def test_edges_and_form_bytes_are_built_on_first_read(monkeypatch):
+    built = {"edges": 0, "serialization": 0, "digest": 0}
+    real_init = Edge.__init__
+
+    def counting_init(self, *args):
+        built["edges"] += 1
+        real_init(self, *args)
+
+    monkeypatch.setattr(Edge, "__init__", counting_init)
+    for name in ("serialization", "digest"):
+        real = getattr(CanonicalWebForm, name).func
+
+        def counting(form, real=real, name=name):
+            built[name] += 1
+            return real(form)
+
+        prop = cached_property(counting)
+        prop.__set_name__(CanonicalWebForm, name)
+        monkeypatch.setattr(CanonicalWebForm, name, prop)
+    t = from_word("111223233")
+    w = web_of_tableau(t)
+    assert validate_3web(reflect(w)).ok
+    assert tableau_of_web(w) == t
+    a, b = canonical(rotate(w)), canonical(web_of_tableau(promote(t)))
+    assert a == b and a != canonical(w)
+    assert built == {"edges": 0, "serialization": 0, "digest": 0}
+    assert w.edges is w.edges and len(w.edges) == len(w.tags)
+    assert a.digest == a.digest and a.serialization == a.serialization
+    assert built == {"edges": len(w.tags), "serialization": 1, "digest": 1}
