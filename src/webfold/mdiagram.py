@@ -1,12 +1,13 @@
 """Directed arc diagrams over a boundary line, and their resolution.
 
-Arcs are exact semicircles over rational abscissas, so crossing positions
-and all ordering predicates are rational arithmetic.  Resolution replaces
-each degree-2 boundary sink with a fed internal sink and each crossing
-with a source/sink pair joined by an intersection edge, yielding a
-planar web together with the bookkeeping (which arcs an edge toggles,
-which edge resolves which intersecting pair) needed for arc-set
-distances.
+Arcs name their ends by boundary position 1..N, as web vertices do; the
+labels are read only by JSON, SVG and error messages.  Arcs are exact
+semicircles over rational abscissas, so crossing positions and all
+ordering predicates are rational arithmetic.  Resolution replaces each
+degree-2 boundary sink with a fed internal sink and each crossing with a
+source/sink pair joined by an intersection edge, yielding a planar web
+together with the bookkeeping (which arcs an edge toggles, which edge
+resolves which intersecting pair) needed for arc-set distances.
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ class BoundaryVertex:
 
 @dataclass(frozen=True)
 class Arc:
-    tail: str
-    head: str
+    # boundary positions 1..N
+    tail: int
+    head: int
     kind: str = FIRST
     crossed: bool = False
 
@@ -51,36 +53,26 @@ class MDiagram:
         xs = [b.x for b in self.boundary]
         if any(xs[i] >= xs[i + 1] for i in range(len(xs) - 1)):
             raise ValueError("boundary abscissas must strictly increase")
-        known = set(labels)
+        n = len(xs)
         for a in self.arcs:
             if a.tail == a.head:
                 raise ValueError("arc endpoints must be distinct")
-            if a.tail not in known or a.head not in known:
+            if not (1 <= a.tail <= n and 1 <= a.head <= n):
                 raise ValueError(f"arc ({a.tail}, {a.head}) leaves the boundary")
-
-    @cached_property
-    def positions(self) -> dict[str, int]:
-        """Each boundary label's position 1..N, left to right."""
-        return {b.label: p for p, b in enumerate(self.boundary, start=1)}
 
     @cached_property
     def resolution(self) -> Resolution:
         """The resolved web and its bookkeeping, built on first use."""
         return _resolve(self)
 
-    def x_of(self, label: str) -> Fraction | int:
-        try:
-            return self.boundary[self.positions[label] - 1].x
-        except KeyError:
-            raise ValueError(f"no boundary vertex {label}") from None
-
     def to_dict(self) -> dict:
+        labels = [b.label for b in self.boundary]
         return {
             "boundary": [{"label": b.label, "x": str(b.x)} for b in self.boundary],
             "arcs": [
                 {
-                    "tail": a.tail,
-                    "head": a.head,
+                    "tail": labels[a.tail - 1],
+                    "head": labels[a.head - 1],
                     "kind": a.kind,
                     "crossed": a.crossed,
                 }
@@ -90,14 +82,35 @@ class MDiagram:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MDiagram":
-        boundary = tuple(
-            BoundaryVertex(b["label"], Fraction(b["x"])) for b in d["boundary"]
-        )
-        arcs = tuple(
-            Arc(a["tail"], a["head"], a.get("kind", FIRST), a.get("crossed", False))
-            for a in d["arcs"]
-        )
+        """The diagram of a JSON form, whose arcs name their ends by label."""
+        boundary = tuple(BoundaryVertex(b["label"], _abscissa(b["x"])) for b in d["boundary"])
+        ends = [(a["tail"], a["head"], a.get("kind", FIRST), a.get("crossed", False))
+                for a in d["arcs"]]
+        cls(boundary, ())  # checks the boundary before any arc
+        for b in boundary:
+            if not isinstance(b.label, str):
+                raise TypeError(f"label must be a string, got {type(b.label).__name__}")
+        position = {b.label: p for p, b in enumerate(boundary, start=1)}
+        arcs = []
+        for tail, head, kind, crossed in ends:
+            if tail == head:
+                raise ValueError("arc endpoints must be distinct")
+            if tail not in position or head not in position:
+                raise ValueError(f"arc ({tail}, {head}) leaves the boundary")
+            if kind not in (FIRST, SECOND):
+                raise ValueError(f"arc kind must be {FIRST!r} or {SECOND!r}, got {kind!r}")
+            if not isinstance(crossed, bool):
+                raise TypeError(f"crossed must be a boolean, got {type(crossed).__name__}")
+            arcs.append(Arc(position[tail], position[head], kind, crossed))
         return cls(boundary, arcs)
+
+
+def _abscissa(x) -> Fraction:
+    """x as a Fraction, if it is a string or an int and not a bool."""
+    value = Fraction(x)
+    if not isinstance(x, (str, int)) or isinstance(x, bool):
+        raise TypeError(f"x must be a string or an integer, got {type(x).__name__}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -116,11 +129,7 @@ def _crossing_pairs(m: MDiagram) -> list[tuple[int, int, int, int]]:
     denominator.  Raises ConcurrentArcs if three arcs pass through one point.
     """
     # abscissas strictly increase, so boundary positions order them exactly
-    position = m.positions
-    spans = []
-    for a in m.arcs:
-        p, q = position[a.tail], position[a.head]
-        spans.append((p, q) if p < q else (q, p))
+    spans = [(a.tail, a.head) if a.tail < a.head else (a.head, a.tail) for a in m.arcs]
     scale = math.lcm(*(b.x.denominator for b in m.boundary))
     bx = [b.x.numerator * (scale // b.x.denominator) for b in m.boundary]
     found = []
@@ -145,9 +154,8 @@ def _crossing_pairs(m: MDiagram) -> list[tuple[int, int, int, int]]:
             per_arc.setdefault(m.arcs[j], []).append(key)
         for arc, xs in per_arc.items():
             if len(set(xs)) != len(xs):
-                raise ConcurrentArcs(
-                    f"three arcs meet at one point on ({arc.tail}, {arc.head})"
-                )
+                tail, head = m.boundary[arc.tail - 1].label, m.boundary[arc.head - 1].label
+                raise ConcurrentArcs(f"three arcs meet at one point on ({tail}, {head})")
     return [(i, j, num, den) for _, i, j, num, den in ranked]
 
 
@@ -217,8 +225,7 @@ class Resolution:
 def _resolve(m: MDiagram) -> Resolution:
     # boundary vertices are named by position 1..n, arcs by index in m.arcs
     n = len(m.boundary)
-    position = m.positions
-    ends = [(position[a.tail], position[a.head]) for a in m.arcs]
+    ends = [(a.tail, a.head) for a in m.arcs]
     tails: list[list[int]] = [[] for _ in range(n + 1)]
     heads: list[list[int]] = [[] for _ in range(n + 1)]
     for i, (p, q) in enumerate(ends):
@@ -394,23 +401,16 @@ def coherent_separators(
     return frozenset(out)
 
 
-def mirror_label(label: str) -> str:
-    if label == "0":
-        return label
-    return label[:-1] if label.endswith("'") else label + "'"
-
-
-def mirror_arc(a: Arc) -> Arc:
-    return Arc(mirror_label(a.tail), mirror_label(a.head), a.kind, a.crossed)
+def mirror_arc(a: Arc, n: int) -> Arc:
+    """The mirror image over n boundary points, p to n + 1 - p: k to k' on a crossed diagram."""
+    return Arc(n + 1 - a.tail, n + 1 - a.head, a.kind, a.crossed)
 
 
 def reflected_face(m: MDiagram, face: frozenset[int]) -> frozenset[int]:
     """The face whose arc set is the mirror image of this one's."""
-    table = m.resolution.face_arcs
-    if face not in table:
-        raise UnknownFace("not an inner face of the resolved diagram")
-    want = frozenset(mirror_arc(a) for a in table[face])
-    for f, s in table.items():
+    n = len(m.boundary)
+    want = frozenset(mirror_arc(a, n) for a in arcs_above(m, face))
+    for f, s in m.resolution.face_arcs.items():
         if s == want:
             return f
     raise UnknownFace("diagram has no mirror of this face")
@@ -420,10 +420,11 @@ def epsilon(m: MDiagram, face: frozenset[int]) -> int:
     """1 if the face is between some vertical pair of crossed arcs."""
     above = arcs_above(m, face)
     present = set(m.arcs)
+    n = len(m.boundary)
     for a in m.arcs:
         if not a.crossed:
             continue
-        partner = mirror_arc(a)
+        partner = mirror_arc(a, n)
         if partner not in present:
             continue
         if (a in above) != (partner in above):

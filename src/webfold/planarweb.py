@@ -46,12 +46,6 @@ class PlanarWeb:
     # computes the drawing coordinates when `layout` is first read
     _draw: Callable[[], dict[int, tuple[Fraction, Fraction]] | None] | None = None
 
-    def origin(self, d: int) -> int:
-        return self.origins[d]
-
-    def dart_edge(self, d: int) -> Edge:
-        return self.edges[d // 2]
-
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
         """The edges as `Edge` objects, built on first read."""
@@ -96,9 +90,10 @@ class PlanarWeb:
         """The web of a JSON form, whose rotation system must be a map.
 
         `n` is an integer of at least 1, every endpoint and dart is an
-        integer, and every tag is one of TAGS.  Every dart is listed once,
-        at its own origin, and every boundary vertex is present.  Webs
-        built in the package skip this check.
+        integer, every tag is one of TAGS, and every rotation and layout
+        key is an integer written as `str` writes it.  Every dart is
+        listed once, at its own origin, and every boundary vertex is
+        present.  Webs built in the package skip this check.
         """
         n = _integer("n", d["n"])
         if n < 1:
@@ -113,13 +108,13 @@ class PlanarWeb:
                 raise ValueError(f"unknown edge tag {tag!r}")
             tags.append(tag)
         rotation = {
-            int(v): tuple(_integer("dart", dart) for dart in ds)
+            _key("rotation", v): tuple(_integer("dart", dart) for dart in ds)
             for v, ds in d["rotation"].items()
         }
         layout = None
         if "layout" in d:
             layout = {
-                int(v): (Fraction(x), Fraction(y))
+                _key("layout", v): (Fraction(x), Fraction(y))
                 for v, (x, y) in d["layout"].items()
             }
         seen: dict[int, int] = {}
@@ -138,6 +133,14 @@ class PlanarWeb:
                 raise ValueError(f"boundary vertex {k} missing")
         # a partial rather than a lambda, so that the web still pickles
         return cls(n, origins, tags, rotation, None if layout is None else partial(dict, layout))
+
+
+def _key(what: str, key) -> int:
+    """The vertex a JSON key names; "04", " +1" or "٤" would alias "4" and "1"."""
+    v = int(key)
+    if str(v) != key:
+        raise ValueError(f"{what} key {key!r} must be written {str(v)!r}")
+    return v
 
 
 def _integer(what: str, x) -> int:

@@ -7,6 +7,7 @@ embedding otherwise.  Output is plain SVG text, byte-stable across runs.
 
 from __future__ import annotations
 
+import html
 import math
 
 from .matchings import Matching2
@@ -48,11 +49,12 @@ def _semicircle(x1: float, y: float, x2: float, stroke: str, dashed: bool) -> st
 
 
 def svg_of_mdiagram(m: MDiagram) -> str:
-    xs = [float(b.x) for b in m.boundary]
+    bx = [b.x for b in m.boundary]
+    xs = [float(x) for x in bx]
     lo, hi = min(xs), max(xs)
     max_r = 0.5
     for a in m.arcs:
-        max_r = max(max_r, abs(float(m.x_of(a.head) - m.x_of(a.tail))) / 2)
+        max_r = max(max_r, abs(float(bx[a.head - 1] - bx[a.tail - 1])) / 2)
     base = MARGIN + max_r * SCALE
 
     def px(x: float) -> float:
@@ -63,12 +65,11 @@ def svg_of_mdiagram(m: MDiagram) -> str:
         f'y2="{_fmt(base)}" stroke="#999" stroke-width="1"/>'
     ]
     for a in m.arcs:
-        x1, x2 = float(m.x_of(a.tail)), float(m.x_of(a.head))
+        x1, x2 = float(bx[a.tail - 1]), float(bx[a.head - 1])
         stroke = "#000000" if a.kind == FIRST else "#1f6fb2"
         body.append(_semicircle(px(x1), base, px(x2), stroke, a.crossed))
     for c in crossings(m):
-        x1 = float(m.x_of(c.arc_a.tail))
-        x2 = float(m.x_of(c.arc_a.head))
+        x1, x2 = float(bx[c.arc_a.tail - 1]), float(bx[c.arc_a.head - 1])
         center, r = (x1 + x2) / 2, abs(x2 - x1) / 2
         x = float(c.x)
         y = math.sqrt(max(r * r - (x - center) ** 2, 0.0))
@@ -81,7 +82,8 @@ def svg_of_mdiagram(m: MDiagram) -> str:
         body.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(base)}" r="2.5" fill="#000"/>')
         body.append(
             f'<text x="{_fmt(x)}" y="{_fmt(base + 16)}" font-size="11" '
-            f'text-anchor="middle" font-family="sans-serif">{b.label}</text>'
+            'text-anchor="middle" font-family="sans-serif">'
+            f"{html.escape(b.label, quote=False)}</text>"
         )
     return _document(px(hi) + MARGIN, base + MARGIN, body)
 

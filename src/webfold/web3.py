@@ -30,7 +30,6 @@ from .mdiagram import (
     BoundaryVertex,
     MDiagram,
     mirror_arc,
-    mirror_label,
     resolve,
 )
 from .planarweb import PlanarWeb, boundary_face, is_symmetrical, validate_3web, web_distance
@@ -47,14 +46,22 @@ def _require_3xn(t: Tableau) -> int:
     return outer[0]
 
 
+def _arcs(rows: tuple[tuple[int, ...], ...], low: tuple[int, ...], shift: int) -> list[Arc]:
+    """First arcs from rows 1-2 pointing right, then second arcs from `low`
+    (row 2 as the second arcs see it) to row 3 pointing left; entry k sits
+    at boundary position k + shift.
+    """
+    r1, r2, r3 = (set(row) for row in rows)
+    arcs = [Arc(o + shift, c + shift, FIRST) for o, c in _pair(r1, r2)]
+    arcs += [Arc(c + shift, o + shift, SECOND) for o, c in _pair(set(low), r3)]
+    return arcs
+
+
 def mdiagram_of_tableau(t: Tableau) -> MDiagram:
     """First arcs from rows 1-2 pointing right, second arcs from rows 2-3 pointing left."""
     n = _require_3xn(t)
-    r1, r2, r3 = (set(row) for row in t.rows)
-    arcs = [Arc(str(o), str(c), FIRST) for o, c in _pair(r1, r2)]
-    arcs += [Arc(str(c), str(o), SECOND) for o, c in _pair(r2, r3)]
     boundary = tuple(BoundaryVertex(str(i), i) for i in range(1, 3 * n + 1))
-    return MDiagram(boundary, tuple(arcs))
+    return MDiagram(boundary, tuple(_arcs(t.rows, t.rows[1], 0)))
 
 
 def web_of_tableau(t: Tableau) -> PlanarWeb:
@@ -230,57 +237,44 @@ def decompose_blocks(d: Tableau) -> DominoDecomposition:
     )
 
 
-def _base_reflected_arcs(dec: DominoDecomposition) -> list[Arc]:
-    c = dec.compression
-    r1, r2 = set(c.rows[0]), set(c.rows[1])
-    if dec.compression0 is not None:
-        r2_low, r3 = set(dec.compression0[1]), set(dec.compression0[2])
-    else:
-        r2_low, r3 = r2, set(c.rows[2])
-    arcs = [Arc(str(o), str(h), FIRST) for o, h in _pair(r1, r2)]
-    arcs += [Arc(str(h), str(o), SECOND) for o, h in _pair(r2_low, r3)]
-    return arcs + [mirror_arc(a) for a in arcs]
-
-
 def crossed_mdiagram(d: Tableau) -> MDiagram:
     """The reflected compression diagram with each vertical pair's arcs crossed."""
     return crossed_mdiagram_of_decomposition(decompose_blocks(d))
 
 
 def crossed_mdiagram_of_decomposition(dec: DominoDecomposition) -> MDiagram:
-    arcs = _base_reflected_arcs(dec)
-    by_ends = {(a.tail, a.head): a for a in arcs}
+    # labels m', ..., 1', then "0" for an odd tableau, then 1, ..., m, at
+    # abscissas -m..m; entry k of the compression is at position n - m + k
+    c, m = dec.compression, dec.compression.size
+    xs = [x for x in range(-m, m + 1) if x or dec.compression0 is not None]
+    labels = [f"{-x}'" if x < 0 else str(x) for x in xs]
+    n, shift = len(xs), len(xs) - m
+    low = c.rows[1] if dec.compression0 is None else dec.compression0[1]
+    base = _arcs(c.rows, low, shift)
+    arcs = base + [mirror_arc(a, n) for a in base]
+    by_ends = {(a.tail, a.head): a for a in base}
 
     chosen = []
     for k1, k2 in dec.vertical_pairs:
-        arc = by_ends.get((str(k1), str(k2)))
+        arc = by_ends.get((k1 + shift, k2 + shift))
         if arc is None:
             raise VerticalPairNotAnArc(
                 f"vertical pair ({k1}, {k2}) is not a directed arc of the compression"
             )
         chosen.append(arc)
 
-    # (label, abscissa): k' mirrors k at -k, and "0" sits on the axis
-    m = dec.compression.size
-    placed = [(f"{k}'", -k) for k in range(m, 0, -1)]
-    if dec.compression0 is not None:
-        placed.append(("0", 0))
-    placed += [(str(k), k) for k in range(1, m + 1)]
-    position = dict(placed)
-    spans = {}
-    for a in arcs:
-        lo, hi = sorted((position[a.tail], position[a.head]))
-        spans[a] = (lo, hi)
+    def named(a: Arc) -> str:
+        return f"({labels[a.tail - 1]}, {labels[a.head - 1]})"
+
+    spans = {a: (min(a.tail, a.head), max(a.tail, a.head)) for a in arcs}
     for arc in chosen:
         lo, hi = spans[arc]
         for other in arcs:
-            if other.kind == arc.kind and other is not arc:
-                olo, ohi = spans[other]
-                if olo < lo and hi < ohi:
-                    raise VerticalPairNotAnArc(
-                        f"({arc.tail}, {arc.head}) is not maximal: "
-                        f"({other.tail}, {other.head}) passes above it"
-                    )
+            olo, ohi = spans[other]
+            if other.kind == arc.kind and olo < lo and hi < ohi:
+                raise VerticalPairNotAnArc(
+                    f"{named(arc)} is not maximal: {named(other)} passes above it"
+                )
     for i in range(len(chosen)):
         for j in range(i + 1, len(chosen)):
             (a1, b1), (a2, b2) = spans[chosen[i]], spans[chosen[j]]
@@ -293,13 +287,11 @@ def crossed_mdiagram_of_decomposition(dec: DominoDecomposition) -> MDiagram:
     replaced = set()
     for arc in chosen:
         replaced.add(arc)
-        replaced.add(mirror_arc(arc))
-        final.append(Arc(arc.tail, mirror_label(arc.head), arc.kind, True))
-        final.append(Arc(mirror_label(arc.tail), arc.head, arc.kind, True))
+        replaced.add(mirror_arc(arc, n))
+        final.append(Arc(arc.tail, n + 1 - arc.head, arc.kind, True))
+        final.append(Arc(n + 1 - arc.tail, arc.head, arc.kind, True))
     final.extend(a for a in arcs if a not in replaced)
-
-    boundary = tuple(BoundaryVertex(lab, x) for lab, x in placed)
-    return MDiagram(boundary, tuple(final))
+    return MDiagram(tuple(map(BoundaryVertex, labels, xs)), tuple(final))
 
 
 def crossed_web(d: Tableau) -> PlanarWeb:

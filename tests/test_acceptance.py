@@ -160,7 +160,8 @@ def test_criterion_10_error_paths(capfd):
             BoundaryVertex(lab, x)
             for lab, x in [("a", -4), ("b", -2), ("c", -1), ("d", 1), ("e", 2), ("f", 4)]
         ),
-        (Arc("b", "e"), Arc("c", "f"), Arc("a", "d")),
+        # b -> e, c -> f, a -> d
+        (Arc(2, 5), Arc(3, 6), Arc(1, 4)),
     )
     with pytest.raises(ConcurrentArcs):
         crossings(concurrent)

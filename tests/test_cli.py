@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,7 +15,7 @@ from webfold import cli, oracle
 from webfold.cli import main
 from webfold.matchings import web2_of_tableau
 from webfold.tableaux import from_word
-from webfold.web3 import web_of_tableau
+from webfold.web3 import crossed_mdiagram, mdiagram_of_tableau, web_of_tableau
 from webs import tripod
 
 CHAIN_WORD = "111122213132223333"
@@ -209,6 +212,28 @@ def test_outputs_are_byte_stable(capsys):
     assert first == second
 
 
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    diagram = tmp_path / "crossed.json"
+    diagram.write_text(json.dumps(crossed_mdiagram(from_word(CHAIN_FOLD)).to_dict()))
+    calls = [
+        ["web3", action, "--word", word, "--format", fmt]
+        for action, word in (("from-tableau", CHAIN_WORD), ("crossed", CHAIN_FOLD))
+        for fmt in ("json", "svg")
+    ] + [["render", "--in", str(diagram)]]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        outputs.append([
+            subprocess.run(
+                [sys.executable, "-m", "webfold.cli", *argv],
+                env=env, capture_output=True, check=True,
+            ).stdout
+            for argv in calls
+        ])
+    assert all(outputs[0]) and outputs[0] == outputs[1]
+
+
 def tripod_json(n=3, edge=(0, {}), dart0=None):
     """The tripod's JSON with n, fields of one edge, or the first dart at 4 replaced."""
     web = tripod().to_dict()
@@ -231,6 +256,23 @@ BAD_WEBS = [
 ]
 
 
+def diagram_json(arc=None, vertex=None):
+    """The 123 diagram's JSON with fields of its first arc or first vertex replaced."""
+    d = mdiagram_of_tableau(from_word("123")).to_dict()
+    d["arcs"][0].update(arc or {})
+    d["boundary"][0].update(vertex or {})
+    return d
+
+
+# each was drawn, and exited 0, before diagram JSON was checked for these types
+BAD_DIAGRAMS = [
+    diagram_json(arc={"kind": "zigzag"}),
+    diagram_json(arc={"crossed": "no"}),
+    diagram_json(vertex={"x": True}),
+    diagram_json(arc={"tail": 1}, vertex={"label": 1}),
+]
+
+
 @pytest.mark.parametrize(
     "argv, payload",
     [
@@ -247,6 +289,7 @@ BAD_WEBS = [
                       "arcs": [{"tail": "1", "head": "2"}]}),
         *((argv, web) for argv in (["web3", "to-tableau"], ["web3", "to-domino"], ["render"])
           for web in BAD_WEBS),
+        *((["render"], diagram) for diagram in BAD_DIAGRAMS),
     ],
 )
 def test_malformed_json_exits_one(capsys, tmp_path, argv, payload):
@@ -315,6 +358,47 @@ def test_bad_rotation_system_exits_one(capsys, tmp_path, argv, n, rotation, mess
     code, out, err = run(capsys, *argv, "--in", str(src))
     assert (code, out) == (1, "")
     assert err == f"MalformedInput: {src}: ValueError: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [["web3", "to-tableau"], ["render"]])
+@pytest.mark.parametrize(
+    "renamed, message",
+    [
+        # " +1" and "٤" were read as 1 and 4, and to-tableau printed 123
+        ({"1": " +1", "4": "\u0664"}, "rotation key ' +1' must be written '1'"),
+        ({"4": "04"}, "rotation key '04' must be written '4'"),
+    ],
+)
+def test_rotation_keys_are_plain_integers(capsys, tmp_path, argv, renamed, message):
+    web = tripod().to_dict()
+    web["rotation"] = {renamed.get(v, v): ds for v, ds in web["rotation"].items()}
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(web))
+    code, out, err = run(capsys, *argv, "--in", str(src))
+    assert (code, out) == (1, "")
+    assert err == f"MalformedInput: {src}: ValueError: {message}\n"
+
+
+def test_split_vertex_is_named(capsys, tmp_path):
+    # two spellings of vertex 4 used to merge and fail as uncovered darts
+    web = tripod().to_dict()
+    assert web["rotation"]["4"] == [1, 3, 5]
+    web["rotation"].update({"4": [1, 5], "04": [3]})
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(web))
+    code, out, err = run(capsys, "web3", "to-tableau", "--in", str(src))
+    assert (code, out) == (1, "")
+    assert err == f"MalformedInput: {src}: ValueError: rotation key '04' must be written '4'\n"
+
+
+def test_layout_keys_are_plain_integers(capsys, tmp_path):
+    web = web_of_tableau(from_word("123")).to_dict()
+    web["layout"]["+1"] = web["layout"].pop("1")
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(web))
+    code, out, err = run(capsys, "render", "--in", str(src))
+    assert (code, out) == (1, "")
+    assert err == f"MalformedInput: {src}: ValueError: layout key '+1' must be written '1'\n"
 
 
 def test_render_keeps_an_internal_vertex_without_web_edges(capsys, tmp_path):

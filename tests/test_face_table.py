@@ -20,7 +20,9 @@ from webs import checked_web, tripod
 def naive_faces(w):
     def next_dart(d):
         t = d ^ 1
-        rot = w.rotation[w.origin(t)]
+        # the tail of an even dart's edge, the head of an odd one's
+        e = w.edges[t // 2]
+        rot = w.rotation[e.head if t % 2 else e.tail]
         return rot[rot.index(t) - 1]
 
     out = []
@@ -39,7 +41,7 @@ def naive_faces(w):
 
 
 def is_wall(w, d):
-    return w.dart_edge(d).tag == BOUNDARY
+    return w.edges[d // 2].tag == BOUNDARY
 
 
 def naive_boundary_faces(w, all_faces, ext):

@@ -1,10 +1,13 @@
-"""Which modules a one-shot CLI call loads.
+"""Which modules a one-shot CLI call loads, and what the benchmark imports.
 
-Each case runs in a fresh interpreter, since this test process has long
-since imported the whole package.  `random` and `typing` are not checked:
-`site` may load them before any webfold code runs.
+Each loading case runs in a fresh interpreter, since this test process
+has long since imported the whole package.  `random` and `typing` are not
+checked: `site` may load them before any webfold code runs.
 """
 
+import ast
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -17,6 +20,7 @@ from webfold.tableaux import from_word
 from webfold.web3 import web_of_tableau
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+PERFBENCH = SRC.parent / "perfbench"
 
 CALL_CLI = """
 import contextlib, io, sys
@@ -79,3 +83,30 @@ def test_web_commands_load_what_they_run(tmp_path, argv, expected):
 def test_oracle_loads_no_process_pool():
     modules = loaded_after(IMPORT_ORACLE)
     assert "concurrent.futures" not in modules
+
+
+def test_perfbench_names_resolve():
+    """Every name perfbench imports from webfold exists, and every name it
+    traces is a function defined in the module it is listed under."""
+    imported = []
+    for script in ("workloads.py", "cli_entry.py"):
+        tree = ast.parse((PERFBENCH / script).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("webfold."):
+                imported += [(node.module, alias.name) for alias in node.names]
+    assert len(imported) > 20
+    for module, name in imported:
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+    tree = ast.parse((PERFBENCH / "tracing.py").read_text())
+    (layers,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "LAYERS"
+    ]
+    traced = ast.literal_eval(layers)
+    assert "mdiagram" in traced and "web3" in traced
+    for module, names in traced.items():
+        mod = importlib.import_module(f"webfold.{module}")
+        for name in names:
+            fn = getattr(mod, name, None)
+            assert inspect.isfunction(fn) and fn.__module__ == mod.__name__, f"{module}.{name}"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -18,7 +19,6 @@ from webfold.mdiagram import (
     crossings,
     epsilon,
     mirror_arc,
-    mirror_label,
     reflected_face,
     resolve,
 )
@@ -32,9 +32,12 @@ from webfold.planarweb import (
     validate_3web,
     web_distance,
 )
+from webfold.render import svg_of_mdiagram
 from webfold.tableaux import fold, from_word, is_rotationally_symmetric
 from webfold.web3 import crossed_mdiagram, mdiagram_of_tableau
 from webs import tripod
+
+ODD_FOLD = "111232323"
 
 
 def bv(label, x):
@@ -44,7 +47,7 @@ def bv(label, x):
 def tripod_diagram():
     return MDiagram(
         (bv("1", 1), bv("2", 2), bv("3", 3)),
-        (Arc("1", "2", FIRST), Arc("3", "2", SECOND)),
+        (Arc(1, 2, FIRST), Arc(3, 2, SECOND)),
     )
 
 
@@ -53,10 +56,10 @@ def hex_diagram():
     return MDiagram(
         tuple(bv(str(i), i) for i in range(1, 7)),
         (
-            Arc("1", "4", FIRST),
-            Arc("2", "3", FIRST),
-            Arc("5", "4", SECOND),
-            Arc("6", "3", SECOND),
+            Arc(1, 4, FIRST),
+            Arc(2, 3, FIRST),
+            Arc(5, 4, SECOND),
+            Arc(6, 3, SECOND),
         ),
     )
 
@@ -65,10 +68,11 @@ def mirrored_tripods():
     return MDiagram(
         (bv("3'", -3), bv("2'", -2), bv("1'", -1), bv("1", 1), bv("2", 2), bv("3", 3)),
         (
-            Arc("1", "2", FIRST),
-            Arc("3", "2", SECOND),
-            Arc("1'", "2'", FIRST),
-            Arc("3'", "2'", SECOND),
+            # 1 -> 2, 3 -> 2, 1' -> 2' and 3' -> 2'
+            Arc(4, 5, FIRST),
+            Arc(6, 5, SECOND),
+            Arc(3, 2, FIRST),
+            Arc(1, 2, SECOND),
         ),
     )
 
@@ -84,8 +88,8 @@ def test_crossings_exclude_shared_endpoints():
     assert len(cs) == 1
     c = cs[0]
     assert {(c.arc_a.tail, c.arc_a.head), (c.arc_b.tail, c.arc_b.head)} == {
-        ("1", "4"),
-        ("6", "3"),
+        (1, 4),
+        (6, 3),
     }
     assert c.x == F(7, 2)
 
@@ -104,9 +108,9 @@ def test_arcs_above_boundary_faces():
     w = resolve(m)
     assert arcs_above(m, boundary_face(w, 0)) == frozenset()
     above1 = {(a.tail, a.head) for a in arcs_above(m, boundary_face(w, 1))}
-    assert above1 == {("1", "4")}
+    assert above1 == {(1, 4)}
     above4 = {(a.tail, a.head) for a in arcs_above(m, boundary_face(w, 4))}
-    assert above4 == {("5", "4"), ("6", "3")}
+    assert above4 == {(5, 4), (6, 3)}
     with pytest.raises(UnknownFace):
         arcs_above(m, exterior_face(w))
     with pytest.raises(UnknownFace):
@@ -122,8 +126,8 @@ def test_coherent_separators_and_distance_bound():
     cs = coherent_separators(m, b1, b4)
     named = {frozenset((a.tail, a.head) for a in p) for p in cs}
     assert named == {
-        frozenset({("1", "4"), ("6", "3")}),
-        frozenset({("1", "4"), ("5", "4")}),
+        frozenset({(1, 4), (6, 3)}),
+        frozenset({(1, 4), (5, 4)}),
     }
     assert arc_distance(m, b1, b4) == 3
     assert web_distance(w, b1, b4) >= arc_distance(m, b1, b4) - len(cs)
@@ -141,17 +145,19 @@ def test_mirrored_tripods_are_symmetric():
 
 
 def test_mirror_labels():
-    assert mirror_label("3") == "3'"
-    assert mirror_label("3'") == "3"
-    assert mirror_label("0") == "0"
-    a = Arc("2", "1'", SECOND, crossed=True)
-    assert mirror_arc(a) == Arc("2'", "1", SECOND, crossed=True)
+    # 4', ..., 1', 0, 1, ..., 4: the position mirror maps k to k' and fixes 0
+    labels = [b.label for b in crossed_mdiagram(from_word(ODD_FOLD)).boundary]
+    mirror = {labels[p - 1]: labels[9 - p] for p in range(1, 10)}
+    assert mirror["3"] == "3'" and mirror["3'"] == "3" and mirror["0"] == "0"
+    # 2 -> 1', crossed, on the six points of mirrored_tripods()
+    a = Arc(5, 3, SECOND, crossed=True)
+    assert mirror_arc(a, 6) == Arc(2, 4, SECOND, crossed=True)
 
 
 def test_between_vertical_pair_uses_exactly_one_side():
     m = hex_diagram()
     w = resolve(m)
-    a, b = Arc("1", "4", FIRST), Arc("2", "3", FIRST)
+    a, b = Arc(1, 4, FIRST), Arc(2, 3, FIRST)
 
     def between(face):
         above = arcs_above(m, face)
@@ -164,7 +170,8 @@ def test_between_vertical_pair_uses_exactly_one_side():
 def test_concurrent_arcs_detected():
     conc = MDiagram(
         (bv("a", -4), bv("b", -2), bv("c", -1), bv("d", 1), bv("e", 2), bv("f", 4)),
-        (Arc("b", "e"), Arc("c", "f"), Arc("a", "d")),
+        # b -> e, c -> f, a -> d
+        (Arc(2, 5), Arc(3, 6), Arc(1, 4)),
     )
     with pytest.raises(ConcurrentArcs):
         crossings(conc)
@@ -173,7 +180,7 @@ def test_concurrent_arcs_detected():
 def test_bad_boundary_degrees():
     m = MDiagram(
         (bv("1", 1), bv("2", 2), bv("3", 3)),
-        (Arc("1", "2"), Arc("2", "3")),
+        (Arc(1, 2), Arc(2, 3)),
     )
     with pytest.raises(InvalidBoundaryDegrees):
         resolve(m)
@@ -185,9 +192,9 @@ def test_diagram_validation():
     with pytest.raises(ValueError):
         MDiagram((bv("1", 2), bv("2", 1)), ())
     with pytest.raises(ValueError):
-        MDiagram((bv("1", 1), bv("2", 2)), (Arc("1", "9"),))
+        MDiagram((bv("1", 1), bv("2", 2)), (Arc(1, 9),))
     with pytest.raises(ValueError):
-        MDiagram((bv("1", 1), bv("2", 2)), (Arc("1", "1"),))
+        MDiagram((bv("1", 1), bv("2", 2)), (Arc(1, 1),))
 
 
 def test_json_round_trip():
@@ -201,7 +208,6 @@ def test_json_round_trip():
 def test_resolution_bookkeeping():
     m = hex_diagram()
     res = m.resolution
-    assert m.positions == {str(i): i for i in range(1, 7)}
     # 3 pairs resolve to an edge: two sinks, one crossing
     assert len(res.pair_edges) == 3
     for pair, e in res.pair_edges:
@@ -225,7 +231,8 @@ def test_crossing_abscissa_matches_circle_intersection():
     # semicircles over [0, 3] and [1, 5] meet at x = 5/3, y^2 = 20/9
     m = MDiagram(
         (bv("a", 0), bv("b", 1), bv("c", 3), bv("d", 5)),
-        (Arc("a", "c"), Arc("b", "d")),
+        # a -> c, b -> d
+        (Arc(1, 3), Arc(2, 4)),
     )
     (c,) = crossings(m)
     assert c.x == F(5, 3)
@@ -255,8 +262,8 @@ def test_resolution_depends_on_boundary_order_not_spacing():
 def reference_crossings(m):
     """Crossings as Fraction arithmetic computes them: abscissa by the circle
     formula, order by sorted((x, i, j)), concurrency grouped by arc value."""
-    x_of = {b.label: F(b.x) for b in m.boundary}
-    spans = [sorted((x_of[a.tail], x_of[a.head])) for a in m.arcs]
+    x_of = [F(b.x) for b in m.boundary]
+    spans = [sorted((x_of[a.tail - 1], x_of[a.head - 1])) for a in m.arcs]
     found = []
     for i, (l1, h1) in enumerate(spans):
         for j in range(i + 1, len(spans)):
@@ -269,7 +276,8 @@ def reference_crossings(m):
         per_arc.setdefault(m.arcs[j], []).append(x)
     for arc, xs in per_arc.items():
         if len(set(xs)) != len(xs):
-            raise ConcurrentArcs(f"three arcs meet at one point on ({arc.tail}, {arc.head})")
+            tail, head = m.boundary[arc.tail - 1].label, m.boundary[arc.head - 1].label
+            raise ConcurrentArcs(f"three arcs meet at one point on ({tail}, {head})")
     return [(m.arcs[i], m.arcs[j], x) for x, i, j in sorted(found)]
 
 
@@ -328,3 +336,110 @@ def test_crossings_match_fraction_reference(payload):
     got = [(c.arc_a, c.arc_b, c.x) for c in crossings(m)]
     assert got == expected
     assert all(type(c.x) is F for c in crossings(m))
+
+
+# sha256 over the sorted-key JSON and the SVG of every diagram of golden_diagrams(), in order
+GOLDEN_DIAGRAM_BYTES_SHA256 = "b8c36e442c09cfcff51d30c426dba80a7a69d59515965cf845ca1f9536ce400e"
+
+
+def symmetric_tableaux(max_n):
+    for n in range(1, max_n + 1):
+        for word in enumerate_words((n, n, n)):
+            t = from_word(word)
+            if is_rotationally_symmetric(t):
+                yield t
+
+
+def golden_diagrams():
+    """The diagram of every 3-row word with n <= 4, then the crossed diagram
+    of the fold of every symmetric 3-row word with n <= 5: 620 diagrams."""
+    for n in range(1, 5):
+        for word in enumerate_words((n, n, n)):
+            yield mdiagram_of_tableau(from_word(word))
+    for t in symmetric_tableaux(5):
+        yield crossed_mdiagram(fold(t))
+
+
+def test_diagram_json_and_svg_bytes_are_pinned():
+    pinned = hashlib.sha256()
+    count = 0
+    for m in golden_diagrams():
+        count += 1
+        n = len(m.boundary)
+        for a in m.arcs:
+            assert type(a.tail) is int and type(a.head) is int
+            assert 1 <= a.tail <= n and 1 <= a.head <= n
+        blob = json.dumps(m.to_dict(), sort_keys=True)
+        assert MDiagram.from_dict(json.loads(blob)) == m
+        pinned.update(blob.encode())
+        pinned.update(svg_of_mdiagram(m).encode())
+    assert count == 620
+    assert pinned.hexdigest() == GOLDEN_DIAGRAM_BYTES_SHA256
+
+
+def test_position_mirror_is_the_label_mirror():
+    def label_mirror(label):
+        if label == "0":
+            return label
+        return label[:-1] if label.endswith("'") else label + "'"
+
+    for t in symmetric_tableaux(6):
+        m = crossed_mdiagram(fold(t))
+        n = len(m.boundary)
+        label = [b.label for b in m.boundary]
+        for a in m.arcs:
+            b = mirror_arc(a, n)
+            assert (label[b.tail - 1], label[b.head - 1]) == (
+                label_mirror(label[a.tail - 1]),
+                label_mirror(label[a.head - 1]),
+            )
+            assert (b.kind, b.crossed) == (a.kind, a.crossed)
+
+
+def vertices(*pairs):
+    return [{"label": label, "x": x} for label, x in pairs]
+
+
+TWO = vertices(("1", "1"), ("2", "2"))
+
+
+@pytest.mark.parametrize(
+    "payload, error, message",
+    [
+        ({"boundary": vertices(("1", "1"), ("1", "2")), "arcs": [{"tail": "1", "head": "1"}]},
+         ValueError, "boundary labels must be unique"),
+        ({"boundary": vertices(("1", "2"), ("2", "1")), "arcs": [{"tail": "1", "head": "9"}]},
+         ValueError, "boundary abscissas must strictly increase"),
+        ({"boundary": TWO, "arcs": [{"tail": "1", "head": "1"}]},
+         ValueError, "arc endpoints must be distinct"),
+        ({"boundary": TWO, "arcs": [{"tail": "1", "head": "9"}]},
+         ValueError, "arc (1, 9) leaves the boundary"),
+        ({"boundary": TWO, "arcs": [{"tail": "2", "head": "2"}, {"tail": "1", "head": "9"}]},
+         ValueError, "arc endpoints must be distinct"),
+        ({"boundary": TWO, "arcs": [{"tail": "x", "head": "1"}, {"tail": "2", "head": "2"}]},
+         ValueError, "arc (x, 1) leaves the boundary"),
+        ({"boundary": vertices(*zip("abcdef", ["-4", "-2", "-1", "1", "2", "4"])),
+          "arcs": [{"tail": "b", "head": "e"}, {"tail": "c", "head": "f"},
+                   {"tail": "a", "head": "d"}]},
+         ConcurrentArcs, "three arcs meet at one point on (b, e)"),
+        ({"boundary": vertices(("x", "1"), ("y", "2"), ("z", "3")),
+          "arcs": [{"tail": "x", "head": "y"}, {"tail": "y", "head": "z"}]},
+         InvalidBoundaryDegrees, "vertex y has 1 outgoing and 1 incoming arcs"),
+        ({"boundary": [{"label": 1, "x": "1"}], "arcs": []},
+         TypeError, "label must be a string, got int"),
+        ({"boundary": [{"label": "1", "x": True}], "arcs": []},
+         TypeError, "x must be a string or an integer, got bool"),
+        ({"boundary": [{"label": "1", "x": 1.5}], "arcs": []},
+         TypeError, "x must be a string or an integer, got float"),
+        ({"boundary": TWO, "arcs": [{"tail": "1", "head": "2", "kind": "zigzag"}]},
+         ValueError, "arc kind must be 'first' or 'second', got 'zigzag'"),
+        ({"boundary": TWO, "arcs": [{"tail": "1", "head": "2", "crossed": "no"}]},
+         TypeError, "crossed must be a boolean, got str"),
+    ],
+)
+def test_diagram_json_errors(payload, error, message):
+    with pytest.raises(error) as info:
+        m = MDiagram.from_dict(payload)
+        crossings(m)
+        resolve(m)
+    assert str(info.value) == message

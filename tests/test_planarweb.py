@@ -71,7 +71,7 @@ def test_tripod_faces_and_euler():
     assert len(faces(w)) == 4
     assert len(w.rotation) - len(w.edges) + len(faces(w)) == 2
     ext = exterior_face(w)
-    assert all(w.dart_edge(d).tag == BOUNDARY for d in ext)
+    assert all(w.edges[d // 2].tag == BOUNDARY for d in ext)
 
 
 def test_tripod_distances():

@@ -1,10 +1,12 @@
 import dataclasses
 import hashlib
 import json
+import xml.etree.ElementTree as ET
 
 import pytest
 
 from webfold.matchings import web2_of_tableau
+from webfold.mdiagram import MDiagram
 from webfold.render import svg_of_json, svg_of_matching2, svg_of_mdiagram, svg_of_web
 from webfold.tableaux import fold, from_word
 from webfold.web3 import crossed_mdiagram, mdiagram_of_tableau, web_of_tableau
@@ -65,3 +67,13 @@ def test_web_json_and_svg_bytes_are_pinned():
         pinned.update(json.dumps(w.to_dict(), sort_keys=True).encode())
         pinned.update(svg_of_web(w).encode())
     assert pinned.hexdigest() == GOLDEN_WEB_BYTES_SHA256
+
+
+def test_diagram_labels_are_escaped():
+    m = MDiagram.from_dict({
+        "boundary": [{"label": "<b>", "x": "1"}, {"label": "a&b", "x": "2"}],
+        "arcs": [{"tail": "<b>", "head": "a&b"}],
+    })
+    root = ET.fromstring(svg_of_mdiagram(m))
+    texts = [e.text for e in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert texts == ["<b>", "a&b"]

@@ -139,7 +139,8 @@ def test_crossed_mdiagram_even():
         "9'", "8'", "7'", "6'", "5'", "4'", "3'", "2'", "1'",
         "1", "2", "3", "4", "5", "6", "7", "8", "9",
     ]
-    crossed = sorted((a.tail, a.head) for a in m.arcs if a.crossed)
+    label = [b.label for b in m.boundary]
+    crossed = sorted((label[a.tail - 1], label[a.head - 1]) for a in m.arcs if a.crossed)
     assert crossed == [("3", "4'"), ("3'", "4"), ("9", "8'"), ("9'", "8")]
     assert len(crossings(m)) == 10
 
@@ -149,7 +150,8 @@ def test_crossed_mdiagram_odd():
     assert [b.label for b in m.boundary] == [
         "4'", "3'", "2'", "1'", "0", "1", "2", "3", "4",
     ]
-    crossed = sorted((a.tail, a.head) for a in m.arcs if a.crossed)
+    label = [b.label for b in m.boundary]
+    crossed = sorted((label[a.tail - 1], label[a.head - 1]) for a in m.arcs if a.crossed)
     assert crossed == [("2", "0"), ("2'", "0"), ("4", "3'"), ("4'", "3")]
     assert len(crossings(m)) == 3
 
@@ -230,6 +232,21 @@ def test_tampered_vertical_pairs_are_rejected():
         bad = dataclasses.replace(dec, vertical_pairs=pairs)
         with pytest.raises(VerticalPairNotAnArc, match=fragment):
             crossed_mdiagram_of_decomposition(bad)
+
+
+@pytest.mark.parametrize(
+    "word, pairs, message",
+    [
+        (CHAIN_FOLD, ((1, 3),), "vertical pair (1, 3) is not a directed arc of the compression"),
+        (CHAIN_FOLD, ((6, 4),), "(6, 4) is not maximal: (7, 2) passes above it"),
+        (ODD_FOLD, ((1, 3), (2, 0)), "vertical pair arcs intersect each other"),
+    ],
+)
+def test_tampered_vertical_pair_messages(word, pairs, message):
+    dec = dataclasses.replace(decompose_blocks(from_word(word)), vertical_pairs=pairs)
+    with pytest.raises(VerticalPairNotAnArc) as info:
+        crossed_mdiagram_of_decomposition(dec)
+    assert str(info.value) == message
 
 
 def test_block_classifier():

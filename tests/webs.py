@@ -15,7 +15,7 @@ def checked_web(n: int, edges, rotation: dict[int, tuple[int, ...]]) -> PlanarWe
         {
             "n": n,
             "edges": [{"from": e.tail, "to": e.head, "tag": e.tag} for e in edges],
-            "rotation": rotation,
+            "rotation": {str(v): ds for v, ds in rotation.items()},
         }
     )
 
