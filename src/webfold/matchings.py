@@ -1,6 +1,8 @@
 """2-webs: noncrossing perfect matchings on 1..2n.
 
 Arcs are stored sorted by left endpoint so equal matchings compare equal.
+A matching is checked where it enters, by `from_dict`; `Matching2(...)`
+only sorts, since the operators build valid matchings.
 Rotation, reflection, and folding act by pure relabeling; the bijection
 with two-row rectangular tableaux sends row-1 entries to left endpoints.
 """
@@ -19,34 +21,37 @@ class Matching2:
     arcs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        n = self.n_pairs
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise TypeError(f"n must be an integer, got {type(n).__name__}")
-        if n < 1:
-            raise ValueError(f"n must be at least 1, got {n}")
         arcs = tuple(sorted((min(a, b), max(a, b)) for a, b in self.arcs))
         object.__setattr__(self, "arcs", arcs)
-        ends = [v for arc in arcs for v in arc]
-        # compare sizes first, so a huge n never builds a list of 2n entries
-        if len(ends) != 2 * n or sorted(ends) != list(range(1, 2 * n + 1)):
-            raise ValueError("arcs must partition 1..2n")
-        partner = {}
-        for a, b in arcs:
-            partner[a] = b
-            partner[b] = a
-        stack: list[int] = []
-        for k in range(1, 2 * n + 1):
-            if partner[k] > k:
-                stack.append(k)
-            elif not stack or stack.pop() != partner[k]:
-                raise ValueError("matching has crossing arcs")
 
     def to_dict(self) -> dict:
         return {"n": self.n_pairs, "arcs": [list(arc) for arc in self.arcs]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Matching2":
-        return cls(d["n"], tuple((a, b) for a, b in d["arcs"]))
+        """The matching of a JSON form: a noncrossing partition of 1..2n, n >= 1."""
+        n, arcs = d["n"], tuple((a, b) for a, b in d["arcs"])
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise TypeError(f"n must be an integer, got {type(n).__name__}")
+        if n < 1:
+            raise ValueError(f"n must be at least 1, got {n}")
+        m = cls(n, arcs)
+        ends = [v for arc in m.arcs for v in arc]
+        # compare sizes first, so a huge n never builds a list of 2n entries
+        if len(ends) != 2 * n or sorted(ends) != list(range(1, 2 * n + 1)):
+            raise ValueError("arcs must partition 1..2n")
+        partner = dict(m.arcs)
+        partner.update((b, a) for a, b in m.arcs)
+        stack: list[int] = []
+        for k in range(1, 2 * n + 1):
+            if partner[k] > k:
+                stack.append(k)
+            elif not stack or stack.pop() != partner[k]:
+                raise ValueError("matching has crossing arcs")
+        for v in ends:
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise TypeError(f"arc endpoint must be an integer, got {type(v).__name__}")
+        return m
 
 
 def _pair(openers: set[int], closers: set[int]) -> list[tuple[int, int]]:

@@ -8,6 +8,10 @@ degree-2 boundary sink with a fed internal sink and each crossing with a
 source/sink pair joined by an intersection edge, yielding a planar web
 together with the bookkeeping (which arcs an edge toggles, which edge
 resolves which intersecting pair) needed for arc-set distances.
+
+A diagram is checked where it enters, by `from_dict`.  `MDiagram(...)`,
+like `PlanarWeb(...)`, checks nothing: the builders in `web3` make their
+diagrams valid by construction.
 """
 
 from __future__ import annotations
@@ -44,22 +48,6 @@ class MDiagram:
     boundary: tuple[BoundaryVertex, ...]
     arcs: tuple[Arc, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "boundary", tuple(self.boundary))
-        object.__setattr__(self, "arcs", tuple(self.arcs))
-        labels = [b.label for b in self.boundary]
-        if len(set(labels)) != len(labels):
-            raise ValueError("boundary labels must be unique")
-        xs = [b.x for b in self.boundary]
-        if any(xs[i] >= xs[i + 1] for i in range(len(xs) - 1)):
-            raise ValueError("boundary abscissas must strictly increase")
-        n = len(xs)
-        for a in self.arcs:
-            if a.tail == a.head:
-                raise ValueError("arc endpoints must be distinct")
-            if not (1 <= a.tail <= n and 1 <= a.head <= n):
-                raise ValueError(f"arc ({a.tail}, {a.head}) leaves the boundary")
-
     @cached_property
     def resolution(self) -> Resolution:
         """The resolved web and its bookkeeping, built on first use."""
@@ -86,11 +74,14 @@ class MDiagram:
         boundary = tuple(BoundaryVertex(b["label"], _abscissa(b["x"])) for b in d["boundary"])
         ends = [(a["tail"], a["head"], a.get("kind", FIRST), a.get("crossed", False))
                 for a in d["arcs"]]
-        cls(boundary, ())  # checks the boundary before any arc
+        position = {b.label: p for p, b in enumerate(boundary, start=1)}
+        if len(position) != len(boundary):
+            raise ValueError("boundary labels must be unique")
+        if any(a.x >= b.x for a, b in zip(boundary, boundary[1:])):
+            raise ValueError("boundary abscissas must strictly increase")
         for b in boundary:
             if not isinstance(b.label, str):
                 raise TypeError(f"label must be a string, got {type(b.label).__name__}")
-        position = {b.label: p for p, b in enumerate(boundary, start=1)}
         arcs = []
         for tail, head, kind, crossed in ends:
             if tail == head:
@@ -102,7 +93,9 @@ class MDiagram:
             if not isinstance(crossed, bool):
                 raise TypeError(f"crossed must be a boolean, got {type(crossed).__name__}")
             arcs.append(Arc(position[tail], position[head], kind, crossed))
-        return cls(boundary, arcs)
+        if not boundary:
+            raise ValueError("boundary must have at least one vertex")
+        return cls(boundary, tuple(arcs))
 
 
 def _abscissa(x) -> Fraction:

@@ -4,6 +4,11 @@ Cells are addressed (row, column) with both indices starting at 1.  A
 tableau stores its entries row by row; row r occupies the columns
 inner(r)+1 .. outer(r).  All values are immutable and the operators are
 pure functions returning new tableaux.
+
+Shapes and tableaux are checked where they enter: `Shape(...)`,
+`Tableau(...)`, `Tableau.from_rows`, `from_word` and `from_dict`.  The
+operators, `slide` and `rectify` build their results standard by
+construction and do not check them again.
 """
 
 from __future__ import annotations
@@ -171,6 +176,20 @@ def from_word(word: str, inner=()) -> Tableau:
         raise NonLatticeWord(f"word does not encode a standard tableau: {e}") from None
 
 
+def _unchecked(rows, inner=()) -> Tableau:
+    """Tableau.from_rows without its checks, for a filling standard by construction."""
+    rows = tuple(map(tuple, rows))
+    inner = tuple(inner)
+    outer = tuple(map(add, map(len, rows), inner + (0,) * (len(rows) - len(inner))))
+    while inner and inner[-1] == 0:
+        inner = inner[:-1]
+    shape = object.__new__(Shape)
+    shape.__dict__.update(outer=outer, inner=inner, size=sum(outer) - sum(inner))
+    t = object.__new__(Tableau)
+    t.__dict__.update(shape=shape, rows=rows)
+    return t
+
+
 def _grid(t: Tableau) -> dict[Cell, int]:
     inner = t.shape.inner + (0,) * (len(t.rows) - len(t.shape.inner))
     return {
@@ -181,7 +200,7 @@ def _grid(t: Tableau) -> dict[Cell, int]:
 
 
 def _from_grid(grid: dict[Cell, int], inner: list[int]) -> Tableau:
-    """The tableau of grid's cells over inner, validated once.
+    """The tableau of grid's cells over inner.
 
     A bottom row with neither a cell nor an inner cell is dropped.
     """
@@ -189,7 +208,7 @@ def _from_grid(grid: dict[Cell, int], inner: list[int]) -> Tableau:
     rows: list[list[int]] = [[] for _ in range(height)]
     for (r, _), v in sorted(grid.items()):
         rows[r - 1].append(v)
-    return Tableau.from_rows(rows, inner)
+    return _unchecked(rows, inner)
 
 
 def _slide_out(grid: dict[Cell, int], hole: Cell) -> None:
@@ -226,7 +245,7 @@ def rectify(t: Tableau, rng: random.Random | None = None) -> Tableau:
 
     The result does not depend on the corner order; pass an rng to pick
     corners at random instead of always the topmost one.  The slides run
-    on one copy of the cells, and only the straight result is validated.
+    on one copy of the cells.
     """
     grid = _grid(t)
     inner = list(t.shape.inner)
@@ -252,7 +271,7 @@ def restrict_le(t: Tableau, k: int) -> Tableau:
     rows = [row[: bisect_right(row, k)] for row in t.rows]
     while rows and not rows[-1]:
         rows.pop()
-    return Tableau.from_rows(rows, t.shape.inner[: len(rows)])
+    return _unchecked(rows, t.shape.inner[: len(rows)])
 
 
 def restrict_gt(t: Tableau, k: int) -> Tableau:
@@ -262,8 +281,7 @@ def restrict_gt(t: Tableau, k: int) -> Tableau:
     rows = [tuple([v - k for v in row[bisect_right(row, k) :]]) for row in t.rows]
     while rows and not rows[-1]:
         rows.pop()
-    outer = t.shape.outer[: len(rows)]
-    return Tableau(Shape(outer, tuple(map(sub, outer, map(len, rows)))), tuple(rows))
+    return _unchecked(rows, tuple(map(sub, t.shape.outer, map(len, rows))))
 
 
 def _slide_forward(t: Tableau, bounds: range | list[int]) -> Tableau:
@@ -272,7 +290,7 @@ def _slide_forward(t: Tableau, bounds: range | list[int]) -> Tableau:
     For each k the hole left by 1 slides right or down into the smaller
     neighbour among entries <= k; the hole then takes k and entries 2..k
     drop by one.  The steps work on plain lists padded right and below with
-    N + 1, which stops every slide; one Tableau is validated.
+    N + 1, which stops every slide.
     """
     n = t.size
     outer = t.shape.outer
@@ -297,7 +315,7 @@ def _slide_forward(t: Tableau, bounds: range | list[int]) -> Tableau:
         relabel = (list(range(-1, k)) + list(range(k + 1, n + 2))).__getitem__
         grid = [list(map(relabel, row)) for row in grid]
         grid[r][c] = k
-    return Tableau(t.shape, tuple([tuple(row[:m]) for row, m in zip(grid, outer)]))
+    return _unchecked([row[:m] for row, m in zip(grid, outer)])
 
 
 def _slide_back(t: Tableau, bounds: range | list[int]) -> Tableau:
@@ -331,7 +349,7 @@ def _slide_back(t: Tableau, bounds: range | list[int]) -> Tableau:
         relabel = ([0] + list(range(2, k + 1)) + list(range(k, n + 1))).__getitem__
         grid = [list(map(relabel, row)) for row in grid]
         grid[1][1] = 1
-    return Tableau(t.shape, tuple([tuple(row[1:]) for row in grid[1:]]))
+    return _unchecked([row[1:] for row in grid[1:]])
 
 
 def promote(t: Tableau) -> Tableau:
@@ -397,7 +415,7 @@ def _rotated_complement_rows(t: Tableau) -> tuple[tuple[int, ...], ...]:
 
 def rotate180_complement(t: Tableau) -> Tableau:
     """Rotate the rectangle by 180 degrees and complement every entry."""
-    return Tableau(t.shape, _rotated_complement_rows(t))
+    return _unchecked(_rotated_complement_rows(t))
 
 
 # the tableau predicates `enumerate --filter` and the sweeps select by name

@@ -6,6 +6,8 @@ summary survives pytest's capture.
 
 import dataclasses
 import functools
+import hashlib
+import json
 
 import pytest
 
@@ -50,6 +52,21 @@ _SUITE_RUNS = [
     ("promotion-order", 8),
     ("fold-domino", 8),
 ]
+
+# sha256 of json.dumps(report.to_dict() without "elapsed", sort_keys=True)
+# for each suite above, at its default bound
+REPORT_SHA256 = {
+    "block-patterns": "a252e266148a38dbd342239c4ba2ccf3f9c1369ad3ccafd3fbd3f63ab195c2fd",
+    "distance-lemmas": "178bdc83c41db1517cfcdaaa979c8145b5afdef5527a927a27bf2d39c6ec32cd",
+    "evacuation-reflection": "16aae5b0da1250f6b37513b679e911e89417a8333d2ccb6beee57fa72b43c66d",
+    "fold-domino": "b012b38aaca1fde6350db11ef86466515968b4ac55ca939afa523dc27f43c174",
+    "promotion-order": "3e38edd6974d013dce1e75f9c1444d0348a9dc0e5b1d4241373ab63a76f1baaf",
+    "promotion-rotation": "1b2a9894a929043c80a1f49ae9ba539837ec5c72cb4e055c23b7abef4584eedb",
+    "roundtrip-3web": "a3502d42571d9bef9f26a142160e805e3dcf7adea237bc5cbd9661a852471ae7",
+    "thm-2byn": "b26519e004dd332a0a8657778cece233e40b6c80f459bb5a110ef2545adabb53",
+    "thm-fw1": "be781eb446a95fa21f32a3dc8a81daa38b366a9c6174bb62090d3ec834fdf551",
+    "thm-fw2": "eae4d564064762c5bef4316fae683376769a7e039ca32084598e8691ae8311e4",
+}
 
 
 def test_criterion_01_two_row_folding(capfd):
@@ -176,3 +193,14 @@ def test_criterion_10_error_paths(capfd):
 
     _report(capfd, 10, quiet, "guard errors silent on valid input, raised on invalid input")
     assert quiet
+
+
+def test_default_reports_are_pinned():
+    """Each default report, instance count and failures included, has its
+    pinned digest; only the elapsed time is left out."""
+    digests = {}
+    for theorem, max_n in _SUITE_RUNS:
+        d = _verified(theorem, max_n).to_dict()
+        del d["elapsed"]
+        digests[theorem] = hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
+    assert digests == REPORT_SHA256

@@ -273,6 +273,13 @@ BAD_DIAGRAMS = [
 ]
 
 
+# each passed the checks of Matching2.from_dict before they required integer endpoints
+BAD_MATCHINGS = [
+    {"n": 2, "arcs": [[1.0, 2], [3, 4]]},
+    {"n": 1, "arcs": [[True, 2]]},
+]
+
+
 @pytest.mark.parametrize(
     "argv, payload",
     [
@@ -290,6 +297,8 @@ BAD_DIAGRAMS = [
         *((argv, web) for argv in (["web3", "to-tableau"], ["web3", "to-domino"], ["render"])
           for web in BAD_WEBS),
         *((["render"], diagram) for diagram in BAD_DIAGRAMS),
+        *((argv, matching) for argv in (["web2", "to-tableau"], ["web2", "fold"], ["render"])
+          for matching in BAD_MATCHINGS),
     ],
 )
 def test_malformed_json_exits_one(capsys, tmp_path, argv, payload):

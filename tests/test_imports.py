@@ -110,3 +110,49 @@ def test_perfbench_names_resolve():
         for name in names:
             fn = getattr(mod, name, None)
             assert inspect.isfunction(fn) and fn.__module__ == mod.__name__, f"{module}.{name}"
+
+
+# every function that builds a value without the checks its entry points run,
+# by calling tableaux._unchecked, object.__new__, MDiagram(...) or Matching2(...)
+UNCHECKED_BUILDERS = {
+    "tableaux._unchecked",
+    "tableaux._from_grid",
+    "tableaux.restrict_le",
+    "tableaux.restrict_gt",
+    "tableaux._slide_forward",
+    "tableaux._slide_back",
+    "tableaux.rotate180_complement",
+    "mdiagram.MDiagram.from_dict",
+    "web3.mdiagram_of_tableau",
+    "web3.crossed_mdiagram_of_decomposition",
+    "matchings.Matching2.from_dict",
+    "matchings.web2_of_tableau",
+    "matchings.rotate2",
+    "matchings.reflect2",
+    "matchings.fold2",
+}
+
+
+def test_unchecked_construction_stays_where_it_is():
+    """A new caller of the unchecked constructors must be added here on
+    purpose, so that no entry point skips the checks unnoticed."""
+    unchecked = {"_unchecked", "MDiagram", "Matching2", "__new__"}
+    found = set()
+    for path in sorted((SRC / "webfold").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = [(path.stem, node) for node in tree.body]
+        scopes += [
+            (f"{path.stem}.{node.name}", method)
+            for node in tree.body if isinstance(node, ast.ClassDef)
+            for method in node.body
+        ]
+        for prefix, fn in scopes:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            own = unchecked | ({"cls"} if prefix.endswith((".MDiagram", ".Matching2")) else set())
+            for node in ast.walk(fn):
+                func = getattr(node, "func", None)
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if isinstance(node, ast.Call) and name in own:
+                    found.add(f"{prefix}.{fn.name}")
+    assert found == UNCHECKED_BUILDERS

@@ -47,15 +47,31 @@ def test_round_trip_exhaustive():
 
 def test_matching_validation():
     with pytest.raises(ValueError):
-        Matching2(2, ((1, 3), (2, 4)))
+        Matching2.from_dict({"n": 2, "arcs": [[1, 3], [2, 4]]})
     with pytest.raises(ValueError):
-        Matching2(2, ((1, 2), (3, 3)))
+        Matching2.from_dict({"n": 2, "arcs": [[1, 2], [3, 3]]})
     for n in (0, -1):
         with pytest.raises(ValueError, match="n must be at least 1"):
-            Matching2(n, ())
+            Matching2.from_dict({"n": n, "arcs": []})
     for n in (True, 2.0, "2", None):
         with pytest.raises(TypeError, match="n must be an integer"):
-            Matching2(n, ((1, 2), (3, 4)))
+            Matching2.from_dict({"n": n, "arcs": [[1, 2], [3, 4]]})
+    # equal to integers, so they pass the partition and crossing checks first
+    for n, arcs, kind in [(2, [[1.0, 2], [3, 4]], "float"), (1, [[True, 2]], "bool")]:
+        with pytest.raises(TypeError, match=f"^arc endpoint must be an integer, got {kind}$"):
+            Matching2.from_dict({"n": n, "arcs": arcs})
+
+
+def test_built_matchings_pass_the_json_checks():
+    """Matching2(...) does not check; every matching the operators build
+    reads back through from_dict unchanged (2-row n <= 7)."""
+    for n in range(1, 8):
+        for word in enumerate_words((n, n)):
+            w = web2_of_tableau(from_word(word))
+            built = [w, rotate2(w), reflect2(w)] + ([fold2(w)] if is_symmetrical2(w) else [])
+            for m in built:
+                again = Matching2.from_dict(m.to_dict())
+                assert (again, hash(again), repr(again)) == (m, hash(m), repr(m))
 
 
 def test_reflect_fixes_symmetric_example():

@@ -187,14 +187,11 @@ def test_bad_boundary_degrees():
 
 
 def test_diagram_validation():
+    """MDiagram(...) does not check; from_dict checks the boundary."""
     with pytest.raises(ValueError):
-        MDiagram((bv("1", 1), bv("1", 2)), ())
+        MDiagram.from_dict({"boundary": vertices(("1", "1"), ("1", "2")), "arcs": []})
     with pytest.raises(ValueError):
-        MDiagram((bv("1", 2), bv("2", 1)), ())
-    with pytest.raises(ValueError):
-        MDiagram((bv("1", 1), bv("2", 2)), (Arc(1, 9),))
-    with pytest.raises(ValueError):
-        MDiagram((bv("1", 1), bv("2", 2)), (Arc(1, 1),))
+        MDiagram.from_dict({"boundary": vertices(("1", "2"), ("2", "1")), "arcs": []})
 
 
 def test_json_round_trip():
@@ -435,6 +432,7 @@ TWO = vertices(("1", "1"), ("2", "2"))
          ValueError, "arc kind must be 'first' or 'second', got 'zigzag'"),
         ({"boundary": TWO, "arcs": [{"tail": "1", "head": "2", "crossed": "no"}]},
          TypeError, "crossed must be a boolean, got str"),
+        ({"boundary": [], "arcs": []}, ValueError, "boundary must have at least one vertex"),
     ],
 )
 def test_diagram_json_errors(payload, error, message):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from operator import le
 
 import pytest
 from hypothesis import given, settings
@@ -69,15 +70,96 @@ def test_slide_drops_an_emptied_bottom_row():
     assert slide(t, (2, 1)) == Tableau.from_rows([(1,)], inner=(1,))
 
 
-def test_rectify_validates_only_its_result(monkeypatch):
+def test_operators_run_no_tableau_checks(monkeypatch):
+    """Results are built standard by construction, so no operator runs the
+    Shape or Tableau checks; test_operator_results_pass_the_checks runs them."""
+    straight = Tableau.from_rows([(1, 2, 5), (3, 4, 8), (6, 7, 9)])
     expected = from_word("12134213122134")
-    built = []
-    check = Tableau.__post_init__
-    monkeypatch.setattr(Tableau, "__post_init__", lambda t: built.append(t) or check(t))
+    checks = []
+    for cls in (Shape, Tableau):
+        monkeypatch.setattr(cls, "__post_init__", lambda value: checks.append(type(value).__name__))
     for rng in (None, random.Random(3)):
-        built.clear()
         assert rectify(SKEW, rng) == expected
-        assert len(built) == 1
+    slide(SKEW, (2, 1))
+    for op in (promote, promote_inverse, evacuate, fold, unfold, rotate180_complement):
+        op(straight)
+    partial_fold(straight, 2)
+    promote_bounded(straight, 5)
+    promote_bounded_inverse(straight, 5)
+    restrict_le(SKEW, 7)
+    restrict_gt(SKEW, 7)
+    assert checks == []
+    Tableau.from_rows([(1, 2)])
+    assert checks == ["Shape", "Tableau"]
+
+
+def _assert_checked(t):
+    """t is what the Shape and Tableau checks build from its shape and rows."""
+    again = Tableau(Shape(t.shape.outer, t.shape.inner), t.rows)
+    assert (again, hash(again), repr(again), again.size) == (t, hash(t), repr(t), t.size)
+
+
+def test_operator_results_pass_the_checks():
+    """Every straight tableau of size <= 8 and every 3-row rectangle with n <= 4."""
+    shapes = [shape for n in range(9) for shape in _partitions(n, n)] + [(3, 3, 3), (4, 4, 4)]
+    for shape in shapes:
+        for word in enumerate_words(shape):
+            t = from_word(word)
+            n = t.size
+            results = [promote(t), promote_inverse(t), evacuate(t), fold(t), unfold(t)]
+            results += [partial_fold(t, j) for j in range(1, n // 2 + 1)]
+            results += [promote_bounded(t, k) for k in range(1, n + 1)]
+            results += [promote_bounded_inverse(t, k) for k in range(1, n + 1)]
+            results += [op(t, k) for op in (restrict_le, restrict_gt) for k in range(n + 1)]
+            if t.shape.is_rectangular:
+                results.append(rotate180_complement(t))
+            for result in results:
+                _assert_checked(result)
+
+
+def _skew_fillings(outer, inner):
+    """The rows of every standard filling of outer/inner, a cell at a time."""
+    filled = list(inner) + [0] * (len(outer) - len(inner))
+    rows = [[] for _ in outer]
+    n = sum(outer) - sum(inner)
+
+    def fill(v):
+        if v > n:
+            yield [list(row) for row in rows]
+            return
+        for r in range(len(outer)):
+            if filled[r] < outer[r] and (r == 0 or filled[r] < filled[r - 1]):
+                filled[r] += 1
+                rows[r].append(v)
+                yield from fill(v + 1)
+                filled[r] -= 1
+                rows[r].pop()
+
+    yield from fill(1)
+
+
+def test_slide_and_rectify_results_pass_the_checks():
+    """Every skew filling with outer size <= 9 and at most 6 cells."""
+    count = 0
+    for size in range(1, 10):
+        for outer in _partitions(size, size):
+            inners = [
+                inner
+                for k in range(max(0, size - 6), size + 1)
+                for inner in _partitions(k, outer[0])
+                if len(inner) <= len(outer) and all(map(le, inner, outer))
+            ]
+            for inner in inners:
+                corners = [
+                    (r, x) for r, (x, y) in enumerate(zip(inner, inner[1:] + (0,)), start=1) if x > y
+                ]
+                for rows in _skew_fillings(outer, inner):
+                    t = Tableau.from_rows(rows, inner)
+                    _assert_checked(rectify(t))
+                    for corner in corners:
+                        _assert_checked(slide(t, corner))
+                    count += 1
+    assert count == 7369
 
 
 def test_rectify_fixes_straight():
