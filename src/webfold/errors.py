@@ -1,4 +1,4 @@
-"""Exception taxonomy shared by all webfold modules."""
+"""Exception taxonomy shared by all webfold modules, and their JSON integer check."""
 
 
 class WebfoldError(Exception):
@@ -71,3 +71,10 @@ class InvalidWorkerCount(WebfoldError):
 
 class BoundTooLarge(WebfoldError):
     """A verification run asked for more words than a sweep may enumerate."""
+
+
+def _integer(what: str, x) -> int:
+    """x, if it is an int and not a bool; else a TypeError naming what it is."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise TypeError(f"{what} must be an integer, got {type(x).__name__}")
+    return x

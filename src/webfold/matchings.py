@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotSymmetrical, WrongShape
+from .errors import NotSymmetrical, WrongShape, _integer
 from .tableaux import Tableau
 
 
@@ -31,9 +31,7 @@ class Matching2:
     def from_dict(cls, d: dict) -> "Matching2":
         """The matching of a JSON form: a noncrossing partition of 1..2n, n >= 1."""
         n, arcs = d["n"], tuple((a, b) for a, b in d["arcs"])
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise TypeError(f"n must be an integer, got {type(n).__name__}")
-        if n < 1:
+        if _integer("n", n) < 1:
             raise ValueError(f"n must be at least 1, got {n}")
         m = cls(n, arcs)
         ends = [v for arc in m.arcs for v in arc]
@@ -49,8 +47,7 @@ class Matching2:
             elif not stack or stack.pop() != partner[k]:
                 raise ValueError("matching has crossing arcs")
         for v in ends:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise TypeError(f"arc endpoint must be an integer, got {type(v).__name__}")
+            _integer("arc endpoint", v)
         return m
 
 

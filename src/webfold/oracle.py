@@ -17,7 +17,6 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import chain, islice
-from operator import attrgetter
 
 from .errors import BoundTooLarge, InvalidWorkerCount, UnknownTheorem
 from .matchings import Matching2, fold2, reflect2, rotate2, web2_of_tableau
@@ -214,6 +213,11 @@ def _words(rows: int, max_n: int, keep: str | None = None) -> list[str]:
     return [t.word for filt in filters for t in enumerate_tableaux(filt)]
 
 
+def _rows(t: Tableau) -> str:
+    """A tableau by its rows, which tell apart fillings with the same word."""
+    return str(t.rows)
+
+
 def _json(m: Matching2) -> str:
     return json.dumps(m.to_dict())
 
@@ -222,7 +226,7 @@ def _violations(w: PlanarWeb) -> str:
     return "; ".join(validate_3web(w).violations)
 
 
-def _holds(name: str, lhs, rhs, show: Callable = attrgetter("word")) -> list[_Found]:
+def _holds(name: str, lhs, rhs, show: Callable = _rows) -> list[_Found]:
     """No failure if lhs == rhs, else (identity, lhs, rhs) with both sides shown."""
     return [] if lhs == rhs else [(name, show(lhs), show(rhs))]
 

@@ -8,9 +8,10 @@ face walks and rotations are total, but they act as walls for distances.
 
 The edges are stored as two flat lists: `origins`, the origin vertex of
 every dart, and `tags`, one per edge.  `PlanarWeb.edges`, the same edges
-as `Edge` objects, is built on first read.  A canonical form compares and
-hashes as the nested tuple it is built from; its bytes and its sha256
-digest are computed on first read.
+as `Edge` objects, is built on first read.  `canonical` builds a web's
+form in one breadth-first walk from the boundary.  A canonical form
+compares and hashes as the nested tuple it is built from; its bytes and
+its sha256 digest are computed on first read.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 
-from .errors import UnknownFace
+from .errors import UnknownFace, _integer
 
 BOUNDARY = "boundary"
 ARC = "arc"
@@ -141,13 +142,6 @@ def _key(what: str, key) -> int:
     if str(v) != key:
         raise ValueError(f"{what} key {key!r} must be written {str(v)!r}")
     return v
-
-
-def _integer(what: str, x) -> int:
-    """x, if it is an int and not a bool; else a TypeError naming what it is."""
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise TypeError(f"{what} must be an integer, got {type(x).__name__}")
-    return x
 
 
 class FaceTable:
@@ -338,64 +332,55 @@ class CanonicalWebForm:
         return f"CanonicalWebForm(serialization={self.serialization!r}, digest={self.digest!r})"
 
 
-def _canonical_order(
-    w: PlanarWeb,
-) -> tuple[list[int], dict[int, int], dict[int, tuple[int, ...]]]:
-    """Visit order, canonical names, and each vertex's rotation from its start dart.
+def canonical(w: PlanarWeb) -> CanonicalWebForm:
+    """Byte-stable form equal for boundary-label-preserving isomorphic webs.
 
-    A boundary vertex starts at its edge to the next boundary vertex; any
-    other vertex starts at the twin of the dart it was first reached by.
+    One breadth-first walk names each vertex when it is first reached and
+    writes its row, from its start dart, when it is visited.  A boundary
+    vertex starts at its edge to the next boundary vertex; any other vertex
+    starts at the twin of the dart it was first reached by.
     """
     n = w.n_boundary
-    origins, walls = w.origins, w._walls
+    origins, walls, rotation = w.origins, w._walls, w.rotation
+    # each dart's index in its vertex's rotation
+    slot = [0] * len(origins)
+    for rot in rotation.values():
+        for i, d in enumerate(rot):
+            slot[d] = i
     names = {k: k for k in range(1, n + 1)}
     start: dict[int, int] = {}
     for k in range(1, n + 1):
         nxt = k + 1 if k < n else 1
-        for d in w.rotation[k]:
+        for d in rotation[k]:
             if walls[d >> 1] and origins[d ^ 1] == nxt:
                 start[k] = d
                 break
         else:
             raise ValueError(f"no boundary edge from {k} to {nxt}")
     order = list(range(1, n + 1))
-    rotated: dict[int, tuple[int, ...]] = {}
+    entries = []
     # order grows while it is walked, so this is a breadth-first visit
     for v in order:
-        rot = w.rotation[v]
-        i = rot.index(start[v])
-        rotated[v] = rot[i:] + rot[:i]
-        for d in rotated[v]:
+        rot = rotation[v]
+        i = slot[start[v]]
+        row = []
+        for d in rot[i:] + rot[:i]:
             u = origins[d ^ 1]
             if u not in names:
                 names[u] = len(names) + 1
                 start[u] = d ^ 1
                 order.append(u)
-    if len(names) != len(w.rotation):
-        raise ValueError("web is not connected; canonical form undefined")
-    return order, names, rotated
-
-
-def canonical(w: PlanarWeb) -> CanonicalWebForm:
-    """Byte-stable form equal for boundary-label-preserving isomorphic webs."""
-    order, names, rotated = _canonical_order(w)
-    origins, walls = w.origins, w._walls
-    position = [0] * len(origins)
-    for v in order:
-        for i, d in enumerate(rotated[v]):
-            position[d] = i
-    entries = []
-    for v in order:
-        row = []
-        for d in rotated[v]:
             wall = walls[d >> 1]
             # arc and intersection edges are interchangeable drawing artifacts,
             # so only the boundary/web distinction is serialized
             kind = "b" if wall else "w"
             out = 0 if wall else (1 if d % 2 == 0 else 2)
-            row.append((names[origins[d ^ 1]], kind, out, position[d ^ 1]))
+            position = (slot[d ^ 1] - slot[start[u]]) % len(rotation[u])
+            row.append((names[u], kind, out, position))
         entries.append((names[v], tuple(row)))
-    return CanonicalWebForm((w.n_boundary, tuple(entries)))
+    if len(names) != len(rotation):
+        raise ValueError("web is not connected; canonical form undefined")
+    return CanonicalWebForm((n, tuple(entries)))
 
 
 def rotate(w: PlanarWeb) -> PlanarWeb:

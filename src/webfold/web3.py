@@ -6,11 +6,13 @@ left, and the diagram resolves to a web.  Web to tableau reads the word
 off boundary-face distances.  The symmetric variants swap the distance
 origin for mirror distances and rebuild the web from a domino tableau
 via block decomposition, compression, and a reflected diagram whose
-vertical-pair arcs are crossed over the axis.
+vertical-pair arcs are crossed over the axis.  The decomposition reads
+the domino tableau once; an odd tableau's compression is skew over (1, 1).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import (
@@ -68,26 +70,37 @@ def web_of_tableau(t: Tableau) -> PlanarWeb:
     return resolve(mdiagram_of_tableau(t))
 
 
-def tableau_of_web(w: PlanarWeb) -> Tableau:
-    """Read the word from distances to the outer boundary face."""
+def _read_rectangle(w: PlanarWeb, read: Callable[[PlanarWeb], str], what: str) -> Tableau:
+    """The tableau of the word read(w) off a checked 3-web; NotAWeb names a
+    word that fills no 3-row rectangle as what.format(word)."""
     report = validate_3web(w)
     if not report.ok:
         raise NotAWeb("; ".join(report.violations))
+    word = read(w)
+    t = from_word(word)
+    if t.shape.outer != (w.n_boundary // 3,) * 3:
+        raise NotAWeb(f"{what.format(word)} does not fill a 3-row rectangle")
+    return t
+
+
+def tableau_of_web(w: PlanarWeb) -> Tableau:
+    """Read the word from distances to the outer boundary face."""
+    return _read_rectangle(w, _distance_word, "distance word {}")
+
+
+def _distance_word(w: PlanarWeb) -> str:
     n = w.n_boundary
     base = boundary_face(w, 0)
     d = [web_distance(w, base, boundary_face(w, i)) for i in range(n + 1)]
-    word = "".join(_PHI[d[i - 1] - d[i]] for i in range(1, n + 1))
-    t = from_word(word)
-    if t.shape.outer != (n // 3,) * 3:
-        raise NotAWeb(f"distance word {word} does not fill a 3-row rectangle")
-    return t
+    return "".join(_PHI[d[i - 1] - d[i]] for i in range(1, n + 1))
 
 
 def domino_of_symmetric_web(w: PlanarWeb) -> Tableau:
     """Read the word from mirror distances h_j = webdist(B_j, B_(N-j))."""
-    report = validate_3web(w)
-    if not report.ok:
-        raise NotAWeb("; ".join(report.violations))
+    return _read_rectangle(w, _mirror_word, "mirror distance word")
+
+
+def _mirror_word(w: PlanarWeb) -> str:
     if not is_symmetrical(w):
         raise NotSymmetrical("web differs from its mirror image")
     n = w.n_boundary
@@ -104,10 +117,7 @@ def domino_of_symmetric_web(w: PlanarWeb) -> Tableau:
         if z not in _LAMBDA:
             raise NonLatticeWord(f"mirror distance step {z} outside -2..2")
         letters[n + 1 - 2 * j], letters[n + 2 - 2 * j] = _LAMBDA[z]
-    t = from_word("".join(letters[1:]))
-    if t.shape.outer != (n // 3,) * 3:
-        raise NotAWeb("mirror distance word does not fill a 3-row rectangle")
-    return t
+    return "".join(letters[1:])
 
 
 @dataclass(frozen=True)
@@ -122,7 +132,6 @@ class DominoDecomposition:
     blocks: tuple[Block, ...]
     vertical_pairs: tuple[tuple[int, int], ...]
     compression: Tableau
-    compression0: tuple[tuple[int, ...], ...] | None
 
 
 def _classify_block(has_lone: bool, vertical_rows: tuple[int, ...], span: str) -> int:
@@ -149,36 +158,33 @@ def decompose_blocks(d: Tableau) -> DominoDecomposition:
     spans.  Each piece must have either no verticals (type 3), two in
     rows 1-2 (type 1), two in rows 2-3 (type 2), or, first piece of an
     odd tableau, the lone cell plus one vertical in rows 2-3 (type 0).
+    Domino k is entry k of the compression, in the row of its first cell,
+    one lower if it is the later vertical of a typed block.
     """
     n = _require_3xn(d)
     if not is_domino(d):
         raise NotDomino("consecutive entries do not pair into dominoes")
     odd = n % 2 == 1
     m = (3 * n) // 2
-
-    def label(e: int) -> int:
-        return e // 2 if odd else (e + 1) // 2
-
-    grid = tuple(tuple(label(e) for e in row) for row in d.rows)
-    cells: dict[int, list[tuple[int, int]]] = {}
-    for r in range(3):
-        for c in range(n):
-            cells.setdefault(grid[r][c], []).append((r, c))
-
-    horizontal: dict[int, tuple[int, int]] = {}
+    # domino k holds entries 2k and 2k+1 of an odd tableau (0 is the lone
+    # cell), and 2k-1 and 2k of an even one
+    offset = 0 if odd else 1
+    first: dict[int, tuple[int, int]] = {}
     vertical: dict[int, tuple[int, int]] = {}
-    for k, cc in cells.items():
-        if k == 0:
-            continue
-        (r1, c1), (r2, c2) = cc
-        if r1 == r2:
-            horizontal[k] = (r1, c1)
-        else:
-            vertical[k] = (r1, c1)
+    spanned: set[int] = set()
+    for r, row in enumerate(d.rows):
+        for c, e in enumerate(row):
+            k = (e + offset) // 2
+            if k not in first:
+                first[k] = (r, c)
+            elif first[k][0] == r:
+                spanned.add(c - 1)
+            else:
+                vertical[k] = first[k]
 
-    spanned = {c for _, c in horizontal.values()}
     blocks: list[Block] = []
     pairs: list[tuple[int, int]] = []
+    second: set[int] = set()
     start = 0
     for stop in range(1, n + 1):
         if stop < n and (stop - 1) in spanned:
@@ -197,43 +203,22 @@ def decompose_blocks(d: Tableau) -> DominoDecomposition:
             pairs.append((verts[0], verts[1]))
         elif btype == 2:
             pairs.append((verts[1], verts[0]))
+        if btype != 3:
+            second.add(verts[-1])
         blocks.append(Block(btype, (start + 1, stop), tuple(verts)))
         start = stop
 
-    second_verticals = {max(p) for p in pairs if 0 not in p}
-    second_verticals |= {k for k, z in pairs if z == 0}
-    v_letter = {}
-    for k in range(1, m + 1):
-        if k in horizontal:
-            v_letter[k] = horizontal[k][0] + 1
-        elif k in second_verticals:
-            v_letter[k] = vertical[k][0] + 2
-        else:
-            v_letter[k] = vertical[k][0] + 1
-    vword = "".join(str(v_letter[k]) for k in range(1, m + 1))
-
-    if odd:
-        half = (n + 1) // 2
-        compression = from_word(vword, inner=(1, 1))
-        if compression.shape.outer != (half,) * 3:
-            raise UnrecognizedBlock(
-                f"compression shape {compression.shape.outer} is not ({half},)*3"
-            )
-        rows = compression.rows
-        compression0 = (rows[0], (0, *rows[1]), rows[2])
-    else:
-        compression = from_word(vword)
-        if compression.shape.outer != (n // 2,) * 3:
-            raise UnrecognizedBlock(
-                f"compression shape {compression.shape.outer} is not ({n // 2},)*3"
-            )
-        compression0 = None
-
+    vword = "".join(str(first[k][0] + 1 + (k in second)) for k in range(1, m + 1))
+    half = (n + 1) // 2
+    compression = from_word(vword, inner=(1, 1) if odd else ())
+    if compression.shape.outer != (half,) * 3:
+        raise UnrecognizedBlock(
+            f"compression shape {compression.shape.outer} is not ({half},)*3"
+        )
     return DominoDecomposition(
         blocks=tuple(blocks),
         vertical_pairs=tuple(pairs),
         compression=compression,
-        compression0=compression0,
     )
 
 
@@ -246,10 +231,12 @@ def crossed_mdiagram_of_decomposition(dec: DominoDecomposition) -> MDiagram:
     # labels m', ..., 1', then "0" for an odd tableau, then 1, ..., m, at
     # abscissas -m..m; entry k of the compression is at position n - m + k
     c, m = dec.compression, dec.compression.size
-    xs = [x for x in range(-m, m + 1) if x or dec.compression0 is not None]
+    odd = c.shape.inner != ()
+    xs = [x for x in range(-m, m + 1) if x or odd]
     labels = [f"{-x}'" if x < 0 else str(x) for x in xs]
     n, shift = len(xs), len(xs) - m
-    low = c.rows[1] if dec.compression0 is None else dec.compression0[1]
+    # the lone cell, at label "0", opens a second arc below row 2
+    low = (0, *c.rows[1]) if odd else c.rows[1]
     base = _arcs(c.rows, low, shift)
     arcs = base + [mirror_arc(a, n) for a in base]
     by_ends = {(a.tail, a.head): a for a in base}

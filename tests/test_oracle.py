@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from webfold import oracle
+from webfold import oracle, tableaux
 from webfold.errors import BoundTooLarge, InvalidWorkerCount, NotAWeb, UnknownTheorem
 from webfold.oracle import (
     THEOREMS,
@@ -18,7 +18,7 @@ from webfold.oracle import (
     verify,
     worker_count,
 )
-from webfold.tableaux import Shape
+from webfold.tableaux import Shape, evacuate, from_word
 
 TWO_ROW_COUNTS = [1, 2, 5, 14, 42, 132, 429, 1430]
 THREE_ROW_COUNTS = [1, 5, 42, 462, 6006]
@@ -193,6 +193,27 @@ def test_promote_fault_fails_first_step_of_each_family(monkeypatch):
             "restrict_le(partial_fold(T, 1), N+1-2) = restrict_le(promote^1(T), N+1-2)",
             "restrict_le(promote^1(T), N-1) = rectify(restrict_gt(T, 1))",
         ]
+
+
+def test_failed_tableau_identities_show_two_different_fillings(monkeypatch):
+    """A word does not tell apart fillings that differ within a row, so a
+    failure shows each tableau side by its rows."""
+    monkeypatch.delenv("WEBFOLD_WORKERS", raising=False)
+
+    def swapped(t):
+        rows = [list(row) for row in evacuate(t).rows]
+        if len(rows[0]) > 1:
+            rows[0][0], rows[0][1] = rows[0][1], rows[0][0]
+        return tableaux._unchecked(rows)
+
+    monkeypatch.setattr(oracle, "rotate180_complement", swapped)
+    report = verify("promotion-order", 3)
+    shown = [f for f in report.failures if f.identity == "evacuate(T) = rotate180_complement(T)"]
+    # every rectangle with n >= 2: 2x2, 2x3, 3x2 and 3x3
+    assert len(shown) == 2 + 5 + 5 + 42
+    for f in shown:
+        assert f.lhs == str(evacuate(from_word(f.word)).rows)
+        assert f.lhs != f.rhs
 
 
 def test_raising_instance_is_a_failure_and_the_sweep_goes_on(monkeypatch):

@@ -152,6 +152,23 @@ def test_json_round_trip():
     assert canonical(again) == canonical(w)
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["rotation"].update({"5": []}), "web is not connected; canonical form undefined"),
+        (lambda d: d["edges"][3].update(tag=ARC), "no boundary edge from 1 to 2"),
+    ],
+)
+def test_canonical_error_paths(edit, message):
+    d = tripod().to_dict()
+    assert d["edges"][3] == {"from": 1, "to": 2, "tag": BOUNDARY}
+    edit(d)
+    w = PlanarWeb.from_dict(d)
+    with pytest.raises(ValueError) as info:
+        canonical(w)
+    assert str(info.value) == message
+
+
 def test_canonical_bytes_are_pinned():
     forms = [canonical(w) for w in golden_webs()]
     pinned = hashlib.sha256()

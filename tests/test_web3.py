@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 from functools import cached_property
 
 import pytest
@@ -50,6 +51,10 @@ CHAIN_WORD = "111122213132223333"
 CHAIN_FOLD = "112212121133332323"
 CHAIN_DIGEST = "7a09aa484c71b17e7bad53ef0bb317f5bc1970e747784fd8c2f195f95b552b25"
 ODD_FOLD = "111232323"
+# sha256 over repr((blocks, vertical_pairs, compression)) of the decomposition
+# of fold(T), then the sorted-key JSON of its crossed diagram, for every
+# rotationally symmetric 3-row T with n <= 6 in word order
+DECOMPOSITIONS_SHA256 = "001b403a43c567b79d0fa482bb9e12c3a7fdf08317b3cba0ced6636c67a7e77b"
 
 
 def not_a_web() -> PlanarWeb:
@@ -103,7 +108,6 @@ def test_chain_block_decomposition():
     ]
     assert dec.vertical_pairs == ((3, 4), (9, 8))
     assert dec.compression.word == "121213323"
-    assert dec.compression0 is None
 
 
 def test_odd_block_decomposition():
@@ -114,7 +118,7 @@ def test_odd_block_decomposition():
     ]
     assert dec.vertical_pairs == ((2, 0), (4, 3))
     assert dec.compression.rows == ((1,), (3,), (2, 4))
-    assert dec.compression0 == ((1,), (0, 3), (2, 4))
+    assert dec.compression.shape.inner == (1, 1)
 
 
 def test_all_horizontal_is_one_block():
@@ -131,6 +135,23 @@ def test_spanned_verticals_merge_into_one_block():
     ]
     assert dec.vertical_pairs == ((3, 2),)
     assert dec.compression.word == "123"
+
+
+def test_decompositions_are_pinned():
+    pinned = hashlib.sha256()
+    count = 0
+    for n in range(1, 7):
+        for word in enumerate_words((n, n, n)):
+            t = from_word(word)
+            if not is_rotationally_symmetric(t):
+                continue
+            dec = decompose_blocks(fold(t))
+            pinned.update(repr((dec.blocks, dec.vertical_pairs, dec.compression)).encode())
+            diagram = crossed_mdiagram_of_decomposition(dec).to_dict()
+            pinned.update(json.dumps(diagram, sort_keys=True).encode())
+            count += 1
+    assert count == 530
+    assert pinned.hexdigest() == DECOMPOSITIONS_SHA256
 
 
 def test_crossed_mdiagram_even():
