@@ -118,8 +118,12 @@ def _crossing_pairs(m: MDiagram) -> list[tuple[int, int, int, int]]:
     and m.arcs[j] cross at x = num / den.  Sorted by x, then by (i, j).
 
     All arithmetic is on integers: the abscissas are scaled by the lcm of
-    their denominators, and the crossings are ordered on a common
-    denominator.  Raises ConcurrentArcs if three arcs pass through one point.
+    their denominators, and the crossings are ordered by floor(x * D**2),
+    where D is the largest |den|.  Two different abscissas with
+    denominators of at most D differ by at least 1 / D**2, so these keys
+    are equal only for equal abscissas; a common denominator of every
+    crossing would grow with the number of distinct denominators.
+    Raises ConcurrentArcs if three arcs pass through one point.
     """
     # abscissas strictly increase, so boundary positions order them exactly
     spans = [(a.tail, a.head) if a.tail < a.head else (a.head, a.tail) for a in m.arcs]
@@ -135,9 +139,8 @@ def _crossing_pairs(m: MDiagram) -> list[tuple[int, int, int, int]]:
             # interleaved spans have distinct centres, so den is never 0
             l1, h1, l2, h2 = bx[lo1 - 1], bx[hi1 - 1], bx[lo2 - 1], bx[hi2 - 1]
             found.append((i, j, l2 * h2 - l1 * h1, (l2 + h2 - l1 - h1) * scale))
-    common = math.lcm(*(den for *_, den in found))
-    # x * common, exact, so equal keys are equal abscissas
-    keys = [num * (common // den) for *_, num, den in found]
+    square = max((den * den for *_, den in found), default=1)
+    keys = [num * square // den for *_, num, den in found]
     ranked = sorted((key, i, j, num, den) for key, (i, j, num, den) in zip(keys, found))
     # three arcs through one point make two crossings at one abscissa
     if any(a[0] == b[0] for a, b in zip(ranked, ranked[1:])):
@@ -167,15 +170,15 @@ def crossings(m: MDiagram) -> tuple[Crossing, ...]:
 
 @dataclass(frozen=True, eq=False)
 class Resolution:
-    """A resolved web with, per edge, the indices into arcs of the arcs it
-    toggles, and per intersecting pair its arc indices and resolution edge.
-    The arc sets themselves are built on first read.
+    """A resolved web with one arc table: per edge, the indices into arcs of
+    the arcs it toggles.  An arc segment holds its arc, a sink feed or an
+    intersection the pair it resolves, a boundary edge none.  The arc sets
+    themselves are built on first read.
     """
 
     web: PlanarWeb
     arcs: tuple[Arc, ...]
     edge_arcs: tuple[tuple[int, ...], ...]
-    pair_edge_arcs: tuple[tuple[tuple[int, ...], int], ...]
 
     @cached_property
     def toggles(self) -> tuple[frozenset[Arc], ...]:
@@ -186,8 +189,8 @@ class Resolution:
     @cached_property
     def pair_edges(self) -> tuple[tuple[frozenset[Arc], int], ...]:
         """Each sink's or crossing's pair of arcs, with the edge that resolves it."""
-        arcs = self.arcs
-        return tuple((frozenset([arcs[i] for i in ix]), e) for ix, e in self.pair_edge_arcs)
+        toggles = self.toggles
+        return tuple((toggles[e], e) for e, ix in enumerate(self.edge_arcs) if len(ix) == 2)
 
     @cached_property
     def face_arcs(self) -> dict[frozenset[int], frozenset[Arc]]:
@@ -241,70 +244,52 @@ def _resolve(m: MDiagram) -> Resolution:
         by_arc[i].append(t)
         by_arc[j].append(t)
 
+    # vertices: the boundary 1..n, an internal sink per boundary sink, then
+    # u = base + 2t + 1 and w = base + 2t + 2 for crossing t
     sink_vertex = {q: n + 1 + s for s, q in enumerate(sinks)}
     base = n + len(sinks)
-    cross_u = [base + 2 * t + 1 for t in range(len(found))]
-    cross_w = [base + 2 * t + 2 for t in range(len(found))]
 
-    # edge e runs e_tail[e] -> e_head[e]; edges are numbered arc segments
-    # first (each arc from its tail), then sink feeds, intersections and the
-    # boundary circle
-    e_tail: list[int] = []
-    e_head: list[int] = []
+    # edge e runs origins[2e] -> origins[2e + 1], so a dart is its index in
+    # origins; edges are numbered arc segments first, then sink feeds,
+    # intersections and the boundary circle, whose edge first_bnd + k - 1
+    # runs from k to the next vertex round the circle
+    first_int = len(ends) + 2 * len(found) + len(sinks)
+    first_bnd = first_int + len(found)
+
+    def ring(k: int, web_dart: int) -> tuple[int, int, int]:
+        """Boundary vertex k's darts: out round the circle, into the web, in from the circle."""
+        return (2 * (first_bnd + k - 1), web_dart, 2 * (first_bnd + (k - 2) % n) + 1)
+
+    origins: list[int] = []
+    rotation: dict[int, tuple[int, ...]] = {}
     edge_arcs: list[tuple[int, ...]] = []
-    pair_edge_arcs: list[tuple[tuple[int, ...], int]] = []
-    source_dart = [0] * (n + 1)
     sink_arc_darts: dict[int, list[tuple[tuple, int]]] = {q: [] for q in sinks}
     # the dart by which arc i enters crossing t at u; it leaves w by the next one
     in_dart: dict[tuple[int, int], int] = {}
 
+    # each arc's path p, (u, w) of every crossing it meets, its sink; the
+    # consecutive pairs of the path are its segments
     for i, (p, q) in enumerate(ends):
         met = by_arc[i] if p < q else by_arc[i][::-1]
-        source_dart[p] = 2 * len(e_tail)
-        e_tail.append(p)
+        rotation[p] = ring(p, len(origins))
+        origins.append(p)
         for t in met:
-            in_dart[(t, i)] = 2 * len(e_head) + 1
-            e_head.append(cross_u[t])
-            e_tail.append(cross_w[t])
-        e_head.append(sink_vertex[q])
+            in_dart[(t, i)] = len(origins)
+            origins += (base + 2 * t + 1, base + 2 * t + 2)
+        origins.append(sink_vertex[q])
         key = (0, p) if p > q else (1, p)
-        sink_arc_darts[q].append((key, 2 * len(e_head) - 1))
+        sink_arc_darts[q].append((key, len(origins) - 1))
         edge_arcs += [(i,)] * (len(met) + 1)
 
-    feed_edge = {}
     for q in sinks:
-        pair = tuple(heads[q])
-        feed_edge[q] = len(e_tail)
-        e_tail.append(q)
-        e_head.append(sink_vertex[q])
-        edge_arcs.append(pair)
-        pair_edge_arcs.append((pair, feed_edge[q]))
-
-    first_int = len(e_tail)
-    for t, (i, j, _, _) in enumerate(found):
-        e_tail.append(cross_w[t])
-        e_head.append(cross_u[t])
-        edge_arcs.append((i, j))
-        pair_edge_arcs.append(((i, j), first_int + t))
-
-    # boundary edge first_bnd + k - 1 runs from k to the next vertex round the circle
-    first_bnd = len(e_tail)
-    e_tail += range(1, n + 1)
-    e_head += [k % n + 1 for k in range(1, n + 1)]
-    edge_arcs += [()] * n
-    tags = [ARC] * first_int + [INTERSECTION] * len(found) + [BOUNDARY] * n
-    origins = [0] * (2 * len(e_tail))
-    origins[0::2] = e_tail
-    origins[1::2] = e_head
-
-    rotation: dict[int, tuple[int, ...]] = {}
-    for k in range(1, n + 1):
-        web_dart = source_dart[k] if tails[k] else 2 * feed_edge[k]
-        rotation[k] = (2 * (first_bnd + k - 1), web_dart, 2 * (first_bnd + (k - 2) % n) + 1)
-    for q in sinks:
+        rotation[q] = ring(q, len(origins))
         darts = [d for _, d in sorted(sink_arc_darts[q])]
-        rotation[sink_vertex[q]] = (*darts, 2 * feed_edge[q] + 1)
+        rotation[sink_vertex[q]] = (*darts, len(origins) + 1)
+        origins += (q, sink_vertex[q])
+        edge_arcs.append(tuple(heads[q]))
+
     for t, (a, b, _, _) in enumerate(found):
+        edge_arcs.append((a, b))
         # a starts further left, so (the spans interleave) its centre is left
         # of b's; in and out darts alternate around the crossing, so arcs
         # pointing opposite ways meet u and w in the other order
@@ -312,14 +297,20 @@ def _resolve(m: MDiagram) -> Resolution:
             a, b = b, a
         if (ends[a][0] < ends[a][1]) != (ends[b][0] < ends[b][1]):
             a, b = b, a
-        da, db, g = in_dart[(t, a)], in_dart[(t, b)], 2 * (first_int + t)
-        rotation[cross_u[t]] = (da, db, g + 1)
-        rotation[cross_w[t]] = (da + 1, db + 1, g)
+        da, db, g = in_dart[(t, a)], in_dart[(t, b)], len(origins)
+        rotation[base + 2 * t + 1] = (da, db, g + 1)
+        rotation[base + 2 * t + 2] = (da + 1, db + 1, g)
+        origins += (base + 2 * t + 2, base + 2 * t + 1)
+
+    for k in range(1, n + 1):
+        origins += (k, k % n + 1)
+    edge_arcs += [()] * n
+    tags = [ARC] * first_int + [INTERSECTION] * len(found) + [BOUNDARY] * n
 
     web = PlanarWeb(
         n, origins, tags, rotation, partial(_layout, m.boundary, ends, heads, sinks, found)
     )
-    return Resolution(web, m.arcs, tuple(edge_arcs), tuple(pair_edge_arcs))
+    return Resolution(web, m.arcs, tuple(edge_arcs))
 
 
 def _layout(

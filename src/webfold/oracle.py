@@ -365,12 +365,8 @@ def _check_distance_lemmas(t: Tableau):
         wc = web_of_tableau(dec.compression)
         half = dec.compression.size
         for k in range(half + 1):
-            if k == 0:
-                a = boundary_face(wx, half)
-            elif k == half:
-                a = boundary_face(wx, 0)
-            else:
-                a = boundary_face(wx, half + k)
+            # A_k is B_{half + k}; at k = half that is B_N, which is B_0
+            a = boundary_face(wx, half + k)
             ar = boundary_face(wx, half - k)
             lhs = arc_distance(m, a, ar)
             rhs = 2 * web_distance(wc, boundary_face(wc, k), boundary_face(wc, 0))
@@ -426,14 +422,20 @@ THEOREMS = tuple(sorted(_SUITES))
 # 3-row n <= 7 and 2-row n <= 13 fit, and every default bound walks at
 # most 8,571 words
 _MAX_WORDS = 2_000_000
+# letters in the one word of a one-row rectangle
+_MAX_LETTERS = 2_000_000
 
 
 def _check_word_limit(rectangles: Iterable[tuple[int, int]], what: str) -> None:
     """Raise BoundTooLarge, before any word is listed, if the (rows, cols)
-    rectangles hold more than _MAX_WORDS words in all.
+    rectangles hold more than _MAX_WORDS words in all, or one row holds
+    more than _MAX_LETTERS letters.  A taller rectangle that long holds
+    too many words, or too many rows for `_check_rows`.
     """
     total = 0
     for rows, cols in rectangles:
+        if rows == 1 and cols > _MAX_LETTERS:
+            raise BoundTooLarge(f"{what} a word of more than {_MAX_LETTERS:,} letters")
         if min(rows, cols) == 1:
             total += 1
         elif max(rows, cols) >= 14:

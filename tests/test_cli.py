@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -127,6 +128,24 @@ def test_enumerate_long_and_tall_single_lines(capsys):
     code, out, err = run(capsys, "enumerate", "--shape", "1000000000x1")
     assert (code, out) == (1, "")
     assert err == "ValueError: words use single digits, at most 9 rows\n"
+
+
+def test_enumerate_refuses_a_row_too_long_to_build():
+    # with 1 GB of address space, listing the word would end in MemoryError
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "webfold.cli", "enumerate", "--shape", "1x100000000"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        preexec_fn=limit_memory, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        "BoundTooLarge: enumerate --shape 1x100000000 would list"
+        " a word of more than 2,000,000 letters\n"
+    )
 
 
 @pytest.mark.parametrize("to_file", [False, True])

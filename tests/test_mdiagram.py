@@ -1,5 +1,7 @@
 import hashlib
 import json
+import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -335,6 +337,24 @@ def test_crossings_match_fraction_reference(payload):
     assert all(type(c.x) is F for c in crossings(m))
 
 
+def test_crossing_order_stays_fast_on_large_diagrams():
+    # 800 arcs over 1,600 integer abscissas below 10**6, 106,483 crossings:
+    # a common denominator of every crossing would have 349,808 bits
+    rng = random.Random(1)
+    xs = sorted(rng.sample(range(10**6), 1600))
+    order = list(range(1600))
+    rng.shuffle(order)
+    m = MDiagram(
+        tuple(BoundaryVertex(str(k), x) for k, x in enumerate(xs)),
+        tuple(Arc(p + 1, q + 1) for p, q in zip(order[::2], order[1::2])),
+    )
+    start = time.process_time()
+    found = crossings(m)
+    assert time.process_time() - start < 5
+    assert len(found) == 106483
+    assert all(a.x <= b.x for a, b in zip(found, found[1:]))
+
+
 # sha256 over the sorted-key JSON and the SVG of every diagram of golden_diagrams(), in order
 GOLDEN_DIAGRAM_BYTES_SHA256 = "b8c36e442c09cfcff51d30c426dba80a7a69d59515965cf845ca1f9536ce400e"
 
@@ -372,6 +392,44 @@ def test_diagram_json_and_svg_bytes_are_pinned():
         pinned.update(svg_of_mdiagram(m).encode())
     assert count == 620
     assert pinned.hexdigest() == GOLDEN_DIAGRAM_BYTES_SHA256
+
+
+# sha256 over every resolution of golden_resolutions(), in order; see the test
+GOLDEN_RESOLUTIONS_SHA256 = "972abfb651e723c1c2697d22171a2acfb45241302220824254ae9d481f8e10d1"
+
+
+def golden_resolutions():
+    """The diagram of every 3-row word with n <= 5, then the crossed diagram
+    of the fold of every symmetric 3-row word with n <= 6: 7,046 diagrams."""
+    for n in range(1, 6):
+        for word in enumerate_words((n, n, n)):
+            yield mdiagram_of_tableau(from_word(word))
+    for t in symmetric_tableaux(6):
+        yield crossed_mdiagram(fold(t))
+
+
+def test_resolutions_are_pinned():
+    def arc(a):
+        return (a.tail, a.head, a.kind, a.crossed)
+
+    def arc_set(s):
+        return sorted(map(arc, s))
+
+    pinned = hashlib.sha256()
+    count = 0
+    for m in golden_resolutions():
+        count += 1
+        res = m.resolution
+        for part in (
+            json.dumps(res.web.to_dict(), sort_keys=True),
+            repr(res.edge_arcs),
+            repr([(arc_set(pair), e) for pair, e in res.pair_edges]),
+            repr([(sorted(f), arc_set(s)) for f, s in res.face_arcs.items()]),
+            repr([(arc(c.arc_a), arc(c.arc_b), str(c.x)) for c in crossings(m)]),
+        ):
+            pinned.update(part.encode())
+    assert count == 7046
+    assert pinned.hexdigest() == GOLDEN_RESOLUTIONS_SHA256
 
 
 def test_position_mirror_is_the_label_mirror():
