@@ -16,7 +16,6 @@ diagrams valid by construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
@@ -117,28 +116,35 @@ def _crossing_pairs(m: MDiagram) -> list[tuple[int, int, int, int]]:
     """Every transversal crossing as (i, j, num, den), i < j: arcs m.arcs[i]
     and m.arcs[j] cross at x = num / den.  Sorted by x, then by (i, j).
 
-    All arithmetic is on integers: the abscissas are scaled by the lcm of
-    their denominators, and the crossings are ordered by floor(x * D**2),
-    where D is the largest |den|.  Two different abscissas with
-    denominators of at most D differ by at least 1 / D**2, so these keys
-    are equal only for equal abscissas; a common denominator of every
-    crossing would grow with the number of distinct denominators.
+    All arithmetic is on integers: each arc's circle
+    x**2 - (lo + hi) x + lo hi = 0 is multiplied by its two ends'
+    denominators, so a crossing's num and den grow with its own four ends
+    only; a common denominator of the whole boundary would grow with the
+    number of distinct denominators.  The crossings are ordered by
+    floor(x * D**2), where D is the largest |den|.  Two different abscissas
+    with denominators of at most D differ by at least 1 / D**2, so these
+    keys are equal only for equal abscissas.
     Raises ConcurrentArcs if three arcs pass through one point.
     """
     # abscissas strictly increase, so boundary positions order them exactly
     spans = [(a.tail, a.head) if a.tail < a.head else (a.head, a.tail) for a in m.arcs]
-    scale = math.lcm(*(b.x.denominator for b in m.boundary))
-    bx = [b.x.numerator * (scale // b.x.denominator) for b in m.boundary]
+    xs = [(b.x.numerator, b.x.denominator) for b in m.boundary]
+    # each arc's circle as integers (q, t, p) with q x**2 - t x + p = 0;
+    # its ends are at a / c and b / d
+    circles = []
+    for lo, hi in spans:
+        (a, c), (b, d) = xs[lo - 1], xs[hi - 1]
+        circles.append((c * d, a * d + b * c, a * b))
     found = []
     for i, (lo1, hi1) in enumerate(spans):
         for j in range(i + 1, len(spans)):
             lo2, hi2 = spans[j]
             if not (lo1 < lo2 < hi1 < hi2 or lo2 < lo1 < hi2 < hi1):
                 continue
-            # where the two circles' equations agree; centre^2 - radius^2 = lo * hi;
-            # interleaved spans have distinct centres, so den is never 0
-            l1, h1, l2, h2 = bx[lo1 - 1], bx[hi1 - 1], bx[lo2 - 1], bx[hi2 - 1]
-            found.append((i, j, l2 * h2 - l1 * h1, (l2 + h2 - l1 - h1) * scale))
+            # where the two circles agree; interleaved spans have distinct
+            # centres, so den is never 0
+            (q1, t1, p1), (q2, t2, p2) = circles[i], circles[j]
+            found.append((i, j, p2 * q1 - p1 * q2, t2 * q1 - t1 * q2))
     square = max((den * den for *_, den in found), default=1)
     keys = [num * square // den for *_, num, den in found]
     ranked = sorted((key, i, j, num, den) for key, (i, j, num, den) in zip(keys, found))

@@ -3,8 +3,10 @@
 Enumeration and counting are deliberately independent of the fancier
 constructions in the rest of the package: enumeration works on row-index
 words with a lattice prefix check, and counting uses the hook length
-formula.  The verify drivers then cross-check the package's operators and
-bijections instance by instance.
+formula.  The rotationally symmetric family is generated, not filtered:
+each of its words is a lattice prefix completed by the mirror rule.  The
+verify drivers then cross-check the package's operators and bijections
+instance by instance.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import chain, islice
 
-from .errors import BoundTooLarge, InvalidWorkerCount, UnknownTheorem
+from .errors import BoundTooLarge, InvalidWorkerCount, NotRectangular, UnknownTheorem
 from .matchings import Matching2, fold2, reflect2, rotate2, web2_of_tableau
 from .mdiagram import (
     arc_distance,
@@ -82,37 +84,70 @@ def enumerate_words(shape: tuple[int, ...]) -> Iterator[str]:
     iff row r still has room and row r-1 currently holds strictly more
     entries (the lattice condition).
     """
+    _check_rows(len(shape))
+    return _lattice_prefixes(shape, sum(shape))
+
+
+def _lattice_prefixes(shape: tuple[int, ...], length: int) -> Iterator[str]:
+    """The lattice words of `length` letters whose row counts fit in shape,
+    in lexicographic order; at length sum(shape), the words of shape."""
+    rows = len(shape)
+    counts = [0] * rows
+    word: list[str] = []
+    # nxt[k] is the next row to try at position k; the last entry is the
+    # free position, so len(nxt) == len(word) + 1 while the walk runs
+    nxt = [0]
+    while nxt:
+        r = nxt[-1]
+        if len(word) == length:
+            yield "".join(word)
+            r = rows
+        while r < rows and (
+            counts[r] >= shape[r] or (r > 0 and counts[r - 1] <= counts[r])
+        ):
+            r += 1
+        if r < rows:
+            nxt[-1] = r + 1
+            counts[r] += 1
+            word.append(_LETTERS[r])
+            nxt.append(0)
+        else:
+            nxt.pop()
+            if nxt:
+                counts[nxt[-1] - 1] -= 1
+                word.pop()
+
+
+def _symmetric_words(shape: tuple[int, ...]) -> Iterator[str]:
+    """Yield the words of the rotationally symmetric tableaux of a rectangle,
+    in lexicographic order.
+
+    rotate180_complement sends entry i of row r to entry N+1-i of row R+1-r,
+    so T is symmetric iff its word has w[N+1-i] = R+1-w[i].  Each such word
+    is a lattice prefix of length ceil(N/2) completed by that rule; for odd
+    N the middle letter must be its own mirror.  A completion is kept if
+    the whole word is lattice and has the rectangle's row counts.
+    """
     rows = len(shape)
     _check_rows(rows)
+    if len(set(shape)) > 1:
+        raise NotRectangular("rotate-complement needs a rectangular shape")
     total = sum(shape)
-
-    def walk() -> Iterator[str]:
-        counts = [0] * rows
-        word: list[str] = []
-        # nxt[k] is the next row to try at position k; the last entry is the
-        # free position, so len(nxt) == len(word) + 1 while the walk runs
-        nxt = [0]
-        while nxt:
-            r = nxt[-1]
-            if len(word) == total:
-                yield "".join(word)
-                r = rows
-            while r < rows and (
-                counts[r] >= shape[r] or (r > 0 and counts[r - 1] <= counts[r])
-            ):
-                r += 1
-            if r < rows:
-                nxt[-1] = r + 1
-                counts[r] += 1
-                word.append(_LETTERS[r])
-                nxt.append(0)
-            else:
-                nxt.pop()
-                if nxt:
-                    counts[nxt[-1] - 1] -= 1
-                    word.pop()
-
-    return walk()
+    half = total // 2
+    letters = _LETTERS[:rows]
+    mirror = str.maketrans(letters, letters[::-1])
+    for prefix in _lattice_prefixes(shape, total - half):
+        if prefix[half:] != prefix[half:].translate(mirror):
+            continue
+        word = prefix + prefix[:half][::-1].translate(mirror)
+        counts = [total] + [0] * rows
+        for r in map(letters.index, word):
+            counts[r + 1] += 1
+            if counts[r + 1] > counts[r]:
+                break
+        else:
+            if counts[1:] == list(shape):
+                yield word
 
 
 def hook_length_count(shape: tuple[int, ...]) -> int:
@@ -140,19 +175,18 @@ class EnumerationFilter:
         if not self.shape.is_straight:
             raise ValueError("enumeration needs a straight shape")
 
-    def keep(self, t: Tableau) -> bool:
-        if self.predicate == "rotationally-symmetric":
-            return is_rotationally_symmetric(t)
-        if self.predicate == "domino":
-            return is_domino(t)
-        return True
-
 
 def enumerate_tableaux(filt: EnumerationFilter) -> Iterator[Tableau]:
-    """All standard tableaux of the filter's shape passing its predicate."""
-    for word in enumerate_words(filt.shape.outer):
-        t = from_word(word)
-        if filt.keep(t):
+    """All standard tableaux of the filter's shape passing its predicate.
+
+    The rotationally symmetric ones are generated, not filtered.
+    """
+    if filt.predicate == "rotationally-symmetric":
+        words = _symmetric_words(filt.shape.outer)
+    else:
+        words = enumerate_words(filt.shape.outer)
+    for t in map(from_word, words):
+        if filt.predicate != "domino" or is_domino(t):
             yield t
 
 
@@ -209,6 +243,8 @@ def _words(rows: int, max_n: int, keep: str | None = None) -> list[str]:
     shapes = [(n,) * rows for n in range(1, max_n + 1)]
     if keep is None:
         return [w for shape in shapes for w in enumerate_words(shape)]
+    if keep == "rotationally-symmetric":
+        return [w for shape in shapes for w in _symmetric_words(shape)]
     filters = [EnumerationFilter(Shape(shape), keep) for shape in shapes]
     return [t.word for filt in filters for t in enumerate_tableaux(filt)]
 
@@ -469,9 +505,11 @@ def verify(theorem_id: str, max_n: int | None = None) -> VerificationReport:
     Suites covering both 2-row and 3-row families read max_n as the 2-row
     bound and cap the 3-row side (4 where webs are built or N promotions
     run per tableau, 5 for fold-domino) so default runs stay within a
-    minute.  A bound whose families hold more than 2,000,000 words in all
-    raises BoundTooLarge before any word is enumerated.  An instance that
-    raises is reported as a failure naming the exception class.  Set
+    minute.  The symmetric suites (thm-2byn, thm-fw1, thm-fw2) generate
+    their rotationally symmetric words directly instead of filtering the
+    full walk.  A bound whose families hold more than 2,000,000 words in
+    all raises BoundTooLarge before any word is enumerated.  An instance
+    that raises is reported as a failure naming the exception class.  Set
     WEBFOLD_WORKERS to fan instances out over that many processes, at
     most one per CPU.
     """

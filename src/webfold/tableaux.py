@@ -6,9 +6,11 @@ inner(r)+1 .. outer(r).  All values are immutable and the operators are
 pure functions returning new tableaux.
 
 Shapes and tableaux are checked where they enter: `Shape(...)`,
-`Tableau(...)`, `Tableau.from_rows`, `from_word` and `from_dict`.  The
-operators, `slide` and `rectify` build their results standard by
-construction and do not check them again.
+`Tableau(...)`, `Tableau.from_rows`, `from_word` and `from_dict`.  A
+straight word's check is the lattice condition alone, since every
+lattice word encodes a standard tableau; a skew word gets the Shape and
+Tableau checks.  The operators, `slide` and `rectify` build their
+results standard by construction and do not check them again.
 """
 
 from __future__ import annotations
@@ -147,10 +149,11 @@ class Tableau:
 def from_word(word: str, inner=()) -> Tableau:
     """Decode a row-index word, optionally against an explicit inner shape.
 
-    Straight-shape words must satisfy the lattice condition.  Any word that
-    fails to encode a standard tableau raises NonLatticeWord; so does any
-    letter other than the ASCII digits 1-9.  A word that is not a string
-    raises TypeError.
+    A straight-shape word is checked by the lattice condition alone: a
+    lattice word always encodes a standard tableau.  A skew word gets the
+    full Shape and Tableau checks instead.  Any word that fails to encode a
+    standard tableau raises NonLatticeWord; so does any letter other than
+    the ASCII digits 1-9.  A word that is not a string raises TypeError.
     """
     if not isinstance(word, str):
         raise TypeError(f"word must be a string, not {type(word).__name__}")
@@ -159,32 +162,34 @@ def from_word(word: str, inner=()) -> Tableau:
         letters = list(map(_LETTERS.__getitem__, word))
     except KeyError:
         raise NonLatticeWord("word must consist of digits 1-9") from None
-    row_count = max(letters, default=0)
-    if not inner:
-        counts = [0] * (row_count + 1)
-        for j, r in enumerate(letters):
-            counts[r] += 1
-            if r > 1 and counts[r] > counts[r - 1]:
-                raise NonLatticeWord(f"lattice condition fails at position {j + 1}")
-    row_count = max(row_count, len(inner))
+    row_count = max(max(letters, default=0), len(inner))
     rows: list[list[int]] = [[] for _ in range(row_count)]
     for j, r in enumerate(letters, start=1):
         rows[r - 1].append(j)
-    try:
-        return Tableau.from_rows(rows, inner)
-    except ValueError as e:
-        raise NonLatticeWord(f"word does not encode a standard tableau: {e}") from None
+    if inner:
+        try:
+            return Tableau.from_rows(rows, inner)
+        except ValueError as e:
+            raise NonLatticeWord(f"word does not encode a standard tableau: {e}") from None
+    counts = [0] * (row_count + 1)
+    for j, r in enumerate(letters):
+        counts[r] += 1
+        if r > 1 and counts[r] > counts[r - 1]:
+            raise NonLatticeWord(f"lattice condition fails at position {j + 1}")
+    return _unchecked(rows)
 
 
-def _unchecked(rows, inner=()) -> Tableau:
-    """Tableau.from_rows without its checks, for a filling standard by construction."""
+def _unchecked(rows, inner=(), shape: Shape | None = None) -> Tableau:
+    """Tableau.from_rows without its checks, for a filling standard by
+    construction; a caller whose rows fill a shape it holds passes it."""
     rows = tuple(map(tuple, rows))
-    inner = tuple(inner)
-    outer = tuple(map(add, map(len, rows), inner + (0,) * (len(rows) - len(inner))))
-    while inner and inner[-1] == 0:
-        inner = inner[:-1]
-    shape = object.__new__(Shape)
-    shape.__dict__.update(outer=outer, inner=inner, size=sum(outer) - sum(inner))
+    if shape is None:
+        inner = tuple(inner)
+        outer = tuple(map(add, map(len, rows), inner + (0,) * (len(rows) - len(inner))))
+        while inner and inner[-1] == 0:
+            inner = inner[:-1]
+        shape = object.__new__(Shape)
+        shape.__dict__.update(outer=outer, inner=inner, size=sum(outer) - sum(inner))
     t = object.__new__(Tableau)
     t.__dict__.update(shape=shape, rows=rows)
     return t
@@ -315,7 +320,7 @@ def _slide_forward(t: Tableau, bounds: range | list[int]) -> Tableau:
         relabel = (list(range(-1, k)) + list(range(k + 1, n + 2))).__getitem__
         grid = [list(map(relabel, row)) for row in grid]
         grid[r][c] = k
-    return _unchecked([row[:m] for row, m in zip(grid, outer)])
+    return _unchecked([row[:m] for row, m in zip(grid, outer)], shape=t.shape)
 
 
 def _slide_back(t: Tableau, bounds: range | list[int]) -> Tableau:
@@ -349,7 +354,7 @@ def _slide_back(t: Tableau, bounds: range | list[int]) -> Tableau:
         relabel = ([0] + list(range(2, k + 1)) + list(range(k, n + 1))).__getitem__
         grid = [list(map(relabel, row)) for row in grid]
         grid[1][1] = 1
-    return _unchecked([row[1:] for row in grid[1:]])
+    return _unchecked([row[1:] for row in grid[1:]], shape=t.shape)
 
 
 def promote(t: Tableau) -> Tableau:
@@ -415,7 +420,7 @@ def _rotated_complement_rows(t: Tableau) -> tuple[tuple[int, ...], ...]:
 
 def rotate180_complement(t: Tableau) -> Tableau:
     """Rotate the rectangle by 180 degrees and complement every entry."""
-    return _unchecked(_rotated_complement_rows(t))
+    return _unchecked(_rotated_complement_rows(t), shape=t.shape)
 
 
 # the tableau predicates `enumerate --filter` and the sweeps select by name

@@ -116,6 +116,7 @@ def test_perfbench_names_resolve():
 # by calling tableaux._unchecked, object.__new__, MDiagram(...) or Matching2(...)
 UNCHECKED_BUILDERS = {
     "tableaux._unchecked",
+    "tableaux.from_word",
     "tableaux._from_grid",
     "tableaux.restrict_le",
     "tableaux.restrict_gt",

@@ -355,6 +355,36 @@ def test_crossing_order_stays_fast_on_large_diagrams():
     assert all(a.x <= b.x for a, b in zip(found, found[1:]))
 
 
+def test_crossing_order_is_exact_and_fast_on_rational_diagrams():
+    # 200 arcs over 400 abscissas n/d with n, d below 10**6: a common
+    # denominator of the boundary would have thousands of bits
+    rng = random.Random(1)
+    xs = set()
+    while len(xs) < 400:
+        xs.add(F(rng.randrange(1, 10**6), rng.randrange(1, 10**6)))
+    xs = sorted(xs)
+    order = list(range(400))
+    rng.shuffle(order)
+    m = MDiagram(
+        tuple(BoundaryVertex(str(k), x) for k, x in enumerate(xs)),
+        tuple(Arc(p + 1, q + 1) for p, q in zip(order[::2], order[1::2])),
+    )
+    start = time.process_time()
+    found = crossings(m)
+    assert time.process_time() - start < 2
+    expected = []
+    for i, a in enumerate(m.arcs):
+        l1, h1 = sorted((xs[a.tail - 1], xs[a.head - 1]))
+        for j, b in enumerate(m.arcs[i + 1 :], start=i + 1):
+            l2, h2 = sorted((xs[b.tail - 1], xs[b.head - 1]))
+            if l1 < l2 < h1 < h2 or l2 < l1 < h2 < h1:
+                expected.append(((l2 * h2 - l1 * h1) / (l2 + h2 - l1 - h1), i, j))
+    expected.sort()
+    assert len(expected) == 6539
+    got = [(c.arc_a, c.arc_b, c.x) for c in found]
+    assert got == [(m.arcs[i], m.arcs[j], x) for x, i, j in expected]
+
+
 # sha256 over the sorted-key JSON and the SVG of every diagram of golden_diagrams(), in order
 GOLDEN_DIAGRAM_BYTES_SHA256 = "b8c36e442c09cfcff51d30c426dba80a7a69d59515965cf845ca1f9536ce400e"
 

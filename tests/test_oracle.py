@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 from pathlib import Path
@@ -6,7 +7,13 @@ from pathlib import Path
 import pytest
 
 from webfold import oracle, tableaux
-from webfold.errors import BoundTooLarge, InvalidWorkerCount, NotAWeb, UnknownTheorem
+from webfold.errors import (
+    BoundTooLarge,
+    InvalidWorkerCount,
+    NotAWeb,
+    NotRectangular,
+    UnknownTheorem,
+)
 from webfold.oracle import (
     THEOREMS,
     EnumerationFilter,
@@ -18,7 +25,7 @@ from webfold.oracle import (
     verify,
     worker_count,
 )
-from webfold.tableaux import Shape, evacuate, from_word
+from webfold.tableaux import Shape, evacuate, from_word, is_rotationally_symmetric
 
 TWO_ROW_COUNTS = [1, 2, 5, 14, 42, 132, 429, 1430]
 THREE_ROW_COUNTS = [1, 5, 42, 462, 6006]
@@ -67,6 +74,41 @@ def test_filtered_enumeration():
     assert [t.word for t in everything] == sorted(enumerate_words((2, 2, 2)))
     dominoes = list(enumerate_tableaux(EnumerationFilter(Shape((2, 2, 2)), "domino")))
     assert len(dominoes) == 3
+    lopsided = enumerate_tableaux(EnumerationFilter(Shape((3, 2)), "rotationally-symmetric"))
+    with pytest.raises(NotRectangular, match="rectangular shape"):
+        next(lopsided)
+
+
+def test_symmetric_words_are_the_filtered_walk():
+    for rows, top in ((2, 10), (3, 6)):
+        for n in range(1, top + 1):
+            shape = (n,) * rows
+            words = enumerate_words(shape)
+            filtered = [w for w in words if is_rotationally_symmetric(from_word(w))]
+            assert list(oracle._symmetric_words(shape)) == filtered, shape
+
+
+def _self_evacuating_count(rows, cols):
+    """|f(-1)| for f(q) = prod_{k <= N} (1 - q^k) / prod_hooks (1 - q^h), the
+    q-hook length formula; Stembridge (Duke Math. J., 1996) counts the
+    self-evacuating tableaux with it.  Near q = -1, 1 - q^k tends to 2 for
+    odd k and is k (1 + q) to first order for even k; a rectangle has as
+    many even hooks as even k <= N, so the factors 1 + q cancel."""
+    hooks = [(cols - c) + (rows - r) - 1 for r in range(rows) for c in range(cols)]
+    top = [k for k in range(1, rows * cols + 1) if k % 2 == 0]
+    bottom = [h for h in hooks if h % 2 == 0]
+    assert len(top) == len(bottom)
+    return math.prod(top) // math.prod(bottom)
+
+
+def test_symmetric_counts_match_the_closed_form():
+    pinned = {(2, 3): 3, (2, 4): 6, (2, 6): 20, (3, 3): 6, (3, 4): 30, (3, 5): 70, (3, 6): 420}
+    counts = {}
+    for rows, top in ((2, 10), (3, 6), (4, 4), (5, 3)):
+        for n in range(1, top + 1):
+            counts[rows, n] = sum(1 for _ in oracle._symmetric_words((n,) * rows))
+            assert counts[rows, n] == _self_evacuating_count(rows, n), (rows, n)
+    assert {key: counts[key] for key in pinned} == pinned
 
 
 def test_filter_validation():
@@ -138,6 +180,7 @@ def test_verify_refuses_a_bound_past_the_word_limit(monkeypatch):
 
     # the limit is checked from hook-length counts, before any word is listed
     monkeypatch.setattr(oracle, "enumerate_words", no_enumeration)
+    monkeypatch.setattr(oracle, "_symmetric_words", no_enumeration)
     for theorem, bound in (
         ("roundtrip-3web", 8),
         ("roundtrip-3web", 9),

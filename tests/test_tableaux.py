@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import product
 from operator import le
 
 import pytest
@@ -88,6 +89,8 @@ def test_operators_run_no_tableau_checks(monkeypatch):
     promote_bounded_inverse(straight, 5)
     restrict_le(SKEW, 7)
     restrict_gt(SKEW, 7)
+    # a straight word's lattice check is its entry check
+    assert from_word(expected.word) == expected
     assert checks == []
     Tableau.from_rows([(1, 2)])
     assert checks == ["Shape", "Tableau"]
@@ -363,6 +366,35 @@ def test_from_word_rejects_non_lattice():
         from_word("2112")
     with pytest.raises(NonLatticeWord):
         from_word("1212x")
+
+
+def _is_lattice(word):
+    """Whether every prefix holds at least as many r - 1 as r, for each letter r."""
+    for k in range(1, len(word) + 1):
+        counts = [word[:k].count(letter) for letter in "123456789"]
+        if counts != sorted(counts, reverse=True):
+            return False
+    return True
+
+
+def test_from_word_accepts_exactly_the_lattice_words():
+    """Every word over 1-4 of length 1 to 8; the accepted ones decode to
+    what the Shape and Tableau checks build."""
+    count = accepted = 0
+    for length in range(1, 9):
+        for word in map("".join, product("1234", repeat=length)):
+            count += 1
+            try:
+                t = from_word(word)
+            except NonLatticeWord:
+                assert not _is_lattice(word), word
+                continue
+            assert _is_lattice(word), word
+            _assert_checked(t)
+            assert t.word == word
+            accepted += 1
+    # 896 = the standard tableaux of at most 4 rows and size 1 to 8, by hook lengths
+    assert (count, accepted) == (87380, 896)
 
 
 @pytest.mark.parametrize("word", ["\u0660", "\u0661\u0662\u0663", "\u00b2", "1\u0662", "12a", "0", "1 2", "\uff11"])
