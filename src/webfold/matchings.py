@@ -9,20 +9,17 @@ with two-row rectangular tableaux sends row-1 entries to left endpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._value import Value
 from .errors import NotSymmetrical, WrongShape, _integer
 from .tableaux import Tableau
 
 
-@dataclass(frozen=True)
-class Matching2:
-    n_pairs: int
-    arcs: tuple[tuple[int, int], ...]
+class Matching2(Value):
+    __slots__ = _fields = ("n_pairs", "arcs")
 
-    def __post_init__(self) -> None:
-        arcs = tuple(sorted((min(a, b), max(a, b)) for a, b in self.arcs))
-        object.__setattr__(self, "arcs", arcs)
+    def __init__(self, n_pairs: int, arcs: tuple[tuple[int, int], ...]) -> None:
+        self.n_pairs = n_pairs
+        self.arcs = tuple(sorted((min(a, b), max(a, b)) for a, b in arcs))
 
     def to_dict(self) -> dict:
         return {"n": self.n_pairs, "arcs": [list(arc) for arc in self.arcs]}

@@ -16,10 +16,10 @@ diagrams valid by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 
+from ._value import Value
 from .errors import ConcurrentArcs, InvalidBoundaryDegrees, UnknownFace
 from .planarweb import ARC, BOUNDARY, INTERSECTION, PlanarWeb, boundary_face
 
@@ -27,25 +27,31 @@ FIRST = "first"
 SECOND = "second"
 
 
-@dataclass(frozen=True)
-class BoundaryVertex:
-    label: str
-    x: Fraction | int
+class BoundaryVertex(Value):
+    __slots__ = _fields = ("label", "x")
+
+    def __init__(self, label: str, x: Fraction | int) -> None:
+        self.label = label
+        self.x = x
 
 
-@dataclass(frozen=True)
-class Arc:
-    # boundary positions 1..N
-    tail: int
-    head: int
-    kind: str = FIRST
-    crossed: bool = False
+class Arc(Value):
+    __slots__ = _fields = ("tail", "head", "kind", "crossed")
+
+    def __init__(self, tail: int, head: int, kind: str = FIRST, crossed: bool = False) -> None:
+        # boundary positions 1..N
+        self.tail = tail
+        self.head = head
+        self.kind = kind
+        self.crossed = crossed
 
 
-@dataclass(frozen=True)
-class MDiagram:
-    boundary: tuple[BoundaryVertex, ...]
-    arcs: tuple[Arc, ...]
+class MDiagram(Value):
+    _fields = ("boundary", "arcs")
+
+    def __init__(self, boundary: tuple[BoundaryVertex, ...], arcs: tuple[Arc, ...]) -> None:
+        self.boundary = boundary
+        self.arcs = arcs
 
     @cached_property
     def resolution(self) -> Resolution:
@@ -105,11 +111,13 @@ def _abscissa(x) -> Fraction:
     return value
 
 
-@dataclass(frozen=True)
-class Crossing:
-    arc_a: Arc
-    arc_b: Arc
-    x: Fraction
+class Crossing(Value):
+    __slots__ = _fields = ("arc_a", "arc_b", "x")
+
+    def __init__(self, arc_a: Arc, arc_b: Arc, x: Fraction) -> None:
+        self.arc_a = arc_a
+        self.arc_b = arc_b
+        self.x = x
 
 
 def _crossing_pairs(m: MDiagram) -> list[tuple[int, int, int, int]]:
@@ -174,17 +182,21 @@ def crossings(m: MDiagram) -> tuple[Crossing, ...]:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class Resolution:
+class Resolution(Value, eq=False):
     """A resolved web with one arc table: per edge, the indices into arcs of
     the arcs it toggles.  An arc segment holds its arc, a sink feed or an
     intersection the pair it resolves, a boundary edge none.  The arc sets
     themselves are built on first read.
     """
 
-    web: PlanarWeb
-    arcs: tuple[Arc, ...]
-    edge_arcs: tuple[tuple[int, ...], ...]
+    _fields = ("web", "arcs", "edge_arcs")
+
+    def __init__(
+        self, web: PlanarWeb, arcs: tuple[Arc, ...], edge_arcs: tuple[tuple[int, ...], ...]
+    ) -> None:
+        self.web = web
+        self.arcs = arcs
+        self.edge_arcs = edge_arcs
 
     @cached_property
     def toggles(self) -> tuple[frozenset[Arc], ...]:

@@ -16,10 +16,10 @@ import math
 import os
 import time
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import chain, islice
 
+from ._value import Value
 from .errors import BoundTooLarge, InvalidWorkerCount, NotRectangular, UnknownTheorem
 from .matchings import Matching2, fold2, reflect2, rotate2, web2_of_tableau
 from .mdiagram import (
@@ -164,16 +164,29 @@ def hook_length_count(shape: tuple[int, ...]) -> int:
     return math.factorial(total) // product
 
 
-@dataclass(frozen=True)
-class EnumerationFilter:
-    shape: Shape
-    predicate: str = "all"
+def _self_evacuating_count(rows: int, cols: int) -> int:
+    """|f(-1)| for f(q) = prod_{k <= N} (1 - q^k) / prod_hooks (1 - q^h), the
+    q-hook length formula; Stembridge (Duke Math. J., 1996) counts the
+    self-evacuating tableaux with it.  Near q = -1, 1 - q^k tends to 2 for
+    odd k and is k (1 + q) to first order for even k; a rectangle has as
+    many even hooks as even k <= N, so the factors 1 + q cancel."""
+    hooks = [(cols - c) + (rows - r) - 1 for r in range(rows) for c in range(cols)]
+    top = [k for k in range(1, rows * cols + 1) if k % 2 == 0]
+    bottom = [h for h in hooks if h % 2 == 0]
+    assert len(top) == len(bottom)
+    return math.prod(top) // math.prod(bottom)
 
-    def __post_init__(self) -> None:
-        if self.predicate not in PREDICATES:
+
+class EnumerationFilter(Value):
+    __slots__ = _fields = ("shape", "predicate")
+
+    def __init__(self, shape: Shape, predicate: str = "all") -> None:
+        if predicate not in PREDICATES:
             raise ValueError(f"predicate must be one of {PREDICATES}")
-        if not self.shape.is_straight:
+        if not shape.is_straight:
             raise ValueError("enumeration needs a straight shape")
+        self.shape = shape
+        self.predicate = predicate
 
 
 def enumerate_tableaux(filt: EnumerationFilter) -> Iterator[Tableau]:
@@ -190,23 +203,29 @@ def enumerate_tableaux(filt: EnumerationFilter) -> Iterator[Tableau]:
             yield t
 
 
-@dataclass(frozen=True)
-class Failure:
-    word: str
-    identity: str
-    lhs: str
-    rhs: str
+class Failure(Value):
+    __slots__ = _fields = ("word", "identity", "lhs", "rhs")
+
+    def __init__(self, word: str, identity: str, lhs: str, rhs: str) -> None:
+        self.word = word
+        self.identity = identity
+        self.lhs = lhs
+        self.rhs = rhs
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(zip(self._fields, self._astuple(self)))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    theorem: str
-    instances: int
-    failures: tuple[Failure, ...]
-    elapsed: float
+class VerificationReport(Value):
+    __slots__ = _fields = ("theorem", "instances", "failures", "elapsed")
+
+    def __init__(
+        self, theorem: str, instances: int, failures: tuple[Failure, ...], elapsed: float
+    ) -> None:
+        self.theorem = theorem
+        self.instances = instances
+        self.failures = failures
+        self.elapsed = elapsed
 
     @property
     def passed(self) -> bool:
@@ -455,18 +474,22 @@ _SUITES: dict[str, tuple[int, tuple[int, ...], int | None, str | None, Callable]
 THEOREMS = tuple(sorted(_SUITES))
 
 # words a sweep or an enumeration may list, summed over its rectangles;
-# 3-row n <= 7 and 2-row n <= 13 fit, and every default bound walks at
-# most 8,571 words
+# all words of 3-row n <= 7 and 2-row n <= 13 fit, the symmetric ones of
+# 3-row n <= 11 and 2-row n <= 22 do, and every default bound walks at most
+# 8,571 words
 _MAX_WORDS = 2_000_000
 # letters in the one word of a one-row rectangle
 _MAX_LETTERS = 2_000_000
 
 
-def _check_word_limit(rectangles: Iterable[tuple[int, int]], what: str) -> None:
+def _check_word_limit(
+    rectangles: Iterable[tuple[int, int]], what: str, symmetric: bool = False
+) -> None:
     """Raise BoundTooLarge, before any word is listed, if the (rows, cols)
     rectangles hold more than _MAX_WORDS words in all, or one row holds
     more than _MAX_LETTERS letters.  A taller rectangle that long holds
-    too many words, or too many rows for `_check_rows`.
+    too many words, or too many rows for `_check_rows`.  With symmetric,
+    only the rotationally symmetric words count, by their closed form.
     """
     total = 0
     for rows, cols in rectangles:
@@ -474,6 +497,10 @@ def _check_word_limit(rectangles: Iterable[tuple[int, int]], what: str) -> None:
             raise BoundTooLarge(f"{what} a word of more than {_MAX_LETTERS:,} letters")
         if min(rows, cols) == 1:
             total += 1
+        elif symmetric:
+            # the sweeps list n = 1, 2, ... in turn, so the total passes the
+            # limit at 2x23 or 3x12, long before a count is slow to take
+            total += _self_evacuating_count(rows, cols)
         elif max(rows, cols) >= 14:
             # it contains a 2x14 or 14x2 rectangle, and each of that one's
             # Catalan(14) = 2,674,440 tableaux extends to one of its own; so
@@ -508,7 +535,12 @@ def verify(theorem_id: str, max_n: int | None = None) -> VerificationReport:
     minute.  The symmetric suites (thm-2byn, thm-fw1, thm-fw2) generate
     their rotationally symmetric words directly instead of filtering the
     full walk.  A bound whose families hold more than 2,000,000 words in
-    all raises BoundTooLarge before any word is enumerated.  An instance
+    all raises BoundTooLarge before any word is enumerated.  The symmetric
+    suites count only their own words, by Stembridge's closed form, so they
+    reach 2-row n = 22 and 3-row n = 11; every other suite counts all the
+    words it decodes, block-patterns too, since it keeps its domino words
+    by decoding every word.  `enumerate` counts all words of its shape,
+    whatever its filter.  An instance
     that raises is reported as a failure naming the exception class.  Set
     WEBFOLD_WORKERS to fan instances out over that many processes, at
     most one per CPU.
@@ -525,6 +557,7 @@ def verify(theorem_id: str, max_n: int | None = None) -> VerificationReport:
     _check_word_limit(
         ((rows, n) for rows in rows_swept for n in range(1, caps[rows] + 1)),
         f"{theorem_id} up to n={bound} would sweep",
+        symmetric=keep == "rotationally-symmetric",
     )
     start = time.perf_counter()
     words = [w for rows in rows_swept for w in _words(rows, caps[rows], keep)]

@@ -17,10 +17,10 @@ its sha256 digest are computed on first read.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 
+from ._value import Value
 from .errors import UnknownFace, _integer
 
 BOUNDARY = "boundary"
@@ -29,23 +29,34 @@ INTERSECTION = "intersection"
 TAGS = (ARC, BOUNDARY, INTERSECTION)
 
 
-@dataclass(frozen=True)
-class Edge:
-    tail: int
-    head: int
-    tag: str = ARC
+class Edge(Value):
+    __slots__ = _fields = ("tail", "head", "tag")
+
+    def __init__(self, tail: int, head: int, tag: str = ARC) -> None:
+        self.tail = tail
+        self.head = head
+        self.tag = tag
 
 
-@dataclass(frozen=True, eq=False)
-class PlanarWeb:
-    n_boundary: int
-    # the origin of every dart: the tail of edge i at 2i, its head at 2i+1
-    origins: list[int]
-    # one tag per edge: ARC, BOUNDARY or INTERSECTION
-    tags: list[str]
-    rotation: dict[int, tuple[int, ...]]
-    # computes the drawing coordinates when `layout` is first read
-    _draw: Callable[[], dict[int, tuple[Fraction, Fraction]] | None] | None = None
+class PlanarWeb(Value, eq=False):
+    _fields = ("n_boundary", "origins", "tags", "rotation", "_draw")
+
+    def __init__(
+        self,
+        n_boundary: int,
+        origins: list[int],
+        tags: list[str],
+        rotation: dict[int, tuple[int, ...]],
+        _draw: Callable[[], dict[int, tuple[Fraction, Fraction]] | None] | None = None,
+    ) -> None:
+        self.n_boundary = n_boundary
+        # the origin of every dart: the tail of edge i at 2i, its head at 2i+1
+        self.origins = origins
+        # one tag per edge: ARC, BOUNDARY or INTERSECTION
+        self.tags = tags
+        self.rotation = rotation
+        # computes the drawing coordinates when `layout` is first read
+        self._draw = _draw
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
@@ -260,10 +271,12 @@ def web_distance(w: PlanarWeb, x: frozenset[int], y: frozenset[int]) -> int:
     return d
 
 
-@dataclass(frozen=True)
-class WebReport:
-    ok: bool
-    violations: tuple[str, ...]
+class WebReport(Value):
+    __slots__ = _fields = ("ok", "violations")
+
+    def __init__(self, ok: bool, violations: tuple[str, ...]) -> None:
+        self.ok = ok
+        self.violations = violations
 
 
 def validate_3web(w: PlanarWeb) -> WebReport:
@@ -306,15 +319,17 @@ def validate_3web(w: PlanarWeb) -> WebReport:
     return WebReport(not bad, tuple(bad))
 
 
-@dataclass(frozen=True, repr=False)
-class CanonicalWebForm:
+class CanonicalWebForm(Value):
     """A canonical form; it compares and hashes as its nested tuple `key`.
 
     `repr` is injective on tuples of ints and the strings 'b' and 'w', so
     two forms are equal exactly when their serializations are.
     """
 
-    key: tuple
+    _fields = ("key",)
+
+    def __init__(self, key: tuple) -> None:
+        self.key = key
 
     @cached_property
     def serialization(self) -> bytes:

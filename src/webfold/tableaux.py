@@ -2,8 +2,10 @@
 
 Cells are addressed (row, column) with both indices starting at 1.  A
 tableau stores its entries row by row; row r occupies the columns
-inner(r)+1 .. outer(r).  All values are immutable and the operators are
-pure functions returning new tableaux.
+inner(r)+1 .. outer(r).  Shapes and tableaux are plain classes, read-only
+by convention: nothing stops an assignment to a field, but the package
+never makes one, and the operators are pure functions returning new
+tableaux.
 
 Shapes and tableaux are checked where they enter: `Shape(...)`,
 `Tableau(...)`, `Tableau.from_rows`, `from_word` and `from_dict`.  A
@@ -16,10 +18,10 @@ results standard by construction and do not check them again.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import chain
 from operator import add, ge, gt, lt, sub
 
+from ._value import Value
 from .errors import NonLatticeWord, NotACorner, NotRectangular, OutOfRange, WrongShape
 
 Cell = tuple[int, int]
@@ -28,21 +30,20 @@ Cell = tuple[int, int]
 _LETTERS = {str(r): r for r in range(1, 10)}
 
 
-@dataclass(frozen=True)
-class Shape:
-    """A skew shape outer/inner; inner may be empty for straight shapes."""
+class Shape(Value):
+    """A skew shape outer/inner; inner may be empty for straight shapes.
 
-    outer: tuple[int, ...]
-    inner: tuple[int, ...] = ()
-    size: int = field(init=False, repr=False, compare=False)
+    `size`, the number of cells, is neither compared nor shown.
+    """
 
-    def __post_init__(self) -> None:
-        outer = tuple(self.outer)
-        inner = tuple(self.inner)
+    __slots__ = ("outer", "inner", "size")
+    _fields = ("outer", "inner")
+
+    def __init__(self, outer: tuple[int, ...], inner: tuple[int, ...] = ()) -> None:
+        outer = tuple(outer)
+        inner = tuple(inner)
         while inner and inner[-1] == 0:
             inner = inner[:-1]
-        object.__setattr__(self, "outer", outer)
-        object.__setattr__(self, "inner", inner)
         if outer and min(outer) <= 0:
             raise ValueError("outer rows must be positive")
         if any(map(lt, outer, outer[1:])):
@@ -55,7 +56,9 @@ class Shape:
             raise ValueError("inner has more rows than outer")
         if any(map(gt, inner, outer)):
             raise ValueError("inner does not fit inside outer")
-        object.__setattr__(self, "size", sum(outer) - sum(inner))
+        self.outer = outer
+        self.inner = inner
+        self.size = sum(outer) - sum(inner)
 
     def inner_at(self, r: int) -> int:
         return self.inner[r - 1] if 1 <= r <= len(self.inner) else 0
@@ -73,20 +76,17 @@ class Shape:
         return self.is_straight and len(set(self.outer)) <= 1
 
 
-@dataclass(frozen=True)
-class Tableau:
+class Tableau(Value):
     """A standard filling of a skew shape with 1..N."""
 
-    shape: Shape
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("shape", "rows")
 
-    def __post_init__(self) -> None:
-        rows = tuple(map(tuple, self.rows))
-        object.__setattr__(self, "rows", rows)
-        outer = self.shape.outer
+    def __init__(self, shape: Shape, rows: tuple[tuple[int, ...], ...]) -> None:
+        rows = tuple(map(tuple, rows))
+        outer = shape.outer
         if len(rows) != len(outer):
             raise ValueError("row count does not match shape")
-        inner = self.shape.inner + (0,) * (len(outer) - len(self.shape.inner))
+        inner = shape.inner + (0,) * (len(outer) - len(shape.inner))
         lengths = list(map(len, rows))
         wanted = list(map(sub, outer, inner))
         if lengths != wanted:
@@ -101,6 +101,8 @@ class Tableau:
         for upper, lower, shift in zip(rows, rows[1:], map(sub, inner, inner[1:])):
             if any(map(ge, upper, lower[shift:])):
                 raise ValueError("columns must strictly increase")
+        self.shape = shape
+        self.rows = rows
 
     @classmethod
     def from_rows(cls, rows, inner=()) -> "Tableau":
@@ -189,9 +191,9 @@ def _unchecked(rows, inner=(), shape: Shape | None = None) -> Tableau:
         while inner and inner[-1] == 0:
             inner = inner[:-1]
         shape = object.__new__(Shape)
-        shape.__dict__.update(outer=outer, inner=inner, size=sum(outer) - sum(inner))
+        shape.outer, shape.inner, shape.size = outer, inner, sum(outer) - sum(inner)
     t = object.__new__(Tableau)
-    t.__dict__.update(shape=shape, rows=rows)
+    t.shape, t.rows = shape, rows
     return t
 
 

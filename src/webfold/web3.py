@@ -13,8 +13,8 @@ the domino tableau once; an odd tableau's compression is skew over (1, 1).
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 
+from ._value import Value
 from .errors import (
     NotAWeb,
     NotDomino,
@@ -120,18 +120,27 @@ def _mirror_word(w: PlanarWeb) -> str:
     return "".join(letters[1:])
 
 
-@dataclass(frozen=True)
-class Block:
-    btype: int
-    columns: tuple[int, int]
-    verticals: tuple[int, ...]
+class Block(Value):
+    __slots__ = _fields = ("btype", "columns", "verticals")
+
+    def __init__(self, btype: int, columns: tuple[int, int], verticals: tuple[int, ...]) -> None:
+        self.btype = btype
+        self.columns = columns
+        self.verticals = verticals
 
 
-@dataclass(frozen=True)
-class DominoDecomposition:
-    blocks: tuple[Block, ...]
-    vertical_pairs: tuple[tuple[int, int], ...]
-    compression: Tableau
+class DominoDecomposition(Value):
+    __slots__ = _fields = ("blocks", "vertical_pairs", "compression")
+
+    def __init__(
+        self,
+        blocks: tuple[Block, ...],
+        vertical_pairs: tuple[tuple[int, int], ...],
+        compression: Tableau,
+    ) -> None:
+        self.blocks = blocks
+        self.vertical_pairs = vertical_pairs
+        self.compression = compression
 
 
 def _classify_block(has_lone: bool, vertical_rows: tuple[int, ...], span: str) -> int:

@@ -4,7 +4,6 @@ Each test prints a single pass/fail line on the real stdout so the
 summary survives pytest's capture.
 """
 
-import dataclasses
 import functools
 import hashlib
 import json
@@ -17,6 +16,7 @@ from webfold.oracle import enumerate_words, hook_length_count, verify
 from webfold.planarweb import boundary_face, web_distance
 from webfold.tableaux import fold, from_word, promote_bounded
 from webfold.web3 import (
+    DominoDecomposition,
     _classify_block,
     crossed_mdiagram_of_decomposition,
     decompose_blocks,
@@ -188,7 +188,7 @@ def test_criterion_10_error_paths(capfd):
     dec = decompose_blocks(from_word(CHAIN_FOLD))
     with pytest.raises(VerticalPairNotAnArc):
         crossed_mdiagram_of_decomposition(
-            dataclasses.replace(dec, vertical_pairs=((1, 6),))
+            DominoDecomposition(dec.blocks, ((1, 6),), dec.compression)
         )
 
     _report(capfd, 10, quiet, "guard errors silent on valid input, raised on invalid input")

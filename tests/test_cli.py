@@ -111,7 +111,7 @@ def test_domain_errors_exit_one(capsys):
     assert code == 1 and "NonLatticeWord" in err
     code, _, err = run(capsys, "verify", "--theorem", "thm-nope")
     assert code == 1 and "UnknownTheorem" in err
-    for bound in ("20", "1000000000"):
+    for bound in ("23", "1000000000"):
         code, _, err = run(capsys, "verify", "--theorem", "thm-2byn", "--max-n", bound)
         assert code == 1 and "BoundTooLarge" in err
     for shape in ("3x8", "3x30", "2x1000000000"):

@@ -2,7 +2,8 @@
 
 Each loading case runs in a fresh interpreter, since this test process
 has long since imported the whole package.  `random` and `typing` are not
-checked: `site` may load them before any webfold code runs.
+checked: `site` may load them before any webfold code runs.  Every module
+loads `_value`, the base of the value classes.
 """
 
 import ast
@@ -54,21 +55,24 @@ def webfold_modules(modules: set[str]) -> set[str]:
 
 def test_op_loads_only_tableaux():
     modules = loaded_after(CALL_CLI, "op", "--apply", "promote", "--word", "112233")
-    assert webfold_modules(modules) == {"cli", "errors", "tableaux"}
+    assert webfold_modules(modules) == {"_value", "cli", "errors", "tableaux"}
     assert not modules & {"concurrent.futures", "fractions", "hashlib"}
 
 
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        (["web2", "from-tableau", "--word", "112212"], {"cli", "errors", "tableaux", "matchings"}),
+        (
+            ["web2", "from-tableau", "--word", "112212"],
+            {"_value", "cli", "errors", "tableaux", "matchings"},
+        ),
         (
             ["web2", "from-tableau", "--word", "112212", "--format", "svg"],
-            {"cli", "errors", "tableaux", "matchings", "mdiagram", "planarweb", "render"},
+            {"_value", "cli", "errors", "tableaux", "matchings", "mdiagram", "planarweb", "render"},
         ),
         (
             ["web3", "to-tableau", "--in", "{web}"],
-            {"cli", "errors", "tableaux", "matchings", "mdiagram", "planarweb", "web3"},
+            {"_value", "cli", "errors", "tableaux", "matchings", "mdiagram", "planarweb", "web3"},
         ),
     ],
 )
@@ -83,6 +87,38 @@ def test_web_commands_load_what_they_run(tmp_path, argv, expected):
 def test_oracle_loads_no_process_pool():
     modules = loaded_after(IMPORT_ORACLE)
     assert "concurrent.futures" not in modules
+    assert not modules & {"dataclasses", "inspect"}
+
+
+# dataclasses loads inspect, and inspect loads ast, dis and tokenize
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["op", "--apply", "promote", "--word", "112233"],
+        ["web2", "from-tableau", "--word", "112212"],
+        ["web3", "from-tableau", "--word", "112233"],
+        ["render", "--in", "{web}"],
+        ["enumerate", "--shape", "3x2"],
+        ["verify", "--theorem", "thm-fw1", "--max-n", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_calls_load_no_dataclasses(tmp_path, argv):
+    web = tmp_path / "w.json"
+    web.write_text(json.dumps(web_of_tableau(from_word("112233")).to_dict()))
+    modules = loaded_after(CALL_CLI, *(a.format(web=web) for a in argv))
+    assert not modules & {"dataclasses", "inspect"}
+
+
+def test_no_module_imports_dataclasses_or_runs_generated_code():
+    for path in sorted((SRC / "webfold").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                assert "dataclasses" not in [alias.name for alias in node.names], path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "dataclasses", path.name
+            elif isinstance(node, ast.Call):
+                assert getattr(node.func, "id", None) not in ("exec", "eval"), path.name
 
 
 def test_perfbench_names_resolve():

@@ -1,5 +1,4 @@
 import json
-import math
 import os
 import re
 from pathlib import Path
@@ -19,6 +18,7 @@ from webfold.oracle import (
     EnumerationFilter,
     Failure,
     VerificationReport,
+    _self_evacuating_count,
     enumerate_tableaux,
     enumerate_words,
     hook_length_count,
@@ -86,19 +86,6 @@ def test_symmetric_words_are_the_filtered_walk():
             words = enumerate_words(shape)
             filtered = [w for w in words if is_rotationally_symmetric(from_word(w))]
             assert list(oracle._symmetric_words(shape)) == filtered, shape
-
-
-def _self_evacuating_count(rows, cols):
-    """|f(-1)| for f(q) = prod_{k <= N} (1 - q^k) / prod_hooks (1 - q^h), the
-    q-hook length formula; Stembridge (Duke Math. J., 1996) counts the
-    self-evacuating tableaux with it.  Near q = -1, 1 - q^k tends to 2 for
-    odd k and is k (1 + q) to first order for even k; a rectangle has as
-    many even hooks as even k <= N, so the factors 1 + q cancel."""
-    hooks = [(cols - c) + (rows - r) - 1 for r in range(rows) for c in range(cols)]
-    top = [k for k in range(1, rows * cols + 1) if k % 2 == 0]
-    bottom = [h for h in hooks if h % 2 == 0]
-    assert len(top) == len(bottom)
-    return math.prod(top) // math.prod(bottom)
 
 
 def test_symmetric_counts_match_the_closed_form():
@@ -178,20 +165,33 @@ def test_verify_refuses_a_bound_past_the_word_limit(monkeypatch):
     def no_enumeration(shape):
         raise AssertionError(f"enumerated {shape}")
 
-    # the limit is checked from hook-length counts, before any word is listed
+    # the limit is checked from closed-form counts, before any word is listed:
+    # hook-length counts of all words, or for the symmetric suites, counts of
+    # their own words (2-row n <= 22: 1,434,576, n <= 23: 2,786,654; 3-row
+    # n <= 11: 488,990, n <= 12: 2,939,438)
     monkeypatch.setattr(oracle, "enumerate_words", no_enumeration)
     monkeypatch.setattr(oracle, "_symmetric_words", no_enumeration)
     for theorem, bound in (
         ("roundtrip-3web", 8),
         ("roundtrip-3web", 9),
-        ("thm-2byn", 14),
+        ("thm-2byn", 23),
+        ("thm-fw1", 12),
+        ("thm-fw2", 10**9),
+        ("block-patterns", 8),
         ("promotion-order", 14),
         ("fold-domino", 10**9),
     ):
         with pytest.raises(BoundTooLarge, match=f"{theorem} up to n={bound}"):
             verify(theorem, bound)
     # the largest bounds under the limit get as far as enumerating
-    for theorem, bound in (("roundtrip-3web", 7), ("thm-2byn", 13)):
+    for theorem, bound in (
+        ("roundtrip-3web", 7),
+        ("thm-2byn", 22),
+        ("thm-fw1", 8),
+        ("thm-fw2", 8),
+        ("thm-fw1", 11),
+        ("block-patterns", 7),
+    ):
         with pytest.raises(AssertionError, match="enumerated"):
             verify(theorem, bound)
 

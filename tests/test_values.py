@@ -1,0 +1,172 @@
+"""The behaviour every value class keeps: its repr bytes, equality over its
+compared fields, the hash of those fields as one tuple, and a pickle round
+trip, which a sweep's worker pool relies on to send failures and webs."""
+
+import pickle
+from fractions import Fraction
+from functools import partial
+
+import pytest
+
+from webfold.matchings import Matching2
+from webfold.mdiagram import FIRST, SECOND, Arc, BoundaryVertex, Crossing, MDiagram, Resolution
+from webfold.oracle import EnumerationFilter, Failure, VerificationReport
+from webfold.planarweb import BOUNDARY, CanonicalWebForm, Edge, PlanarWeb, WebReport
+from webfold.tableaux import Shape, Tableau, from_word
+from webfold.web3 import Block, DominoDecomposition
+
+TABLEAU = from_word("112323")
+ARC = Arc(1, 2)
+CROSSED = Arc(3, 1, SECOND, True)
+BOUNDARY_AT = (BoundaryVertex("1", 1), BoundaryVertex("b", Fraction(5, 2)))
+WEB = PlanarWeb(2, [1, 2, 2, 1], [BOUNDARY, BOUNDARY], {1: (0, 3), 2: (1, 2)})
+FAILURE = Failure("112233", "lhs = rhs", "a", "b")
+BLOCK = Block(1, (1, 2), (3,))
+
+# (value, its repr, the fields it compares as one tuple, a copy with one field changed)
+VALUES = [
+    (Shape((3, 2), (1, 0)), "Shape(outer=(3, 2), inner=(1,))", ((3, 2), (1,)), Shape((3, 2))),
+    (
+        TABLEAU,
+        "Tableau(shape=Shape(outer=(2, 2, 2), inner=()), rows=((1, 2), (3, 5), (4, 6)))",
+        (Shape((2, 2, 2)), ((1, 2), (3, 5), (4, 6))),
+        Tableau(Shape((2, 2, 2)), ((1, 2), (3, 4), (5, 6))),
+    ),
+    (
+        Matching2(2, ((4, 1), (2, 3))),
+        "Matching2(n_pairs=2, arcs=((1, 4), (2, 3)))",
+        (2, ((1, 4), (2, 3))),
+        Matching2(2, ((1, 2), (3, 4))),
+    ),
+    (
+        BOUNDARY_AT[1],
+        "BoundaryVertex(label='b', x=Fraction(5, 2))",
+        ("b", Fraction(5, 2)),
+        BoundaryVertex("b", 3),
+    ),
+    (ARC, "Arc(tail=1, head=2, kind='first', crossed=False)", (1, 2, FIRST, False), Arc(1, 2, SECOND)),
+    (
+        MDiagram(BOUNDARY_AT, (ARC,)),
+        "MDiagram(boundary=(BoundaryVertex(label='1', x=1), BoundaryVertex(label='b',"
+        " x=Fraction(5, 2))), arcs=(Arc(tail=1, head=2, kind='first', crossed=False),))",
+        (BOUNDARY_AT, (ARC,)),
+        MDiagram(BOUNDARY_AT, ()),
+    ),
+    (
+        Crossing(ARC, CROSSED, Fraction(3, 2)),
+        "Crossing(arc_a=Arc(tail=1, head=2, kind='first', crossed=False),"
+        " arc_b=Arc(tail=3, head=1, kind='second', crossed=True), x=Fraction(3, 2))",
+        (ARC, CROSSED, Fraction(3, 2)),
+        Crossing(ARC, CROSSED, Fraction(2)),
+    ),
+    (Edge(2, 1, BOUNDARY), "Edge(tail=2, head=1, tag='boundary')", (2, 1, BOUNDARY), Edge(2, 1)),
+    (
+        WebReport(False, ("web is not connected",)),
+        "WebReport(ok=False, violations=('web is not connected',))",
+        (False, ("web is not connected",)),
+        WebReport(True, ("web is not connected",)),
+    ),
+    (
+        CanonicalWebForm((2, ((1, ()),))),
+        "CanonicalWebForm(serialization=b'(2, ((1, ()),))',"
+        " digest='681e9e8df0f8db2e8c5c22910193fd6abf4130c05515878d744700d9b57e34e9')",
+        ((2, ((1, ()),)),),
+        CanonicalWebForm((3, ((1, ()),))),
+    ),
+    (BLOCK, "Block(btype=1, columns=(1, 2), verticals=(3,))", (1, (1, 2), (3,)), Block(2, (1, 2), (3,))),
+    (
+        DominoDecomposition((BLOCK,), ((1, 2),), TABLEAU),
+        "DominoDecomposition(blocks=(Block(btype=1, columns=(1, 2), verticals=(3,)),),"
+        " vertical_pairs=((1, 2),), compression=Tableau(shape=Shape(outer=(2, 2, 2), inner=()),"
+        " rows=((1, 2), (3, 5), (4, 6))))",
+        ((BLOCK,), ((1, 2),), TABLEAU),
+        DominoDecomposition((BLOCK,), ((1, 3),), TABLEAU),
+    ),
+    (
+        EnumerationFilter(Shape((2, 2)), "domino"),
+        "EnumerationFilter(shape=Shape(outer=(2, 2), inner=()), predicate='domino')",
+        (Shape((2, 2)), "domino"),
+        EnumerationFilter(Shape((2, 2))),
+    ),
+    (
+        FAILURE,
+        "Failure(word='112233', identity='lhs = rhs', lhs='a', rhs='b')",
+        ("112233", "lhs = rhs", "a", "b"),
+        Failure("112233", "lhs = rhs", "a", "c"),
+    ),
+    (
+        VerificationReport("thm-fw1", 2, (FAILURE,), 0.5),
+        "VerificationReport(theorem='thm-fw1', instances=2, failures=(Failure(word='112233',"
+        " identity='lhs = rhs', lhs='a', rhs='b'),), elapsed=0.5)",
+        ("thm-fw1", 2, (FAILURE,), 0.5),
+        VerificationReport("thm-fw1", 2, (FAILURE,), 0.25),
+    ),
+]
+
+# compared by identity: (value, its repr, a copy with the same fields)
+IDENTITIES = [
+    (
+        WEB,
+        "PlanarWeb(n_boundary=2, origins=[1, 2, 2, 1], tags=['boundary', 'boundary'],"
+        " rotation={1: (0, 3), 2: (1, 2)}, _draw=None)",
+        PlanarWeb(2, [1, 2, 2, 1], [BOUNDARY, BOUNDARY], {1: (0, 3), 2: (1, 2)}),
+    ),
+    (
+        Resolution(WEB, (ARC,), ((), (0,))),
+        "Resolution(web=PlanarWeb(n_boundary=2, origins=[1, 2, 2, 1], tags=['boundary',"
+        " 'boundary'], rotation={1: (0, 3), 2: (1, 2)}, _draw=None),"
+        " arcs=(Arc(tail=1, head=2, kind='first', crossed=False),), edge_arcs=((), (0,)))",
+        Resolution(WEB, (ARC,), ((), (0,))),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "value, text, fields, changed", VALUES, ids=[type(case[0]).__name__ for case in VALUES]
+)
+def test_value_classes_compare_hash_and_show_their_fields(value, text, fields, changed):
+    assert repr(value) == text
+    assert hash(value) == hash(fields)
+    again = pickle.loads(pickle.dumps(value))
+    assert type(again) is type(value)
+    assert again == value and not again != value
+    assert hash(again) == hash(value) and repr(again) == text
+    assert changed != value and not changed == value
+    assert value != fields and value != None  # noqa: E711
+
+
+def test_the_value_classes_are_all_pinned():
+    pinned = {type(case[0]) for case in VALUES + IDENTITIES}
+    assert len(pinned) == 17
+
+
+@pytest.mark.parametrize(
+    "value, text, same", IDENTITIES, ids=[type(case[0]).__name__ for case in IDENTITIES]
+)
+def test_webs_and_resolutions_compare_by_identity(value, text, same):
+    assert repr(value) == text
+    assert value == value and repr(same) == text
+    assert same != value and not same == value
+    assert hash(value) == object.__hash__(value)
+    again = pickle.loads(pickle.dumps(value))
+    assert type(again) is type(value) and repr(again) == text
+
+
+def test_a_shape_compares_and_shows_without_its_size():
+    shape = Shape((3, 2), (1,))
+    other = pickle.loads(pickle.dumps(shape))
+    assert other.size == shape.size == 4
+    object.__setattr__(other, "size", 99)
+    assert other == shape and hash(other) == hash(shape) and repr(other) == repr(shape)
+
+
+def test_a_tableau_prints_its_rows():
+    skew = Tableau(Shape((3, 2), (1,)), ((1, 3), (2, 4)))
+    assert str(TABLEAU) == " 1  2\n 3  5\n 4  6"
+    assert str(skew) == " .  1  3\n 2  4"
+
+
+def test_a_pickled_web_keeps_its_layout():
+    web = PlanarWeb(2, [1, 2], [BOUNDARY], {1: (0,), 2: (1,)}, partial(dict, {1: (0, 0)}))
+    again = pickle.loads(pickle.dumps(web))
+    assert repr(again) == repr(web) and again.layout == {1: (0, 0)}

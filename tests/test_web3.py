@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 from functools import cached_property
@@ -31,6 +30,7 @@ from webfold.planarweb import (
 )
 from webfold.tableaux import evacuate, fold, from_word, is_rotationally_symmetric, promote, unfold
 from webfold.web3 import (
+    DominoDecomposition,
     _classify_block,
     _LAMBDA,
     _PHI,
@@ -250,7 +250,7 @@ def test_tampered_vertical_pairs_are_rejected():
         (((5, 8), (7, 2)), "intersect"),
     ]
     for pairs, fragment in cases:
-        bad = dataclasses.replace(dec, vertical_pairs=pairs)
+        bad = DominoDecomposition(dec.blocks, pairs, dec.compression)
         with pytest.raises(VerticalPairNotAnArc, match=fragment):
             crossed_mdiagram_of_decomposition(bad)
 
@@ -264,7 +264,8 @@ def test_tampered_vertical_pairs_are_rejected():
     ],
 )
 def test_tampered_vertical_pair_messages(word, pairs, message):
-    dec = dataclasses.replace(decompose_blocks(from_word(word)), vertical_pairs=pairs)
+    dec = decompose_blocks(from_word(word))
+    dec = DominoDecomposition(dec.blocks, pairs, dec.compression)
     with pytest.raises(VerticalPairNotAnArc) as info:
         crossed_mdiagram_of_decomposition(dec)
     assert str(info.value) == message
