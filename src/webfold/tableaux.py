@@ -296,33 +296,45 @@ def _slide_forward(t: Tableau, bounds: range | list[int]) -> Tableau:
 
     For each k the hole left by 1 slides right or down into the smaller
     neighbour among entries <= k; the hole then takes k and entries 2..k
-    drop by one.  The steps work on plain lists padded right and below with
-    N + 1, which stops every slide.
+    drop by one.  The bounds must strictly decrease, so an entry slides at
+    step s (from 0) exactly when its original value is at most k + s, a
+    threshold that never grows: the steps compare original values and each
+    entry drops once, at the end, by the number of thresholds >= it.  The
+    padding is N + 1 and a placed k is N + 1 + k, above every threshold.
     """
     n = t.size
     outer = t.shape.outer
     wall = [n + 1] * (outer[0] + 1 if outer else 1)
     grid = [list(row) + wall[len(row) :] for row in t.rows] + [wall]
-    for k in bounds:
+    thresholds = []
+    for s, k in enumerate(bounds):
+        last = k + s
         r = c = 0
         while True:
             right = grid[r][c + 1]
             below = grid[r + 1][c]
             if right < below:
-                if right > k:
+                if right > last:
                     break
                 grid[r][c] = right
                 c += 1
             else:
-                if below > k:
+                if below > last:
                     break
                 grid[r][c] = below
                 r += 1
-        # v -> v - 1 for v <= k; larger entries and the wall keep their value
-        relabel = (list(range(-1, k)) + list(range(k + 1, n + 2))).__getitem__
-        grid = [list(map(relabel, row)) for row in grid]
-        grid[r][c] = k
-    return _unchecked([row[:m] for row, m in zip(grid, outer)], shape=t.shape)
+        grid[r][c] = n + 1 + k
+        thresholds.append(last)
+    # one range per threshold, the smallest first; then N + 1 + k -> k
+    table = [0]
+    drop = len(thresholds)
+    for last in reversed(thresholds):
+        table += range(len(table) - drop, last + 1 - drop)
+        drop -= 1
+    table += range(len(table), n + 1)
+    table += range(n + 1)
+    relabel = table.__getitem__
+    return _unchecked([map(relabel, row[:m]) for row, m in zip(grid, outer)], shape=t.shape)
 
 
 def _slide_back(t: Tableau, bounds: range | list[int]) -> Tableau:
@@ -442,11 +454,14 @@ def is_domino(t: Tableau) -> bool:
     """
     _require_straight(t)
     n = t.size
-    cells = {v: (r, c) for r, row in enumerate(t.rows) for c, v in enumerate(row)}
-    first = 1 if n % 2 == 0 else 2
-    for a in range(first, n, 2):
-        (r1, c1) = cells[a]
-        (r2, c2) = cells[a + 1]
-        if abs(r1 - r2) + abs(c1 - c2) != 1:
+    rows = t.rows
+    row_of = [0] * (n + 1)
+    for r, row in enumerate(rows):
+        for v in row:
+            row_of[v] = r
+    # a and a + 1 in one row are neighbours; across rows, a + 1 must be right below a
+    for a in range(1 + n % 2, n, 2):
+        r, s = row_of[a], row_of[a + 1]
+        if s != r and (s != r + 1 or rows[r].index(a) != rows[s].index(a + 1)):
             return False
     return True

@@ -1,7 +1,7 @@
 import hashlib
 import random
 from itertools import product
-from operator import le
+from operator import le, sub
 
 import pytest
 from hypothesis import given, settings
@@ -12,11 +12,13 @@ from webfold.errors import (
     NotACorner,
     NotRectangular,
     OutOfRange,
+    WrongShape,
 )
 from webfold.oracle import enumerate_words
 from webfold.tableaux import (
     Shape,
     Tableau,
+    _slide_forward,
     evacuate,
     fold,
     from_word,
@@ -317,6 +319,23 @@ def test_is_domino_examples():
     assert is_domino(Tableau.from_rows([(1, 3, 5, 6), (2, 4, 7, 8)]))
     assert is_domino(from_word("111232323"))
     assert not is_domino(Tableau.from_rows([(1, 2, 3), (4, 5, 6)]))
+    with pytest.raises(WrongShape):
+        is_domino(SKEW)
+
+
+def test_is_domino_matches_the_cell_distance():
+    """Every straight tableau of size <= 8 and its fold, against the pairs'
+    cells at distance one; for odd N the entry 1 stands alone."""
+    count = 0
+    for shape in [shape for n in range(9) for shape in _partitions(n, n)]:
+        for straight in map(from_word, enumerate_words(shape)):
+            for t in (straight, fold(straight)):
+                cells = {v: (r, c) for r, row in enumerate(t.rows) for c, v in enumerate(row)}
+                pairs = range(1 + t.size % 2, t.size, 2)
+                adjacent = [sum(map(abs, map(sub, cells[a], cells[a + 1]))) == 1 for a in pairs]
+                assert is_domino(t) == all(adjacent)
+                count += all(adjacent)
+    assert count == 268
 
 
 def test_promotion_rectification_lemma():
@@ -467,6 +486,64 @@ def test_bounded_promotion_on_straight_shapes():
                 for row, moved in zip(t.rows, p.rows):
                     assert [v if v > k else 0 for v in row] == [v if v > k else 0 for v in moved]
                 assert promote_bounded_inverse(p, k) == t
+
+
+def _slide_forward_per_step(t, bounds):
+    """The rows of the forward slides as first written: after each bound k
+    the whole grid is relabelled, entries 2..k dropping by one."""
+    n = t.size
+    outer = t.shape.outer
+    wall = [n + 1] * (outer[0] + 1 if outer else 1)
+    grid = [list(row) + wall[len(row) :] for row in t.rows] + [wall]
+    for k in bounds:
+        r = c = 0
+        while True:
+            right = grid[r][c + 1]
+            below = grid[r + 1][c]
+            if right < below:
+                if right > k:
+                    break
+                grid[r][c] = right
+                c += 1
+            else:
+                if below > k:
+                    break
+                grid[r][c] = below
+                r += 1
+        relabel = (list(range(-1, k)) + list(range(k + 1, n + 2))).__getitem__
+        grid = [list(map(relabel, row)) for row in grid]
+        grid[r][c] = k
+    return tuple(tuple(row[:m]) for row, m in zip(grid, outer))
+
+
+def _forward_bounds(n):
+    """Every bound sequence the operators pass to _slide_forward at size n:
+    promote, promote_bounded, evacuate, partial_fold and fold."""
+    yield [n] if n else []
+    yield from ([k] for k in range(1, n + 1))
+    yield range(n, 0, -1)
+    yield from (range(n, n - 2 * j, -2) for j in range(1, n // 2 + 1))
+    yield range(n, 1, -2)
+
+
+def test_forward_slides_match_the_per_step_relabelling():
+    """_slide_forward relabels once, after the last bound.  Every straight
+    shape with at most 10 cells (at most 40 tableaux of each, all of them
+    up to 7 cells), and long single rows and columns."""
+    # a word names at most nine rows, so the 10-cell column goes in by its rows
+    shapes = [shape for n in range(11) for shape in _partitions(n, n) if len(shape) <= 9]
+    tableaux = []
+    for shape in shapes:
+        words = list(enumerate_words(shape))
+        tableaux += map(from_word, words[:: len(words) // 40 + 1])
+    tableaux += [Tableau.from_rows([(v,) for v in range(1, n + 1)]) for n in (10, 11, 16)]
+    tableaux += [from_word("1" * n) for n in (11, 16)]
+    count = 0
+    for t in tableaux:
+        for bounds in _forward_bounds(t.size):
+            assert _slide_forward(t, bounds).rows == _slide_forward_per_step(t, bounds)
+            count += 1
+    assert count == 48934
 
 
 # the shapes of the operator golden and the sha256 of its lines, taken from
