@@ -18,7 +18,6 @@ from collections.abc import Iterable
 from .errors import MalformedInput, WebfoldError
 from .tableaux import (
     PREDICATES,
-    Shape,
     Tableau,
     evacuate,
     fold,
@@ -173,13 +172,14 @@ def _rectangle(text: str) -> tuple[int, int]:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    from .oracle import EnumerationFilter, _check_rows, _check_word_limit, enumerate_tableaux
+    from .oracle import _FAMILIES, _check_rows, _check_word_limit
 
     rows, cols = args.shape
-    _check_word_limit([(rows, cols)], f"enumerate --shape {rows}x{cols} would list")
+    # every word of the shape counts, whatever the filter: a symmetric count
+    # of one long rectangle would build a hook per cell
+    _check_word_limit([(rows, cols, "all")], f"enumerate --shape {rows}x{cols} would list")
     _check_rows(rows)
-    filt = EnumerationFilter(Shape((cols,) * rows), args.filter)
-    _emit_lines(args, (t.word + "\n" for t in enumerate_tableaux(filt)))
+    _emit_lines(args, (w + "\n" for w in _FAMILIES[args.filter]((cols,) * rows)))
     return 0
 
 

@@ -3,9 +3,9 @@
 Enumeration and counting are deliberately independent of the fancier
 constructions in the rest of the package: enumeration works on row-index
 words with a lattice prefix check, and counting uses the hook length
-formula.  The rotationally symmetric family is generated, not filtered:
-each of its words is a lattice prefix completed by the mirror rule.  The
-verify drivers then cross-check the package's operators and bijections
+formula.  `_FAMILIES` maps each tableau family a suite or `enumerate
+--filter` names to the generator of one shape's words; the verify
+drivers then cross-check the package's operators and bijections
 instance by instance.
 """
 
@@ -150,6 +150,22 @@ def _symmetric_words(shape: tuple[int, ...]) -> Iterator[str]:
                 yield word
 
 
+def _domino_words(shape: tuple[int, ...]) -> Iterator[str]:
+    """Yield the words of the domino tableaux of shape, in lexicographic order."""
+    for word in enumerate_words(shape):
+        if is_domino(from_word(word)):
+            yield word
+
+
+# the words of one shape in each family `enumerate --filter` and the suites
+# name; the values are the functions themselves, which tracers swap by identity
+_FAMILIES: dict[str, Callable[[tuple[int, ...]], Iterator[str]]] = {
+    "all": enumerate_words,
+    "rotationally-symmetric": _symmetric_words,
+    "domino": _domino_words,
+}
+
+
 def hook_length_count(shape: tuple[int, ...]) -> int:
     """Number of standard Young tableaux of a straight shape."""
     total = sum(shape)
@@ -190,17 +206,8 @@ class EnumerationFilter(Value):
 
 
 def enumerate_tableaux(filt: EnumerationFilter) -> Iterator[Tableau]:
-    """All standard tableaux of the filter's shape passing its predicate.
-
-    The rotationally symmetric ones are generated, not filtered.
-    """
-    if filt.predicate == "rotationally-symmetric":
-        words = _symmetric_words(filt.shape.outer)
-    else:
-        words = enumerate_words(filt.shape.outer)
-    for t in map(from_word, words):
-        if filt.predicate != "domino" or is_domino(t):
-            yield t
+    """All standard tableaux of the filter's shape in its family, in word order."""
+    yield from map(from_word, _FAMILIES[filt.predicate](filt.shape.outer))
 
 
 class Failure(Value):
@@ -255,17 +262,6 @@ class VerificationReport(Value):
 
 # a failed comparison: (identity, shown lhs, shown rhs)
 _Found = tuple[str, str, str]
-
-
-def _words(rows: int, max_n: int, keep: str | None = None) -> list[str]:
-    """Words of the rows x n rectangles for n <= max_n, those passing predicate keep if given."""
-    shapes = [(n,) * rows for n in range(1, max_n + 1)]
-    if keep is None:
-        return [w for shape in shapes for w in enumerate_words(shape)]
-    if keep == "rotationally-symmetric":
-        return [w for shape in shapes for w in _symmetric_words(shape)]
-    filters = [EnumerationFilter(Shape(shape), keep) for shape in shapes]
-    return [t.word for filt in filters for t in enumerate_tableaux(filt)]
 
 
 def _rows(t: Tableau) -> str:
@@ -455,20 +451,20 @@ def _failures(check: Callable[[Tableau], Iterable], word: str) -> list[Failure]:
     return failures
 
 
-# id: (default bound, rows of the rectangles swept, cap on the 3-row bound when
-# 2-row rectangles are swept too, predicate every word passes, check)
-_SUITES: dict[str, tuple[int, tuple[int, ...], int | None, str | None, Callable]] = {
-    "thm-2byn": (8, (2,), None, "rotationally-symmetric", _check_2byn),
-    "thm-fw1": (5, (3,), None, "rotationally-symmetric", _check_fw1),
-    "thm-fw2": (5, (3,), None, "rotationally-symmetric", _check_fw2),
-    "roundtrip-3web": (5, (3,), None, None, _check_roundtrip),
+# id: (default bound, the families swept as (rows, cap on n or None, family),
+# check); the 2-row bound is the suite's bound, the 3-row one may be capped
+_SUITES: dict[str, tuple[int, tuple[tuple[int, int | None, str], ...], Callable]] = {
+    "thm-2byn": (8, ((2, None, "rotationally-symmetric"),), _check_2byn),
+    "thm-fw1": (5, ((3, None, "rotationally-symmetric"),), _check_fw1),
+    "thm-fw2": (5, ((3, None, "rotationally-symmetric"),), _check_fw2),
+    "roundtrip-3web": (5, ((3, None, "all"),), _check_roundtrip),
     # 3-row instances build webs or run N promotions per tableau, so they stay capped at 4
-    "promotion-rotation": (8, (2, 3), 4, None, _check_rotation),
-    "evacuation-reflection": (8, (2, 3), 4, None, _check_reflection),
-    "promotion-order": (8, (2, 3), 4, None, _check_operator_algebra),
-    "fold-domino": (8, (2, 3), 5, None, _check_fold_domino),
-    "distance-lemmas": (4, (3,), None, None, _check_distance_lemmas),
-    "block-patterns": (5, (3,), None, "domino", _check_block_patterns),
+    "promotion-rotation": (8, ((2, None, "all"), (3, 4, "all")), _check_rotation),
+    "evacuation-reflection": (8, ((2, None, "all"), (3, 4, "all")), _check_reflection),
+    "promotion-order": (8, ((2, None, "all"), (3, 4, "all")), _check_operator_algebra),
+    "fold-domino": (8, ((2, None, "all"), (3, 5, "all")), _check_fold_domino),
+    "distance-lemmas": (4, ((3, None, "all"),), _check_distance_lemmas),
+    "block-patterns": (5, ((3, None, "domino"),), _check_block_patterns),
 }
 
 THEOREMS = tuple(sorted(_SUITES))
@@ -482,22 +478,21 @@ _MAX_WORDS = 2_000_000
 _MAX_LETTERS = 2_000_000
 
 
-def _check_word_limit(
-    rectangles: Iterable[tuple[int, int]], what: str, symmetric: bool = False
-) -> None:
-    """Raise BoundTooLarge, before any word is listed, if the (rows, cols)
-    rectangles hold more than _MAX_WORDS words in all, or one row holds
-    more than _MAX_LETTERS letters.  A taller rectangle that long holds
-    too many words, or too many rows for `_check_rows`.  With symmetric,
-    only the rotationally symmetric words count, by their closed form.
+def _check_word_limit(rectangles: Iterable[tuple[int, int, str]], what: str) -> None:
+    """Raise BoundTooLarge, before any word is listed, if the (rows, cols,
+    family) rectangles hold more than _MAX_WORDS words in all, or one row
+    holds more than _MAX_LETTERS letters.  A taller rectangle that long
+    holds too many words, or too many rows for `_check_rows`.  The
+    rotationally symmetric family counts its own words, by their closed
+    form; the others count every word, which they all decode.
     """
     total = 0
-    for rows, cols in rectangles:
+    for rows, cols, family in rectangles:
         if rows == 1 and cols > _MAX_LETTERS:
             raise BoundTooLarge(f"{what} a word of more than {_MAX_LETTERS:,} letters")
         if min(rows, cols) == 1:
             total += 1
-        elif symmetric:
+        elif family == "rotationally-symmetric":
             # the sweeps list n = 1, 2, ... in turn, so the total passes the
             # limit at 2x23 or 3x12, long before a count is slow to take
             total += _self_evacuating_count(rows, cols)
@@ -529,38 +524,31 @@ def worker_count() -> int:
 def verify(theorem_id: str, max_n: int | None = None) -> VerificationReport:
     """Run one exhaustive suite and report every failing instance.
 
-    Suites covering both 2-row and 3-row families read max_n as the 2-row
-    bound and cap the 3-row side (4 where webs are built or N promotions
-    run per tableau, 5 for fold-domino) so default runs stay within a
-    minute.  The symmetric suites (thm-2byn, thm-fw1, thm-fw2) generate
-    their rotationally symmetric words directly instead of filtering the
-    full walk.  A bound whose families hold more than 2,000,000 words in
-    all raises BoundTooLarge before any word is enumerated.  The symmetric
-    suites count only their own words, by Stembridge's closed form, so they
-    reach 2-row n = 22 and 3-row n = 11; every other suite counts all the
-    words it decodes, block-patterns too, since it keeps its domino words
-    by decoding every word.  `enumerate` counts all words of its shape,
-    whatever its filter.  An instance
-    that raises is reported as a failure naming the exception class.  Set
-    WEBFOLD_WORKERS to fan instances out over that many processes, at
-    most one per CPU.
+    The suite's entry in `_SUITES` gives its default bound and families,
+    and one walk over their rectangles n = 1..max_n (3-row n capped where
+    the entry says) counts them against the word limit, raising
+    BoundTooLarge before any word is listed; a second lists them.  An
+    instance that raises is reported as a failure naming the exception
+    class.  Set WEBFOLD_WORKERS to fan instances out over that many
+    processes, at most one per CPU.
     """
     if theorem_id not in _SUITES:
         raise UnknownTheorem(
             f"unknown theorem id {theorem_id!r}; known: {', '.join(THEOREMS)}"
         )
-    default_n, rows_swept, cap3, keep, check_one = _SUITES[theorem_id]
+    default_n, families, check_one = _SUITES[theorem_id]
     bound = default_n if max_n is None else max_n
     if bound < 1:
         raise ValueError("max_n must be at least 1")
-    caps = {2: bound, 3: bound if cap3 is None else min(bound, cap3)}
-    _check_word_limit(
-        ((rows, n) for rows in rows_swept for n in range(1, caps[rows] + 1)),
-        f"{theorem_id} up to n={bound} would sweep",
-        symmetric=keep == "rotationally-symmetric",
-    )
+
+    def rectangles() -> Iterator[tuple[int, int, str]]:
+        for rows, cap, family in families:
+            for n in range(1, min(bound, cap or bound) + 1):
+                yield rows, n, family
+
+    _check_word_limit(rectangles(), f"{theorem_id} up to n={bound} would sweep")
     start = time.perf_counter()
-    words = [w for rows in rows_swept for w in _words(rows, caps[rows], keep)]
+    words = [w for rows, n, family in rectangles() for w in _FAMILIES[family]((n,) * rows)]
     check = partial(_failures, check_one)
     failures: list[Failure] = []
     workers = worker_count()

@@ -280,7 +280,11 @@ class WebReport(Value):
 
 
 def validate_3web(w: PlanarWeb) -> WebReport:
-    """Check the defining conditions; violations are reported, not raised."""
+    """Check the defining conditions; violations are reported, not raised.
+
+    A connected web must also lie in the plane: its rotation system then
+    has V - E + F = 2, read off the face table.
+    """
     bad: list[str] = []
     n = w.n_boundary
     origins, walls = w.origins, w._walls
@@ -310,6 +314,8 @@ def validate_3web(w: PlanarWeb) -> WebReport:
                 reached.append(u)
     if seen != w.rotation.keys():
         bad.append("web is not connected")
+    elif (euler := len(w.rotation) - len(w.tags) + len(w.face_table.faces)) != 2:
+        bad.append(f"rotation system is not planar: V - E + F = {euler}, not 2")
     else:
         for f in w.face_table.faces:
             if len(f) < 6 and not any(walls[d >> 1] for d in f):

@@ -342,17 +342,24 @@ def _slide_back(t: Tableau, bounds: range | list[int]) -> Tableau:
 
     For each k the hole left by k slides up or left into the larger
     neighbour until it reaches (1, 1); entries below k rise by one and 1
-    goes to (1, 1).  The steps work on plain lists padded above and to the
-    left with 0, as in _slide_forward.
+    goes to (1, 1).  The bounds must strictly increase, so k has neither
+    moved nor changed before its own step and is found where it started.
+    With S bounds, the steps key an entry not yet placed by its original
+    value v plus S and the one placed at step s by S - s, its final label;
+    both keep the order of the current labels.  The walls above and to the
+    left are 0, and each v rises, at the end, by the number of bounds > v.
     """
     n = t.size
     outer = t.shape.outer
-    grid = [[0] * (outer[0] + 1 if outer else 1)] + [[0, *row] for row in t.rows]
-    for k in bounds:
-        for r, row in enumerate(grid):
-            if k in row:
-                c = row.index(k)
-                break
+    top = len(bounds)
+    grid = [[0] * (outer[0] + 1 if outer else 1)]
+    position = [(0, 0)] * (n + 1)
+    for r, row in enumerate(t.rows, start=1):
+        grid.append([0, *[v + top for v in row]])
+        for c, v in enumerate(row, start=1):
+            position[v] = (r, c)
+    for s, k in enumerate(bounds):
+        r, c = position[k]
         while True:
             up = grid[r - 1][c]
             left = grid[r][c - 1]
@@ -364,11 +371,17 @@ def _slide_back(t: Tableau, bounds: range | list[int]) -> Tableau:
                 c -= 1
             else:
                 break
-        # v -> v + 1 for 0 < v < k; the wall and entries from k up keep their value
-        relabel = ([0] + list(range(2, k + 1)) + list(range(k, n + 1))).__getitem__
-        grid = [list(map(relabel, row)) for row in grid]
-        grid[1][1] = 1
-    return _unchecked([row[1:] for row in grid[1:]], shape=t.shape)
+        grid[1][1] = top - s
+    # placed keys are their labels; then v + S -> v + #{bounds > v}, one
+    # range per bound, the smallest first
+    table = list(range(top + 1))
+    last = 0
+    for s, k in enumerate(bounds):
+        table += range(last + 1 + top - s, k + 1 + top - s)
+        last = k
+    table += range(last + 1, n + 1)
+    relabel = table.__getitem__
+    return _unchecked([map(relabel, row[1:]) for row in grid[1:]], shape=t.shape)
 
 
 def promote(t: Tableau) -> Tableau:

@@ -17,7 +17,7 @@ from webfold.cli import main
 from webfold.matchings import web2_of_tableau
 from webfold.tableaux import from_word
 from webfold.web3 import crossed_mdiagram, mdiagram_of_tableau, web_of_tableau
-from webs import tripod
+from webs import tripod, twisted_web
 
 CHAIN_WORD = "111122213132223333"
 CHAIN_FOLD = "112212121133332323"
@@ -148,14 +148,22 @@ def test_enumerate_refuses_a_row_too_long_to_build():
     )
 
 
+def test_non_planar_web_file_is_not_a_web(capsys, tmp_path):
+    # before the Euler check this read back as 112212333 with exit 0
+    src = tmp_path / "twisted.json"
+    src.write_text(json.dumps(twisted_web()))
+    code, out, err = run(capsys, "web3", "to-tableau", "--in", str(src))
+    assert (code, out) == (1, "")
+    assert err == "NotAWeb: rotation system is not planar: V - E + F = 0, not 2\n"
+
+
 @pytest.mark.parametrize("to_file", [False, True])
 def test_enumerate_writes_each_word_as_it_is_listed(capsys, monkeypatch, tmp_path, to_file):
-    def three_then_fail(filt):
-        for word in ("112233", "112323", "121233"):
-            yield from_word(word)
+    def three_then_fail(shape):
+        yield from ("112233", "112323", "121233")
         raise ValueError("enumeration broke")
 
-    monkeypatch.setattr(oracle, "enumerate_tableaux", three_then_fail)
+    monkeypatch.setitem(oracle._FAMILIES, "all", three_then_fail)
     argv = ["enumerate", "--shape", "3x2"]
     dest = tmp_path / "words.txt"
     if to_file:
@@ -167,10 +175,10 @@ def test_enumerate_writes_each_word_as_it_is_listed(capsys, monkeypatch, tmp_pat
 
 
 def test_enumerate_checks_the_word_limit_before_listing(monkeypatch):
-    def no_enumeration(filt):
-        raise AssertionError(f"enumerated {filt.shape.outer}")
+    def no_enumeration(shape):
+        raise AssertionError(f"enumerated {shape}")
 
-    monkeypatch.setattr(oracle, "enumerate_tableaux", no_enumeration)
+    monkeypatch.setitem(oracle._FAMILIES, "all", no_enumeration)
     with pytest.raises(AssertionError, match="enumerated"):
         main(["enumerate", "--shape", "3x7"])
 

@@ -148,6 +148,19 @@ def test_perfbench_names_resolve():
             assert inspect.isfunction(fn) and fn.__module__ == mod.__name__, f"{module}.{name}"
 
 
+def test_family_table_holds_the_oracle_functions():
+    """Each word family is the oracle function of the same name, since the
+    perfbench tracer swaps module attributes and dict values by identity
+    and so still counts sweep enumeration; its names are the predicates
+    that `enumerate --filter` offers and its help prints."""
+    from webfold import oracle
+    from webfold.tableaux import PREDICATES
+
+    for family, words in oracle._FAMILIES.items():
+        assert getattr(oracle, words.__name__) is words, family
+    assert tuple(oracle._FAMILIES) == PREDICATES
+
+
 # every function that builds a value without the checks its entry points run,
 # by calling tableaux._unchecked, object.__new__, MDiagram(...) or Matching2(...)
 UNCHECKED_BUILDERS = {

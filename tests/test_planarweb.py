@@ -18,7 +18,7 @@ from webfold.planarweb import (
     validate_3web,
     web_distance,
 )
-from webs import checked_web, golden_webs, tripod
+from webs import checked_web, golden_webs, tripod, twisted_web
 
 # sha256 over serialization + digest of the canonical forms of golden_webs(),
 # in order, and the repr of the tripod's form
@@ -97,6 +97,14 @@ def test_square_web_is_rejected():
     assert any("4 sides" in v for v in report.violations)
     w = square_web()
     assert len(w.rotation) - len(w.edges) + len(faces(w)) == 2
+
+
+def test_non_planar_rotation_is_rejected():
+    w = PlanarWeb.from_dict(twisted_web())
+    assert len(w.rotation) - len(w.edges) + len(faces(w)) == 0
+    report = validate_3web(w)
+    assert not report.ok
+    assert report.violations == ("rotation system is not planar: V - E + F = 0, not 2",)
 
 
 def flip_edge(w: PlanarWeb, i: int) -> PlanarWeb:

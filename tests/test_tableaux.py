@@ -18,6 +18,7 @@ from webfold.oracle import enumerate_words
 from webfold.tableaux import (
     Shape,
     Tableau,
+    _slide_back,
     _slide_forward,
     evacuate,
     fold,
@@ -526,10 +527,9 @@ def _forward_bounds(n):
     yield range(n, 1, -2)
 
 
-def test_forward_slides_match_the_per_step_relabelling():
-    """_slide_forward relabels once, after the last bound.  Every straight
-    shape with at most 10 cells (at most 40 tableaux of each, all of them
-    up to 7 cells), and long single rows and columns."""
+def _sampled_tableaux():
+    """Every straight shape with at most 10 cells (at most 40 tableaux of
+    each, all of them up to 7 cells), and long single rows and columns."""
     # a word names at most nine rows, so the 10-cell column goes in by its rows
     shapes = [shape for n in range(11) for shape in _partitions(n, n) if len(shape) <= 9]
     tableaux = []
@@ -538,12 +538,64 @@ def test_forward_slides_match_the_per_step_relabelling():
         tableaux += map(from_word, words[:: len(words) // 40 + 1])
     tableaux += [Tableau.from_rows([(v,) for v in range(1, n + 1)]) for n in (10, 11, 16)]
     tableaux += [from_word("1" * n) for n in (11, 16)]
+    return tableaux
+
+
+def test_forward_slides_match_the_per_step_relabelling():
+    """_slide_forward relabels once, after the last bound, on every sampled tableau."""
     count = 0
-    for t in tableaux:
+    for t in _sampled_tableaux():
         for bounds in _forward_bounds(t.size):
             assert _slide_forward(t, bounds).rows == _slide_forward_per_step(t, bounds)
             count += 1
     assert count == 48934
+
+
+def _slide_back_per_step(t, bounds):
+    """The rows of the backward slides as first written: k is looked up
+    before each bound, and after it the whole grid is relabelled, entries
+    below k rising by one."""
+    n = t.size
+    outer = t.shape.outer
+    grid = [[0] * (outer[0] + 1 if outer else 1)] + [[0, *row] for row in t.rows]
+    for k in bounds:
+        for r, row in enumerate(grid):
+            if k in row:
+                c = row.index(k)
+                break
+        while True:
+            up = grid[r - 1][c]
+            left = grid[r][c - 1]
+            if up > left:
+                grid[r][c] = up
+                r -= 1
+            elif left:
+                grid[r][c] = left
+                c -= 1
+            else:
+                break
+        relabel = ([0] + list(range(2, k + 1)) + list(range(k, n + 1))).__getitem__
+        grid = [list(map(relabel, row)) for row in grid]
+        grid[1][1] = 1
+    return tuple(tuple(row[1:]) for row in grid[1:])
+
+
+def _backward_bounds(n):
+    """Every bound sequence the operators pass to _slide_back at size n:
+    promote_inverse, promote_bounded_inverse and unfold."""
+    yield [n] if n else []
+    yield from ([k] for k in range(1, n + 1))
+    yield range(2 + n % 2, n + 1, 2)
+
+
+def test_backward_slides_match_the_per_step_relabelling():
+    """_slide_back relabels once, after the last bound, on every sampled tableau."""
+    count = 0
+    for t in _sampled_tableaux():
+        for bounds in _backward_bounds(t.size):
+            assert _slide_back(t, bounds).rows == _slide_back_per_step(t, bounds)
+            count += 1
+    assert count == 32977
 
 
 # the shapes of the operator golden and the sha256 of its lines, taken from

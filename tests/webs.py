@@ -28,6 +28,16 @@ def tripod() -> PlanarWeb:
     return checked_web(3, edges, {1: (6, 0, 11), 2: (8, 2, 7), 3: (10, 4, 9), 4: (1, 3, 5)})
 
 
+def twisted_web() -> dict:
+    """The JSON form of the web of 111222333 with the rotation of internal
+    vertex 10 reversed: every degree and orientation is legal and the map is
+    connected, but it does not lie in the plane (V - E + F = 0)."""
+    d = web_of_tableau(from_word("111222333")).to_dict()
+    del d["layout"]
+    d["rotation"]["10"].reverse()
+    return d
+
+
 def golden_webs():
     """Every 3-row web with n <= 4, each followed by its rotation, its
     reflection and its JSON round trip; then the crossed web of the fold
