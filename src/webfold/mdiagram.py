@@ -21,7 +21,7 @@ from functools import cached_property, partial
 
 from ._value import Value
 from .errors import ConcurrentArcs, InvalidBoundaryDegrees, UnknownFace
-from .planarweb import ARC, BOUNDARY, INTERSECTION, PlanarWeb, boundary_face
+from .planarweb import ARC, BOUNDARY, INTERSECTION, PlanarWeb, _rational, boundary_face
 
 FIRST = "first"
 SECOND = "second"
@@ -76,7 +76,7 @@ class MDiagram(Value):
     @classmethod
     def from_dict(cls, d: dict) -> "MDiagram":
         """The diagram of a JSON form, whose arcs name their ends by label."""
-        boundary = tuple(BoundaryVertex(b["label"], _abscissa(b["x"])) for b in d["boundary"])
+        boundary = tuple(BoundaryVertex(b["label"], _rational("x", b["x"])) for b in d["boundary"])
         ends = [(a["tail"], a["head"], a.get("kind", FIRST), a.get("crossed", False))
                 for a in d["arcs"]]
         position = {b.label: p for p, b in enumerate(boundary, start=1)}
@@ -101,14 +101,6 @@ class MDiagram(Value):
         if not boundary:
             raise ValueError("boundary must have at least one vertex")
         return cls(boundary, tuple(arcs))
-
-
-def _abscissa(x) -> Fraction:
-    """x as a Fraction, if it is a string or an int and not a bool."""
-    value = Fraction(x)
-    if not isinstance(x, (str, int)) or isinstance(x, bool):
-        raise TypeError(f"x must be a string or an integer, got {type(x).__name__}")
-    return value
 
 
 class Crossing(Value):

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import time
 from collections.abc import Callable, Iterable, Iterator
 from functools import partial
 from itertools import chain, islice
@@ -224,15 +223,12 @@ class Failure(Value):
 
 
 class VerificationReport(Value):
-    __slots__ = _fields = ("theorem", "instances", "failures", "elapsed")
+    __slots__ = _fields = ("theorem", "instances", "failures")
 
-    def __init__(
-        self, theorem: str, instances: int, failures: tuple[Failure, ...], elapsed: float
-    ) -> None:
+    def __init__(self, theorem: str, instances: int, failures: tuple[Failure, ...]) -> None:
         self.theorem = theorem
         self.instances = instances
         self.failures = failures
-        self.elapsed = elapsed
 
     @property
     def passed(self) -> bool:
@@ -244,15 +240,12 @@ class VerificationReport(Value):
             "instances": self.instances,
             "passed": self.passed,
             "failures": [f.to_dict() for f in self.failures],
-            "elapsed": self.elapsed,
         }
 
     def text(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        lines = [
-            f"{self.theorem}: {status}, {self.instances} instances, "
-            f"{len(self.failures)} failures, {self.elapsed:.2f}s"
-        ]
+        count = len(self.failures)
+        lines = [f"{self.theorem}: {status}, {self.instances} instances, {count} failures"]
         for f in self.failures:
             lines.append(f"  {f.word}: {f.identity}")
             lines.append(f"    left:  {f.lhs}")
@@ -521,16 +514,32 @@ def worker_count() -> int:
     return max(1, min(workers, os.cpu_count() or 1))
 
 
+def _checked(
+    check: Callable[[str], list[Failure]], words: Iterator[str], workers: int
+) -> Iterator[list[Failure]]:
+    """check(word) of each word in turn, over a pool of `workers` processes
+    if there is more than one; serially, each word is read as it is checked."""
+    if workers == 1:
+        yield from map(check, words)
+        return
+    # loaded here, so a serial sweep never imports multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(check, words, chunksize=64)
+
+
 def verify(theorem_id: str, max_n: int | None = None) -> VerificationReport:
     """Run one exhaustive suite and report every failing instance.
 
     The suite's entry in `_SUITES` gives its default bound and families,
     and one walk over their rectangles n = 1..max_n (3-row n capped where
     the entry says) counts them against the word limit, raising
-    BoundTooLarge before any word is listed; a second lists them.  An
-    instance that raises is reported as a failure naming the exception
-    class.  Set WEBFOLD_WORKERS to fan instances out over that many
-    processes, at most one per CPU.
+    BoundTooLarge before any word is listed; a second streams their words
+    to the checks, and no list of them is built.  An instance that raises
+    is reported as a failure naming the exception class.  The report
+    depends on the arguments alone.  Set WEBFOLD_WORKERS to fan instances
+    out over that many processes, at most one per CPU.
     """
     if theorem_id not in _SUITES:
         raise UnknownTheorem(
@@ -547,25 +556,11 @@ def verify(theorem_id: str, max_n: int | None = None) -> VerificationReport:
                 yield rows, n, family
 
     _check_word_limit(rectangles(), f"{theorem_id} up to n={bound} would sweep")
-    start = time.perf_counter()
-    words = [w for rows, n, family in rectangles() for w in _FAMILIES[family]((n,) * rows)]
-    check = partial(_failures, check_one)
+    words = (w for rows, n, family in rectangles() for w in _FAMILIES[family]((n,) * rows))
     failures: list[Failure] = []
-    workers = worker_count()
-    if workers > 1 and len(words) > 1:
-        # loaded here, so a serial sweep never imports multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for found in pool.map(check, words, chunksize=64):
-                failures.extend(found)
-    else:
-        for word in words:
-            failures.extend(check(word))
+    instances = 0
+    for found in _checked(partial(_failures, check_one), words, worker_count()):
+        instances += 1
+        failures.extend(found)
     failures.sort(key=lambda f: (f.word, f.identity))
-    return VerificationReport(
-        theorem=theorem_id,
-        instances=len(words),
-        failures=tuple(failures),
-        elapsed=time.perf_counter() - start,
-    )
+    return VerificationReport(theorem_id, instances, tuple(failures))

@@ -16,6 +16,7 @@ its sha256 digest are computed on first read.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Callable
 from fractions import Fraction
 from functools import cached_property, partial
@@ -126,7 +127,7 @@ class PlanarWeb(Value, eq=False):
         layout = None
         if "layout" in d:
             layout = {
-                _key("layout", v): (Fraction(x), Fraction(y))
+                _key("layout", v): (_rational("x", x), _rational("y", y))
                 for v, (x, y) in d["layout"].items()
             }
         seen: dict[int, int] = {}
@@ -145,6 +146,19 @@ class PlanarWeb(Value, eq=False):
                 raise ValueError(f"boundary vertex {k} missing")
         # a partial rather than a lambda, so that the web still pickles
         return cls(n, origins, tags, rotation, None if layout is None else partial(dict, layout))
+
+
+def _rational(what: str, x) -> Fraction:
+    """x as a Fraction, if it is an int and not a bool, or a string whose
+    exponent is at most sys.get_int_max_str_digits() in magnitude; the
+    "1e1000000000" that Fraction reads by building 10**1000000000 is a
+    ValueError instead."""
+    if isinstance(x, bool) or not isinstance(x, (str, int)):
+        raise TypeError(f"{what} must be a string or an integer, got {type(x).__name__}")
+    limit = sys.get_int_max_str_digits()
+    if isinstance(x, str) and abs(int(x.lower().partition("e")[2] or 0)) > limit:
+        raise ValueError(f"{what} {x!r} has an exponent of more than {limit}")
+    return Fraction(x)
 
 
 def _key(what: str, key) -> int:

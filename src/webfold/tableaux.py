@@ -20,9 +20,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import chain
 from operator import add, ge, gt, lt, sub
+from random import Random
 
 from ._value import Value
-from .errors import NonLatticeWord, NotACorner, NotRectangular, OutOfRange, WrongShape
+from .errors import NonLatticeWord, NotACorner, NotRectangular, OutOfRange, WrongShape, _integer
 
 Cell = tuple[int, int]
 
@@ -135,9 +136,11 @@ class Tableau(Value):
 
     @classmethod
     def from_dict(cls, d: dict) -> "Tableau":
-        t = from_word(d["word"], tuple(d.get("inner", ())))
-        if t.shape.outer != tuple(d["outer"]):
-            raise ValueError(f"outer {d['outer']} is not the word's shape {list(t.shape.outer)}")
+        """The tableau of a JSON form, whose outer and inner rows are integers."""
+        outer = tuple(_integer("outer row", x) for x in d["outer"])
+        t = from_word(d["word"], tuple(_integer("inner row", x) for x in d.get("inner", ())))
+        if t.shape.outer != outer:
+            raise ValueError(f"outer {list(outer)} is not the word's shape {list(t.shape.outer)}")
         return t
 
     def __str__(self) -> str:
@@ -247,7 +250,7 @@ def slide(t: Tableau, corner: Cell) -> Tableau:
     return _from_grid(grid, inner)
 
 
-def rectify(t: Tableau, rng: random.Random | None = None) -> Tableau:
+def rectify(t: Tableau, rng: Random | None = None) -> Tableau:
     """Slide until the shape is straight.
 
     The result does not depend on the corner order; pass an rng to pick

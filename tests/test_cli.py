@@ -106,6 +106,22 @@ def test_verify(capsys):
     assert data["passed"] is True and data["instances"] == 4
 
 
+VERIFY_TEXT = "thm-2byn: PASS, 6 instances, 0 failures\n"
+VERIFY_JSON = """{
+  "failures": [],
+  "instances": 6,
+  "passed": true,
+  "theorem": "thm-2byn"
+}
+"""
+
+
+@pytest.mark.parametrize("fmt, pinned", [("text", VERIFY_TEXT), ("json", VERIFY_JSON)], ids=["text", "json"])
+def test_verify_output_is_the_same_bytes_every_run(capsys, fmt, pinned):
+    argv = ("verify", "--theorem", "thm-2byn", "--max-n", "3", "--format", fmt)
+    assert run(capsys, *argv) == run(capsys, *argv) == (0, pinned, "")
+
+
 def test_domain_errors_exit_one(capsys):
     code, _, err = run(capsys, "op", "--apply", "promote", "--word", "21")
     assert code == 1 and "NonLatticeWord" in err
@@ -326,6 +342,10 @@ BAD_MATCHINGS = [
         *((["render"], diagram) for diagram in BAD_DIAGRAMS),
         *((argv, matching) for argv in (["web2", "to-tableau"], ["web2", "fold"], ["render"])
           for matching in BAD_MATCHINGS),
+        # the operators ended in a TypeError traceback, or took a float outer row
+        *((["op", "--apply", name], {"outer": [2, 2], "word": "1122", "inner": [0.0]})
+          for name in sorted(cli.OPERATORS)),
+        (["op", "--apply", "promote"], {"outer": [2.0, 2.0], "word": "1122"}),
     ],
 )
 def test_malformed_json_exits_one(capsys, tmp_path, argv, payload):
@@ -334,6 +354,33 @@ def test_malformed_json_exits_one(capsys, tmp_path, argv, payload):
     code, out, err = run(capsys, *argv, "--in", str(src))
     assert (code, out) == (1, "")
     assert err.startswith("MalformedInput: ") and err.count("\n") == 1
+
+
+HUGE = "1e1000000000"
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["render"], diagram_json(vertex={"x": HUGE})),
+        (["web3", "to-tableau"], {**web_of_tableau(from_word("123")).to_dict(), "layout": {"1": [HUGE, "0"]}}),
+    ],
+    ids=["diagram-abscissa", "layout-coordinate"],
+)
+def test_huge_exponents_exit_one_at_once(tmp_path, argv, payload):
+    """Fraction reads "1e1000000000" by building 10**1000000000, which does
+    not finish in any useful time; run in a subprocess, so that such a hang
+    fails the test instead of stalling it."""
+    src = tmp_path / "huge.json"
+    src.write_text(json.dumps(payload))
+    proc = subprocess.run(
+        [sys.executable, "-m", "webfold.cli", *argv, "--in", str(src)],
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+        capture_output=True, text=True, timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("MalformedInput: ") and proc.stderr.count("\n") == 1
+    assert f"exponent of more than {sys.get_int_max_str_digits()}" in proc.stderr
 
 
 def test_deeply_nested_json_exits_one(capsys, tmp_path):

@@ -13,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,7 @@ sys.exit(code)
 
 IMPORT_ORACLE = """
 import sys
+import typing
 import webfold.oracle
 print(*sys.modules)
 """
@@ -206,3 +208,26 @@ def test_unchecked_construction_stays_where_it_is():
                 if isinstance(node, ast.Call) and name in own:
                     found.add(f"{prefix}.{fn.name}")
     assert found == UNCHECKED_BUILDERS
+
+
+def test_every_annotation_resolves():
+    """typing.get_type_hints reads every function and method of the package:
+    each name an annotation uses is one its module defines or imports."""
+    functions = []
+    for path in sorted((SRC / "webfold").glob("*.py")):
+        mod = importlib.import_module(f"webfold.{path.stem}")
+        for obj in vars(mod).values():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isclass(obj):
+                for member in vars(obj).values():
+                    member = getattr(member, "__func__", getattr(member, "func", member))
+                    functions.append(getattr(member, "fget", member))
+            functions.append(obj)
+    functions = [f for f in functions if inspect.isfunction(f)]
+    assert len(functions) > 150
+    for fn in functions:
+        try:
+            typing.get_type_hints(fn)
+        except NameError as exc:
+            pytest.fail(f"{fn.__module__}.{fn.__qualname__}: {exc}")

@@ -121,8 +121,6 @@ def test_all_suites_pass_small():
 def test_reports_are_reproducible():
     a = verify("thm-fw1", 3).to_dict()
     b = verify("thm-fw1", 3).to_dict()
-    a.pop("elapsed")
-    b.pop("elapsed")
     assert a == b
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
@@ -131,9 +129,7 @@ def test_parallel_sweeps_report_what_serial_ones_do(monkeypatch):
     def reports():
         out = []
         for theorem, bound in (("roundtrip-3web", 3), ("promotion-order", 3), ("fold-domino", 4)):
-            d = verify(theorem, bound).to_dict()
-            d.pop("elapsed")
-            out.append(d)
+            out.append(verify(theorem, bound).to_dict())
         return out
 
     monkeypatch.delenv("WEBFOLD_WORKERS", raising=False)
@@ -148,12 +144,20 @@ def test_report_formats():
         theorem="thm-fw1",
         instances=2,
         failures=(Failure("112233", "lhs = rhs", "a", "b"),),
-        elapsed=0.5,
     )
     assert not report.passed
-    assert report.to_dict()["failures"][0]["word"] == "112233"
-    text = report.text()
-    assert "FAIL" in text and "112233" in text and "left:  a" in text
+    assert report.to_dict() == {
+        "theorem": "thm-fw1",
+        "instances": 2,
+        "passed": False,
+        "failures": [{"word": "112233", "identity": "lhs = rhs", "lhs": "a", "rhs": "b"}],
+    }
+    assert report.text() == (
+        "thm-fw1: FAIL, 2 instances, 1 failures\n"
+        "  112233: lhs = rhs\n"
+        "    left:  a\n"
+        "    right: b"
+    )
 
 
 def test_verify_rejects_bad_bound():
@@ -195,6 +199,28 @@ def test_verify_refuses_a_bound_past_the_word_limit(monkeypatch):
     ):
         with pytest.raises(AssertionError, match="enumerated"):
             verify(theorem, bound)
+
+
+def test_a_serial_sweep_checks_each_word_as_it_is_listed(monkeypatch):
+    """verify builds no list of words: each reaches its check before the
+    next is listed, so a family that fails after three words has had three
+    instances checked."""
+    monkeypatch.delenv("WEBFOLD_WORKERS", raising=False)
+    checked = []
+
+    def three_words(shape):
+        yield from ("123", "112233", "121323")
+        raise RuntimeError("listed past the third word")
+
+    def roundtrip(t):
+        checked.append(t.word)
+        return []
+
+    monkeypatch.setitem(oracle._FAMILIES, "all", three_words)
+    monkeypatch.setitem(oracle._SUITES, "roundtrip-3web", (5, ((3, None, "all"),), roundtrip))
+    with pytest.raises(RuntimeError, match="third word"):
+        verify("roundtrip-3web")
+    assert checked == ["123", "112233", "121323"]
 
 
 def test_worker_count_parsing(monkeypatch):

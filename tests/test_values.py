@@ -95,11 +95,11 @@ VALUES = [
         Failure("112233", "lhs = rhs", "a", "c"),
     ),
     (
-        VerificationReport("thm-fw1", 2, (FAILURE,), 0.5),
+        VerificationReport("thm-fw1", 2, (FAILURE,)),
         "VerificationReport(theorem='thm-fw1', instances=2, failures=(Failure(word='112233',"
-        " identity='lhs = rhs', lhs='a', rhs='b'),), elapsed=0.5)",
-        ("thm-fw1", 2, (FAILURE,), 0.5),
-        VerificationReport("thm-fw1", 2, (FAILURE,), 0.25),
+        " identity='lhs = rhs', lhs='a', rhs='b'),))",
+        ("thm-fw1", 2, (FAILURE,)),
+        VerificationReport("thm-fw1", 3, (FAILURE,)),
     ),
 ]
 
