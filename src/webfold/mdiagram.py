@@ -21,7 +21,7 @@ from functools import cached_property, partial
 
 from ._value import Value
 from .errors import ConcurrentArcs, InvalidBoundaryDegrees, UnknownFace
-from .planarweb import ARC, BOUNDARY, INTERSECTION, PlanarWeb, _rational, boundary_face
+from .planarweb import ARC, BOUNDARY, INTERSECTION, PlanarWeb, _boundary_index, _rational
 
 FIRST = "first"
 SECOND = "second"
@@ -206,7 +206,7 @@ class Resolution(Value, eq=False):
     def face_arcs(self) -> dict[frozenset[int], frozenset[Arc]]:
         """The arcs passing over each inner face, by a walk from B_0."""
         table, walls = self.web.face_table, self.web._walls
-        start = table.index[boundary_face(self.web, 0)]
+        start = _boundary_index(self.web, 0)
         sets: dict[int, frozenset[Arc]] = {start: frozenset()}
         frontier = [start]
         while frontier:

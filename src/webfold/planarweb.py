@@ -8,10 +8,14 @@ face walks and rotations are total, but they act as walls for distances.
 
 The edges are stored as two flat lists: `origins`, the origin vertex of
 every dart, and `tags`, one per edge.  `PlanarWeb.edges`, the same edges
-as `Edge` objects, is built on first read.  `canonical` builds a web's
-form in one breadth-first walk from the boundary.  A canonical form
-compares and hashes as the nested tuple it is built from; its bytes and
-its sha256 digest are computed on first read.
+as `Edge` objects, is built on first read.  A web's face table is one
+walk over its darts that records each face's darts, wall contact and
+dual neighbours; `validate_3web` and the boundary-face readers work from
+those records by face number, and faces as dart sets are built only on
+first read.  `canonical` builds a web's form in one breadth-first walk
+from the boundary.  A canonical form compares and hashes as the nested
+tuple it is built from; its bytes and its sha256 digest are computed on
+first read.
 """
 
 from __future__ import annotations
@@ -170,53 +174,67 @@ def _key(what: str, key) -> int:
 
 
 class FaceTable:
-    """The faces of one web and its dual graph.
+    """The faces of one web and its dual graph, from one walk.
 
-    A face is the set of darts met by walking with the face on the left:
+    A face is the orbit of darts met by walking with the face on the left:
     after dart d comes the dart before d's twin in the rotation at the
-    twin's origin.  Faces are listed in order of their smallest dart.
-    Dual adjacency crosses only non-boundary edges, and breadth-first
-    distances are kept per source face once computed.
+    twin's origin.  Faces are numbered in order of their smallest dart;
+    `orbits` lists each face's darts in walk order and `face_of` names
+    each dart's face.  One pass over the edges records, per face, whether
+    it touches a wall (`walled`) and its dual neighbours across non-boundary
+    edges (`adjacency`); the exterior is the first face all of whose edges
+    are walls, and `boundary[k]` is the face inside the wall from k to k+1.
+    The faces as dart sets, and the index of each, are built on first read.
+    Breadth-first distances are kept per source face once computed.
     """
 
     def __init__(self, w: PlanarWeb) -> None:
         origins, wall = w.origins, w._walls
-        prev = [0] * len(origins)
+        # the face successor of every dart
+        nxt = [0] * len(origins)
         for rot in w.rotation.values():
-            for i, d in enumerate(rot):
-                prev[d] = rot[i - 1]
+            before = rot[-1]
+            for d in rot:
+                nxt[d ^ 1] = before
+                before = d
         face_of = [-1] * len(origins)
-        faces: list[frozenset[int]] = []
-        self.exterior = None
+        orbits: list[list[int]] = []
         for d0, seen in enumerate(face_of):
             if seen >= 0:
                 continue
-            fi = len(faces)
+            fi = len(orbits)
             orbit = []
             d = d0
             while face_of[d] < 0:
                 face_of[d] = fi
                 orbit.append(d)
-                d = prev[d ^ 1]
-            faces.append(frozenset(orbit))
-            if self.exterior is None and wall[d0 >> 1] and all(wall[d >> 1] for d in orbit):
-                self.exterior = fi
-        self.faces = tuple(faces)
+                d = nxt[d]
+            orbits.append(orbit)
+        self.orbits = orbits
         self.face_of = face_of
-        self.index = {f: i for i, f in enumerate(faces)}
+        walled = [False] * len(orbits)
+        webbed = walled[:]
+        adjacency: list[list[int]] = [[] for _ in orbits]
+        wall_edges = []
+        for i, (a, b, is_wall) in enumerate(zip(face_of[0::2], face_of[1::2], wall)):
+            if is_wall:
+                walled[a] = walled[b] = True
+                wall_edges.append(i)
+            else:
+                webbed[a] = webbed[b] = True
+                adjacency[a].append(b)
+                adjacency[b].append(a)
+        self.walled = walled
+        self.adjacency = adjacency
+        self.exterior = ext = next((f for f, x in enumerate(walled) if x and not webbed[f]), None)
         # the non-exterior side of the first boundary edge joining each pair
         inner_side: dict[tuple[int, int], int] = {}
-        self.adjacency: list[list[int]] = [[] for _ in faces]
-        for i, is_wall in enumerate(wall):
-            a, b = face_of[2 * i], face_of[2 * i + 1]
-            if not is_wall:
-                self.adjacency[a].append(b)
-                self.adjacency[b].append(a)
-                continue
+        for i in wall_edges:
             u, v = origins[2 * i], origins[2 * i + 1]
             key = (u, v) if u < v else (v, u)
-            side = a if a != self.exterior else b
-            if key not in inner_side and side != self.exterior:
+            a = face_of[2 * i]
+            side = a if a != ext else face_of[2 * i + 1]
+            if side != ext and key not in inner_side:
                 inner_side[key] = side
         n = w.n_boundary
         self.boundary = tuple(
@@ -224,11 +242,21 @@ class FaceTable:
         )
         self._distances: dict[int, list[int | None]] = {}
 
+    @cached_property
+    def faces(self) -> tuple[frozenset[int], ...]:
+        """Every face as its dart set, built on first read."""
+        return tuple(map(frozenset, self.orbits))
+
+    @cached_property
+    def index(self) -> dict[frozenset[int], int]:
+        """The number of each face, keyed by its dart set, built on first read."""
+        return {f: i for i, f in enumerate(self.faces)}
+
     def distances(self, source: int) -> list[int | None]:
         """Dual distance from face `source` to every face (None if unreachable)."""
         dist = self._distances.get(source)
         if dist is None:
-            dist = [None] * len(self.faces)
+            dist = [None] * len(self.orbits)
             dist[source] = 0
             frontier = [source]
             step = 0
@@ -244,6 +272,13 @@ class FaceTable:
             self._distances[source] = dist
         return dist
 
+    def distance(self, i: int, j: int) -> int:
+        """The dual distance from face i to face j; UnknownFace if unreachable."""
+        d = self.distances(i)[j]
+        if d is None:
+            raise UnknownFace("faces lie in different dual components")
+        return d
+
 
 def faces(w: PlanarWeb) -> list[frozenset[int]]:
     """Every face, as its dart set, in order of each face's smallest dart."""
@@ -258,8 +293,8 @@ def exterior_face(w: PlanarWeb) -> frozenset[int]:
     return table.faces[table.exterior]
 
 
-def boundary_face(w: PlanarWeb, k: int) -> frozenset[int]:
-    """B_k, the inner face touching boundary vertices k and k+1 (B_0 = B_N)."""
+def _boundary_index(w: PlanarWeb, k: int) -> int:
+    """The number of B_k in the face table; UnknownFace as `boundary_face` raises it."""
     n = w.n_boundary
     if not (0 <= k <= n):
         raise UnknownFace(f"boundary face index {k} outside 0..{n}")
@@ -270,7 +305,12 @@ def boundary_face(w: PlanarWeb, k: int) -> frozenset[int]:
     if f is None:
         pair = {k, k + 1} if 1 <= k < n else {n, 1}
         raise UnknownFace(f"no boundary edge between {sorted(pair)}")
-    return table.faces[f]
+    return f
+
+
+def boundary_face(w: PlanarWeb, k: int) -> frozenset[int]:
+    """B_k, the inner face touching boundary vertices k and k+1 (B_0 = B_N)."""
+    return w.face_table.faces[_boundary_index(w, k)]
 
 
 def web_distance(w: PlanarWeb, x: frozenset[int], y: frozenset[int]) -> int:
@@ -279,10 +319,7 @@ def web_distance(w: PlanarWeb, x: frozenset[int], y: frozenset[int]) -> int:
     i, j = table.index.get(x), table.index.get(y)
     if i is None or j is None:
         raise UnknownFace("argument is not a face of this web")
-    d = table.distances(i)[j]
-    if d is None:
-        raise UnknownFace("faces lie in different dual components")
-    return d
+    return table.distance(i, j)
 
 
 class WebReport(Value):
@@ -297,45 +334,51 @@ def validate_3web(w: PlanarWeb) -> WebReport:
     """Check the defining conditions; violations are reported, not raised.
 
     A connected web must also lie in the plane: its rotation system then
-    has V - E + F = 2, read off the face table.
+    has V - E + F = 2.  The face count, and each face's size and wall
+    contact for the short-face check, are read off the face table.
     """
     bad: list[str] = []
     n = w.n_boundary
-    origins, walls = w.origins, w._walls
+    origins, walls, rotation = w.origins, w._walls, w.rotation
     if n % 3 != 0 or n == 0:
         bad.append(f"boundary count {n} is not a positive multiple of 3")
     for k in range(1, n + 1):
-        darts = [d for d in w.rotation.get(k, ()) if not walls[d >> 1]]
-        if len(darts) != 1:
-            bad.append(f"boundary vertex {k} has web-degree {len(darts)}")
-        elif darts[0] % 2 != 0:
+        degree = 0
+        for d in rotation.get(k, ()):
+            if not walls[d >> 1]:
+                degree += 1
+                dart = d
+        if degree != 1:
+            bad.append(f"boundary vertex {k} has web-degree {degree}")
+        elif dart & 1:
             bad.append(f"boundary vertex {k} is not a source")
-    for v, rot in w.rotation.items():
+    for v, rot in rotation.items():
         if 1 <= v <= n:
             continue
         # three web darts, all leaving (even) or all arriving (odd)
-        if len(rot) != 3 or walls[rot[0] >> 1] or walls[rot[1] >> 1] or walls[rot[2] >> 1]:
+        if len(rot) != 3:
             bad.append(f"internal vertex {v} has degree {len(rot)}")
+        elif walls[rot[0] >> 1] or walls[rot[1] >> 1] or walls[rot[2] >> 1]:
+            bad.append(f"internal vertex {v} touches a boundary edge")
         elif not rot[0] & 1 == rot[1] & 1 == rot[2] & 1:
             bad.append(f"internal vertex {v} is neither a source nor a sink")
-    reached = [min(w.rotation)] if w.rotation else []
-    seen = set(reached)
-    for v in reached:
-        for d in w.rotation[v]:
+    stack = [min(rotation)] if rotation else []
+    seen = set(stack)
+    while stack:
+        for d in rotation[stack.pop()]:
             u = origins[d ^ 1]
             if u not in seen:
                 seen.add(u)
-                reached.append(u)
-    if seen != w.rotation.keys():
+                stack.append(u)
+    if seen != rotation.keys():
         bad.append("web is not connected")
-    elif (euler := len(w.rotation) - len(w.tags) + len(w.face_table.faces)) != 2:
+    elif (euler := len(rotation) - len(w.tags) + len(w.face_table.orbits)) != 2:
         bad.append(f"rotation system is not planar: V - E + F = {euler}, not 2")
     else:
-        for f in w.face_table.faces:
-            if len(f) < 6 and not any(walls[d >> 1] for d in f):
-                bad.append(
-                    f"internal face with {len(f)} sides: darts {sorted(f)}"
-                )
+        table = w.face_table
+        for orbit, walled in zip(table.orbits, table.walled):
+            if len(orbit) < 6 and not walled:
+                bad.append(f"internal face with {len(orbit)} sides: darts {sorted(orbit)}")
     return WebReport(not bad, tuple(bad))
 
 

@@ -17,7 +17,7 @@ from webfold.cli import main
 from webfold.matchings import web2_of_tableau
 from webfold.tableaux import from_word
 from webfold.web3 import crossed_mdiagram, mdiagram_of_tableau, web_of_tableau
-from webs import tripod, twisted_web
+from webs import tripod, twisted_web, walled_stem_web
 
 CHAIN_WORD = "111122213132223333"
 CHAIN_FOLD = "112212121133332323"
@@ -171,6 +171,18 @@ def test_non_planar_web_file_is_not_a_web(capsys, tmp_path):
     code, out, err = run(capsys, "web3", "to-tableau", "--in", str(src))
     assert (code, out) == (1, "")
     assert err == "NotAWeb: rotation system is not planar: V - E + F = 0, not 2\n"
+
+
+def test_internal_vertex_on_a_wall_is_named(capsys, tmp_path):
+    # the message used to be "internal vertex 7 has degree 3", which it has
+    src = tmp_path / "walled.json"
+    src.write_text(json.dumps(walled_stem_web()))
+    code, out, err = run(capsys, "web3", "to-tableau", "--in", str(src))
+    assert (code, out) == (1, "")
+    assert err == (
+        "NotAWeb: boundary vertex 2 has web-degree 0;"
+        " internal vertex 7 touches a boundary edge\n"
+    )
 
 
 @pytest.mark.parametrize("to_file", [False, True])

@@ -10,11 +10,17 @@ from webfold.planarweb import (
     boundary_face,
     exterior_face,
     faces,
+    validate_3web,
     web_distance,
 )
 from webfold.tableaux import fold, from_word, is_rotationally_symmetric
-from webfold.web3 import crossed_web, web_of_tableau
-from webs import checked_web, tripod
+from webfold.web3 import (
+    crossed_web,
+    domino_of_symmetric_web,
+    tableau_of_web,
+    web_of_tableau,
+)
+from webs import broken_webs, checked_web, tripod
 
 
 def naive_faces(w):
@@ -45,6 +51,8 @@ def is_wall(w, d):
 
 
 def naive_boundary_faces(w, all_faces, ext):
+    """Per k, the side of the first boundary edge joining k and k+1 that is
+    not the exterior, the even dart's side first; None if there is none."""
     n = w.n_boundary
     out = []
     for k in range(n + 1):
@@ -52,9 +60,12 @@ def naive_boundary_faces(w, all_faces, ext):
         found = None
         for i, e in enumerate(w.edges):
             if e.tag == BOUNDARY and {e.tail, e.head} == pair:
-                sides = [f for f in all_faces if 2 * i in f or 2 * i + 1 in f]
-                found = next(f for f in sides if f != ext)
-                break
+                a = next(f for f in all_faces if 2 * i in f)
+                b = next(f for f in all_faces if 2 * i + 1 in f)
+                side = a if a != ext else b
+                if side != ext:
+                    found = side
+                    break
         out.append(found)
     return out
 
@@ -92,15 +103,37 @@ def sample_webs():
                 yield f"crossed {word}", crossed_web(fold(t))
 
 
+def check_faces(name, w):
+    """Check the walk's faces, face sizes, wall contact, exterior and
+    boundary faces against the naive walk, and return the naive faces."""
+    all_faces = naive_faces(w)
+    assert faces(w) == all_faces, name
+    table = w.face_table
+    assert [len(orbit) for orbit in table.orbits] == [len(f) for f in all_faces], name
+    assert table.walled == [any(is_wall(w, d) for d in f) for f in all_faces], name
+    ext = next((f for f in all_faces if all(is_wall(w, d) for d in f)), None)
+    want = naive_boundary_faces(w, all_faces, ext)
+    if ext is None:
+        for k in range(w.n_boundary + 1):
+            with pytest.raises(UnknownFace, match="boundary circle is broken"):
+                boundary_face(w, k)
+        with pytest.raises(UnknownFace, match="boundary circle is broken"):
+            exterior_face(w)
+        return all_faces
+    assert exterior_face(w) == ext, name
+    for k, f in enumerate(want):
+        if f is None:
+            with pytest.raises(UnknownFace, match="no boundary edge between"):
+                boundary_face(w, k)
+        else:
+            assert boundary_face(w, k) == f, name
+    return all_faces
+
+
 def test_face_table_matches_naive_walk():
     checked = 0
     for name, w in sample_webs():
-        all_faces = naive_faces(w)
-        assert faces(w) == all_faces, name
-        ext = next(f for f in all_faces if all(is_wall(w, d) for d in f))
-        assert exterior_face(w) == ext, name
-        want = naive_boundary_faces(w, all_faces, ext)
-        assert [boundary_face(w, k) for k in range(w.n_boundary + 1)] == want, name
+        all_faces = check_faces(name, w)
         dist = naive_distances(w, all_faces)
         for x in all_faces:
             for y in all_faces:
@@ -111,6 +144,29 @@ def test_face_table_matches_naive_walk():
                         web_distance(w, x, y)
         checked += 1
     assert checked == 510 + 40
+
+
+def test_face_table_matches_naive_walk_on_broken_webs():
+    # validate_3web reads the face table on exactly these webs
+    exterior_missing = set()
+    for name, w in broken_webs():
+        check_faces(name, w)
+        exterior_missing.add(w.face_table.exterior is None)
+    assert exterior_missing == {False, True}
+
+
+def test_round_trips_build_no_face_sets():
+    t = from_word("121323")
+    w = web_of_tableau(t)
+    assert tableau_of_web(w) == t
+    sym = web_of_tableau(t)
+    assert domino_of_symmetric_web(sym) == fold(t)
+    broken = next(b for _, b in broken_webs() if not validate_3web(b).ok)
+    for x in (w, sym, broken):
+        assert "face_table" in vars(x)
+        assert "faces" not in vars(x.face_table)
+        assert "index" not in vars(x.face_table)
+        assert faces(x) == naive_faces(x)
 
 
 def test_face_of_another_web_is_unknown():

@@ -18,7 +18,12 @@ from webfold.planarweb import (
     validate_3web,
     web_distance,
 )
-from webs import checked_web, golden_webs, tripod, twisted_web
+from webs import broken_webs, checked_web, golden_webs, tripod, twisted_web, walled_stem_web
+
+# sha256 over the repr of validate_3web(w).violations for each web of
+# broken_webs(), one per line, and the number of webs
+BROKEN_VIOLATIONS_SHA256 = "3d8b460ca586edfdea33ffdc25e9654852c15de4a8bb662018ee1a53069ba6e8"
+BROKEN_WEB_COUNT = 2036
 
 # sha256 over serialization + digest of the canonical forms of golden_webs(),
 # in order, and the repr of the tripod's form
@@ -122,6 +127,21 @@ def test_degree_violations_reported():
     assert not report.ok
     assert any("not a source" in v for v in report.violations)
     assert any("neither" in v for v in report.violations)
+
+
+def test_internal_vertex_on_a_wall_is_named():
+    report = validate_3web(PlanarWeb.from_dict(walled_stem_web()))
+    assert report.violations == (
+        "boundary vertex 2 has web-degree 0",
+        "internal vertex 7 touches a boundary edge",
+    )
+
+
+def test_broken_web_violations_are_pinned():
+    rows = [validate_3web(w).violations for _, w in broken_webs()]
+    assert len(rows) == BROKEN_WEB_COUNT
+    pinned = hashlib.sha256("\n".join(map(repr, rows)).encode()).hexdigest()
+    assert pinned == BROKEN_VIOLATIONS_SHA256
 
 
 def test_canonical_is_stable():
