@@ -21,7 +21,7 @@ from functools import cached_property, partial
 
 from ._value import Value
 from .errors import ConcurrentArcs, InvalidBoundaryDegrees, UnknownFace
-from .planarweb import ARC, BOUNDARY, INTERSECTION, PlanarWeb, _boundary_index, _rational
+from .planarweb import ARC, BOUNDARY, INTERSECTION, PlanarWeb, _rational, boundary_face
 
 FIRST = "first"
 SECOND = "second"
@@ -203,16 +203,17 @@ class Resolution(Value, eq=False):
         return tuple((toggles[e], e) for e, ix in enumerate(self.edge_arcs) if len(ix) == 2)
 
     @cached_property
-    def face_arcs(self) -> dict[frozenset[int], frozenset[Arc]]:
-        """The arcs passing over each inner face, by a walk from B_0."""
+    def face_arcs(self) -> dict[int, frozenset[Arc]]:
+        """The arcs passing over each inner face, by face number, in the order
+        a breadth-first walk from B_0 reaches the faces."""
         table, walls = self.web.face_table, self.web._walls
-        start = _boundary_index(self.web, 0)
+        start = boundary_face(self.web, 0)
         sets: dict[int, frozenset[Arc]] = {start: frozenset()}
         frontier = [start]
         while frontier:
             nxt = []
             for fi in frontier:
-                for d in table.faces[fi]:
+                for d in table.orbits[fi]:
                     e = d // 2
                     if walls[e]:
                         continue
@@ -225,7 +226,7 @@ class Resolution(Value, eq=False):
                     sets[gi] = arcs
                     nxt.append(gi)
             frontier = nxt
-        return {table.faces[i]: s for i, s in sets.items()}
+        return sets
 
 
 def _resolve(m: MDiagram) -> Resolution:
@@ -361,22 +362,22 @@ def resolve(m: MDiagram) -> PlanarWeb:
     return m.resolution.web
 
 
-def arcs_above(m: MDiagram, face: frozenset[int]) -> frozenset[Arc]:
-    """The arcs passing over the given face of resolve(m)."""
+def arcs_above(m: MDiagram, face: int) -> frozenset[Arc]:
+    """The arcs passing over inner face number `face` of resolve(m)."""
     table = m.resolution.face_arcs
     if face not in table:
         raise UnknownFace("not an inner face of the resolved diagram")
     return table[face]
 
 
-def arc_distance(m: MDiagram, x: frozenset[int], y: frozenset[int]) -> int:
+def arc_distance(m: MDiagram, x: int, y: int) -> int:
+    """How many arcs pass over exactly one of inner faces number x and y."""
     return len(arcs_above(m, x) ^ arcs_above(m, y))
 
 
-def coherent_separators(
-    m: MDiagram, x: frozenset[int], y: frozenset[int]
-) -> frozenset[frozenset[Arc]]:
-    """Intersecting arc pairs whose resolution edge faces X and Y sides.
+def coherent_separators(m: MDiagram, x: int, y: int) -> frozenset[frozenset[Arc]]:
+    """Intersecting arc pairs whose resolution edge faces X and Y sides, for
+    inner faces number x and y.
 
     A pair {a, b} qualifies when X and Y lie (one each) in the two regions
     that the resolution of the intersection makes adjacent; regions are
@@ -384,12 +385,10 @@ def coherent_separators(
     """
     sx, sy = arcs_above(m, x), arcs_above(m, y)
     res = m.resolution
-    table = res.face_arcs
-    faces, face_of = res.web.face_table.faces, res.web.face_table.face_of
+    table, face_of = res.face_arcs, res.web.face_table.face_of
     out = []
     for pair, e in res.pair_edges:
-        f1, f2 = faces[face_of[2 * e]], faces[face_of[2 * e + 1]]
-        sides = {table[f1] & pair, table[f2] & pair}
+        sides = {table[face_of[2 * e]] & pair, table[face_of[2 * e + 1]] & pair}
         if {sx & pair, sy & pair} == sides:
             out.append(pair)
     return frozenset(out)
@@ -400,8 +399,8 @@ def mirror_arc(a: Arc, n: int) -> Arc:
     return Arc(n + 1 - a.tail, n + 1 - a.head, a.kind, a.crossed)
 
 
-def reflected_face(m: MDiagram, face: frozenset[int]) -> frozenset[int]:
-    """The face whose arc set is the mirror image of this one's."""
+def reflected_face(m: MDiagram, face: int) -> int:
+    """The number of the face whose arc set is the mirror image of this one's."""
     n = len(m.boundary)
     want = frozenset(mirror_arc(a, n) for a in arcs_above(m, face))
     for f, s in m.resolution.face_arcs.items():
@@ -410,8 +409,8 @@ def reflected_face(m: MDiagram, face: frozenset[int]) -> frozenset[int]:
     raise UnknownFace("diagram has no mirror of this face")
 
 
-def epsilon(m: MDiagram, face: frozenset[int]) -> int:
-    """1 if the face is between some vertical pair of crossed arcs."""
+def epsilon(m: MDiagram, face: int) -> int:
+    """1 if face number `face` is between some vertical pair of crossed arcs."""
     above = arcs_above(m, face)
     present = set(m.arcs)
     n = len(m.boundary)

@@ -10,12 +10,12 @@ The edges are stored as two flat lists: `origins`, the origin vertex of
 every dart, and `tags`, one per edge.  `PlanarWeb.edges`, the same edges
 as `Edge` objects, is built on first read.  A web's face table is one
 walk over its darts that records each face's darts, wall contact and
-dual neighbours; `validate_3web` and the boundary-face readers work from
-those records by face number, and faces as dart sets are built only on
-first read.  `canonical` builds a web's form in one breadth-first walk
-from the boundary.  A canonical form compares and hashes as the nested
-tuple it is built from; its bytes and its sha256 digest are computed on
-first read.
+dual neighbours.  A face is its number in that table: `faces`,
+`exterior_face`, `boundary_face` and `web_distance` all speak in face
+numbers, and `validate_3web` reads the same records.  `canonical` builds
+a web's form in one breadth-first walk from the boundary.  A canonical
+form compares and hashes as the nested tuple it is built from; its bytes
+and its sha256 digest are computed on first read.
 """
 
 from __future__ import annotations
@@ -184,7 +184,6 @@ class FaceTable:
     it touches a wall (`walled`) and its dual neighbours across non-boundary
     edges (`adjacency`); the exterior is the first face all of whose edges
     are walls, and `boundary[k]` is the face inside the wall from k to k+1.
-    The faces as dart sets, and the index of each, are built on first read.
     Breadth-first distances are kept per source face once computed.
     """
 
@@ -242,16 +241,6 @@ class FaceTable:
         )
         self._distances: dict[int, list[int | None]] = {}
 
-    @cached_property
-    def faces(self) -> tuple[frozenset[int], ...]:
-        """Every face as its dart set, built on first read."""
-        return tuple(map(frozenset, self.orbits))
-
-    @cached_property
-    def index(self) -> dict[frozenset[int], int]:
-        """The number of each face, keyed by its dart set, built on first read."""
-        return {f: i for i, f in enumerate(self.faces)}
-
     def distances(self, source: int) -> list[int | None]:
         """Dual distance from face `source` to every face (None if unreachable)."""
         dist = self._distances.get(source)
@@ -272,29 +261,24 @@ class FaceTable:
             self._distances[source] = dist
         return dist
 
-    def distance(self, i: int, j: int) -> int:
-        """The dual distance from face i to face j; UnknownFace if unreachable."""
-        d = self.distances(i)[j]
-        if d is None:
-            raise UnknownFace("faces lie in different dual components")
-        return d
+
+def faces(w: PlanarWeb) -> range:
+    """Every face, as its number: faces are numbered in order of their smallest dart."""
+    return range(len(w.face_table.orbits))
 
 
-def faces(w: PlanarWeb) -> list[frozenset[int]]:
-    """Every face, as its dart set, in order of each face's smallest dart."""
-    return list(w.face_table.faces)
-
-
-def exterior_face(w: PlanarWeb) -> frozenset[int]:
-    """The face outside the boundary circle: all its darts are boundary darts."""
+def exterior_face(w: PlanarWeb) -> int:
+    """The number of the face outside the boundary circle, all of whose darts
+    are boundary darts."""
     table = w.face_table
     if table.exterior is None:
         raise UnknownFace("no exterior face; boundary circle is broken")
-    return table.faces[table.exterior]
+    return table.exterior
 
 
-def _boundary_index(w: PlanarWeb, k: int) -> int:
-    """The number of B_k in the face table; UnknownFace as `boundary_face` raises it."""
+def boundary_face(w: PlanarWeb, k: int) -> int:
+    """The number of B_k, the inner face touching boundary vertices k and
+    k+1 (B_0 = B_N)."""
     n = w.n_boundary
     if not (0 <= k <= n):
         raise UnknownFace(f"boundary face index {k} outside 0..{n}")
@@ -308,18 +292,16 @@ def _boundary_index(w: PlanarWeb, k: int) -> int:
     return f
 
 
-def boundary_face(w: PlanarWeb, k: int) -> frozenset[int]:
-    """B_k, the inner face touching boundary vertices k and k+1 (B_0 = B_N)."""
-    return w.face_table.faces[_boundary_index(w, k)]
-
-
-def web_distance(w: PlanarWeb, x: frozenset[int], y: frozenset[int]) -> int:
-    """Fewest non-boundary edges separating faces x and y in the dual."""
+def web_distance(w: PlanarWeb, x: int, y: int) -> int:
+    """Fewest non-boundary edges separating faces number x and y in the dual."""
     table = w.face_table
-    i, j = table.index.get(x), table.index.get(y)
-    if i is None or j is None:
+    count = len(table.orbits)
+    if not (0 <= x < count and 0 <= y < count):
         raise UnknownFace("argument is not a face of this web")
-    return table.distance(i, j)
+    d = table.distances(x)[y]
+    if d is None:
+        raise UnknownFace("faces lie in different dual components")
+    return d
 
 
 class WebReport(Value):
@@ -333,6 +315,8 @@ class WebReport(Value):
 def validate_3web(w: PlanarWeb) -> WebReport:
     """Check the defining conditions; violations are reported, not raised.
 
+    The boundary edges must be exactly the circle 1 -> 2 -> ... -> N -> 1:
+    each boundary vertex k has one to k+1, and there are N of them.
     A connected web must also lie in the plane: its rotation system then
     has V - E + F = 2.  The face count, and each face's size and wall
     contact for the short-face check, are read off the face table.
@@ -344,14 +328,22 @@ def validate_3web(w: PlanarWeb) -> WebReport:
         bad.append(f"boundary count {n} is not a positive multiple of 3")
     for k in range(1, n + 1):
         degree = 0
+        after = k % n + 1
+        circled = False
         for d in rotation.get(k, ()):
             if not walls[d >> 1]:
                 degree += 1
                 dart = d
+            elif origins[d ^ 1] == after:
+                circled = True
         if degree != 1:
             bad.append(f"boundary vertex {k} has web-degree {degree}")
         elif dart & 1:
             bad.append(f"boundary vertex {k} is not a source")
+        if not circled:
+            bad.append(f"boundary circle has no edge from {k} to {after}")
+    if (count := walls.count(True)) != n:
+        bad.append(f"{count} boundary edges, not {n}")
     for v, rot in rotation.items():
         if 1 <= v <= n:
             continue

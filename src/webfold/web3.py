@@ -34,7 +34,7 @@ from .mdiagram import (
     mirror_arc,
     resolve,
 )
-from .planarweb import PlanarWeb, _boundary_index, is_symmetrical, validate_3web
+from .planarweb import PlanarWeb, boundary_face, is_symmetrical, validate_3web, web_distance
 from .tableaux import Tableau, from_word, is_domino
 
 _PHI = {-1: "1", 0: "2", 1: "3"}
@@ -89,9 +89,9 @@ def tableau_of_web(w: PlanarWeb) -> Tableau:
 
 
 def _distance_word(w: PlanarWeb) -> str:
-    n, table = w.n_boundary, w.face_table
-    base = _boundary_index(w, 0)
-    d = [table.distance(base, _boundary_index(w, i)) for i in range(n + 1)]
+    n = w.n_boundary
+    base = boundary_face(w, 0)
+    d = [web_distance(w, base, boundary_face(w, i)) for i in range(n + 1)]
     return "".join(_PHI[d[i - 1] - d[i]] for i in range(1, n + 1))
 
 
@@ -103,12 +103,9 @@ def domino_of_symmetric_web(w: PlanarWeb) -> Tableau:
 def _mirror_word(w: PlanarWeb) -> str:
     if not is_symmetrical(w):
         raise NotSymmetrical("web differs from its mirror image")
-    n, table = w.n_boundary, w.face_table
+    n = w.n_boundary
     half = n // 2
-    h = [
-        table.distance(_boundary_index(w, j), _boundary_index(w, n - j))
-        for j in range(half + 1)
-    ]
+    h = [web_distance(w, boundary_face(w, j), boundary_face(w, n - j)) for j in range(half + 1)]
     letters = [""] * (n + 1)
     if n % 2 == 1:
         letters[1] = "1"

@@ -17,7 +17,7 @@ from webfold.cli import main
 from webfold.matchings import web2_of_tableau
 from webfold.tableaux import from_word
 from webfold.web3 import crossed_mdiagram, mdiagram_of_tableau, web_of_tableau
-from webs import tripod, twisted_web, walled_stem_web
+from webs import open_circle_web, tripod, twisted_web, walled_stem_web
 
 CHAIN_WORD = "111122213132223333"
 CHAIN_FOLD = "112212121133332323"
@@ -180,8 +180,19 @@ def test_internal_vertex_on_a_wall_is_named(capsys, tmp_path):
     code, out, err = run(capsys, "web3", "to-tableau", "--in", str(src))
     assert (code, out) == (1, "")
     assert err == (
-        "NotAWeb: boundary vertex 2 has web-degree 0;"
+        "NotAWeb: boundary vertex 2 has web-degree 0; 7 boundary edges, not 6;"
         " internal vertex 7 touches a boundary edge\n"
+    )
+
+
+def test_open_boundary_circle_is_not_a_web(capsys, tmp_path):
+    # this used to pass validation and end in "UnknownFace: no exterior face"
+    src = tmp_path / "open.json"
+    src.write_text(json.dumps(open_circle_web()))
+    code, out, err = run(capsys, "web3", "to-tableau", "--in", str(src))
+    assert (code, out) == (1, "")
+    assert err == (
+        "NotAWeb: boundary circle has no edge from 6 to 1; 5 boundary edges, not 6\n"
     )
 
 

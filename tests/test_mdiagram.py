@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from webfold import oracle
 from webfold.errors import ConcurrentArcs, InvalidBoundaryDegrees, UnknownFace
 from webfold.mdiagram import (
     FIRST,
@@ -115,8 +116,9 @@ def test_arcs_above_boundary_faces():
     assert above4 == {(5, 4), (6, 3)}
     with pytest.raises(UnknownFace):
         arcs_above(m, exterior_face(w))
-    with pytest.raises(UnknownFace):
-        arc_distance(m, frozenset({999}), boundary_face(w, 0))
+    for bad in (-1, len(faces(w))):
+        with pytest.raises(UnknownFace, match="not an inner face"):
+            arc_distance(m, bad, boundary_face(w, 0))
 
 
 def test_coherent_separators_and_distance_bound():
@@ -390,11 +392,11 @@ GOLDEN_DIAGRAM_BYTES_SHA256 = "b8c36e442c09cfcff51d30c426dba80a7a69d59515965cf84
 
 
 def symmetric_tableaux(max_n):
+    """The rotationally symmetric 3-row tableaux with n <= max_n, in word
+    order; test_oracle checks this generator against the filtered walk."""
     for n in range(1, max_n + 1):
-        for word in enumerate_words((n, n, n)):
-            t = from_word(word)
-            if is_rotationally_symmetric(t):
-                yield t
+        for word in oracle._symmetric_words((n, n, n)):
+            yield from_word(word)
 
 
 def golden_diagrams():
@@ -425,17 +427,18 @@ def test_diagram_json_and_svg_bytes_are_pinned():
 
 
 # sha256 over every resolution of golden_resolutions(), in order; see the test
-GOLDEN_RESOLUTIONS_SHA256 = "972abfb651e723c1c2697d22171a2acfb45241302220824254ae9d481f8e10d1"
+GOLDEN_RESOLUTIONS_SHA256 = "705fa7d496499dcb3821f790fc7e228d31e298a3a0afc18cc581977e64741761"
 
 
 def golden_resolutions():
     """The diagram of every 3-row word with n <= 5, then the crossed diagram
-    of the fold of every symmetric 3-row word with n <= 6: 7,046 diagrams."""
+    of the fold of every symmetric 3-row word with n <= 6: 7,046 diagrams,
+    each with whether it is a crossed diagram."""
     for n in range(1, 6):
         for word in enumerate_words((n, n, n)):
-            yield mdiagram_of_tableau(from_word(word))
+            yield mdiagram_of_tableau(from_word(word)), False
     for t in symmetric_tableaux(6):
-        yield crossed_mdiagram(fold(t))
+        yield crossed_mdiagram(fold(t)), True
 
 
 def test_resolutions_are_pinned():
@@ -447,17 +450,25 @@ def test_resolutions_are_pinned():
 
     pinned = hashlib.sha256()
     count = 0
-    for m in golden_resolutions():
+    for m, crossed in golden_resolutions():
         count += 1
         res = m.resolution
+        orbits = res.web.face_table.orbits
         for part in (
             json.dumps(res.web.to_dict(), sort_keys=True),
             repr(res.edge_arcs),
             repr([(arc_set(pair), e) for pair, e in res.pair_edges]),
-            repr([(sorted(f), arc_set(s)) for f, s in res.face_arcs.items()]),
+            # faces by their darts, in an order that does not depend on the walk
+            repr(sorted((sorted(orbits[f]), arc_set(s)) for f, s in res.face_arcs.items())),
             repr([(arc(c.arc_a), arc(c.arc_b), str(c.x)) for c in crossings(m)]),
         ):
             pinned.update(part.encode())
+        # no two faces have one arc set, so reflected_face's first match is
+        # its only match, whatever order face_arcs lists the faces in
+        assert len(set(res.face_arcs.values())) == len(res.face_arcs)
+        if crossed:
+            for f in res.face_arcs:
+                assert reflected_face(m, reflected_face(m, f)) == f
     assert count == 7046
     assert pinned.hexdigest() == GOLDEN_RESOLUTIONS_SHA256
 

@@ -18,11 +18,19 @@ from webfold.planarweb import (
     validate_3web,
     web_distance,
 )
-from webs import broken_webs, checked_web, golden_webs, tripod, twisted_web, walled_stem_web
+from webs import (
+    broken_webs,
+    checked_web,
+    golden_webs,
+    open_circle_web,
+    tripod,
+    twisted_web,
+    walled_stem_web,
+)
 
 # sha256 over the repr of validate_3web(w).violations for each web of
 # broken_webs(), one per line, and the number of webs
-BROKEN_VIOLATIONS_SHA256 = "3d8b460ca586edfdea33ffdc25e9654852c15de4a8bb662018ee1a53069ba6e8"
+BROKEN_VIOLATIONS_SHA256 = "b7e4194f5c447ed21b6ce94b6ace901ad2e343186552d71e1d45a9b7064f4aa0"
 BROKEN_WEB_COUNT = 2036
 
 # sha256 over serialization + digest of the canonical forms of golden_webs(),
@@ -73,10 +81,10 @@ def test_tripod_is_valid():
 
 def test_tripod_faces_and_euler():
     w = tripod()
-    assert len(faces(w)) == 4
+    assert faces(w) == range(4)
     assert len(w.rotation) - len(w.edges) + len(faces(w)) == 2
     ext = exterior_face(w)
-    assert all(w.edges[d // 2].tag == BOUNDARY for d in ext)
+    assert all(w.edges[d // 2].tag == BOUNDARY for d in w.face_table.orbits[ext])
 
 
 def test_tripod_distances():
@@ -92,8 +100,9 @@ def test_unknown_faces():
     w = tripod()
     with pytest.raises(UnknownFace):
         boundary_face(w, 7)
-    with pytest.raises(UnknownFace):
-        web_distance(w, frozenset({0, 1}), boundary_face(w, 0))
+    for bad in (-1, 4):
+        with pytest.raises(UnknownFace, match="not a face of this web"):
+            web_distance(w, bad, boundary_face(w, 0))
 
 
 def test_square_web_is_rejected():
@@ -133,7 +142,17 @@ def test_internal_vertex_on_a_wall_is_named():
     report = validate_3web(PlanarWeb.from_dict(walled_stem_web()))
     assert report.violations == (
         "boundary vertex 2 has web-degree 0",
+        "7 boundary edges, not 6",
         "internal vertex 7 touches a boundary edge",
+    )
+
+
+def test_open_boundary_circle_is_named():
+    # this web used to pass validation, and reading it raised UnknownFace
+    report = validate_3web(PlanarWeb.from_dict(open_circle_web()))
+    assert report.violations == (
+        "boundary circle has no edge from 6 to 1",
+        "5 boundary edges, not 6",
     )
 
 

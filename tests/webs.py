@@ -51,6 +51,18 @@ def walled_stem_web() -> dict:
     return d
 
 
+def open_circle_web() -> dict:
+    """The JSON form of the web of 112233 without its boundary edge from 6
+    to 1, the last edge, whose darts 28 and 29 leave the rotation too: every
+    vertex keeps its web edges, but the boundary circle is open."""
+    d = web_of_tableau(from_word("112233")).to_dict()
+    del d["layout"]
+    assert d["edges"].pop() == {"from": 6, "to": 1, "tag": BOUNDARY}
+    for v, ds in d["rotation"].items():
+        d["rotation"][v] = [x for x in ds if x < 28]
+    return d
+
+
 def golden_webs():
     """Every 3-row web with n <= 4, each followed by its rotation, its
     reflection and its JSON round trip; then the crossed web of the fold
