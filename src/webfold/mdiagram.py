@@ -1,13 +1,15 @@
 """Directed arc diagrams over a boundary line, and their resolution.
 
-Arcs name their ends by boundary position 1..N, as web vertices do; the
-labels are read only by JSON, SVG and error messages.  Arcs are exact
-semicircles over rational abscissas, so crossing positions and all
-ordering predicates are rational arithmetic.  Resolution replaces each
-degree-2 boundary sink with a fed internal sink and each crossing with a
-source/sink pair joined by an intersection edge, yielding a planar web
-together with the bookkeeping (which arcs an edge toggles, which edge
-resolves which intersecting pair) needed for arc-set distances.
+A diagram keeps its boundary as two tuples indexed by position 1..N:
+`labels`, read only by JSON, SVG and error messages, and the strictly
+increasing abscissas `xs`.  Arcs name their ends by boundary position, as
+web vertices do, and are exact semicircles over those abscissas, so
+crossing positions and all ordering predicates are rational arithmetic.
+Resolution replaces each degree-2 boundary sink with a fed internal sink
+and each crossing with a source/sink pair joined by an intersection edge,
+yielding a planar web together with the bookkeeping (which arcs an edge
+toggles, which edge resolves which intersecting pair) needed for arc-set
+distances.
 
 A diagram is checked where it enters, by `from_dict`.  `MDiagram(...)`,
 like `PlanarWeb(...)`, checks nothing: the builders in `web3` make their
@@ -27,14 +29,6 @@ FIRST = "first"
 SECOND = "second"
 
 
-class BoundaryVertex(Value):
-    __slots__ = _fields = ("label", "x")
-
-    def __init__(self, label: str, x: Fraction | int) -> None:
-        self.label = label
-        self.x = x
-
-
 class Arc(Value):
     __slots__ = _fields = ("tail", "head", "kind", "crossed")
 
@@ -47,10 +41,13 @@ class Arc(Value):
 
 
 class MDiagram(Value):
-    _fields = ("boundary", "arcs")
+    _fields = ("labels", "xs", "arcs")
 
-    def __init__(self, boundary: tuple[BoundaryVertex, ...], arcs: tuple[Arc, ...]) -> None:
-        self.boundary = boundary
+    def __init__(
+        self, labels: tuple[str, ...], xs: tuple[Fraction | int, ...], arcs: tuple[Arc, ...]
+    ) -> None:
+        self.labels = labels
+        self.xs = xs
         self.arcs = arcs
 
     @cached_property
@@ -59,13 +56,12 @@ class MDiagram(Value):
         return _resolve(self)
 
     def to_dict(self) -> dict:
-        labels = [b.label for b in self.boundary]
         return {
-            "boundary": [{"label": b.label, "x": str(b.x)} for b in self.boundary],
+            "boundary": [{"label": label, "x": str(x)} for label, x in zip(self.labels, self.xs)],
             "arcs": [
                 {
-                    "tail": labels[a.tail - 1],
-                    "head": labels[a.head - 1],
+                    "tail": self.labels[a.tail - 1],
+                    "head": self.labels[a.head - 1],
                     "kind": a.kind,
                     "crossed": a.crossed,
                 }
@@ -76,19 +72,24 @@ class MDiagram(Value):
     @classmethod
     def from_dict(cls, d: dict) -> "MDiagram":
         """The diagram of a JSON form, whose arcs name their ends by label."""
-        boundary = tuple(BoundaryVertex(b["label"], _rational("x", b["x"])) for b in d["boundary"])
+        boundary = [(b["label"], _rational("x", b["x"])) for b in d["boundary"]]
         ends = [(a["tail"], a["head"], a.get("kind", FIRST), a.get("crossed", False))
                 for a in d["arcs"]]
-        position = {b.label: p for p, b in enumerate(boundary, start=1)}
-        if len(position) != len(boundary):
+        labels = tuple(label for label, _ in boundary)
+        xs = tuple(x for _, x in boundary)
+        for label in labels:
+            if not isinstance(label, str):
+                raise TypeError(f"label must be a string, got {type(label).__name__}")
+        position = {label: p for p, label in enumerate(labels, start=1)}
+        if len(position) != len(labels):
             raise ValueError("boundary labels must be unique")
-        if any(a.x >= b.x for a, b in zip(boundary, boundary[1:])):
+        if any(a >= b for a, b in zip(xs, xs[1:])):
             raise ValueError("boundary abscissas must strictly increase")
-        for b in boundary:
-            if not isinstance(b.label, str):
-                raise TypeError(f"label must be a string, got {type(b.label).__name__}")
         arcs = []
         for tail, head, kind, crossed in ends:
+            for what, end in (("tail", tail), ("head", head)):
+                if not isinstance(end, str):
+                    raise TypeError(f"{what} must be a string, got {type(end).__name__}")
             if tail == head:
                 raise ValueError("arc endpoints must be distinct")
             if tail not in position or head not in position:
@@ -98,9 +99,9 @@ class MDiagram(Value):
             if not isinstance(crossed, bool):
                 raise TypeError(f"crossed must be a boolean, got {type(crossed).__name__}")
             arcs.append(Arc(position[tail], position[head], kind, crossed))
-        if not boundary:
+        if not labels:
             raise ValueError("boundary must have at least one vertex")
-        return cls(boundary, tuple(arcs))
+        return cls(labels, xs, tuple(arcs))
 
 
 class Crossing(Value):
@@ -128,7 +129,7 @@ def _crossing_pairs(m: MDiagram) -> list[tuple[int, int, int, int]]:
     """
     # abscissas strictly increase, so boundary positions order them exactly
     spans = [(a.tail, a.head) if a.tail < a.head else (a.head, a.tail) for a in m.arcs]
-    xs = [(b.x.numerator, b.x.denominator) for b in m.boundary]
+    xs = [(x.numerator, x.denominator) for x in m.xs]
     # each arc's circle as integers (q, t, p) with q x**2 - t x + p = 0;
     # its ends are at a / c and b / d
     circles = []
@@ -156,7 +157,7 @@ def _crossing_pairs(m: MDiagram) -> list[tuple[int, int, int, int]]:
             per_arc.setdefault(m.arcs[j], []).append(key)
         for arc, xs in per_arc.items():
             if len(set(xs)) != len(xs):
-                tail, head = m.boundary[arc.tail - 1].label, m.boundary[arc.head - 1].label
+                tail, head = m.labels[arc.tail - 1], m.labels[arc.head - 1]
                 raise ConcurrentArcs(f"three arcs meet at one point on ({tail}, {head})")
     return [(i, j, num, den) for _, i, j, num, den in ranked]
 
@@ -231,18 +232,18 @@ class Resolution(Value, eq=False):
 
 def _resolve(m: MDiagram) -> Resolution:
     # boundary vertices are named by position 1..n, arcs by index in m.arcs
-    n = len(m.boundary)
+    n = len(m.labels)
     ends = [(a.tail, a.head) for a in m.arcs]
     tails: list[list[int]] = [[] for _ in range(n + 1)]
     heads: list[list[int]] = [[] for _ in range(n + 1)]
     for i, (p, q) in enumerate(ends):
         tails[p].append(i)
         heads[q].append(i)
-    for p, b in enumerate(m.boundary, start=1):
+    for p, label in enumerate(m.labels, start=1):
         shape = (len(tails[p]), len(heads[p]))
         if shape not in {(1, 0), (0, 2)}:
             raise InvalidBoundaryDegrees(
-                f"vertex {b.label} has {shape[0]} outgoing and {shape[1]} incoming arcs"
+                f"vertex {label} has {shape[0]} outgoing and {shape[1]} incoming arcs"
             )
     sinks = [p for p in range(1, n + 1) if heads[p]]
 
@@ -319,13 +320,13 @@ def _resolve(m: MDiagram) -> Resolution:
     tags = [ARC] * first_int + [INTERSECTION] * len(found) + [BOUNDARY] * n
 
     web = PlanarWeb(
-        n, origins, tags, rotation, partial(_layout, m.boundary, ends, heads, sinks, found)
+        n, origins, tags, rotation, partial(_layout, m.xs, ends, heads, sinks, found)
     )
     return Resolution(web, m.arcs, tuple(edge_arcs))
 
 
 def _layout(
-    boundary: tuple[BoundaryVertex, ...],
+    xs: tuple[Fraction | int, ...],
     ends: list[tuple[int, int]],
     heads: list[list[int]],
     sinks: list[int],
@@ -336,19 +337,18 @@ def _layout(
     its nearest arc's width above its boundary vertex, and each crossing's
     pair straddling the point where the two semicircles meet.
     """
-    n = len(boundary)
-    bx = [b.x for b in boundary]
+    n = len(xs)
     layout: dict[int, tuple[Fraction, Fraction]] = {}
-    for k, x in enumerate(bx, start=1):
+    for k, x in enumerate(xs, start=1):
         layout[k] = (x, Fraction(0))
     for s, q in enumerate(sinks):
-        x = bx[q - 1]
-        near = min(abs(bx[ends[i][0] - 1] - x) for i in heads[q])
+        x = xs[q - 1]
+        near = min(abs(xs[ends[i][0] - 1] - x) for i in heads[q])
         layout[n + 1 + s] = (x, Fraction(near) / 4)
     base = n + len(sinks)
     for t, (i, _, num, den) in enumerate(found):
         p, q = sorted(ends[i])
-        lo, hi, x = bx[p - 1], bx[q - 1], Fraction(num, den)
+        lo, hi, x = xs[p - 1], xs[q - 1], Fraction(num, den)
         # the height of the crossing on the semicircle over [lo, hi]
         y2 = (hi - x) * (x - lo)
         y = Fraction(float(y2) ** 0.5).limit_denominator(10**6)
@@ -401,7 +401,7 @@ def mirror_arc(a: Arc, n: int) -> Arc:
 
 def reflected_face(m: MDiagram, face: int) -> int:
     """The number of the face whose arc set is the mirror image of this one's."""
-    n = len(m.boundary)
+    n = len(m.labels)
     want = frozenset(mirror_arc(a, n) for a in arcs_above(m, face))
     for f, s in m.resolution.face_arcs.items():
         if s == want:
@@ -413,7 +413,7 @@ def epsilon(m: MDiagram, face: int) -> int:
     """1 if face number `face` is between some vertical pair of crossed arcs."""
     above = arcs_above(m, face)
     present = set(m.arcs)
-    n = len(m.boundary)
+    n = len(m.labels)
     for a in m.arcs:
         if not a.crossed:
             continue

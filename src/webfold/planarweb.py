@@ -12,10 +12,12 @@ as `Edge` objects, is built on first read.  A web's face table is one
 walk over its darts that records each face's darts, wall contact and
 dual neighbours.  A face is its number in that table: `faces`,
 `exterior_face`, `boundary_face` and `web_distance` all speak in face
-numbers, and `validate_3web` reads the same records.  `canonical` builds
-a web's form in one breadth-first walk from the boundary.  A canonical
-form compares and hashes as the nested tuple it is built from; its bytes
-and its sha256 digest are computed on first read.
+numbers, and `validate_3web` reads the same records.  A web finds its
+boundary circle, the dart from each k to k+1, once (`PlanarWeb._circle`)
+for `validate_3web`, the boundary faces and `canonical`, which builds a
+web's form in one breadth-first walk from the boundary.  A canonical form
+compares and hashes as the nested tuple it is built from; its bytes and
+its sha256 digest are computed on first read.
 """
 
 from __future__ import annotations
@@ -77,6 +79,21 @@ class PlanarWeb(Value, eq=False):
     def _walls(self) -> list[bool]:
         """Per edge, whether it is a boundary edge (a wall for distances)."""
         return [t == BOUNDARY for t in self.tags]
+
+    @cached_property
+    def _circle(self) -> list[int | None]:
+        """Per boundary vertex k, the first dart at k, in rotation order, of a
+        boundary edge to k % N + 1, or None; entry 0 repeats N's, as B_0 is B_N."""
+        n, origins, walls, rotation = self.n_boundary, self.origins, self._walls, self.rotation
+        circle: list[int | None] = [None] * (n + 1)
+        for k in range(1, n + 1):
+            after = k % n + 1
+            for d in rotation.get(k, ()):
+                if walls[d >> 1] and origins[d ^ 1] == after:
+                    circle[k] = d
+                    break
+        circle[0] = circle[n]
+        return circle
 
     @cached_property
     def face_table(self) -> FaceTable:
@@ -183,7 +200,8 @@ class FaceTable:
     each dart's face.  One pass over the edges records, per face, whether
     it touches a wall (`walled`) and its dual neighbours across non-boundary
     edges (`adjacency`); the exterior is the first face all of whose edges
-    are walls, and `boundary[k]` is the face inside the wall from k to k+1.
+    are walls.  `boundary[k]` is the side of the web's boundary-circle dart
+    from k to k+1 (`PlanarWeb._circle`) that is not the exterior, or None.
     Breadth-first distances are kept per source face once computed.
     """
 
@@ -214,11 +232,9 @@ class FaceTable:
         walled = [False] * len(orbits)
         webbed = walled[:]
         adjacency: list[list[int]] = [[] for _ in orbits]
-        wall_edges = []
-        for i, (a, b, is_wall) in enumerate(zip(face_of[0::2], face_of[1::2], wall)):
+        for a, b, is_wall in zip(face_of[0::2], face_of[1::2], wall):
             if is_wall:
                 walled[a] = walled[b] = True
-                wall_edges.append(i)
             else:
                 webbed[a] = webbed[b] = True
                 adjacency[a].append(b)
@@ -226,19 +242,11 @@ class FaceTable:
         self.walled = walled
         self.adjacency = adjacency
         self.exterior = ext = next((f for f, x in enumerate(walled) if x and not webbed[f]), None)
-        # the non-exterior side of the first boundary edge joining each pair
-        inner_side: dict[tuple[int, int], int] = {}
-        for i in wall_edges:
-            u, v = origins[2 * i], origins[2 * i + 1]
-            key = (u, v) if u < v else (v, u)
-            a = face_of[2 * i]
-            side = a if a != ext else face_of[2 * i + 1]
-            if side != ext and key not in inner_side:
-                inner_side[key] = side
-        n = w.n_boundary
-        self.boundary = tuple(
-            inner_side.get((k, k + 1) if 1 <= k < n else (1, n)) for k in range(n + 1)
-        )
+        boundary: list[int | None] = []
+        for d in w._circle:
+            a, b = (ext, ext) if d is None else (face_of[d], face_of[d ^ 1])
+            boundary.append(a if a != ext else b if b != ext else None)
+        self.boundary = tuple(boundary)
         self._distances: dict[int, list[int | None]] = {}
 
     def distances(self, source: int) -> list[int | None]:
@@ -316,32 +324,28 @@ def validate_3web(w: PlanarWeb) -> WebReport:
     """Check the defining conditions; violations are reported, not raised.
 
     The boundary edges must be exactly the circle 1 -> 2 -> ... -> N -> 1:
-    each boundary vertex k has one to k+1, and there are N of them.
+    each k has one to k+1 (`PlanarWeb._circle`), and there are N of them.
     A connected web must also lie in the plane: its rotation system then
     has V - E + F = 2.  The face count, and each face's size and wall
     contact for the short-face check, are read off the face table.
     """
     bad: list[str] = []
     n = w.n_boundary
-    origins, walls, rotation = w.origins, w._walls, w.rotation
+    origins, walls, rotation, circle = w.origins, w._walls, w.rotation, w._circle
     if n % 3 != 0 or n == 0:
         bad.append(f"boundary count {n} is not a positive multiple of 3")
     for k in range(1, n + 1):
         degree = 0
-        after = k % n + 1
-        circled = False
         for d in rotation.get(k, ()):
             if not walls[d >> 1]:
                 degree += 1
                 dart = d
-            elif origins[d ^ 1] == after:
-                circled = True
         if degree != 1:
             bad.append(f"boundary vertex {k} has web-degree {degree}")
         elif dart & 1:
             bad.append(f"boundary vertex {k} is not a source")
-        if not circled:
-            bad.append(f"boundary circle has no edge from {k} to {after}")
+        if circle[k] is None:
+            bad.append(f"boundary circle has no edge from {k} to {k % n + 1}")
     if (count := walls.count(True)) != n:
         bad.append(f"{count} boundary edges, not {n}")
     for v, rot in rotation.items():
@@ -407,8 +411,8 @@ def canonical(w: PlanarWeb) -> CanonicalWebForm:
 
     One breadth-first walk names each vertex when it is first reached and
     writes its row, from its start dart, when it is visited.  A boundary
-    vertex starts at its edge to the next boundary vertex; any other vertex
-    starts at the twin of the dart it was first reached by.
+    vertex starts at its circle dart to the next (`PlanarWeb._circle`); any
+    other vertex starts at the twin of the dart it was first reached by.
     """
     n = w.n_boundary
     origins, walls, rotation = w.origins, w._walls, w.rotation
@@ -419,14 +423,10 @@ def canonical(w: PlanarWeb) -> CanonicalWebForm:
             slot[d] = i
     names = {k: k for k in range(1, n + 1)}
     start: dict[int, int] = {}
-    for k in range(1, n + 1):
-        nxt = k + 1 if k < n else 1
-        for d in rotation[k]:
-            if walls[d >> 1] and origins[d ^ 1] == nxt:
-                start[k] = d
-                break
-        else:
-            raise ValueError(f"no boundary edge from {k} to {nxt}")
+    for k, d in enumerate(w._circle[1:], start=1):
+        if d is None:
+            raise ValueError(f"no boundary edge from {k} to {k % n + 1}")
+        start[k] = d
     order = list(range(1, n + 1))
     entries = []
     # order grows while it is walked, so this is a breadth-first visit

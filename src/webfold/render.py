@@ -49,12 +49,11 @@ def _semicircle(x1: float, y: float, x2: float, stroke: str, dashed: bool) -> st
 
 
 def svg_of_mdiagram(m: MDiagram) -> str:
-    bx = [b.x for b in m.boundary]
-    xs = [float(x) for x in bx]
+    xs = [float(x) for x in m.xs]
     lo, hi = min(xs), max(xs)
     max_r = 0.5
     for a in m.arcs:
-        max_r = max(max_r, abs(float(bx[a.head - 1] - bx[a.tail - 1])) / 2)
+        max_r = max(max_r, abs(float(m.xs[a.head - 1] - m.xs[a.tail - 1])) / 2)
     base = MARGIN + max_r * SCALE
 
     def px(x: float) -> float:
@@ -65,11 +64,11 @@ def svg_of_mdiagram(m: MDiagram) -> str:
         f'y2="{_fmt(base)}" stroke="#999" stroke-width="1"/>'
     ]
     for a in m.arcs:
-        x1, x2 = float(bx[a.tail - 1]), float(bx[a.head - 1])
+        x1, x2 = xs[a.tail - 1], xs[a.head - 1]
         stroke = "#000000" if a.kind == FIRST else "#1f6fb2"
         body.append(_semicircle(px(x1), base, px(x2), stroke, a.crossed))
     for c in crossings(m):
-        x1, x2 = float(bx[c.arc_a.tail - 1]), float(bx[c.arc_a.head - 1])
+        x1, x2 = xs[c.arc_a.tail - 1], xs[c.arc_a.head - 1]
         center, r = (x1 + x2) / 2, abs(x2 - x1) / 2
         x = float(c.x)
         y = math.sqrt(max(r * r - (x - center) ** 2, 0.0))
@@ -77,13 +76,12 @@ def svg_of_mdiagram(m: MDiagram) -> str:
             f'<circle cx="{_fmt(px(x))}" cy="{_fmt(base - y * SCALE)}" r="3.5" '
             'fill="none" stroke="#c0392b" stroke-width="1.5"/>'
         )
-    for b in m.boundary:
-        x = px(float(b.x))
+    for label, x in zip(m.labels, map(px, xs)):
         body.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(base)}" r="2.5" fill="#000"/>')
         body.append(
             f'<text x="{_fmt(x)}" y="{_fmt(base + 16)}" font-size="11" '
             'text-anchor="middle" font-family="sans-serif">'
-            f"{html.escape(b.label, quote=False)}</text>"
+            f"{html.escape(label, quote=False)}</text>"
         )
     return _document(px(hi) + MARGIN, base + MARGIN, body)
 

@@ -29,7 +29,6 @@ from .mdiagram import (
     FIRST,
     SECOND,
     Arc,
-    BoundaryVertex,
     MDiagram,
     mirror_arc,
     resolve,
@@ -62,8 +61,8 @@ def _arcs(rows: tuple[tuple[int, ...], ...], low: tuple[int, ...], shift: int) -
 def mdiagram_of_tableau(t: Tableau) -> MDiagram:
     """First arcs from rows 1-2 pointing right, second arcs from rows 2-3 pointing left."""
     n = _require_3xn(t)
-    boundary = tuple(BoundaryVertex(str(i), i) for i in range(1, 3 * n + 1))
-    return MDiagram(boundary, tuple(_arcs(t.rows, t.rows[1], 0)))
+    xs = tuple(range(1, 3 * n + 1))
+    return MDiagram(tuple(map(str, xs)), xs, tuple(_arcs(t.rows, t.rows[1], 0)))
 
 
 def web_of_tableau(t: Tableau) -> PlanarWeb:
@@ -238,8 +237,8 @@ def crossed_mdiagram_of_decomposition(dec: DominoDecomposition) -> MDiagram:
     # abscissas -m..m; entry k of the compression is at position n - m + k
     c, m = dec.compression, dec.compression.size
     odd = c.shape.inner != ()
-    xs = [x for x in range(-m, m + 1) if x or odd]
-    labels = [f"{-x}'" if x < 0 else str(x) for x in xs]
+    xs = tuple(x for x in range(-m, m + 1) if x or odd)
+    labels = tuple(f"{-x}'" if x < 0 else str(x) for x in xs)
     n, shift = len(xs), len(xs) - m
     # the lone cell, at label "0", opens a second arc below row 2
     low = (0, *c.rows[1]) if odd else c.rows[1]
@@ -284,7 +283,7 @@ def crossed_mdiagram_of_decomposition(dec: DominoDecomposition) -> MDiagram:
         final.append(Arc(arc.tail, n + 1 - arc.head, arc.kind, True))
         final.append(Arc(n + 1 - arc.tail, arc.head, arc.kind, True))
     final.extend(a for a in arcs if a not in replaced)
-    return MDiagram(tuple(map(BoundaryVertex, labels, xs)), tuple(final))
+    return MDiagram(labels, xs, tuple(final))
 
 
 def crossed_web(d: Tableau) -> PlanarWeb:

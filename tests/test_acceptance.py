@@ -12,7 +12,7 @@ import time
 import pytest
 
 from webfold.errors import ConcurrentArcs, UnrecognizedBlock, VerticalPairNotAnArc
-from webfold.mdiagram import Arc, BoundaryVertex, MDiagram, crossings
+from webfold.mdiagram import Arc, MDiagram, crossings
 from webfold.oracle import enumerate_words, hook_length_count, verify
 from webfold.planarweb import boundary_face, web_distance
 from webfold.tableaux import fold, from_word, promote_bounded
@@ -177,10 +177,8 @@ def test_criterion_10_error_paths(capfd):
                 quiet = False
 
     concurrent = MDiagram(
-        tuple(
-            BoundaryVertex(lab, x)
-            for lab, x in [("a", -4), ("b", -2), ("c", -1), ("d", 1), ("e", 2), ("f", 4)]
-        ),
+        ("a", "b", "c", "d", "e", "f"),
+        (-4, -2, -1, 1, 2, 4),
         # b -> e, c -> f, a -> d
         (Arc(2, 5), Arc(3, 6), Arc(1, 4)),
     )

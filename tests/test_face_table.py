@@ -11,6 +11,7 @@ from webfold.oracle import enumerate_words
 from webfold.planarweb import (
     BOUNDARY,
     Edge,
+    PlanarWeb,
     boundary_face,
     exterior_face,
     faces,
@@ -156,6 +157,24 @@ def test_face_table_matches_naive_walk_on_broken_webs():
         check_faces(name, w)
         exterior_missing.add(w.face_table.exterior is None)
     assert exterior_missing == {False, True}
+
+
+def test_boundary_faces_of_webs_drawn_the_other_way_round():
+    """Every rotation reversed, labels kept: the mirror image of a web, so
+    the exterior lies on the left of each boundary-circle dart, where a web
+    built here has its boundary face.  The inner side is still B_k."""
+    checked = 0
+    for n in range(1, 4):
+        for word in enumerate_words((n, n, n)):
+            w = web_of_tableau(from_word(word))
+            mirror = PlanarWeb(
+                w.n_boundary, w.origins, w.tags, {v: rot[::-1] for v, rot in w.rotation.items()}
+            )
+            ext = exterior_face(mirror)
+            assert all(mirror.face_table.face_of[d] == ext for d in mirror._circle), word
+            check_faces(word, mirror)
+            checked += 1
+    assert checked == 1 + 5 + 42
 
 
 def test_face_of_another_web_is_unknown():

@@ -7,10 +7,12 @@ loads `_value`, the base of the value classes.
 """
 
 import ast
+import builtins
 import importlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import typing
@@ -148,6 +150,27 @@ def test_perfbench_names_resolve():
         for name in names:
             fn = getattr(mod, name, None)
             assert inspect.isfunction(fn) and fn.__module__ == mod.__name__, f"{module}.{name}"
+
+
+def test_readme_names_resolve():
+    """Every backticked `Name`, `Name.attr` or `Name(...)` in the README, a
+    capitalised identifier, is a builtin or an attribute of some webfold
+    module, and `Name.attr` an attribute of that class.  All-caps names are
+    environment variables; a token with a space is prose or a command."""
+    names = [f"webfold.{p.stem}".removesuffix(".__init__") for p in (SRC / "webfold").glob("*.py")]
+    modules = [importlib.import_module(name) for name in names]
+    readme = re.sub(r"```.*?```", "", (SRC.parent / "README.md").read_text(), flags=re.S)
+    checked = 0
+    for token in re.findall(r"`([^`]+)`", readme):
+        found = re.fullmatch(r"([A-Z]\w*)(?:\.(\w+))?(?:\(.*\))?", token)
+        if " " in token or not found or found[1].isupper():
+            continue
+        name, attr = found.groups()
+        owners = [getattr(m, name) for m in [builtins, *modules] if hasattr(m, name)]
+        assert owners, token
+        assert attr is None or any(hasattr(o, attr) for o in owners), token
+        checked += 1
+    assert checked > 30
 
 
 def test_family_table_holds_the_oracle_functions():

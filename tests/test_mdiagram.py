@@ -14,7 +14,6 @@ from webfold.mdiagram import (
     FIRST,
     SECOND,
     Arc,
-    BoundaryVertex,
     MDiagram,
     arc_distance,
     arcs_above,
@@ -43,21 +42,23 @@ from webs import tripod
 ODD_FOLD = "111232323"
 
 
-def bv(label, x):
-    return BoundaryVertex(label, F(x))
+def diagram(points, arcs):
+    """The diagram over (label, abscissa) points, unchecked."""
+    labels, xs = zip(*points)
+    return MDiagram(labels, tuple(map(F, xs)), arcs)
 
 
 def tripod_diagram():
-    return MDiagram(
-        (bv("1", 1), bv("2", 2), bv("3", 3)),
+    return diagram(
+        (("1", 1), ("2", 2), ("3", 3)),
         (Arc(1, 2, FIRST), Arc(3, 2, SECOND)),
     )
 
 
 def hex_diagram():
     # one crossing: (1,4) x (6,3); tangencies at sinks 3 and 4
-    return MDiagram(
-        tuple(bv(str(i), i) for i in range(1, 7)),
+    return diagram(
+        tuple((str(i), i) for i in range(1, 7)),
         (
             Arc(1, 4, FIRST),
             Arc(2, 3, FIRST),
@@ -68,8 +69,8 @@ def hex_diagram():
 
 
 def mirrored_tripods():
-    return MDiagram(
-        (bv("3'", -3), bv("2'", -2), bv("1'", -1), bv("1", 1), bv("2", 2), bv("3", 3)),
+    return diagram(
+        (("3'", -3), ("2'", -2), ("1'", -1), ("1", 1), ("2", 2), ("3", 3)),
         (
             # 1 -> 2, 3 -> 2, 1' -> 2' and 3' -> 2'
             Arc(4, 5, FIRST),
@@ -150,7 +151,7 @@ def test_mirrored_tripods_are_symmetric():
 
 def test_mirror_labels():
     # 4', ..., 1', 0, 1, ..., 4: the position mirror maps k to k' and fixes 0
-    labels = [b.label for b in crossed_mdiagram(from_word(ODD_FOLD)).boundary]
+    labels = crossed_mdiagram(from_word(ODD_FOLD)).labels
     mirror = {labels[p - 1]: labels[9 - p] for p in range(1, 10)}
     assert mirror["3"] == "3'" and mirror["3'"] == "3" and mirror["0"] == "0"
     # 2 -> 1', crossed, on the six points of mirrored_tripods()
@@ -172,8 +173,8 @@ def test_between_vertical_pair_uses_exactly_one_side():
 
 
 def test_concurrent_arcs_detected():
-    conc = MDiagram(
-        (bv("a", -4), bv("b", -2), bv("c", -1), bv("d", 1), bv("e", 2), bv("f", 4)),
+    conc = diagram(
+        (("a", -4), ("b", -2), ("c", -1), ("d", 1), ("e", 2), ("f", 4)),
         # b -> e, c -> f, a -> d
         (Arc(2, 5), Arc(3, 6), Arc(1, 4)),
     )
@@ -182,8 +183,8 @@ def test_concurrent_arcs_detected():
 
 
 def test_bad_boundary_degrees():
-    m = MDiagram(
-        (bv("1", 1), bv("2", 2), bv("3", 3)),
+    m = diagram(
+        (("1", 1), ("2", 2), ("3", 3)),
         (Arc(1, 2), Arc(2, 3)),
     )
     with pytest.raises(InvalidBoundaryDegrees):
@@ -202,7 +203,7 @@ def test_json_round_trip():
     m = hex_diagram()
     blob = json.dumps(m.to_dict())
     assert MDiagram.from_dict(json.loads(blob)) == m
-    half = MDiagram((bv("1", F(1, 2)), bv("2", 2)), ())
+    half = diagram((("1", F(1, 2)), ("2", 2)), ())
     assert MDiagram.from_dict(json.loads(json.dumps(half.to_dict()))) == half
 
 
@@ -230,8 +231,8 @@ def test_resolution_is_kept_per_diagram_object():
 
 def test_crossing_abscissa_matches_circle_intersection():
     # semicircles over [0, 3] and [1, 5] meet at x = 5/3, y^2 = 20/9
-    m = MDiagram(
-        (bv("a", 0), bv("b", 1), bv("c", 3), bv("d", 5)),
+    m = diagram(
+        (("a", 0), ("b", 1), ("c", 3), ("d", 5)),
         # a -> c, b -> d
         (Arc(1, 3), Arc(2, 4)),
     )
@@ -251,11 +252,8 @@ def test_resolution_depends_on_boundary_order_not_spacing():
                 diagrams.append((f"crossed {word}", crossed_mdiagram(fold(t))))
     for name, m in diagrams:
         # strictly increasing, but neither evenly spaced nor integral
-        boundary = tuple(
-            BoundaryVertex(b.label, F(p * p, 3) + F(p % 3, 7))
-            for p, b in enumerate(m.boundary, start=1)
-        )
-        moved = MDiagram(boundary, m.arcs)
+        xs = tuple(F(p * p, 3) + F(p % 3, 7) for p in range(1, len(m.xs) + 1))
+        moved = MDiagram(m.labels, xs, m.arcs)
         assert canonical(resolve(moved)) == canonical(resolve(m)), name
         assert validate_3web(resolve(moved)).ok, name
 
@@ -263,7 +261,7 @@ def test_resolution_depends_on_boundary_order_not_spacing():
 def reference_crossings(m):
     """Crossings as Fraction arithmetic computes them: abscissa by the circle
     formula, order by sorted((x, i, j)), concurrency grouped by arc value."""
-    x_of = [F(b.x) for b in m.boundary]
+    x_of = [F(x) for x in m.xs]
     spans = [sorted((x_of[a.tail - 1], x_of[a.head - 1])) for a in m.arcs]
     found = []
     for i, (l1, h1) in enumerate(spans):
@@ -277,7 +275,7 @@ def reference_crossings(m):
         per_arc.setdefault(m.arcs[j], []).append(x)
     for arc, xs in per_arc.items():
         if len(set(xs)) != len(xs):
-            tail, head = m.boundary[arc.tail - 1].label, m.boundary[arc.head - 1].label
+            tail, head = m.labels[arc.tail - 1], m.labels[arc.head - 1]
             raise ConcurrentArcs(f"three arcs meet at one point on ({tail}, {head})")
     return [(m.arcs[i], m.arcs[j], x) for x, i, j in sorted(found)]
 
@@ -347,7 +345,8 @@ def test_crossing_order_stays_fast_on_large_diagrams():
     order = list(range(1600))
     rng.shuffle(order)
     m = MDiagram(
-        tuple(BoundaryVertex(str(k), x) for k, x in enumerate(xs)),
+        tuple(map(str, range(len(xs)))),
+        tuple(xs),
         tuple(Arc(p + 1, q + 1) for p, q in zip(order[::2], order[1::2])),
     )
     start = time.process_time()
@@ -368,7 +367,8 @@ def test_crossing_order_is_exact_and_fast_on_rational_diagrams():
     order = list(range(400))
     rng.shuffle(order)
     m = MDiagram(
-        tuple(BoundaryVertex(str(k), x) for k, x in enumerate(xs)),
+        tuple(map(str, range(len(xs)))),
+        tuple(xs),
         tuple(Arc(p + 1, q + 1) for p, q in zip(order[::2], order[1::2])),
     )
     start = time.process_time()
@@ -414,7 +414,7 @@ def test_diagram_json_and_svg_bytes_are_pinned():
     count = 0
     for m in golden_diagrams():
         count += 1
-        n = len(m.boundary)
+        n = len(m.labels)
         for a in m.arcs:
             assert type(a.tail) is int and type(a.head) is int
             assert 1 <= a.tail <= n and 1 <= a.head <= n
@@ -481,8 +481,7 @@ def test_position_mirror_is_the_label_mirror():
 
     for t in symmetric_tableaux(6):
         m = crossed_mdiagram(fold(t))
-        n = len(m.boundary)
-        label = [b.label for b in m.boundary]
+        n, label = len(m.labels), m.labels
         for a in m.arcs:
             b = mirror_arc(a, n)
             assert (label[b.tail - 1], label[b.head - 1]) == (
@@ -532,6 +531,12 @@ TWO = vertices(("1", "1"), ("2", "2"))
         ({"boundary": TWO, "arcs": [{"tail": "1", "head": "2", "crossed": "no"}]},
          TypeError, "crossed must be a boolean, got str"),
         ({"boundary": [], "arcs": []}, ValueError, "boundary must have at least one vertex"),
+        ({"boundary": [{"label": ["a"], "x": "1"}, {"label": "b", "x": "2"}], "arcs": []},
+         TypeError, "label must be a string, got list"),
+        ({"boundary": TWO, "arcs": [{"tail": ["1"], "head": "2"}]},
+         TypeError, "tail must be a string, got list"),
+        ({"boundary": TWO, "arcs": [{"tail": "1", "head": ["2"]}]},
+         TypeError, "head must be a string, got list"),
     ],
 )
 def test_diagram_json_errors(payload, error, message):

@@ -9,7 +9,7 @@ from functools import partial
 import pytest
 
 from webfold.matchings import Matching2
-from webfold.mdiagram import FIRST, SECOND, Arc, BoundaryVertex, Crossing, MDiagram, Resolution
+from webfold.mdiagram import FIRST, SECOND, Arc, Crossing, MDiagram, Resolution
 from webfold.oracle import EnumerationFilter, Failure, VerificationReport
 from webfold.planarweb import BOUNDARY, CanonicalWebForm, Edge, PlanarWeb, WebReport
 from webfold.tableaux import Shape, Tableau, from_word
@@ -18,7 +18,7 @@ from webfold.web3 import Block, DominoDecomposition
 TABLEAU = from_word("112323")
 ARC = Arc(1, 2)
 CROSSED = Arc(3, 1, SECOND, True)
-BOUNDARY_AT = (BoundaryVertex("1", 1), BoundaryVertex("b", Fraction(5, 2)))
+LABELS, XS = ("1", "b"), (1, Fraction(5, 2))
 WEB = PlanarWeb(2, [1, 2, 2, 1], [BOUNDARY, BOUNDARY], {1: (0, 3), 2: (1, 2)})
 FAILURE = Failure("112233", "lhs = rhs", "a", "b")
 BLOCK = Block(1, (1, 2), (3,))
@@ -38,19 +38,13 @@ VALUES = [
         (2, ((1, 4), (2, 3))),
         Matching2(2, ((1, 2), (3, 4))),
     ),
-    (
-        BOUNDARY_AT[1],
-        "BoundaryVertex(label='b', x=Fraction(5, 2))",
-        ("b", Fraction(5, 2)),
-        BoundaryVertex("b", 3),
-    ),
     (ARC, "Arc(tail=1, head=2, kind='first', crossed=False)", (1, 2, FIRST, False), Arc(1, 2, SECOND)),
     (
-        MDiagram(BOUNDARY_AT, (ARC,)),
-        "MDiagram(boundary=(BoundaryVertex(label='1', x=1), BoundaryVertex(label='b',"
-        " x=Fraction(5, 2))), arcs=(Arc(tail=1, head=2, kind='first', crossed=False),))",
-        (BOUNDARY_AT, (ARC,)),
-        MDiagram(BOUNDARY_AT, ()),
+        MDiagram(LABELS, XS, (ARC,)),
+        "MDiagram(labels=('1', 'b'), xs=(1, Fraction(5, 2)),"
+        " arcs=(Arc(tail=1, head=2, kind='first', crossed=False),))",
+        (LABELS, XS, (ARC,)),
+        MDiagram(LABELS, (1, 3), (ARC,)),
     ),
     (
         Crossing(ARC, CROSSED, Fraction(3, 2)),
@@ -137,7 +131,7 @@ def test_value_classes_compare_hash_and_show_their_fields(value, text, fields, c
 
 def test_the_value_classes_are_all_pinned():
     pinned = {type(case[0]) for case in VALUES + IDENTITIES}
-    assert len(pinned) == 17
+    assert len(pinned) == 16
 
 
 @pytest.mark.parametrize(

@@ -154,11 +154,11 @@ def test_decompositions_are_pinned():
 
 def test_crossed_mdiagram_even():
     m = crossed_mdiagram(from_word(CHAIN_FOLD))
-    assert [b.label for b in m.boundary] == [
+    assert list(m.labels) == [
         "9'", "8'", "7'", "6'", "5'", "4'", "3'", "2'", "1'",
         "1", "2", "3", "4", "5", "6", "7", "8", "9",
     ]
-    label = [b.label for b in m.boundary]
+    label = m.labels
     crossed = sorted((label[a.tail - 1], label[a.head - 1]) for a in m.arcs if a.crossed)
     assert crossed == [("3", "4'"), ("3'", "4"), ("9", "8'"), ("9'", "8")]
     assert len(crossings(m)) == 10
@@ -166,10 +166,10 @@ def test_crossed_mdiagram_even():
 
 def test_crossed_mdiagram_odd():
     m = crossed_mdiagram(from_word(ODD_FOLD))
-    assert [b.label for b in m.boundary] == [
+    assert list(m.labels) == [
         "4'", "3'", "2'", "1'", "0", "1", "2", "3", "4",
     ]
-    label = [b.label for b in m.boundary]
+    label = m.labels
     crossed = sorted((label[a.tail - 1], label[a.head - 1]) for a in m.arcs if a.crossed)
     assert crossed == [("2", "0"), ("2'", "0"), ("4", "3'"), ("4'", "3")]
     assert len(crossings(m)) == 3

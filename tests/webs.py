@@ -6,9 +6,9 @@ would be, so their rotation systems are checked.
 
 from random import Random
 
-from webfold.oracle import enumerate_words
+from webfold.oracle import _symmetric_words, enumerate_words
 from webfold.planarweb import ARC, BOUNDARY, Edge, PlanarWeb, reflect, rotate
-from webfold.tableaux import fold, from_word, is_rotationally_symmetric
+from webfold.tableaux import fold, from_word
 from webfold.web3 import crossed_web, web_of_tableau
 
 
@@ -73,10 +73,8 @@ def golden_webs():
             w = web_of_tableau(from_word(word))
             yield from (w, rotate(w), reflect(w), PlanarWeb.from_dict(w.to_dict()))
     for n in range(1, 6):
-        for word in enumerate_words((n, n, n)):
-            t = from_word(word)
-            if is_rotationally_symmetric(t):
-                yield crossed_web(fold(t))
+        for word in _symmetric_words((n, n, n)):
+            yield crossed_web(fold(from_word(word)))
 
 
 def broken_webs():
