@@ -30,6 +30,9 @@ class Matching2(Value):
         n, arcs = d["n"], tuple((a, b) for a, b in d["arcs"])
         if _integer("n", n) < 1:
             raise ValueError(f"n must be at least 1, got {n}")
+        for arc in arcs:
+            for v in arc:
+                _integer("arc endpoint", v)
         m = cls(n, arcs)
         ends = [v for arc in m.arcs for v in arc]
         # compare sizes first, so a huge n never builds a list of 2n entries
@@ -43,8 +46,6 @@ class Matching2(Value):
                 stack.append(k)
             elif not stack or stack.pop() != partner[k]:
                 raise ValueError("matching has crossing arcs")
-        for v in ends:
-            _integer("arc endpoint", v)
         return m
 
 

@@ -7,9 +7,9 @@ web vertices do, and are exact semicircles over those abscissas, so
 crossing positions and all ordering predicates are rational arithmetic.
 Resolution replaces each degree-2 boundary sink with a fed internal sink
 and each crossing with a source/sink pair joined by an intersection edge,
-yielding a planar web together with the bookkeeping (which arcs an edge
-toggles, which edge resolves which intersecting pair) needed for arc-set
-distances.
+yielding a planar web together with the one table that arc-set distances
+need: the arcs each edge toggles.  An arc is its index in `arcs`, and a set
+of arcs is an int bitmask, bit i for `arcs[i]`.
 
 A diagram is checked where it enters, by `from_dict`.  `MDiagram(...)`,
 like `PlanarWeb(...)`, checks nothing: the builders in `web3` make their
@@ -52,8 +52,15 @@ class MDiagram(Value):
 
     @cached_property
     def resolution(self) -> Resolution:
-        """The resolved web and its bookkeeping, built on first use."""
+        """The resolved web and its arc table, built on first use."""
         return _resolve(self)
+
+    @cached_property
+    def _mirrors(self) -> tuple[int | None, ...]:
+        """Per arc index, the index of its mirror arc, or None if it has none."""
+        n = len(self.labels)
+        index = {a: i for i, a in enumerate(self.arcs)}
+        return tuple(index.get(mirror_arc(a, n)) for a in self.arcs)
 
     def to_dict(self) -> dict:
         return {
@@ -104,15 +111,6 @@ class MDiagram(Value):
         return cls(labels, xs, tuple(arcs))
 
 
-class Crossing(Value):
-    __slots__ = _fields = ("arc_a", "arc_b", "x")
-
-    def __init__(self, arc_a: Arc, arc_b: Arc, x: Fraction) -> None:
-        self.arc_a = arc_a
-        self.arc_b = arc_b
-        self.x = x
-
-
 def _crossing_pairs(m: MDiagram) -> list[tuple[int, int, int, int]]:
     """Every transversal crossing as (i, j, num, den), i < j: arcs m.arcs[i]
     and m.arcs[j] cross at x = num / den.  Sorted by x, then by (i, j).
@@ -151,65 +149,48 @@ def _crossing_pairs(m: MDiagram) -> list[tuple[int, int, int, int]]:
     ranked = sorted((key, i, j, num, den) for key, (i, j, num, den) in zip(keys, found))
     # three arcs through one point make two crossings at one abscissa
     if any(a[0] == b[0] for a, b in zip(ranked, ranked[1:])):
-        per_arc: dict[Arc, list[int]] = {}
+        per_arc: dict[int, list[int]] = {}
         for (i, j, _, _), key in zip(found, keys):
-            per_arc.setdefault(m.arcs[i], []).append(key)
-            per_arc.setdefault(m.arcs[j], []).append(key)
-        for arc, xs in per_arc.items():
+            per_arc.setdefault(i, []).append(key)
+            per_arc.setdefault(j, []).append(key)
+        for i, xs in per_arc.items():
             if len(set(xs)) != len(xs):
+                arc = m.arcs[i]
                 tail, head = m.labels[arc.tail - 1], m.labels[arc.head - 1]
                 raise ConcurrentArcs(f"three arcs meet at one point on ({tail}, {head})")
     return [(i, j, num, den) for _, i, j, num, den in ranked]
 
 
-def crossings(m: MDiagram) -> tuple[Crossing, ...]:
-    """All transversal crossings, with exact rational abscissas.
+def crossings(m: MDiagram) -> tuple[tuple[int, int, Fraction], ...]:
+    """All transversal crossings as (i, j, x), i < j: arcs m.arcs[i] and
+    m.arcs[j] cross at the exact rational abscissa x.
 
     Two semicircles cross iff their endpoint intervals strictly
     interleave; a shared endpoint is a tangency, never a crossing.
     Raises ConcurrentArcs if three arcs pass through one point.
     """
-    return tuple(
-        Crossing(m.arcs[i], m.arcs[j], Fraction(num, den))
-        for i, j, num, den in _crossing_pairs(m)
-    )
+    return tuple((i, j, Fraction(num, den)) for i, j, num, den in _crossing_pairs(m))
 
 
 class Resolution(Value, eq=False):
-    """A resolved web with one arc table: per edge, the indices into arcs of
-    the arcs it toggles.  An arc segment holds its arc, a sink feed or an
-    intersection the pair it resolves, a boundary edge none.  The arc sets
-    themselves are built on first read.
+    """A resolved web with one arc table: per edge, the bitmask of the arcs
+    it toggles, bit i for m.arcs[i].  An arc segment holds its arc, a sink
+    feed or an intersection the pair it resolves, a boundary edge none.
     """
 
-    _fields = ("web", "arcs", "edge_arcs")
+    _fields = ("web", "edge_arcs")
 
-    def __init__(
-        self, web: PlanarWeb, arcs: tuple[Arc, ...], edge_arcs: tuple[tuple[int, ...], ...]
-    ) -> None:
+    def __init__(self, web: PlanarWeb, edge_arcs: tuple[int, ...]) -> None:
         self.web = web
-        self.arcs = arcs
         self.edge_arcs = edge_arcs
 
     @cached_property
-    def toggles(self) -> tuple[frozenset[Arc], ...]:
-        """The arcs each edge toggles: its own arc, the pair it resolves, or none."""
-        arcs = self.arcs
-        return tuple(frozenset([arcs[i] for i in ix]) for ix in self.edge_arcs)
-
-    @cached_property
-    def pair_edges(self) -> tuple[tuple[frozenset[Arc], int], ...]:
-        """Each sink's or crossing's pair of arcs, with the edge that resolves it."""
-        toggles = self.toggles
-        return tuple((toggles[e], e) for e, ix in enumerate(self.edge_arcs) if len(ix) == 2)
-
-    @cached_property
-    def face_arcs(self) -> dict[int, frozenset[Arc]]:
-        """The arcs passing over each inner face, by face number, in the order
-        a breadth-first walk from B_0 reaches the faces."""
-        table, walls = self.web.face_table, self.web._walls
+    def face_arcs(self) -> dict[int, int]:
+        """The bitmask of the arcs passing over each inner face, by face
+        number, in the order a breadth-first walk from B_0 reaches the faces."""
+        table, walls, edge_arcs = self.web.face_table, self.web._walls, self.edge_arcs
         start = boundary_face(self.web, 0)
-        sets: dict[int, frozenset[Arc]] = {start: frozenset()}
+        sets = {start: 0}
         frontier = [start]
         while frontier:
             nxt = []
@@ -219,7 +200,7 @@ class Resolution(Value, eq=False):
                     if walls[e]:
                         continue
                     gi = table.face_of[d ^ 1]
-                    arcs = sets[fi] ^ self.toggles[e]
+                    arcs = sets[fi] ^ edge_arcs[e]
                     if gi in sets:
                         if sets[gi] != arcs:
                             raise RuntimeError("inconsistent arc sets across faces")
@@ -274,7 +255,7 @@ def _resolve(m: MDiagram) -> Resolution:
 
     origins: list[int] = []
     rotation: dict[int, tuple[int, ...]] = {}
-    edge_arcs: list[tuple[int, ...]] = []
+    edge_arcs: list[int] = []
     sink_arc_darts: dict[int, list[tuple[tuple, int]]] = {q: [] for q in sinks}
     # the dart by which arc i enters crossing t at u; it leaves w by the next one
     in_dart: dict[tuple[int, int], int] = {}
@@ -291,17 +272,17 @@ def _resolve(m: MDiagram) -> Resolution:
         origins.append(sink_vertex[q])
         key = (0, p) if p > q else (1, p)
         sink_arc_darts[q].append((key, len(origins) - 1))
-        edge_arcs += [(i,)] * (len(met) + 1)
+        edge_arcs += [1 << i] * (len(met) + 1)
 
     for q in sinks:
         rotation[q] = ring(q, len(origins))
         darts = [d for _, d in sorted(sink_arc_darts[q])]
         rotation[sink_vertex[q]] = (*darts, len(origins) + 1)
         origins += (q, sink_vertex[q])
-        edge_arcs.append(tuple(heads[q]))
+        edge_arcs.append(sum(1 << i for i in heads[q]))
 
     for t, (a, b, _, _) in enumerate(found):
-        edge_arcs.append((a, b))
+        edge_arcs.append(1 << a | 1 << b)
         # a starts further left, so (the spans interleave) its centre is left
         # of b's; in and out darts alternate around the crossing, so arcs
         # pointing opposite ways meet u and w in the other order
@@ -316,13 +297,13 @@ def _resolve(m: MDiagram) -> Resolution:
 
     for k in range(1, n + 1):
         origins += (k, k % n + 1)
-    edge_arcs += [()] * n
+    edge_arcs += [0] * n
     tags = [ARC] * first_int + [INTERSECTION] * len(found) + [BOUNDARY] * n
 
     web = PlanarWeb(
         n, origins, tags, rotation, partial(_layout, m.xs, ends, heads, sinks, found)
     )
-    return Resolution(web, m.arcs, tuple(edge_arcs))
+    return Resolution(web, tuple(edge_arcs))
 
 
 def _layout(
@@ -362,8 +343,8 @@ def resolve(m: MDiagram) -> PlanarWeb:
     return m.resolution.web
 
 
-def arcs_above(m: MDiagram, face: int) -> frozenset[Arc]:
-    """The arcs passing over inner face number `face` of resolve(m)."""
+def arcs_above(m: MDiagram, face: int) -> int:
+    """The bitmask of the arcs passing over inner face number `face` of resolve(m)."""
     table = m.resolution.face_arcs
     if face not in table:
         raise UnknownFace("not an inner face of the resolved diagram")
@@ -372,22 +353,25 @@ def arcs_above(m: MDiagram, face: int) -> frozenset[Arc]:
 
 def arc_distance(m: MDiagram, x: int, y: int) -> int:
     """How many arcs pass over exactly one of inner faces number x and y."""
-    return len(arcs_above(m, x) ^ arcs_above(m, y))
+    return (arcs_above(m, x) ^ arcs_above(m, y)).bit_count()
 
 
-def coherent_separators(m: MDiagram, x: int, y: int) -> frozenset[frozenset[Arc]]:
-    """Intersecting arc pairs whose resolution edge faces X and Y sides, for
-    inner faces number x and y.
+def coherent_separators(m: MDiagram, x: int, y: int) -> frozenset[int]:
+    """Intersecting arc pairs, as two-bit masks, whose resolution edge faces
+    X and Y sides, for inner faces number x and y.
 
     A pair {a, b} qualifies when X and Y lie (one each) in the two regions
     that the resolution of the intersection makes adjacent; regions are
-    identified by restricting a face's arc set to {a, b}.
+    identified by restricting a face's arc set to {a, b}.  The pairs are
+    the sink feeds and intersections: the edges that toggle two arcs.
     """
     sx, sy = arcs_above(m, x), arcs_above(m, y)
     res = m.resolution
     table, face_of = res.face_arcs, res.web.face_table.face_of
     out = []
-    for pair, e in res.pair_edges:
+    for e, pair in enumerate(res.edge_arcs):
+        if pair.bit_count() != 2:
+            continue
         sides = {table[face_of[2 * e]] & pair, table[face_of[2 * e + 1]] & pair}
         if {sx & pair, sy & pair} == sides:
             out.append(pair)
@@ -401,8 +385,13 @@ def mirror_arc(a: Arc, n: int) -> Arc:
 
 def reflected_face(m: MDiagram, face: int) -> int:
     """The number of the face whose arc set is the mirror image of this one's."""
-    n = len(m.labels)
-    want = frozenset(mirror_arc(a, n) for a in arcs_above(m, face))
+    above = arcs_above(m, face)
+    want = 0
+    for i, j in enumerate(m._mirrors):
+        if above >> i & 1:
+            if j is None:
+                raise UnknownFace("diagram has no mirror of this face")
+            want |= 1 << j
     for f, s in m.resolution.face_arcs.items():
         if s == want:
             return f
@@ -412,14 +401,7 @@ def reflected_face(m: MDiagram, face: int) -> int:
 def epsilon(m: MDiagram, face: int) -> int:
     """1 if face number `face` is between some vertical pair of crossed arcs."""
     above = arcs_above(m, face)
-    present = set(m.arcs)
-    n = len(m.labels)
-    for a in m.arcs:
-        if not a.crossed:
-            continue
-        partner = mirror_arc(a, n)
-        if partner not in present:
-            continue
-        if (a in above) != (partner in above):
+    for i, (a, j) in enumerate(zip(m.arcs, m._mirrors)):
+        if a.crossed and j is not None and (above >> i & 1) != (above >> j & 1):
             return 1
     return 0

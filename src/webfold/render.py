@@ -67,10 +67,11 @@ def svg_of_mdiagram(m: MDiagram) -> str:
         x1, x2 = xs[a.tail - 1], xs[a.head - 1]
         stroke = "#000000" if a.kind == FIRST else "#1f6fb2"
         body.append(_semicircle(px(x1), base, px(x2), stroke, a.crossed))
-    for c in crossings(m):
-        x1, x2 = xs[c.arc_a.tail - 1], xs[c.arc_a.head - 1]
+    for i, _, x in crossings(m):
+        a = m.arcs[i]
+        x1, x2 = xs[a.tail - 1], xs[a.head - 1]
         center, r = (x1 + x2) / 2, abs(x2 - x1) / 2
-        x = float(c.x)
+        x = float(x)
         y = math.sqrt(max(r * r - (x - center) ** 2, 0.0))
         body.append(
             f'<circle cx="{_fmt(px(x))}" cy="{_fmt(base - y * SCALE)}" r="3.5" '

@@ -339,10 +339,13 @@ BAD_DIAGRAMS = [
 ]
 
 
-# each passed the checks of Matching2.from_dict before they required integer endpoints
+# the first two passed the checks of Matching2.from_dict before they required
+# integer endpoints; the last two failed inside the sort of the arcs
 BAD_MATCHINGS = [
-    {"n": 2, "arcs": [[1.0, 2], [3, 4]]},
-    {"n": 1, "arcs": [[True, 2]]},
+    ({"n": 2, "arcs": [[1.0, 2], [3, 4]]}, "float"),
+    ({"n": 1, "arcs": [[True, 2]]}, "bool"),
+    ({"n": 1, "arcs": [[[1], 2]]}, "list"),
+    ({"n": 2, "arcs": [[1, 2], ["3", 4]]}, "str"),
 ]
 
 
@@ -364,7 +367,7 @@ BAD_MATCHINGS = [
           for web in BAD_WEBS),
         *((["render"], diagram) for diagram in BAD_DIAGRAMS),
         *((argv, matching) for argv in (["web2", "to-tableau"], ["web2", "fold"], ["render"])
-          for matching in BAD_MATCHINGS),
+          for matching, _ in BAD_MATCHINGS),
         # the operators ended in a TypeError traceback, or took a float outer row
         *((["op", "--apply", name], {"outer": [2, 2], "word": "1122", "inner": [0.0]})
           for name in sorted(cli.OPERATORS)),
@@ -425,6 +428,16 @@ def test_matching_needs_a_positive_integer_n(capsys, tmp_path, action, payload, 
     src = tmp_path / "m.json"
     src.write_text(json.dumps(payload))
     code, out, err = run(capsys, "web2", action, "--in", str(src))
+    assert (code, out, err) == (1, "", f"MalformedInput: {src}: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [["web2", "to-tableau"], ["web2", "fold"], ["render"]])
+@pytest.mark.parametrize("payload, kind", BAD_MATCHINGS, ids=[kind for _, kind in BAD_MATCHINGS])
+def test_matching_endpoints_must_be_integers(capsys, tmp_path, argv, payload, kind):
+    src = tmp_path / "m.json"
+    src.write_text(json.dumps(payload))
+    code, out, err = run(capsys, *argv, "--in", str(src))
+    message = f"TypeError: arc endpoint must be an integer, got {kind}"
     assert (code, out, err) == (1, "", f"MalformedInput: {src}: {message}\n")
 
 

@@ -56,7 +56,7 @@ def test_matching_validation():
     for n in (True, 2.0, "2", None):
         with pytest.raises(TypeError, match="n must be an integer"):
             Matching2.from_dict({"n": n, "arcs": [[1, 2], [3, 4]]})
-    # equal to integers, so they pass the partition and crossing checks first
+    # equal to integers, so only the type check rejects them
     for n, arcs, kind in [(2, [[1.0, 2], [3, 4]], "float"), (1, [[True, 2]], "bool")]:
         with pytest.raises(TypeError, match=f"^arc endpoint must be an integer, got {kind}$"):
             Matching2.from_dict({"n": n, "arcs": arcs})

@@ -26,6 +26,7 @@ from webfold.mdiagram import (
 )
 from webfold.oracle import enumerate_words
 from webfold.planarweb import (
+    BOUNDARY,
     boundary_face,
     canonical,
     exterior_face,
@@ -46,6 +47,30 @@ def diagram(points, arcs):
     """The diagram over (label, abscissa) points, unchecked."""
     labels, xs = zip(*points)
     return MDiagram(labels, tuple(map(F, xs)), arcs)
+
+
+def bits(mask):
+    """The indices of the set bits of `mask`, ascending."""
+    found = []
+    while mask:
+        low = mask & -mask
+        found.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(found)
+
+
+def arcs_of(m, mask):
+    """The arcs of bitmask `mask`, bit i for m.arcs[i], in index order."""
+    return tuple(m.arcs[i] for i in bits(mask))
+
+
+def arc_fields(a):
+    return (a.tail, a.head, a.kind, a.crossed)
+
+
+def arc_set(m, mask):
+    """The arcs of bitmask `mask` as sorted field tuples."""
+    return sorted(map(arc_fields, arcs_of(m, mask)))
 
 
 def tripod_diagram():
@@ -88,14 +113,13 @@ def test_resolve_tripod_matches_hand_built_web():
 
 
 def test_crossings_exclude_shared_endpoints():
-    cs = crossings(hex_diagram())
-    assert len(cs) == 1
-    c = cs[0]
-    assert {(c.arc_a.tail, c.arc_a.head), (c.arc_b.tail, c.arc_b.head)} == {
+    m = hex_diagram()
+    ((i, j, x),) = crossings(m)
+    assert {(m.arcs[i].tail, m.arcs[i].head), (m.arcs[j].tail, m.arcs[j].head)} == {
         (1, 4),
         (6, 3),
     }
-    assert c.x == F(7, 2)
+    assert x == F(7, 2)
 
 
 def test_hex_resolution_is_a_web_with_expected_distances():
@@ -110,10 +134,10 @@ def test_hex_resolution_is_a_web_with_expected_distances():
 def test_arcs_above_boundary_faces():
     m = hex_diagram()
     w = resolve(m)
-    assert arcs_above(m, boundary_face(w, 0)) == frozenset()
-    above1 = {(a.tail, a.head) for a in arcs_above(m, boundary_face(w, 1))}
+    assert arcs_above(m, boundary_face(w, 0)) == 0
+    above1 = {(a.tail, a.head) for a in arcs_of(m, arcs_above(m, boundary_face(w, 1)))}
     assert above1 == {(1, 4)}
-    above4 = {(a.tail, a.head) for a in arcs_above(m, boundary_face(w, 4))}
+    above4 = {(a.tail, a.head) for a in arcs_of(m, arcs_above(m, boundary_face(w, 4)))}
     assert above4 == {(5, 4), (6, 3)}
     with pytest.raises(UnknownFace):
         arcs_above(m, exterior_face(w))
@@ -129,7 +153,7 @@ def test_coherent_separators_and_distance_bound():
     assert coherent_separators(m, b0, b3) == frozenset()
     assert web_distance(w, b0, b3) == arc_distance(m, b0, b3) == 2
     cs = coherent_separators(m, b1, b4)
-    named = {frozenset((a.tail, a.head) for a in p) for p in cs}
+    named = {frozenset((a.tail, a.head) for a in arcs_of(m, p)) for p in cs}
     assert named == {
         frozenset({(1, 4), (6, 3)}),
         frozenset({(1, 4), (5, 4)}),
@@ -165,7 +189,7 @@ def test_between_vertical_pair_uses_exactly_one_side():
     a, b = Arc(1, 4, FIRST), Arc(2, 3, FIRST)
 
     def between(face):
-        above = arcs_above(m, face)
+        above = arcs_of(m, arcs_above(m, face))
         return (a in above) != (b in above)
 
     assert between(boundary_face(w, 1))
@@ -210,11 +234,16 @@ def test_json_round_trip():
 def test_resolution_bookkeeping():
     m = hex_diagram()
     res = m.resolution
-    # 3 pairs resolve to an edge: two sinks, one crossing
-    assert len(res.pair_edges) == 3
-    for pair, e in res.pair_edges:
-        assert res.toggles[e] == pair
-        assert len(pair) == 2
+    # a boundary edge toggles no arc, an arc segment its arc, and each of the
+    # 3 pairs that resolve to an edge, two sinks and one crossing, both arcs
+    toggled = [[(a.tail, a.head) for a in arcs_of(m, mask)] for mask in res.edge_arcs]
+    for t, tag in zip(toggled, res.web.tags):
+        assert (len(t) == 0) == (tag == BOUNDARY) and len(t) <= 2
+    assert sorted(t for t in toggled if len(t) == 2) == [
+        [(1, 4), (5, 4)],
+        [(1, 4), (6, 3)],
+        [(2, 3), (6, 3)],
+    ]
 
 
 def test_resolution_is_kept_per_diagram_object():
@@ -236,10 +265,10 @@ def test_crossing_abscissa_matches_circle_intersection():
         # a -> c, b -> d
         (Arc(1, 3), Arc(2, 4)),
     )
-    (c,) = crossings(m)
-    assert c.x == F(5, 3)
-    assert (c.x - F(3, 2)) ** 2 + F(20, 9) == F(3, 2) ** 2
-    assert (c.x - 3) ** 2 + F(20, 9) == 2 ** 2
+    ((_, _, x),) = crossings(m)
+    assert x == F(5, 3)
+    assert (x - F(3, 2)) ** 2 + F(20, 9) == F(3, 2) ** 2
+    assert (x - 3) ** 2 + F(20, 9) == 2 ** 2
 
 
 def test_resolution_depends_on_boundary_order_not_spacing():
@@ -260,7 +289,7 @@ def test_resolution_depends_on_boundary_order_not_spacing():
 
 def reference_crossings(m):
     """Crossings as Fraction arithmetic computes them: abscissa by the circle
-    formula, order by sorted((x, i, j)), concurrency grouped by arc value."""
+    formula, order by sorted((x, i, j)), concurrency grouped by arc index."""
     x_of = [F(x) for x in m.xs]
     spans = [sorted((x_of[a.tail - 1], x_of[a.head - 1])) for a in m.arcs]
     found = []
@@ -271,13 +300,13 @@ def reference_crossings(m):
                 found.append(((l2 * h2 - l1 * h1) / ((l2 + h2) - (l1 + h1)), i, j))
     per_arc = {}
     for x, i, j in found:
-        per_arc.setdefault(m.arcs[i], []).append(x)
-        per_arc.setdefault(m.arcs[j], []).append(x)
-    for arc, xs in per_arc.items():
+        per_arc.setdefault(i, []).append(x)
+        per_arc.setdefault(j, []).append(x)
+    for i, xs in per_arc.items():
         if len(set(xs)) != len(xs):
-            tail, head = m.labels[arc.tail - 1], m.labels[arc.head - 1]
+            tail, head = m.labels[m.arcs[i].tail - 1], m.labels[m.arcs[i].head - 1]
             raise ConcurrentArcs(f"three arcs meet at one point on ({tail}, {head})")
-    return [(m.arcs[i], m.arcs[j], x) for x, i, j in sorted(found)]
+    return [(i, j, x) for x, i, j in sorted(found)]
 
 
 @st.composite
@@ -315,7 +344,8 @@ SIX = [{"label": str(k), "x": x} for k, x in enumerate(["-4", "-2", "-1", "1", "
 # three distinct arcs through one point
 @example({"boundary": SIX, "arcs": [
     {"tail": "1", "head": "4"}, {"tail": "2", "head": "5"}, {"tail": "0", "head": "3"}]})
-# a repeated arc crossed by another: the repeated arc is named
+# a repeated arc crossed by another: the crossing arc, which meets both
+# copies at one point, is named
 @example({"boundary": SIX, "arcs": [
     {"tail": "0", "head": "2"}, {"tail": "1", "head": "3"}, {"tail": "0", "head": "2"}]})
 # two crossings of four distinct arcs, both at x = 0: (i, j) breaks the tie
@@ -332,9 +362,9 @@ def test_crossings_match_fraction_reference(payload):
             crossings(m)
         assert str(info.value) == str(exc)
         return
-    got = [(c.arc_a, c.arc_b, c.x) for c in crossings(m)]
-    assert got == expected
-    assert all(type(c.x) is F for c in crossings(m))
+    got = crossings(m)
+    assert list(got) == expected
+    assert all(type(x) is F for _, _, x in got)
 
 
 def test_crossing_order_stays_fast_on_large_diagrams():
@@ -353,7 +383,7 @@ def test_crossing_order_stays_fast_on_large_diagrams():
     found = crossings(m)
     assert time.process_time() - start < 5
     assert len(found) == 106483
-    assert all(a.x <= b.x for a, b in zip(found, found[1:]))
+    assert all(a[2] <= b[2] for a, b in zip(found, found[1:]))
 
 
 def test_crossing_order_is_exact_and_fast_on_rational_diagrams():
@@ -383,8 +413,7 @@ def test_crossing_order_is_exact_and_fast_on_rational_diagrams():
                 expected.append(((l2 * h2 - l1 * h1) / (l2 + h2 - l1 - h1), i, j))
     expected.sort()
     assert len(expected) == 6539
-    got = [(c.arc_a, c.arc_b, c.x) for c in found]
-    assert got == [(m.arcs[i], m.arcs[j], x) for x, i, j in expected]
+    assert list(found) == [(i, j, x) for x, i, j in expected]
 
 
 # sha256 over the sorted-key JSON and the SVG of every diagram of golden_diagrams(), in order
@@ -442,12 +471,6 @@ def golden_resolutions():
 
 
 def test_resolutions_are_pinned():
-    def arc(a):
-        return (a.tail, a.head, a.kind, a.crossed)
-
-    def arc_set(s):
-        return sorted(map(arc, s))
-
     pinned = hashlib.sha256()
     count = 0
     for m, crossed in golden_resolutions():
@@ -456,11 +479,13 @@ def test_resolutions_are_pinned():
         orbits = res.web.face_table.orbits
         for part in (
             json.dumps(res.web.to_dict(), sort_keys=True),
-            repr(res.edge_arcs),
-            repr([(arc_set(pair), e) for pair, e in res.pair_edges]),
+            repr(tuple(map(bits, res.edge_arcs))),
+            repr([(arc_set(m, pair), e) for e, pair in enumerate(res.edge_arcs)
+                  if pair.bit_count() == 2]),
             # faces by their darts, in an order that does not depend on the walk
-            repr(sorted((sorted(orbits[f]), arc_set(s)) for f, s in res.face_arcs.items())),
-            repr([(arc(c.arc_a), arc(c.arc_b), str(c.x)) for c in crossings(m)]),
+            repr(sorted((sorted(orbits[f]), arc_set(m, s)) for f, s in res.face_arcs.items())),
+            repr([(arc_fields(m.arcs[i]), arc_fields(m.arcs[j]), str(x))
+                  for i, j, x in crossings(m)]),
         ):
             pinned.update(part.encode())
         # no two faces have one arc set, so reflected_face's first match is
@@ -471,6 +496,63 @@ def test_resolutions_are_pinned():
                 assert reflected_face(m, reflected_face(m, f)) == f
     assert count == 7046
     assert pinned.hexdigest() == GOLDEN_RESOLUTIONS_SHA256
+
+
+# sha256 over the values of the arc-distance functions; see the test
+GOLDEN_ARC_FUNCTIONS_SHA256 = "8af07b325851bb5ca4c810a545c297d52d69f11ba782fb0ab19e7a23c0d11338"
+
+
+def test_arc_functions_are_pinned():
+    """arc_distance and the coherent separators of every pair of inner faces,
+    and reflected_face and epsilon of every inner face, of the crossed
+    diagram of the fold of every symmetric 3-row word with n <= 5.  A face
+    is named by its smallest dart, so the digest does not depend on how the
+    faces are numbered."""
+    pinned = hashlib.sha256()
+    count = pairs = 0
+    for t in symmetric_tableaux(5):
+        m = crossed_mdiagram(fold(t))
+        count += 1
+        w = resolve(m)
+        name = [min(orbit) for orbit in w.face_table.orbits]
+        ext = exterior_face(w)
+        inner = sorted((f for f in range(len(name)) if f != ext), key=name.__getitem__)
+        rows = []
+        for i, x in enumerate(inner):
+            for y in inner[i + 1 :]:
+                pairs += 1
+                seps = sorted(arc_set(m, p) for p in coherent_separators(m, x, y))
+                rows.append((name[x], name[y], arc_distance(m, x, y), seps))
+        for x in inner:
+            rows.append((name[x], name[reflected_face(m, x)], epsilon(m, x)))
+        pinned.update(repr(rows).encode())
+    assert (count, pairs) == (110, 8763)
+    assert pinned.hexdigest() == GOLDEN_ARC_FUNCTIONS_SHA256
+
+
+def test_a_face_without_a_mirror():
+    # B_0 has no arcs over it, so it is its own mirror; the mirror of the
+    # first-kind arc (1, 4) over B_1 would be (6, 3) of the first kind, and
+    # hex_diagram()'s (6, 3) is of the second
+    m = hex_diagram()
+    w = resolve(m)
+    assert reflected_face(m, boundary_face(w, 0)) == boundary_face(w, 0)
+    with pytest.raises(UnknownFace, match="^diagram has no mirror of this face$"):
+        reflected_face(m, boundary_face(w, 1))
+
+
+def test_epsilon_skips_a_crossed_arc_without_its_mirror():
+    def crossed_hex(kind):
+        # (1, 4) and (6, 3) crossed; they mirror each other only if of one kind
+        return diagram(
+            tuple((str(i), i) for i in range(1, 7)),
+            (Arc(1, 4, FIRST, True), Arc(2, 3), Arc(5, 4, SECOND), Arc(6, 3, kind, True)),
+        )
+
+    paired, unpaired = crossed_hex(FIRST), crossed_hex(SECOND)
+    # B_1 is under (1, 4) and not under (6, 3)
+    assert epsilon(paired, boundary_face(resolve(paired), 1)) == 1
+    assert all(epsilon(unpaired, f) == 0 for f in unpaired.resolution.face_arcs)
 
 
 def test_position_mirror_is_the_label_mirror():

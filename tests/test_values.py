@@ -9,7 +9,7 @@ from functools import partial
 import pytest
 
 from webfold.matchings import Matching2
-from webfold.mdiagram import FIRST, SECOND, Arc, Crossing, MDiagram, Resolution
+from webfold.mdiagram import FIRST, SECOND, Arc, MDiagram, Resolution
 from webfold.oracle import EnumerationFilter, Failure, VerificationReport
 from webfold.planarweb import BOUNDARY, CanonicalWebForm, Edge, PlanarWeb, WebReport
 from webfold.tableaux import Shape, Tableau, from_word
@@ -17,7 +17,6 @@ from webfold.web3 import Block, DominoDecomposition
 
 TABLEAU = from_word("112323")
 ARC = Arc(1, 2)
-CROSSED = Arc(3, 1, SECOND, True)
 LABELS, XS = ("1", "b"), (1, Fraction(5, 2))
 WEB = PlanarWeb(2, [1, 2, 2, 1], [BOUNDARY, BOUNDARY], {1: (0, 3), 2: (1, 2)})
 FAILURE = Failure("112233", "lhs = rhs", "a", "b")
@@ -45,13 +44,6 @@ VALUES = [
         " arcs=(Arc(tail=1, head=2, kind='first', crossed=False),))",
         (LABELS, XS, (ARC,)),
         MDiagram(LABELS, (1, 3), (ARC,)),
-    ),
-    (
-        Crossing(ARC, CROSSED, Fraction(3, 2)),
-        "Crossing(arc_a=Arc(tail=1, head=2, kind='first', crossed=False),"
-        " arc_b=Arc(tail=3, head=1, kind='second', crossed=True), x=Fraction(3, 2))",
-        (ARC, CROSSED, Fraction(3, 2)),
-        Crossing(ARC, CROSSED, Fraction(2)),
     ),
     (Edge(2, 1, BOUNDARY), "Edge(tail=2, head=1, tag='boundary')", (2, 1, BOUNDARY), Edge(2, 1)),
     (
@@ -106,11 +98,10 @@ IDENTITIES = [
         PlanarWeb(2, [1, 2, 2, 1], [BOUNDARY, BOUNDARY], {1: (0, 3), 2: (1, 2)}),
     ),
     (
-        Resolution(WEB, (ARC,), ((), (0,))),
+        Resolution(WEB, (0, 1)),
         "Resolution(web=PlanarWeb(n_boundary=2, origins=[1, 2, 2, 1], tags=['boundary',"
-        " 'boundary'], rotation={1: (0, 3), 2: (1, 2)}, _draw=None),"
-        " arcs=(Arc(tail=1, head=2, kind='first', crossed=False),), edge_arcs=((), (0,)))",
-        Resolution(WEB, (ARC,), ((), (0,))),
+        " 'boundary'], rotation={1: (0, 3), 2: (1, 2)}, _draw=None), edge_arcs=(0, 1))",
+        Resolution(WEB, (0, 1)),
     ),
 ]
 
@@ -131,7 +122,7 @@ def test_value_classes_compare_hash_and_show_their_fields(value, text, fields, c
 
 def test_the_value_classes_are_all_pinned():
     pinned = {type(case[0]) for case in VALUES + IDENTITIES}
-    assert len(pinned) == 16
+    assert len(pinned) == 15
 
 
 @pytest.mark.parametrize(
