@@ -11,8 +11,14 @@ Shapes and tableaux are checked where they enter: `Shape(...)`,
 `Tableau(...)`, `Tableau.from_rows`, `from_word` and `from_dict`.  A
 straight word's check is the lattice condition alone, since every
 lattice word encodes a standard tableau; a skew word gets the Shape and
-Tableau checks.  The operators, `slide` and `rectify` build their
-results standard by construction and do not check them again.
+Tableau checks.  The operators, `slide`, `rectify` and
+`insertion_tableau` build their results standard by construction and do
+not check them again.
+
+A skew tableau is rectified two ways that share no code: `rectify` by
+jeu-de-taquin slides, and `insertion_tableau` by row-inserting its reading
+word.  The promotion-order suite uses insertion; a unit test checks it
+against the slides.
 """
 
 from __future__ import annotations
@@ -255,7 +261,8 @@ def rectify(t: Tableau, rng: Random | None = None) -> Tableau:
 
     The result does not depend on the corner order; pass an rng to pick
     corners at random instead of always the topmost one.  The slides run
-    on one copy of the cells.
+    on one copy of the cells.  This is the jeu-de-taquin reference that a
+    unit test checks `insertion_tableau` against.
     """
     grid = _grid(t)
     inner = list(t.shape.inner)
@@ -266,6 +273,28 @@ def rectify(t: Tableau, rng: Random | None = None) -> Tableau:
         _slide_out(grid, (r, inner[r - 1]))
         inner[r - 1] -= 1
     return _from_grid(grid, inner)
+
+
+def insertion_tableau(t: Tableau) -> Tableau:
+    """The rectification of t, as the row-insertion tableau of its reading word.
+
+    The reading word lists the rows from the bottom row up, each left to
+    right; it is Knuth equivalent to t, so inserting it gives the one
+    straight tableau that jeu de taquin reaches (Fulton, Young Tableaux,
+    ch. 2-3).  Each letter bumps the least larger entry of a row into the
+    next row down, or ends a row.
+    """
+    rows: list[list[int]] = []
+    for v in chain.from_iterable(reversed(t.rows)):
+        for row in rows:
+            i = bisect_right(row, v)
+            if i == len(row):
+                row.append(v)
+                break
+            row[i], v = v, row[i]
+        else:
+            rows.append([v])
+    return _unchecked(rows)
 
 
 def _require_straight(t: Tableau) -> None:
@@ -279,18 +308,19 @@ def restrict_le(t: Tableau, k: int) -> Tableau:
         raise OutOfRange(f"k={k} outside 0..{t.size}")
     # rows increase, so each keeps a prefix
     rows = [row[: bisect_right(row, k)] for row in t.rows]
-    while rows and not rows[-1]:
+    inner = t.shape.inner
+    # a bottom row with neither a cell nor an inner cell is dropped
+    while len(rows) > len(inner) and not rows[-1]:
         rows.pop()
-    return _unchecked(rows, t.shape.inner[: len(rows)])
+    return _unchecked(rows, inner)
 
 
 def restrict_gt(t: Tableau, k: int) -> Tableau:
-    """The subtableau on entries k+1..N, relabeled by subtracting k."""
+    """The subtableau on entries k+1..N, relabeled by subtracting k (same
+    outer shape: every row keeps a cell or becomes inner cells)."""
     if not (0 <= k <= t.size):
         raise OutOfRange(f"k={k} outside 0..{t.size}")
     rows = [tuple([v - k for v in row[bisect_right(row, k) :]]) for row in t.rows]
-    while rows and not rows[-1]:
-        rows.pop()
     return _unchecked(rows, tuple(map(sub, t.shape.outer, map(len, rows))))
 
 

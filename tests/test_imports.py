@@ -194,6 +194,7 @@ UNCHECKED_BUILDERS = {
     "tableaux._from_grid",
     "tableaux.restrict_le",
     "tableaux.restrict_gt",
+    "tableaux.insertion_tableau",
     "tableaux._slide_forward",
     "tableaux._slide_back",
     "tableaux.rotate180_complement",

@@ -265,6 +265,23 @@ def test_promote_fault_fails_first_step_of_each_family(monkeypatch):
         ]
 
 
+def test_rectification_side_is_row_insertion(monkeypatch):
+    """promotion-order rectifies restrict_gt(T, k) by insertion: reading the
+    rows top row first, a wrong reading word, fails only that identity."""
+    monkeypatch.delenv("WEBFOLD_WORKERS", raising=False)
+
+    def top_row_first(t):
+        return tableaux.insertion_tableau(tableaux._unchecked(t.rows[::-1]))
+
+    monkeypatch.setattr(oracle, "insertion_tableau", top_row_first)
+    report = verify("promotion-order", 3)
+    # every tableau of two or three rows already differs at k = 0
+    assert len(report.failures) == report.instances == 56
+    pattern = re.compile(r"restrict_le\(promote\^(\d+)\(T\), N-\1\) = rectify\(restrict_gt\(T, \1\)\)")
+    for f in report.failures:
+        assert pattern.fullmatch(f.identity), f.identity
+
+
 def test_failed_tableau_identities_show_two_different_fillings(monkeypatch):
     """A word does not tell apart fillings that differ within a row, so a
     failure shows each tableau side by its rows."""

@@ -23,6 +23,7 @@ from webfold.tableaux import (
     evacuate,
     fold,
     from_word,
+    insertion_tableau,
     is_domino,
     is_rotationally_symmetric,
     partial_fold,
@@ -84,6 +85,7 @@ def test_operators_run_no_tableau_checks(monkeypatch):
         monkeypatch.setattr(cls, "__init__", lambda value, *_: checks.append(type(value).__name__))
     for rng in (None, random.Random(3)):
         assert rectify(SKEW, rng) == expected
+    assert insertion_tableau(SKEW) == expected
     slide(SKEW, (2, 1))
     for op in (promote, promote_inverse, evacuate, fold, unfold, rotate180_complement):
         op(straight)
@@ -166,6 +168,57 @@ def test_slide_and_rectify_results_pass_the_checks():
                         _assert_checked(slide(t, corner))
                     count += 1
     assert count == 7369
+
+
+def test_restrictions_keep_the_skew_shape():
+    """restrict_le keeps the inner shape, restrict_gt the outer one, and
+    the two meet: every skew filling of outer size <= 7, straight ones too."""
+    count = 0
+    for size in range(1, 8):
+        for outer in _partitions(size, size):
+            inners = [
+                inner
+                for k in range(size)
+                for inner in _partitions(k, outer[0])
+                if len(inner) <= len(outer) and all(map(le, inner, outer))
+            ]
+            for inner in inners:
+                for rows in _skew_fillings(outer, inner):
+                    t = Tableau.from_rows(rows, inner)
+                    for k in range(t.size + 1):
+                        low, high = restrict_le(t, k), restrict_gt(t, k)
+                        assert low.shape.inner == t.shape.inner
+                        assert high.shape.outer == t.shape.outer
+                        assert high.shape.inner == low.shape.outer
+                        _assert_checked(low)
+                        _assert_checked(high)
+                    count += 1
+    assert count == 1537
+
+
+def test_restrictions_keep_inner_cells_in_an_empty_bottom_row():
+    # the bottom row holds an inner cell and, at most, entries above k
+    t = Tableau.from_rows([(1,), (2,)], inner=(1, 1))
+    assert restrict_le(t, 1) == Tableau.from_rows([(1,), ()], inner=(1, 1))
+    assert restrict_le(t, 1) == from_word("1", inner=(1, 1))
+    assert restrict_gt(from_word("1121"), 3) == Tableau.from_rows([(1,), ()], inner=(2, 1))
+
+
+def test_insertion_tableau_agrees_with_slides():
+    """Every restrict_gt(T, k) of the straight shapes below, each distinct one
+    once: row insertion of the reading word equals jeu de taquin, topmost or
+    random corners first."""
+    rng = random.Random(20261019)
+    shapes = ((4, 3, 2, 1), (5, 3, 2), (3, 3, 3), (4, 4, 4), (3, 3, 3, 3), (6, 6))
+    straight = [from_word(w) for shape in shapes for w in enumerate_words(shape)]
+    skews = [restrict_gt(t, k) for t in straight for k in range(t.size + 1)]
+    assert len(skews) == 27546
+    distinct = dict.fromkeys(skews)
+    assert len(distinct) == 10257
+    for skew in distinct:
+        inserted = insertion_tableau(skew)
+        _assert_checked(inserted)
+        assert inserted == rectify(skew) == rectify(skew, rng)
 
 
 def test_rectify_fixes_straight():
