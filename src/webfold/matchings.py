@@ -49,15 +49,17 @@ class Matching2(Value):
         return m
 
 
-def _pair(openers: set[int], closers: set[int]) -> list[tuple[int, int]]:
-    """Nearest-unmatched matching: each closer takes the latest open opener."""
+def _pair(openers: tuple[int, ...], closers: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Nearest-unmatched matching of two increasing sequences, in one merge:
+    each closer takes the latest opener still open."""
     stack: list[int] = []
     pairs = []
-    for k in sorted(openers | closers):
-        if k in openers:
-            stack.append(k)
-        else:
-            pairs.append((stack.pop(), k))
+    k, n = 0, len(openers)
+    for c in closers:
+        while k < n and openers[k] < c:
+            stack.append(openers[k])
+            k += 1
+        pairs.append((stack.pop(), c))
     return pairs
 
 
@@ -66,8 +68,7 @@ def web2_of_tableau(t: Tableau) -> Matching2:
     sh = t.shape
     if not (sh.is_rectangular and sh.row_count == 2):
         raise WrongShape("2-webs correspond to tableaux of shape (n, n)")
-    row1, row2 = (set(row) for row in t.rows)
-    return Matching2(t.size // 2, tuple(_pair(row1, row2)))
+    return Matching2(t.size // 2, tuple(_pair(*t.rows)))
 
 
 def tableau_of_web2(m: Matching2) -> Tableau:

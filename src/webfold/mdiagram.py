@@ -115,46 +115,46 @@ def _crossing_pairs(m: MDiagram) -> list[tuple[int, int, int, int]]:
     """Every transversal crossing as (i, j, num, den), i < j: arcs m.arcs[i]
     and m.arcs[j] cross at x = num / den.  Sorted by x, then by (i, j).
 
-    All arithmetic is on integers: each arc's circle
-    x**2 - (lo + hi) x + lo hi = 0 is multiplied by its two ends'
-    denominators, so a crossing's num and den grow with its own four ends
-    only; a common denominator of the whole boundary would grow with the
-    number of distinct denominators.  The crossings are ordered by
-    floor(x * D**2), where D is the largest |den|.  Two different abscissas
-    with denominators of at most D differ by at least 1 / D**2, so these
-    keys are equal only for equal abscissas.
+    Arcs are taken by left end, each against the arcs starting inside its
+    span.  All arithmetic is on integers: a crossing arc's circle
+    x**2 - (lo + hi) x + lo hi = 0 is multiplied by its ends' denominators,
+    so a crossing's num and den grow with its own four ends only; a common
+    denominator of the whole boundary would grow with the number of
+    distinct denominators.  Crossings are ordered by floor(x * D**2), D the
+    largest |den|: two different abscissas with denominators of at most D
+    differ by at least 1 / D**2, so equal keys mean equal abscissas.
     Raises ConcurrentArcs if three arcs pass through one point.
     """
-    # abscissas strictly increase, so boundary positions order them exactly
-    spans = [(a.tail, a.head) if a.tail < a.head else (a.head, a.tail) for a in m.arcs]
+    # (lo, hi, index) by left end; positions order the abscissas exactly
+    spans = sorted(
+        (a.tail, a.head, i) if a.tail < a.head else (a.head, a.tail, i)
+        for i, a in enumerate(m.arcs)
+    )
     xs = [(x.numerator, x.denominator) for x in m.xs]
-    # each arc's circle as integers (q, t, p) with q x**2 - t x + p = 0;
-    # its ends are at a / c and b / d
-    circles = []
-    for lo, hi in spans:
-        (a, c), (b, d) = xs[lo - 1], xs[hi - 1]
-        circles.append((c * d, a * d + b * c, a * b))
-    found = []
-    for i, (lo1, hi1) in enumerate(spans):
-        for j in range(i + 1, len(spans)):
-            lo2, hi2 = spans[j]
-            if not (lo1 < lo2 < hi1 < hi2 or lo2 < lo1 < hi2 < hi1):
-                continue
-            # where the two circles agree; interleaved spans have distinct
-            # centres, so den is never 0
-            (q1, t1, p1), (q2, t2, p2) = circles[i], circles[j]
-            found.append((i, j, p2 * q1 - p1 * q2, t2 * q1 - t1 * q2))
-    square = max((den * den for *_, den in found), default=1)
-    keys = [num * square // den for *_, num, den in found]
-    ranked = sorted((key, i, j, num, den) for key, (i, j, num, den) in zip(keys, found))
-    # three arcs through one point make two crossings at one abscissa
-    if any(a[0] == b[0] for a, b in zip(ranked, ranked[1:])):
+    found, square = [], 1
+    for s, (lo1, hi1, i) in enumerate(spans, start=1):
+        for lo2, hi2, j in spans[s:]:
+            if lo2 >= hi1:
+                break
+            # lo1 <= lo2 < hi1, so the spans interleave iff both ends differ
+            if lo1 < lo2 and hi1 < hi2:
+                # each circle as integers q x**2 - t x + p = 0, ends at a / c and
+                # b / d; interleaved spans have distinct centres, so den != 0
+                (a, c), (b, d), (e, g), (f, h) = xs[lo1 - 1], xs[hi1 - 1], xs[lo2 - 1], xs[hi2 - 1]
+                q1, t1, p1, q2, t2, p2 = c * d, a * d + b * c, a * b, g * h, e * h + f * g, e * f
+                num, den = p2 * q1 - p1 * q2, t2 * q1 - t1 * q2
+                found.append((i, j, num, den) if i < j else (j, i, -num, -den))
+                square = max(square, den * den)
+    ranked = sorted([(num * square // den, i, j, num, den) for i, j, num, den in found])
+    # three arcs through one point make two crossings at one abscissa; the
+    # message names the first such arc met in (i, j) order
+    if len({r[0] for r in ranked}) < len(ranked):
         per_arc: dict[int, list[int]] = {}
-        for (i, j, _, _), key in zip(found, keys):
+        for key, i, j, _, _ in sorted(ranked, key=lambda r: r[1:3]):
             per_arc.setdefault(i, []).append(key)
             per_arc.setdefault(j, []).append(key)
-        for i, xs in per_arc.items():
-            if len(set(xs)) != len(xs):
+        for i, keys in per_arc.items():
+            if len(set(keys)) != len(keys):
                 arc = m.arcs[i]
                 tail, head = m.labels[arc.tail - 1], m.labels[arc.head - 1]
                 raise ConcurrentArcs(f"three arcs meet at one point on ({tail}, {head})")
@@ -215,102 +215,102 @@ def _resolve(m: MDiagram) -> Resolution:
     # boundary vertices are named by position 1..n, arcs by index in m.arcs
     n = len(m.labels)
     ends = [(a.tail, a.head) for a in m.arcs]
-    tails: list[list[int]] = [[] for _ in range(n + 1)]
-    heads: list[list[int]] = [[] for _ in range(n + 1)]
-    for i, (p, q) in enumerate(ends):
-        tails[p].append(i)
-        heads[q].append(i)
-    for p, label in enumerate(m.labels, start=1):
-        shape = (len(tails[p]), len(heads[p]))
-        if shape not in {(1, 0), (0, 2)}:
-            raise InvalidBoundaryDegrees(
-                f"vertex {label} has {shape[0]} outgoing and {shape[1]} incoming arcs"
-            )
-    sinks = [p for p in range(1, n + 1) if heads[p]]
+    # vertex p's degree code is out + big * in, exact as there are fewer than
+    # big arcs: a source has code 1, a sink of two arcs 2 * big
+    big = len(ends) + 1
+    code = [0] * (n + 1)
+    for p, q in ends:
+        code[p] += 1
+        code[q] += big
+    if not {*code[1:]} <= {1, 2 * big}:
+        p = next(p for p in range(1, n + 1) if code[p] not in (1, 2 * big))
+        ins, outs = divmod(code[p], big)
+        label = m.labels[p - 1]
+        raise InvalidBoundaryDegrees(f"vertex {label} has {outs} outgoing and {ins} incoming arcs")
+    # per sink, (tail, dart, index) of the last segment of each arc into it
+    feeds: dict[int, list[tuple[int, int, int]]] = {p: [] for p, c in enumerate(code) if c > 1}
 
     # crossings are named by their index t in found below; they come sorted
     # by abscissa, so each arc meets its own in index order when it points
-    # right and in reverse when it points left
+    # right and in reverse when it points left.  Arc i enters crossing t by
+    # dart enter[s], s = 2t if i is found[t]'s first arc, 2t + 1 if its second
     found = _crossing_pairs(m)
-    by_arc: list[list[int]] = [[] for _ in m.arcs]
+    by_arc: list[list[int]] = [[] for _ in ends]
     for t, (i, j, _, _) in enumerate(found):
-        by_arc[i].append(t)
-        by_arc[j].append(t)
+        by_arc[i].append(2 * t)
+        by_arc[j].append(2 * t + 1)
+    enter = [0] * (2 * len(found))
 
     # vertices: the boundary 1..n, an internal sink per boundary sink, then
     # u = base + 2t + 1 and w = base + 2t + 2 for crossing t
-    sink_vertex = {q: n + 1 + s for s, q in enumerate(sinks)}
-    base = n + len(sinks)
+    base = n + len(feeds)
 
     # edge e runs origins[2e] -> origins[2e + 1], so a dart is its index in
     # origins; edges are numbered arc segments first, then sink feeds,
     # intersections and the boundary circle, whose edge first_bnd + k - 1
-    # runs from k to the next vertex round the circle
-    first_int = len(ends) + 2 * len(found) + len(sinks)
+    # runs from k to k % n + 1 (the fill gives the last one its 1).  Vertex
+    # k's darts are out[k] round the circle, one into the web and into[k] in.
+    first_int = len(ends) + 2 * len(found) + len(feeds)
     first_bnd = first_int + len(found)
-
-    def ring(k: int, web_dart: int) -> tuple[int, int, int]:
-        """Boundary vertex k's darts: out round the circle, into the web, in from the circle."""
-        return (2 * (first_bnd + k - 1), web_dart, 2 * (first_bnd + (k - 2) % n) + 1)
-
-    origins: list[int] = []
+    out = range(2 * first_bnd - 2, 2 * (first_bnd + n), 2)
+    into = [0, 2 * (first_bnd + n) - 1, *range(2 * first_bnd + 1, 2 * (first_bnd + n) - 1, 2)]
+    origins = [1] * (2 * (first_bnd + n))
+    origins[2 * first_bnd :: 2] = range(1, n + 1)
+    origins[2 * first_bnd + 1 : -1 : 2] = range(2, n + 1)
     rotation: dict[int, tuple[int, ...]] = {}
     edge_arcs: list[int] = []
-    sink_arc_darts: dict[int, list[tuple[tuple, int]]] = {q: [] for q in sinks}
-    # the dart by which arc i enters crossing t at u; it leaves w by the next one
-    in_dart: dict[tuple[int, int], int] = {}
 
-    # each arc's path p, (u, w) of every crossing it meets, its sink; the
-    # consecutive pairs of the path are its segments
+    # each arc's path p, (u, w) per crossing met, its sink (set with the
+    # feeds); consecutive pairs of it are segments, and d is the next dart
+    d = 0
     for i, (p, q) in enumerate(ends):
         met = by_arc[i] if p < q else by_arc[i][::-1]
-        rotation[p] = ring(p, len(origins))
-        origins.append(p)
-        for t in met:
-            in_dart[(t, i)] = len(origins)
-            origins += (base + 2 * t + 1, base + 2 * t + 2)
-        origins.append(sink_vertex[q])
-        key = (0, p) if p > q else (1, p)
-        sink_arc_darts[q].append((key, len(origins) - 1))
+        rotation[p] = (out[p], d, into[p])
+        origins[d] = p
+        for s in met:
+            enter[s] = d + 1
+            origins[d + 1 : d + 3] = base + (s | 1), base + (s | 1) + 1
+            d += 2
+        feeds[q].append((p, d + 1, i))
         edge_arcs += [1 << i] * (len(met) + 1)
+        d += 2
 
-    for q in sinks:
-        rotation[q] = ring(q, len(origins))
-        darts = [d for _, d in sorted(sink_arc_darts[q])]
-        rotation[sink_vertex[q]] = (*darts, len(origins) + 1)
-        origins += (q, sink_vertex[q])
-        edge_arcs.append(sum(1 << i for i in heads[q]))
+    for v, (q, fed) in enumerate(feeds.items(), start=n + 1):
+        # feeds from the right come first, each side left to right
+        (p1, d1, i1), (p2, d2, i2) = fed
+        if (p1 < q, p1) > (p2 < q, p2):
+            d1, d2 = d2, d1
+        origins[d1] = origins[d2] = v
+        rotation[q] = (out[q], d, into[q])
+        rotation[v] = (d1, d2, d + 1)
+        origins[d : d + 2] = q, v
+        edge_arcs.append(1 << i1 | 1 << i2)
+        d += 2
 
     for t, (a, b, _, _) in enumerate(found):
         edge_arcs.append(1 << a | 1 << b)
-        # a starts further left, so (the spans interleave) its centre is left
-        # of b's; in and out darts alternate around the crossing, so arcs
-        # pointing opposite ways meet u and w in the other order
-        if min(ends[b]) < min(ends[a]):
-            a, b = b, a
-        if (ends[a][0] < ends[a][1]) != (ends[b][0] < ends[b][1]):
-            a, b = b, a
-        da, db, g = in_dart[(t, a)], in_dart[(t, b)], len(origins)
-        rotation[base + 2 * t + 1] = (da, db, g + 1)
-        rotation[base + 2 * t + 2] = (da + 1, db + 1, g)
-        origins += (base + 2 * t + 2, base + 2 * t + 1)
+        # the arc starting further left (so its centre is left, as the spans
+        # interleave) comes first at u, unless the arcs point opposite ways:
+        # in and out darts alternate around the crossing
+        (pa, qa), (pb, qb) = ends[a], ends[b]
+        da, db = enter[2 * t], enter[2 * t + 1]
+        if (min(pb, qb) < min(pa, qa)) != ((pa < qa) != (pb < qb)):
+            da, db = db, da
+        rotation[base + 2 * t + 1] = (da, db, d + 1)
+        rotation[base + 2 * t + 2] = (da + 1, db + 1, d)
+        origins[d : d + 2] = base + 2 * t + 2, base + 2 * t + 1
+        d += 2
 
-    for k in range(1, n + 1):
-        origins += (k, k % n + 1)
     edge_arcs += [0] * n
     tags = [ARC] * first_int + [INTERSECTION] * len(found) + [BOUNDARY] * n
-
-    web = PlanarWeb(
-        n, origins, tags, rotation, partial(_layout, m.xs, ends, heads, sinks, found)
-    )
+    web = PlanarWeb(n, origins, tags, rotation, partial(_layout, m.xs, feeds, ends, found))
     return Resolution(web, tuple(edge_arcs))
 
 
 def _layout(
     xs: tuple[Fraction | int, ...],
+    feeds: dict[int, list[tuple[int, int, int]]],
     ends: list[tuple[int, int]],
-    heads: list[list[int]],
-    sinks: list[int],
     found: list[tuple[int, int, int, int]],
 ) -> dict[int, tuple[Fraction, Fraction]]:
     """Drawing coordinates of a resolved web, numbered as `_resolve` numbers
@@ -319,14 +319,12 @@ def _layout(
     pair straddling the point where the two semicircles meet.
     """
     n = len(xs)
-    layout: dict[int, tuple[Fraction, Fraction]] = {}
-    for k, x in enumerate(xs, start=1):
-        layout[k] = (x, Fraction(0))
-    for s, q in enumerate(sinks):
+    layout = {k: (x, Fraction(0)) for k, x in enumerate(xs, start=1)}
+    for v, (q, fed) in enumerate(feeds.items(), start=n + 1):
         x = xs[q - 1]
-        near = min(abs(xs[ends[i][0] - 1] - x) for i in heads[q])
-        layout[n + 1 + s] = (x, Fraction(near) / 4)
-    base = n + len(sinks)
+        near = min(abs(xs[p - 1] - x) for p, _, _ in fed)
+        layout[v] = (x, Fraction(near) / 4)
+    base = n + len(feeds)
     for t, (i, _, num, den) in enumerate(found):
         p, q = sorted(ends[i])
         lo, hi, x = xs[p - 1], xs[q - 1], Fraction(num, den)

@@ -13,6 +13,7 @@ the domino tableau once; an odd tableau's compression is skew over (1, 1).
 from __future__ import annotations
 
 from collections.abc import Callable
+from itertools import combinations
 
 from ._value import Value
 from .errors import (
@@ -52,9 +53,8 @@ def _arcs(rows: tuple[tuple[int, ...], ...], low: tuple[int, ...], shift: int) -
     (row 2 as the second arcs see it) to row 3 pointing left; entry k sits
     at boundary position k + shift.
     """
-    r1, r2, r3 = (set(row) for row in rows)
-    arcs = [Arc(o + shift, c + shift, FIRST) for o, c in _pair(r1, r2)]
-    arcs += [Arc(c + shift, o + shift, SECOND) for o, c in _pair(set(low), r3)]
+    arcs = [Arc(o + shift, c + shift, FIRST) for o, c in _pair(rows[0], rows[1])]
+    arcs += [Arc(c + shift, o + shift, SECOND) for o, c in _pair(low, rows[2])]
     return arcs
 
 
@@ -88,9 +88,13 @@ def tableau_of_web(w: PlanarWeb) -> Tableau:
 
 
 def _distance_word(w: PlanarWeb) -> str:
+    # distances from B_0 off one walk of the dual; boundary_face checks each
+    # face as it is read, and web_distance names one B_0 does not reach
     n = w.n_boundary
     base = boundary_face(w, 0)
-    d = [web_distance(w, base, boundary_face(w, i)) for i in range(n + 1)]
+    dist = w.face_table.distances(base)
+    faces = (boundary_face(w, i) for i in range(n + 1))
+    d = [web_distance(w, base, f) if dist[f] is None else dist[f] for f in faces]
     return "".join(_PHI[d[i - 1] - d[i]] for i in range(1, n + 1))
 
 
@@ -267,13 +271,10 @@ def crossed_mdiagram_of_decomposition(dec: DominoDecomposition) -> MDiagram:
                 raise VerticalPairNotAnArc(
                     f"{named(arc)} is not maximal: {named(other)} passes above it"
                 )
-    for i in range(len(chosen)):
-        for j in range(i + 1, len(chosen)):
-            (a1, b1), (a2, b2) = spans[chosen[i]], spans[chosen[j]]
-            if a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1:
-                raise VerticalPairNotAnArc(
-                    "vertical pair arcs intersect each other"
-                )
+    for arc, other in combinations(chosen, 2):
+        (a1, b1), (a2, b2) = spans[arc], spans[other]
+        if a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1:
+            raise VerticalPairNotAnArc("vertical pair arcs intersect each other")
 
     final = []
     replaced = set()

@@ -1,8 +1,10 @@
 import pytest
 
+from webfold import oracle
 from webfold.errors import NotSymmetrical, WrongShape
 from webfold.matchings import (
     Matching2,
+    _pair,
     fold2,
     is_symmetrical2,
     reflect2,
@@ -19,6 +21,7 @@ from webfold.tableaux import (
     is_rotationally_symmetric,
     promote,
 )
+from webfold.web3 import decompose_blocks
 
 SELF_EVAC = Tableau.from_rows([(1, 3, 4, 7), (2, 5, 6, 8)])
 
@@ -135,3 +138,35 @@ def test_folding_commutes_with_web():
 def test_json_round_trip():
     w = web2_of_tableau(SELF_EVAC)
     assert Matching2.from_dict(w.to_dict()) == w
+
+
+def pair_by_sets(openers, closers):
+    """Nearest-unmatched matching read off the sorted union of two sets: the
+    reference that `_pair`'s merge must equal."""
+    openers = set(openers)
+    stack, pairs = [], []
+    for k in sorted(openers | set(closers)):
+        if k in openers:
+            stack.append(k)
+        else:
+            pairs.append((stack.pop(), k))
+    return pairs
+
+
+def test_pair_merge_equals_the_set_matching():
+    """Rows 1-2 and 2-3 of every 2-row tableau with n <= 8 and every 3-row
+    tableau with n <= 5, and rows 1-2 and (0, *row 2) against row 3 of the
+    compression of every odd symmetric 3-row tableau with n <= 7."""
+    sequences = []
+    for shape in [(n, n) for n in range(1, 9)] + [(n, n, n) for n in range(1, 6)]:
+        for word in enumerate_words(shape):
+            rows = from_word(word).rows
+            sequences += zip(rows, rows[1:])
+    for n in (1, 3, 5, 7):
+        for word in oracle._symmetric_words((n, n, n)):
+            rows = decompose_blocks(fold(from_word(word))).compression.rows
+            sequences += [(rows[0], rows[1]), ((0, *rows[1]), rows[2])]
+    # 2,055 2-row and 6,516 3-row tableaux, 1,127 compressions
+    assert len(sequences) == 2055 + 2 * 6516 + 2 * 1127
+    for openers, closers in sequences:
+        assert _pair(openers, closers) == pair_by_sets(openers, closers)

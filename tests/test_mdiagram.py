@@ -3,6 +3,7 @@ import json
 import random
 import time
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +16,7 @@ from webfold.mdiagram import (
     SECOND,
     Arc,
     MDiagram,
+    _crossing_pairs,
     arc_distance,
     arcs_above,
     coherent_separators,
@@ -213,6 +215,68 @@ def test_bad_boundary_degrees():
     )
     with pytest.raises(InvalidBoundaryDegrees):
         resolve(m)
+
+
+def degree_error(m):
+    """The message naming the first vertex, in label order, that is neither
+    a source (1 out, 0 in) nor a sink (0 out, 2 in); None if there is none."""
+    for p, label in enumerate(m.labels, start=1):
+        out = sum(a.tail == p for a in m.arcs)
+        into = sum(a.head == p for a in m.arcs)
+        if (out, into) not in {(1, 0), (0, 2)}:
+            return f"vertex {label} has {out} outgoing and {into} incoming arcs"
+    return None
+
+
+def degree_family(rng, count):
+    """Seeded diagrams over n <= 6 points: arbitrary arcs (an arc may start
+    where it ends); diagrams whose vertices are all sources or sinks of two
+    arcs, as they are and with one end moved, an arc added or one removed;
+    and such diagrams with 3 or 4 more arcs out of one vertex."""
+    for _ in range(count):
+        kind = rng.randrange(5)
+        if kind == 0:
+            n = rng.randint(1, 6)
+            arcs = [Arc(rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(0, 8))]
+        else:
+            n = rng.choice((3, 6))
+            points = rng.sample(range(1, n + 1), n)
+            sinks, sources = points[: n // 3], points[n // 3 :]
+            arcs = [Arc(p, sinks[k // 2]) for k, p in enumerate(sources)]
+            if kind == 1:
+                k = rng.randrange(len(arcs))
+                a, end = arcs[k], rng.randint(1, n)
+                arcs[k] = Arc(end, a.head) if rng.random() < 0.5 else Arc(a.tail, end)
+            elif kind == 2:
+                arcs.append(Arc(rng.randint(1, n), rng.randint(1, n)))
+            elif kind == 3:
+                del arcs[rng.randrange(len(arcs))]
+            elif rng.random() < 0.5:
+                p = rng.randint(1, n)
+                arcs += [Arc(p, rng.randint(1, n)) for _ in range(rng.choice((3, 4)))]
+        yield diagram([(chr(ord("a") + k), k + 1) for k in range(n)], tuple(arcs))
+
+
+def test_degree_check_names_the_first_bad_vertex():
+    """resolve raises InvalidBoundaryDegrees exactly when some vertex is
+    neither a source nor a sink of two arcs, naming the first such vertex."""
+    seen = {"bad": 0, "good": 0, "wide": 0}
+    for m in degree_family(random.Random(2022), 3000):
+        expected = degree_error(m)
+        outs = [sum(a.tail == p for a in m.arcs) for p in range(1, len(m.labels) + 1)]
+        seen["wide"] += max(outs) >= 3
+        if expected is None:
+            seen["good"] += 1
+            try:
+                resolve(m)
+            except ConcurrentArcs:
+                pass
+        else:
+            seen["bad"] += 1
+            with pytest.raises(InvalidBoundaryDegrees) as info:
+                resolve(m)
+            assert str(info.value) == expected
+    assert min(seen.values()) >= 300, seen
 
 
 def test_diagram_validation():
@@ -496,6 +560,28 @@ def test_resolutions_are_pinned():
                 assert reflected_face(m, reflected_face(m, f)) == f
     assert count == 7046
     assert pinned.hexdigest() == GOLDEN_RESOLUTIONS_SHA256
+
+
+# sha256 over the resolutions of every 50th 3x6 diagram; see the test
+GOLDEN_3X6_RESOLUTIONS_SHA256 = "42fcb8cb90ba2c4d63351497b292f29c58e466e7d924bb7b4f577d41f0e078e0"
+
+
+def test_3x6_resolutions_are_pinned():
+    """Dart and vertex numbering, rotation insertion order, the arc table and
+    the crossing order of the diagram of every 50th 3-row word with n = 6:
+    past the straight n <= 5 of the resolution golden, up to 15 crossings."""
+    pinned = hashlib.sha256()
+    count = most = 0
+    for word in islice(enumerate_words((6, 6, 6)), 0, None, 50):
+        m = mdiagram_of_tableau(from_word(word))
+        res, found = m.resolution, _crossing_pairs(m)
+        w = res.web
+        pinned.update(
+            repr((w.origins, w.tags, list(w.rotation.items()), res.edge_arcs, found)).encode()
+        )
+        count, most = count + 1, max(most, len(found))
+    assert (count, most) == (1751, 15)
+    assert pinned.hexdigest() == GOLDEN_3X6_RESOLUTIONS_SHA256
 
 
 # sha256 over the values of the arc-distance functions; see the test
