@@ -270,9 +270,12 @@ def _violations(w: PlanarWeb) -> str:
     return "; ".join(validate_3web(w).violations)
 
 
-def _holds(name: str, lhs, rhs, show: Callable = _rows) -> list[_Found]:
-    """No failure if lhs == rhs, else (identity, lhs, rhs) with both sides shown."""
-    return [] if lhs == rhs else [(name, show(lhs), show(rhs))]
+def _holds(name: str, lhs, rhs, show: Callable = _rows, ok: bool | None = None) -> list[_Found]:
+    """No failure if ok, by default lhs == rhs; else (identity, lhs, rhs)
+    with both sides shown.  Every comparison of a check goes through here."""
+    if ok is None:
+        ok = lhs == rhs
+    return [] if ok else [(name, show(lhs), show(rhs))]
 
 
 def _first(steps: Iterable[list[_Found]]) -> Iterator[_Found]:
@@ -280,17 +283,11 @@ def _first(steps: Iterable[list[_Found]]) -> Iterator[_Found]:
     return islice(chain.from_iterable(steps), 1)
 
 
-# Checks take one tableau and yield (identity, lhs, rhs) for each failed
-# comparison.  A check may also yield the identity of the structural step it
+# Checks take one tableau and yield the failures of their _holds
+# comparisons.  A check may also yield the identity of the structural step it
 # takes next; a raise is then reported under that name instead of _COMPLETES.
 _COMPLETES = "check completes without raising"
 _VERTICAL_PAIRS = "vertical pairs are maximal non-intersecting arcs"
-
-
-def _check_2byn(t: Tableau):
-    lhs = fold2(web2_of_tableau(t))
-    rhs = web2_of_tableau(fold(t))
-    return _holds("fold2(web2(T)) = web2(fold(T))", lhs, rhs, _json)
 
 
 def _check_fw1(t: Tableau):
@@ -308,24 +305,24 @@ def _check_roundtrip(t: Tableau):
     return _holds("tableau_of_web(web_of_tableau(T)) = T", tableau_of_web(web_of_tableau(t)), t)
 
 
-def _check_rotation(t: Tableau):
+def _check_web_map(op: str, op2: str, op3: str | None, t: Tableau):
+    """Web operator op2 (2 rows) or op3 (3 rows) on the web of T is the web of
+    tableau operator op(T); each names a global of this module, read as the check runs."""
+    ops = globals()
     if t.shape.row_count == 2:
-        lhs2 = rotate2(web2_of_tableau(t))
-        rhs2 = web2_of_tableau(promote(t))
-        return _holds("rotate2(web2(T)) = web2(promote(T))", lhs2, rhs2, _json)
-    lhs = canonical(rotate(web_of_tableau(t)))
-    rhs = canonical(web_of_tableau(promote(t)))
-    return _holds("rotate(web_of_tableau(T)) = web_of_tableau(promote(T))", lhs, rhs, repr)
+        lhs, rhs = ops[op2](web2_of_tableau(t)), web2_of_tableau(ops[op](t))
+        return _holds(f"{op2}(web2(T)) = web2({op}(T))", lhs, rhs, _json)
+    lhs, rhs = canonical(ops[op3](web_of_tableau(t))), canonical(web_of_tableau(ops[op](t)))
+    return _holds(f"{op3}(web_of_tableau(T)) = web_of_tableau({op}(T))", lhs, rhs, repr)
 
 
-def _check_reflection(t: Tableau):
-    if t.shape.row_count == 2:
-        lhs2 = reflect2(web2_of_tableau(t))
-        rhs2 = web2_of_tableau(evacuate(t))
-        return _holds("reflect2(web2(T)) = web2(evacuate(T))", lhs2, rhs2, _json)
-    lhs = canonical(reflect(web_of_tableau(t)))
-    rhs = canonical(web_of_tableau(evacuate(t)))
-    return _holds("reflect(web_of_tableau(T)) = web_of_tableau(evacuate(T))", lhs, rhs, repr)
+# (tableau operator, 2-row web operator, 3-row web operator) of each suite
+# that checks a web map; partials of one function, so a pool can pickle them
+_WEB_MAPS = {
+    "thm-2byn": partial(_check_web_map, "fold", "fold2", None),
+    "promotion-rotation": partial(_check_web_map, "promote", "rotate2", "rotate"),
+    "evacuation-reflection": partial(_check_web_map, "evacuate", "reflect2", "reflect"),
+}
 
 
 def _check_operator_algebra(t: Tableau):
@@ -368,9 +365,9 @@ def _check_fold_domino(t: Tableau):
         yield from _holds("unfold(fold(T)) = T", unfold(folded), t)
     if is_domino(t):
         s = unfold(t)
-        if not is_rotationally_symmetric(s):
-            yield ("unfold(D) is rotationally symmetric", s.word, t.word)
-        else:
+        ok = is_rotationally_symmetric(s)
+        yield from _holds("unfold(D) is rotationally symmetric", s.word, t.word, str, ok)
+        if ok:
             yield from _holds("fold(unfold(D)) = D", fold(s), t)
 
 
@@ -394,16 +391,15 @@ def _check_distance_lemmas(t: Tableau):
             dw = web_distance(wx, x, y)
             da = arc_distance(m, x, y)
             cs = len(coherent_separators(m, x, y))
-            if dw < da - cs:
-                name = "webdist(X, Y) >= arcdist(X, Y) - |CS(X, Y)|"
-                yield (name, f"webdist={dw}", f"arcdist={da}, separators={cs}")
+            name = "webdist(X, Y) >= arcdist(X, Y) - |CS(X, Y)|"
+            right = f"arcdist={da}, separators={cs}"
+            yield from _holds(name, f"webdist={dw}", right, str, dw >= da - cs)
     for x in interior:
         xr = reflected_face(m, x)
         lhs = web_distance(wx, x, xr)
         rhs = arc_distance(m, x, xr) - epsilon(m, x)
-        if lhs != rhs:
-            name = "webdist(X, X') = arcdist(X, X') - epsilon(X)"
-            yield (name, f"webdist={lhs}", f"arcdist-epsilon={rhs}")
+        name = "webdist(X, X') = arcdist(X, X') - epsilon(X)"
+        yield from _holds(name, f"webdist={lhs}", f"arcdist-epsilon={rhs}", str, lhs == rhs)
     if t.size % 2 == 0:
         # mirror gap distances against the compression web; the identity
         # needs the compression to be a straight rectangle, so even sizes only
@@ -416,17 +412,17 @@ def _check_distance_lemmas(t: Tableau):
             ar = boundary_face(wx, half - k)
             lhs = arc_distance(m, a, ar)
             rhs = 2 * web_distance(wc, boundary_face(wc, k), boundary_face(wc, 0))
-            if lhs != rhs:
-                name = f"arcdist(A_{k}, A_{k}') = 2 webdist(B_{k}, B_0)"
-                yield (name, f"arcdist={lhs}", f"2*webdist={rhs}")
+            name = f"arcdist(A_{k}, A_{k}') = 2 webdist(B_{k}, B_0)"
+            yield from _holds(name, f"arcdist={lhs}", f"2*webdist={rhs}", str, lhs == rhs)
 
 
 def _check_block_patterns(t: Tableau):
     yield "domino tableau decomposes into typed blocks"
     dec = decompose_blocks(t)
     for i, b in enumerate(dec.blocks):
-        if b.btype == 0 and (i != 0 or t.size % 2 == 0):
-            yield ("lone-cell block only leads an odd tableau", f"block {i} has type 0", "")
+        ok = b.btype != 0 or (i == 0 and t.size % 2 == 1)
+        name = "lone-cell block only leads an odd tableau"
+        yield from _holds(name, f"block {i} has type 0", "", str, ok)
     yield _VERTICAL_PAIRS
     crossed_mdiagram_of_decomposition(dec)
 
@@ -449,13 +445,15 @@ def _failures(check: Callable[[Tableau], Iterable], word: str) -> list[Failure]:
 # id: (default bound, the families swept as (rows, cap on n or None, family),
 # check); the 2-row bound is the suite's bound, the 3-row one may be capped
 _SUITES: dict[str, tuple[int, tuple[tuple[int, int | None, str], ...], Callable]] = {
-    "thm-2byn": (8, ((2, None, "rotationally-symmetric"),), _check_2byn),
+    "thm-2byn": (8, ((2, None, "rotationally-symmetric"),), _WEB_MAPS["thm-2byn"]),
     "thm-fw1": (5, ((3, None, "rotationally-symmetric"),), _check_fw1),
     "thm-fw2": (5, ((3, None, "rotationally-symmetric"),), _check_fw2),
     "roundtrip-3web": (5, ((3, None, "all"),), _check_roundtrip),
     # 3-row instances build webs or run N promotions per tableau, so they stay capped at 4
-    "promotion-rotation": (8, ((2, None, "all"), (3, 4, "all")), _check_rotation),
-    "evacuation-reflection": (8, ((2, None, "all"), (3, 4, "all")), _check_reflection),
+    "promotion-rotation": (8, ((2, None, "all"), (3, 4, "all")), _WEB_MAPS["promotion-rotation"]),
+    "evacuation-reflection": (
+        8, ((2, None, "all"), (3, 4, "all")), _WEB_MAPS["evacuation-reflection"]
+    ),
     "promotion-order": (8, ((2, None, "all"), (3, 4, "all")), _check_operator_algebra),
     "fold-domino": (8, ((2, None, "all"), (3, 5, "all")), _check_fold_domino),
     "distance-lemmas": (4, ((3, None, "all"),), _check_distance_lemmas),

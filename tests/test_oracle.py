@@ -1,3 +1,5 @@
+import ast
+import hashlib
 import json
 import os
 import re
@@ -26,6 +28,7 @@ from webfold.oracle import (
     worker_count,
 )
 from webfold.tableaux import Shape, evacuate, from_word, is_rotationally_symmetric
+from webfold.web3 import DominoDecomposition
 
 TWO_ROW_COUNTS = [1, 2, 5, 14, 42, 132, 429, 1430]
 THREE_ROW_COUNTS = [1, 5, 42, 462, 6006]
@@ -110,12 +113,64 @@ def test_unknown_theorem():
         verify("thm-unheard-of")
 
 
-def test_all_suites_pass_small():
+def readme_identities() -> dict[str, list[str]]:
+    """Each suite's identities as README lists them, indices written {k},
+    {j} or {2 * j}, in README order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Verification suites", 1)[1].split("\n## ", 1)[0]
+    listed: dict[str, list[str]] = {}
+    for line in section.splitlines():
+        if suite := re.fullmatch(r"- `([a-z0-9-]+)`", line):
+            identities = listed.setdefault(suite[1], [])
+        elif identity := re.fullmatch(r"  - `(.+)`", line):
+            identities.append(identity[1])
+    return listed
+
+
+def test_all_suites_pass_small(monkeypatch):
+    """Every suite passes at bound 2, and the comparisons it makes through
+    `_holds` are exactly the identities README lists for it."""
+    monkeypatch.delenv("WEBFOLD_WORKERS", raising=False)
+    holds = oracle._holds
+    compared: dict[str, set[str]] = {}
+
+    def counted(name, *args, **kwargs):
+        compared[theorem].add(name)
+        return holds(name, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_holds", counted)
     for theorem in THEOREMS:
+        compared[theorem] = set()
         report = verify(theorem, 2)
         assert report.passed, report.text()
         assert report.theorem == theorem
         assert report.instances > 0
+    listed = readme_identities()
+    assert list(listed) == list(oracle._SUITES)
+    for theorem, templates in listed.items():
+        named = {}
+        for template in templates:
+            # indices up to 9 cover N <= 6, the largest size at bound 2
+            for i in range(10):
+                name = template.replace("{k}", str(i)).replace("{j}", str(i))
+                named[name.replace("{2 * j}", str(2 * i))] = template
+        assert compared[theorem] <= named.keys(), theorem
+        assert {named[name] for name in compared[theorem]} == set(templates), theorem
+
+
+def test_checks_compare_only_through_holds():
+    """No check builds a failure by hand: none yields or returns a tuple or
+    list literal, so every comparison goes through `_holds`."""
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    checks = [
+        f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name.startswith("_check_")
+    ]
+    suite_checks = {getattr(c, "func", c).__name__ for _, _, c in oracle._SUITES.values()}
+    assert suite_checks <= {f.name for f in checks}
+    for check in checks:
+        for node in ast.walk(check):
+            if isinstance(node, (ast.Yield, ast.Return)):
+                assert not isinstance(node.value, (ast.Tuple, ast.List)), (check.name, node.lineno)
 
 
 def test_reports_are_reproducible():
@@ -128,7 +183,14 @@ def test_reports_are_reproducible():
 def test_parallel_sweeps_report_what_serial_ones_do(monkeypatch):
     def reports():
         out = []
-        for theorem, bound in (("roundtrip-3web", 3), ("promotion-order", 3), ("fold-domino", 4)):
+        for theorem, bound in (
+            ("roundtrip-3web", 3),
+            ("promotion-order", 3),
+            ("fold-domino", 4),
+            ("promotion-rotation", 3),
+            ("evacuation-reflection", 3),
+            ("thm-2byn", 6),
+        ):
             out.append(verify(theorem, bound).to_dict())
         return out
 
@@ -340,3 +402,131 @@ def test_readme_suite_table_matches_the_oracle():
     rows = re.findall(r"^\| ([a-z0-9-]+) \| .* \| (\d+) \|$", section, re.MULTILINE)
     defaults = [(theorem, suite[0]) for theorem, suite in oracle._SUITES.items()]
     assert [(theorem, int(n)) for theorem, n in rows] == defaults
+
+
+def _blocks_reversed(decompose):
+    def reversed_blocks(d):
+        dec = decompose(d)
+        return DominoDecomposition(dec.blocks[::-1], dec.vertical_pairs, dec.compression)
+
+    return reversed_blocks
+
+
+# name: (oracle global to patch, replacement given the original, sha256 of
+# every suite's report text and sorted JSON at bound 3, in THEOREMS order,
+# and the (suite, identity) pairs that fail)
+FAULTS = {
+    "rotate applied twice": (
+        "rotate",
+        lambda rotate: lambda w: rotate(rotate(w)),
+        "6a154db1362b0faadfbd62fd38c37d921c61db1d43e1e1e231e2ef2caf5b560c",
+        {("promotion-rotation", "rotate(web_of_tableau(T)) = web_of_tableau(promote(T))")},
+    ),
+    "rotate2 applied twice": (
+        "rotate2",
+        lambda rotate2: lambda m: rotate2(rotate2(m)),
+        "020cc933b50d49c2c644abd7f1c03cf99cab8eab0501511905f3868764f4b977",
+        {("promotion-rotation", "rotate2(web2(T)) = web2(promote(T))")},
+    ),
+    "reflect is the identity": (
+        "reflect",
+        lambda reflect: lambda w: w,
+        "d7d5f48a0f0e155849ea1a9ddf12259c4cc41adc80670b45ff59abcaca210f7f",
+        {("evacuation-reflection", "reflect(web_of_tableau(T)) = web_of_tableau(evacuate(T))")},
+    ),
+    "reflect2 is the identity": (
+        "reflect2",
+        lambda reflect2: lambda m: m,
+        "61d2c957b85b2e9d92b390295cc0e77e3e9be48a6d66f5eb1d3daeb121766dfb",
+        {("evacuation-reflection", "reflect2(web2(T)) = web2(evacuate(T))")},
+    ),
+    "fold is the identity": (
+        "fold",
+        lambda fold: lambda t: t,
+        "0222d2dfd051a57177e740afe48e325a6966b3775c9add5121332b718f8792b4",
+        {
+            ("distance-lemmas", "vertical pairs are maximal non-intersecting arcs"),
+            ("fold-domino", "T rotationally symmetric iff fold(T) is a domino tableau"),
+            ("fold-domino", "fold(unfold(D)) = D"),
+            ("fold-domino", "unfold(fold(T)) = T"),
+            ("promotion-order", "unfold(fold(T)) = T"),
+            ("thm-2byn", "fold2(web2(T)) = web2(fold(T))"),
+            ("thm-fw1", "domino_of_symmetric_web(web_of_tableau(T)) = fold(T)"),
+            ("thm-fw2", "check completes without raising"),
+            ("thm-fw2", "crossed_web(fold(T)) = web_of_tableau(T)"),
+        },
+    ),
+    "unfold is the identity": (
+        "unfold",
+        lambda unfold: lambda t: t,
+        "42577839f93835221f1ec84744495ac9f604f649f40a7455482f5f1bddeaa890",
+        {
+            ("fold-domino", "fold(unfold(D)) = D"),
+            ("fold-domino", "unfold(D) is rotationally symmetric"),
+            ("fold-domino", "unfold(fold(T)) = T"),
+            ("promotion-order", "unfold(fold(T)) = T"),
+        },
+    ),
+    "web_distance is 0": (
+        "web_distance",
+        lambda web_distance: lambda w, x, y: 0,
+        "b1abdea7ef9aec64eaca6d6be336b4e2348784eed0d2988295d7507925a4295c",
+        {
+            ("distance-lemmas", "arcdist(A_1, A_1') = 2 webdist(B_1, B_0)"),
+            ("distance-lemmas", "arcdist(A_2, A_2') = 2 webdist(B_2, B_0)"),
+            ("distance-lemmas", "webdist(X, X') = arcdist(X, X') - epsilon(X)"),
+            ("distance-lemmas", "webdist(X, Y) >= arcdist(X, Y) - |CS(X, Y)|"),
+        },
+    ),
+    "arc_distance one too large": (
+        "arc_distance",
+        lambda arc_distance: lambda m, x, y: arc_distance(m, x, y) + 1,
+        "325b2f2191e79e95b2b36c81e4f6e2afc5080cb14e8a2c048cb41ebb9338cb2b",
+        {
+            ("distance-lemmas", "arcdist(A_0, A_0') = 2 webdist(B_0, B_0)"),
+            ("distance-lemmas", "arcdist(A_1, A_1') = 2 webdist(B_1, B_0)"),
+            ("distance-lemmas", "arcdist(A_2, A_2') = 2 webdist(B_2, B_0)"),
+            ("distance-lemmas", "arcdist(A_3, A_3') = 2 webdist(B_3, B_0)"),
+            ("distance-lemmas", "webdist(X, X') = arcdist(X, X') - epsilon(X)"),
+            ("distance-lemmas", "webdist(X, Y) >= arcdist(X, Y) - |CS(X, Y)|"),
+        },
+    ),
+    "blocks reversed": (
+        "decompose_blocks",
+        _blocks_reversed,
+        "17ea301dbb96811769e6398604da1d6157e01c7254e9ff3afb061b4d76f2c458",
+        {("block-patterns", "lone-cell block only leads an odd tableau")},
+    ),
+    "promote is the identity past N = 4": (
+        "promote",
+        lambda promote: lambda t: t if t.size > 4 else promote(t),
+        "3a5b831fa72858718af70adfdf4fdf054fb18337f0346f71efa5d0a8bdd2a29d",
+        {
+            (
+                "promotion-order",
+                "restrict_le(partial_fold(T, 1), N+1-2) = restrict_le(promote^1(T), N+1-2)",
+            ),
+            ("promotion-order", "restrict_le(promote^1(T), N-1) = rectify(restrict_gt(T, 1))"),
+            ("promotion-rotation", "rotate(web_of_tableau(T)) = web_of_tableau(promote(T))"),
+            ("promotion-rotation", "rotate2(web2(T)) = web2(promote(T))"),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_failing_reports_are_pinned(monkeypatch, fault):
+    """Under each fault every suite at bound 3 reports the same failures,
+    word for word in text and JSON, and fails exactly the pinned identities."""
+    monkeypatch.delenv("WEBFOLD_WORKERS", raising=False)
+    name, replacement, pinned, identities = FAULTS[fault]
+    monkeypatch.setattr(oracle, name, replacement(getattr(oracle, name)))
+    digest = hashlib.sha256()
+    failing = set()
+    for theorem in THEOREMS:
+        report = verify(theorem, 3)
+        digest.update(report.text().encode())
+        digest.update(json.dumps(report.to_dict(), sort_keys=True).encode())
+        failing |= {(theorem, f.identity) for f in report.failures}
+    assert failing == identities
+    assert digest.hexdigest() == pinned
