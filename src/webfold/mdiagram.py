@@ -11,13 +11,17 @@ yielding a planar web together with the one table that arc-set distances
 need: the arcs each edge toggles.  An arc is its index in `arcs`, and a set
 of arcs is an int bitmask, bit i for `arcs[i]`.
 
-A diagram is checked where it enters, by `from_dict`.  `MDiagram(...)`,
-like `PlanarWeb(...)`, checks nothing: the builders in `web3` make their
-diagrams valid by construction.
+A diagram is checked where it enters, by `from_dict`, boundary degrees
+included.  `MDiagram(...)`, like `PlanarWeb(...)`, checks nothing: the
+builders in `web3` make their diagrams valid by construction.  The one
+resolver, `_resolve`, reads the arcs as (tail, head) position pairs, so
+`web3` can resolve a tableau's rows without building `Arc`s; it checks the
+degrees again, for diagrams that skip `from_dict`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property, partial
 
@@ -53,7 +57,7 @@ class MDiagram(Value):
     @cached_property
     def resolution(self) -> Resolution:
         """The resolved web and its arc table, built on first use."""
-        return _resolve(self)
+        return _resolve(self.labels, self.xs, [(a.tail, a.head) for a in self.arcs])
 
     @cached_property
     def _mirrors(self) -> tuple[int | None, ...]:
@@ -108,12 +112,36 @@ class MDiagram(Value):
             arcs.append(Arc(position[tail], position[head], kind, crossed))
         if not labels:
             raise ValueError("boundary must have at least one vertex")
+        _degree_codes(labels, [(a.tail, a.head) for a in arcs])
         return cls(labels, xs, tuple(arcs))
 
 
-def _crossing_pairs(m: MDiagram) -> list[tuple[int, int, int, int]]:
-    """Every transversal crossing as (i, j, num, den), i < j: arcs m.arcs[i]
-    and m.arcs[j] cross at x = num / den.  Sorted by x, then by (i, j).
+def _degree_codes(labels: Sequence[str | int], ends: list[tuple[int, int]]) -> list[int]:
+    """Per boundary position 0..n, its degree code out + big * in, where big
+    = len(ends) + 1 is more than any count: a source (1 out, 0 in) has code
+    1 and a sink of two arcs (0 out, 2 in) 2 * big.  One set test accepts
+    the codes; only on failure does a loop name the first vertex, in label
+    order, that is neither, with InvalidBoundaryDegrees."""
+    n, big = len(labels), len(ends) + 1
+    code = [0] * (n + 1)
+    for p, q in ends:
+        code[p] += 1
+        code[q] += big
+    if not {*code[1:]} <= {1, 2 * big}:
+        p = next(p for p in range(1, n + 1) if code[p] not in (1, 2 * big))
+        ins, outs = divmod(code[p], big)
+        raise InvalidBoundaryDegrees(
+            f"vertex {labels[p - 1]} has {outs} outgoing and {ins} incoming arcs"
+        )
+    return code
+
+
+def _crossing_pairs(
+    labels: Sequence[str | int], xs: Sequence[Fraction | int], ends: list[tuple[int, int]]
+) -> list[tuple[int, int, int, int]]:
+    """Every transversal crossing as (i, j, num, den), i < j: the arcs with
+    (tail, head) positions ends[i] and ends[j] cross at x = num / den.
+    Sorted by x, then by (i, j).
 
     Arcs are taken by left end, each against the arcs starting inside its
     span.  All arithmetic is on integers: a crossing arc's circle
@@ -126,11 +154,8 @@ def _crossing_pairs(m: MDiagram) -> list[tuple[int, int, int, int]]:
     Raises ConcurrentArcs if three arcs pass through one point.
     """
     # (lo, hi, index) by left end; positions order the abscissas exactly
-    spans = sorted(
-        (a.tail, a.head, i) if a.tail < a.head else (a.head, a.tail, i)
-        for i, a in enumerate(m.arcs)
-    )
-    xs = [(x.numerator, x.denominator) for x in m.xs]
+    spans = sorted((p, q, i) if p < q else (q, p, i) for i, (p, q) in enumerate(ends))
+    xs = [(x.numerator, x.denominator) for x in xs]
     found, square = [], 1
     for s, (lo1, hi1, i) in enumerate(spans, start=1):
         for lo2, hi2, j in spans[s:]:
@@ -155,8 +180,7 @@ def _crossing_pairs(m: MDiagram) -> list[tuple[int, int, int, int]]:
             per_arc.setdefault(j, []).append(key)
         for i, keys in per_arc.items():
             if len(set(keys)) != len(keys):
-                arc = m.arcs[i]
-                tail, head = m.labels[arc.tail - 1], m.labels[arc.head - 1]
+                tail, head = labels[ends[i][0] - 1], labels[ends[i][1] - 1]
                 raise ConcurrentArcs(f"three arcs meet at one point on ({tail}, {head})")
     return [(i, j, num, den) for _, i, j, num, den in ranked]
 
@@ -169,7 +193,8 @@ def crossings(m: MDiagram) -> tuple[tuple[int, int, Fraction], ...]:
     interleave; a shared endpoint is a tangency, never a crossing.
     Raises ConcurrentArcs if three arcs pass through one point.
     """
-    return tuple((i, j, Fraction(num, den)) for i, j, num, den in _crossing_pairs(m))
+    found = _crossing_pairs(m.labels, m.xs, [(a.tail, a.head) for a in m.arcs])
+    return tuple((i, j, Fraction(num, den)) for i, j, num, den in found)
 
 
 class Resolution(Value, eq=False):
@@ -211,22 +236,21 @@ class Resolution(Value, eq=False):
         return sets
 
 
-def _resolve(m: MDiagram) -> Resolution:
-    # boundary vertices are named by position 1..n, arcs by index in m.arcs
-    n = len(m.labels)
-    ends = [(a.tail, a.head) for a in m.arcs]
-    # vertex p's degree code is out + big * in, exact as there are fewer than
-    # big arcs: a source has code 1, a sink of two arcs 2 * big
-    big = len(ends) + 1
-    code = [0] * (n + 1)
-    for p, q in ends:
-        code[p] += 1
-        code[q] += big
-    if not {*code[1:]} <= {1, 2 * big}:
-        p = next(p for p in range(1, n + 1) if code[p] not in (1, 2 * big))
-        ins, outs = divmod(code[p], big)
-        label = m.labels[p - 1]
-        raise InvalidBoundaryDegrees(f"vertex {label} has {outs} outgoing and {ins} incoming arcs")
+def _resolve(
+    labels: Sequence[str | int], xs: Sequence[Fraction | int], ends: list[tuple[int, int]]
+) -> Resolution:
+    """The resolution of the diagram over boundary `labels` at abscissas
+    `xs` whose arc i runs from position ends[i][0] to ends[i][1].
+
+    The one resolver: `MDiagram.resolution` passes its arcs' ends, and
+    `web3.web_of_tableau` the two row pairings, with no `Arc` built and
+    its positions 1..N, a range, as both labels and abscissas.  Labels are
+    read only by error messages, which print them.  The degrees are
+    checked here as in `from_dict`, since `MDiagram(...)` callers skip it.
+    """
+    # boundary vertices are named by position 1..n, arcs by index in ends
+    n = len(labels)
+    code = _degree_codes(labels, ends)
     # per sink, (tail, dart, index) of the last segment of each arc into it
     feeds: dict[int, list[tuple[int, int, int]]] = {p: [] for p, c in enumerate(code) if c > 1}
 
@@ -234,7 +258,7 @@ def _resolve(m: MDiagram) -> Resolution:
     # by abscissa, so each arc meets its own in index order when it points
     # right and in reverse when it points left.  Arc i enters crossing t by
     # dart enter[s], s = 2t if i is found[t]'s first arc, 2t + 1 if its second
-    found = _crossing_pairs(m)
+    found = _crossing_pairs(labels, xs, ends)
     by_arc: list[list[int]] = [[] for _ in ends]
     for t, (i, j, _, _) in enumerate(found):
         by_arc[i].append(2 * t)
@@ -303,12 +327,17 @@ def _resolve(m: MDiagram) -> Resolution:
 
     edge_arcs += [0] * n
     tags = [ARC] * first_int + [INTERSECTION] * len(found) + [BOUNDARY] * n
-    web = PlanarWeb(n, origins, tags, rotation, partial(_layout, m.xs, feeds, ends, found))
+    web = PlanarWeb(n, origins, tags, rotation, partial(_layout, xs, feeds, ends, found))
+    # what the web would find on first use, known here: the walls are the
+    # last n edges, and vertex k's circle dart is out[k], first in its
+    # rotation (B_0 is B_N)
+    web._walls = [False] * first_bnd + [True] * n
+    web._circle = [out[n], *out[1:]]
     return Resolution(web, tuple(edge_arcs))
 
 
 def _layout(
-    xs: tuple[Fraction | int, ...],
+    xs: Sequence[Fraction | int],
     feeds: dict[int, list[tuple[int, int, int]]],
     ends: list[tuple[int, int]],
     found: list[tuple[int, int, int, int]],

@@ -419,6 +419,9 @@ def _check_distance_lemmas(t: Tableau):
 def _check_block_patterns(t: Tableau):
     yield "domino tableau decomposes into typed blocks"
     dec = decompose_blocks(t)
+    columns = [c for b in dec.blocks for c in range(b.columns[0], b.columns[1] + 1)]
+    n = t.shape.outer[0]
+    yield from _holds("block columns tile 1..n left to right", columns, [*range(1, n + 1)], str)
     for i, b in enumerate(dec.blocks):
         ok = b.btype != 0 or (i == 0 and t.size % 2 == 1)
         name = "lone-cell block only leads an odd tableau"

@@ -15,7 +15,8 @@ dual neighbours.  A face is its number in that table: `faces`,
 numbers, and `validate_3web` reads the same records.  A web finds its
 boundary circle, the dart from each k to k+1, once (`PlanarWeb._circle`)
 for `validate_3web`, the boundary faces and `canonical`, which builds a
-web's form in one breadth-first walk from the boundary.  A canonical form
+web's form in one breadth-first walk from the boundary; `mdiagram._resolve`
+hands the webs it builds their circle and walls.  A canonical form
 compares and hashes as the nested tuple it is built from; its bytes and
 its sha256 digest are computed on first read.
 """
@@ -207,9 +208,14 @@ class FaceTable:
 
     def __init__(self, w: PlanarWeb) -> None:
         origins, wall = w.origins, w._walls
-        # the face successor of every dart
+        # the face successor of every dart: the dart before its twin in the
+        # twin's rotation; a 3-web's rotations are all 3-tuples
         nxt = [0] * len(origins)
         for rot in w.rotation.values():
+            if len(rot) == 3:
+                a, b, c = rot
+                nxt[a ^ 1], nxt[b ^ 1], nxt[c ^ 1] = c, a, b
+                continue
             before = rot[-1]
             for d in rot:
                 nxt[d ^ 1] = before
@@ -217,16 +223,16 @@ class FaceTable:
         face_of = [-1] * len(origins)
         orbits: list[list[int]] = []
         for d0, seen in enumerate(face_of):
-            if seen >= 0:
-                continue
-            fi = len(orbits)
-            orbit = []
-            d = d0
-            while face_of[d] < 0:
-                face_of[d] = fi
-                orbit.append(d)
-                d = nxt[d]
-            orbits.append(orbit)
+            if seen < 0:
+                fi = len(orbits)
+                face_of[d0] = fi
+                orbit = [d0]
+                d = nxt[d0]
+                while d != d0:
+                    face_of[d] = fi
+                    orbit.append(d)
+                    d = nxt[d]
+                orbits.append(orbit)
         self.orbits = orbits
         self.face_of = face_of
         walled = [False] * len(orbits)
@@ -253,7 +259,8 @@ class FaceTable:
         """Dual distance from face `source` to every face (None if unreachable)."""
         dist = self._distances.get(source)
         if dist is None:
-            dist = [None] * len(self.orbits)
+            adjacency = self.adjacency
+            dist = [None] * len(adjacency)
             dist[source] = 0
             frontier = [source]
             step = 0
@@ -261,7 +268,7 @@ class FaceTable:
                 step += 1
                 nxt = []
                 for f in frontier:
-                    for g in self.adjacency[f]:
+                    for g in adjacency[f]:
                         if dist[g] is None:
                             dist[g] = step
                             nxt.append(g)
@@ -328,7 +335,67 @@ def validate_3web(w: PlanarWeb) -> WebReport:
     A connected web must also lie in the plane: its rotation system then
     has V - E + F = 2.  The face count, and each face's size and wall
     contact for the short-face check, are read off the face table.
+
+    A web passes in one pass over what the rotation, the walls, the circle
+    and the face table already hold (`_accepts`); only a web it rejects is
+    checked again, condition by condition, to name each violation.
     """
+    if _accepts(w):
+        return WebReport(True, ())
+    bad = _violations(w)
+    return WebReport(not bad, tuple(bad))
+
+
+def _accepts(w: PlanarWeb) -> bool:
+    """Whether w is a 3-web, by conditions under which `_violations` finds
+    nothing; a web it passes fails them only if its exterior is missing or
+    does not border B_0:
+
+    - N is a positive multiple of 3;
+    - each vertex has three darts: on the boundary two walls and one
+      outgoing web dart, inside no wall and one parity;
+    - there are N walls and the boundary circle is complete;
+    - V - E + F = 2 and no internal face has fewer than 6 sides;
+    - the dual distances from B_0 reach every face but the exterior, and
+      the exterior is across the circle from B_0.
+
+    Every face then lies in B_0's component of the map, and so does every
+    vertex, as each has a dart on a face other than the exterior: this
+    stands for the connectivity walk.  `tableau_of_web` reads the same
+    distances next.
+    """
+    n, walls, rotation = w.n_boundary, w._walls, w.rotation
+    if n % 3 or not n:
+        return False
+    for v, rot in rotation.items():
+        if len(rot) != 3:
+            return False
+        a, b, c = rot
+        wa, wb, wc = walls[a >> 1], walls[b >> 1], walls[c >> 1]
+        if 0 < v <= n:
+            # the web dart, the one that is not a wall, leaves v
+            if wa + wb + wc != 2 or (c if wa and wb else b if wa else a) & 1:
+                return False
+        elif wa or wb or wc or not a & 1 == b & 1 == c & 1:
+            return False
+    circle = w._circle
+    if walls.count(True) != n or None in circle:
+        return False
+    table = w.face_table
+    if len(rotation) - len(walls) + len(table.orbits) != 2:
+        return False
+    for orbit, walled in zip(table.orbits, table.walled):
+        if len(orbit) < 6 and not walled:
+            return False
+    ext, base, face_of = table.exterior, table.boundary[0], table.face_of
+    if ext is None or base is None or ext not in (face_of[circle[0]], face_of[circle[0] ^ 1]):
+        return False
+    # the exterior has no web edge, so B_0 never reaches it
+    return table.distances(base).count(None) == 1
+
+
+def _violations(w: PlanarWeb) -> list[str]:
+    """Every violated condition of `validate_3web`, each named, in order."""
     bad: list[str] = []
     n = w.n_boundary
     origins, walls, rotation, circle = w.origins, w._walls, w.rotation, w._circle
@@ -375,7 +442,7 @@ def validate_3web(w: PlanarWeb) -> WebReport:
         for orbit, walled in zip(table.orbits, table.walled):
             if len(orbit) < 6 and not walled:
                 bad.append(f"internal face with {len(orbit)} sides: darts {sorted(orbit)}")
-    return WebReport(not bad, tuple(bad))
+    return bad
 
 
 class CanonicalWebForm(Value):

@@ -2,7 +2,9 @@
 
 Tableau to web goes through an arc diagram: first arcs match the top
 two rows left to right, second arcs match the bottom two rows right to
-left, and the diagram resolves to a web.  Web to tableau reads the word
+left, and the diagram resolves to a web.  `web_of_tableau` hands the two
+row pairings to the resolver as (tail, head) positions and builds no
+diagram.  Web to tableau reads the word
 off boundary-face distances.  The symmetric variants swap the distance
 origin for mirror distances and rebuild the web from a domino tableau
 via block decomposition, compression, and a reflected diagram whose
@@ -31,6 +33,7 @@ from .mdiagram import (
     SECOND,
     Arc,
     MDiagram,
+    _resolve,
     mirror_arc,
     resolve,
 )
@@ -48,14 +51,21 @@ def _require_3xn(t: Tableau) -> int:
     return outer[0]
 
 
+def _ends(
+    rows: tuple[tuple[int, ...], ...], low: tuple[int, ...], shift: int
+) -> list[tuple[int, int]]:
+    """(tail, head) positions of the first arcs, from rows 1-2 pointing
+    right, then of the second arcs, from `low` (row 2 as the second arcs
+    see it) to row 3 pointing left; entry k sits at position k + shift."""
+    ends = _pair(rows[0], rows[1]) + [(c, o) for o, c in _pair(low, rows[2])]
+    return [(p + shift, q + shift) for p, q in ends] if shift else ends
+
+
 def _arcs(rows: tuple[tuple[int, ...], ...], low: tuple[int, ...], shift: int) -> list[Arc]:
-    """First arcs from rows 1-2 pointing right, then second arcs from `low`
-    (row 2 as the second arcs see it) to row 3 pointing left; entry k sits
-    at boundary position k + shift.
-    """
-    arcs = [Arc(o + shift, c + shift, FIRST) for o, c in _pair(rows[0], rows[1])]
-    arcs += [Arc(c + shift, o + shift, SECOND) for o, c in _pair(low, rows[2])]
-    return arcs
+    """The arcs of `_ends`, the first len(rows[1]) of them of kind FIRST."""
+    first = len(rows[1])
+    ends = _ends(rows, low, shift)
+    return [Arc(p, q, FIRST if i < first else SECOND) for i, (p, q) in enumerate(ends)]
 
 
 def mdiagram_of_tableau(t: Tableau) -> MDiagram:
@@ -66,7 +76,11 @@ def mdiagram_of_tableau(t: Tableau) -> MDiagram:
 
 
 def web_of_tableau(t: Tableau) -> PlanarWeb:
-    return resolve(mdiagram_of_tableau(t))
+    """resolve(mdiagram_of_tableau(t)), resolved straight from the row pairings."""
+    n = _require_3xn(t)
+    # position p has abscissa p and label str(p), which messages print as p
+    xs = range(1, 3 * n + 1)
+    return _resolve(xs, xs, _ends(t.rows, t.rows[1], 0)).web
 
 
 def _read_rectangle(w: PlanarWeb, read: Callable[[PlanarWeb], str], what: str) -> Tableau:
@@ -88,14 +102,22 @@ def tableau_of_web(w: PlanarWeb) -> Tableau:
 
 
 def _distance_word(w: PlanarWeb) -> str:
-    # distances from B_0 off one walk of the dual; boundary_face checks each
-    # face as it is read, and web_distance names one B_0 does not reach
-    n = w.n_boundary
-    base = boundary_face(w, 0)
-    dist = w.face_table.distances(base)
-    faces = (boundary_face(w, i) for i in range(n + 1))
-    d = [web_distance(w, base, f) if dist[f] is None else dist[f] for f in faces]
-    return "".join(_PHI[d[i - 1] - d[i]] for i in range(1, n + 1))
+    # distances from B_0 off one walk of the dual, the walk validate_3web's
+    # accept pass took; read straight off the table when every B_k exists
+    # and is reached
+    table = w.face_table
+    faces, d = table.boundary, None
+    if table.exterior is not None and None not in faces:
+        dist = table.distances(faces[0])
+        d = [dist[f] for f in faces]
+    if d is None or None in d:
+        # boundary_face checks each face as it is read, and web_distance
+        # names one B_0 does not reach
+        base = boundary_face(w, 0)
+        dist = table.distances(base)
+        faces = (boundary_face(w, i) for i in range(w.n_boundary + 1))
+        d = [web_distance(w, base, f) if dist[f] is None else dist[f] for f in faces]
+    return "".join([_PHI[a - b] for a, b in zip(d, d[1:])])
 
 
 def domino_of_symmetric_web(w: PlanarWeb) -> Tableau:

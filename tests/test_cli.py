@@ -196,6 +196,18 @@ def test_open_boundary_circle_is_not_a_web(capsys, tmp_path):
     )
 
 
+def test_diagram_with_bad_degrees_is_refused(capsys, tmp_path):
+    # vertex a has two outgoing arcs and c none; this used to draw with exit 0
+    src = tmp_path / "degrees.json"
+    src.write_text(json.dumps({
+        "boundary": [{"label": "a", "x": "1"}, {"label": "b", "x": "2"}, {"label": "c", "x": "3"}],
+        "arcs": [{"tail": "a", "head": "b"}, {"tail": "a", "head": "b"}],
+    }))
+    code, out, err = run(capsys, "render", "--in", str(src))
+    assert (code, out) == (1, "")
+    assert err == "InvalidBoundaryDegrees: vertex a has 2 outgoing and 0 incoming arcs\n"
+
+
 @pytest.mark.parametrize("to_file", [False, True])
 def test_enumerate_writes_each_word_as_it_is_listed(capsys, monkeypatch, tmp_path, to_file):
     def three_then_fail(shape):
@@ -361,8 +373,9 @@ BAD_MATCHINGS = [
         (["op", "--apply", "promote"], {"outer": [3, 3], "word": "1122"}),
         (["render"], {"boundary": [{"label": "1", "x": "1/0"}], "arcs": []}),
         (["render"], {"boundary": [], "arcs": [{"tail": "a\nb", "head": "c"}]}),
-        (["render"], {"boundary": [{"label": "1", "x": "1"}, {"label": "2", "x": "1e400"}],
-                      "arcs": [{"tail": "1", "head": "2"}]}),
+        (["render"], {"boundary": [{"label": "1", "x": "1"}, {"label": "2", "x": "2"},
+                                   {"label": "3", "x": "1e400"}],
+                      "arcs": [{"tail": "1", "head": "3"}, {"tail": "2", "head": "3"}]}),
         *((argv, web) for argv in (["web3", "to-tableau"], ["web3", "to-domino"], ["render"])
           for web in BAD_WEBS),
         *((["render"], diagram) for diagram in BAD_DIAGRAMS),

@@ -29,6 +29,7 @@ from webfold.mdiagram import (
 from webfold.oracle import enumerate_words
 from webfold.planarweb import (
     BOUNDARY,
+    PlanarWeb,
     boundary_face,
     canonical,
     exterior_face,
@@ -291,7 +292,7 @@ def test_json_round_trip():
     m = hex_diagram()
     blob = json.dumps(m.to_dict())
     assert MDiagram.from_dict(json.loads(blob)) == m
-    half = diagram((("1", F(1, 2)), ("2", 2)), ())
+    half = diagram((("1", F(1, 2)), ("2", 2), ("3", 3)), (Arc(1, 3), Arc(2, 3)))
     assert MDiagram.from_dict(json.loads(json.dumps(half.to_dict()))) == half
 
 
@@ -400,6 +401,18 @@ def rational_diagrams(draw):
     return {"boundary": boundary, "arcs": arcs}
 
 
+def unchecked(payload):
+    """The diagram of a JSON form without `from_dict`'s checks, so that its
+    vertices may have any degrees: crossings do not read them."""
+    points = [(b["label"], b["x"]) for b in payload["boundary"]]
+    position = {label: p for p, (label, _) in enumerate(points, start=1)}
+    arcs = (
+        Arc(position[a["tail"]], position[a["head"]], a.get("kind", FIRST))
+        for a in payload["arcs"]
+    )
+    return diagram(points, tuple(arcs))
+
+
 SIX = [{"label": str(k), "x": x} for k, x in enumerate(["-4", "-2", "-1", "1", "2", "4"])]
 
 
@@ -418,7 +431,7 @@ SIX = [{"label": str(k), "x": x} for k, x in enumerate(["-4", "-2", "-1", "1", "
     {"tail": "1", "head": "4"}, {"tail": "0", "head": "5"},
     {"tail": "3", "head": "6"}, {"tail": "2", "head": "7"}]})
 def test_crossings_match_fraction_reference(payload):
-    m = MDiagram.from_dict(payload)
+    m = unchecked(payload)
     try:
         expected = reference_crossings(m)
     except ConcurrentArcs as exc:
@@ -502,6 +515,15 @@ def golden_diagrams():
         yield crossed_mdiagram(fold(t))
 
 
+def test_resolved_webs_are_given_the_walls_and_circle_they_would_find():
+    """_resolve hands each web its walls and boundary-circle darts; a copy
+    of the web that is not given them finds the same ones."""
+    for m in (*golden_diagrams(), hex_diagram(), mirrored_tripods()):
+        w = resolve(m)
+        bare = PlanarWeb(w.n_boundary, w.origins, w.tags, w.rotation)
+        assert (w._walls, w._circle) == (bare._walls, bare._circle), m
+
+
 def test_diagram_json_and_svg_bytes_are_pinned():
     pinned = hashlib.sha256()
     count = 0
@@ -574,7 +596,8 @@ def test_3x6_resolutions_are_pinned():
     count = most = 0
     for word in islice(enumerate_words((6, 6, 6)), 0, None, 50):
         m = mdiagram_of_tableau(from_word(word))
-        res, found = m.resolution, _crossing_pairs(m)
+        ends = [(a.tail, a.head) for a in m.arcs]
+        res, found = m.resolution, _crossing_pairs(m.labels, m.xs, ends)
         w = res.web
         pinned.update(
             repr((w.origins, w.tags, list(w.rotation.items()), res.edge_arcs, found)).encode()
@@ -681,9 +704,11 @@ TWO = vertices(("1", "1"), ("2", "2"))
          ValueError, "arc endpoints must be distinct"),
         ({"boundary": TWO, "arcs": [{"tail": "x", "head": "1"}, {"tail": "2", "head": "2"}]},
          ValueError, "arc (x, 1) leaves the boundary"),
-        ({"boundary": vertices(*zip("abcdef", ["-4", "-2", "-1", "1", "2", "4"])),
+        # the three arcs through one point, each sink fed once more from the right
+        ({"boundary": vertices(*zip("abcdefghi", "-4 -2 -1 1 2 4 5 6 7".split())),
           "arcs": [{"tail": "b", "head": "e"}, {"tail": "c", "head": "f"},
-                   {"tail": "a", "head": "d"}]},
+                   {"tail": "a", "head": "d"}, {"tail": "g", "head": "d"},
+                   {"tail": "h", "head": "e"}, {"tail": "i", "head": "f"}]},
          ConcurrentArcs, "three arcs meet at one point on (b, e)"),
         ({"boundary": vertices(("x", "1"), ("y", "2"), ("z", "3")),
           "arcs": [{"tail": "x", "head": "y"}, {"tail": "y", "head": "z"}]},

@@ -494,8 +494,11 @@ FAULTS = {
     "blocks reversed": (
         "decompose_blocks",
         _blocks_reversed,
-        "17ea301dbb96811769e6398604da1d6157e01c7254e9ff3afb061b4d76f2c458",
-        {("block-patterns", "lone-cell block only leads an odd tableau")},
+        "3471e8ea673d41d096ff2aa536b06e7a15e5ffe3771b1acc6848facde4aa1388",
+        {
+            ("block-patterns", "block columns tile 1..n left to right"),
+            ("block-patterns", "lone-cell block only leads an odd tableau"),
+        },
     ),
     "promote is the identity past N = 4": (
         "promote",

@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from webfold import planarweb
 from webfold.errors import UnknownFace
 from webfold.planarweb import (
     ARC,
@@ -23,8 +24,10 @@ from webs import (
     checked_web,
     golden_webs,
     open_circle_web,
+    torus_component_web,
     tripod,
     twisted_web,
+    two_sided_web,
     walled_stem_web,
 )
 
@@ -161,6 +164,27 @@ def test_broken_web_violations_are_pinned():
     assert len(rows) == BROKEN_WEB_COUNT
     pinned = hashlib.sha256("\n".join(map(repr, rows)).encode()).hexdigest()
     assert pinned == BROKEN_VIOLATIONS_SHA256
+
+
+def test_accept_pass_agrees_with_the_message_passes(monkeypatch):
+    """validate_3web accepts a web in one pass only if the condition-by-
+    condition passes find no violation; with that pass forced off, every
+    report is the same.  It accepts every golden web and the 461 broken
+    webs that the message passes accept.  A torus component passes every
+    local and Euler test, so only the dual walk from B_0 rejects it."""
+    extra = (twisted_web, walled_stem_web, open_circle_web, torus_component_web)
+    webs = [*golden_webs(), *(w for _, w in broken_webs())]
+    webs += [PlanarWeb.from_dict(d()) for d in extra]
+    assert validate_3web(webs[-1]).violations == ("web is not connected",)
+    # the message passes accept it, and the accept pass leaves it to them
+    webs.append(two_sided_web())
+    accepted = [planarweb._accepts(w) for w in webs]
+    reports = [validate_3web(w) for w in webs]
+    monkeypatch.setattr(planarweb, "_accepts", lambda w: False)
+    assert [validate_3web(w) for w in webs] == reports
+    assert all(report.ok for ok, report in zip(accepted, reports) if ok)
+    assert (sum(accepted[:2150]), sum(accepted[2150:])) == (2150, 461)
+    assert sum(report.ok for report in reports) == 2150 + 461 + 1
 
 
 def test_canonical_is_stable():

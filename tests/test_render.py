@@ -71,9 +71,9 @@ def test_web_json_and_svg_bytes_are_pinned():
 
 def test_diagram_labels_are_escaped():
     m = MDiagram.from_dict({
-        "boundary": [{"label": "<b>", "x": "1"}, {"label": "a&b", "x": "2"}],
-        "arcs": [{"tail": "<b>", "head": "a&b"}],
+        "boundary": [{"label": "<b>", "x": "1"}, {"label": "a&b", "x": "2"}, {"label": ">", "x": "3"}],
+        "arcs": [{"tail": "<b>", "head": "a&b"}, {"tail": ">", "head": "a&b"}],
     })
     root = ET.fromstring(svg_of_mdiagram(m))
     texts = [e.text for e in root.iter("{http://www.w3.org/2000/svg}text")]
-    assert texts == ["<b>", "a&b"]
+    assert texts == ["<b>", "a&b", ">"]

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from functools import cached_property
 
 import pytest
@@ -10,10 +11,11 @@ from webfold.errors import (
     NotSymmetrical,
     UnrecognizedBlock,
     VerticalPairNotAnArc,
+    WebfoldError,
     WrongShape,
 )
 from webfold import mdiagram, oracle
-from webfold.mdiagram import crossings
+from webfold.mdiagram import crossings, resolve
 from webfold.oracle import enumerate_words
 from webfold.planarweb import (
     BOUNDARY,
@@ -43,7 +45,7 @@ from webfold.web3 import (
     tableau_of_web,
     web_of_tableau,
 )
-from webs import checked_web
+from webs import checked_web, two_sided_web
 
 # 3x6 running example: a symmetric tableau, its folded domino tableau,
 # and the sha256 of the canonical form of its web.
@@ -195,6 +197,30 @@ def test_small_exhaustive_roundtrip_and_symmetry():
                 assert canonical(crossed_web(fold(t))) == canonical(w)
 
 
+def lattice_word(rng, n):
+    """A seeded 3-row lattice word with n columns: each letter is drawn
+    among the rows that may grow."""
+    counts = [0, 0, 0]
+    letters = []
+    for _ in range(3 * n):
+        r = rng.choice([r for r in range(3) if counts[r] < (counts[r - 1] if r else n)])
+        counts[r] += 1
+        letters.append(str(r + 1))
+    return "".join(letters)
+
+
+def test_web_of_tableau_is_the_resolved_diagram():
+    """Resolving the rows' pairings gives the web, layout included, that
+    resolving the tableau's diagram gives: every 3-row word with n <= 4,
+    and seeded words with n = 5 and 6."""
+    rng = random.Random(27)
+    words = [word for n in range(1, 5) for word in enumerate_words((n, n, n))]
+    words += [lattice_word(rng, n) for n in (5, 6) for _ in range(40)]
+    for word in words:
+        t = from_word(word)
+        assert web_of_tableau(t).to_dict() == resolve(mdiagram_of_tableau(t)).to_dict(), word
+
+
 def test_small_exhaustive_rotation_and_reflection():
     for n in (2, 3):
         for word in enumerate_words((n, n, n)):
@@ -231,6 +257,16 @@ def test_invalid_web_rejected():
         tableau_of_web(not_a_web())
     with pytest.raises(NotAWeb):
         domino_of_symmetric_web(not_a_web())
+
+
+def test_a_web_without_an_exterior_face_is_named():
+    """validate_3web passes this web, but it has no exterior face, so the
+    distance word cannot be read straight off the face table; reading it
+    fails with a named error, as boundary_face names the missing face."""
+    w = two_sided_web()
+    assert validate_3web(w).ok and w.face_table.exterior is None
+    with pytest.raises(WebfoldError, match="no exterior face"):
+        tableau_of_web(w)
 
 
 def test_asymmetric_web_rejected():

@@ -63,6 +63,41 @@ def open_circle_web() -> dict:
     return d
 
 
+def torus_component_web() -> dict:
+    """The JSON form of the web of 123 with a second component: K_{3,3}
+    drawn on a torus, three sources each joined to three sinks, with three
+    hexagonal faces.  Every vertex, wall and face is legal and V - E + F =
+    2 + 0, but the map is not connected."""
+    d = web_of_tableau(from_word("123")).to_dict()
+    del d["layout"]
+    first, dart = max(map(int, d["rotation"])) + 1, 2 * len(d["edges"])
+    # edge 3i + j runs from source first + i to sink first + 3 + j
+    d["edges"] += [
+        {"from": first + i, "to": first + 3 + j, "tag": ARC} for i in range(3) for j in range(3)
+    ]
+    for i in range(3):
+        d["rotation"][str(first + i)] = [dart + 2 * (3 * i + j) for j in range(3)]
+        d["rotation"][str(first + 3 + i)] = [dart + 2 * (3 * j + i) + 1 for j in range(3)]
+    return d
+
+
+def two_sided_web() -> PlanarWeb:
+    """Two tripods on opposite sides of the boundary circle 1..6: the one
+    on 1, 2, 3 inside it and the one on 4, 5, 6 outside.  Each vertex and
+    face is legal and the map is connected and planar, but no face lies
+    outside all web edges, so there is no exterior face."""
+    edges = (
+        Edge(1, 7), Edge(2, 7), Edge(3, 7), Edge(4, 8), Edge(5, 8), Edge(6, 8),
+        *(Edge(k, k % 6 + 1, BOUNDARY) for k in range(1, 7)),
+    )
+    rotation = {
+        1: (0, 12, 23), 2: (2, 14, 13), 3: (4, 16, 15),
+        4: (6, 17, 18), 5: (8, 19, 20), 6: (10, 21, 22),
+        7: (1, 5, 3), 8: (7, 9, 11),
+    }
+    return checked_web(6, edges, rotation)
+
+
 def golden_webs():
     """Every 3-row web with n <= 4, each followed by its rotation, its
     reflection and its JSON round trip; then the crossed web of the fold
