@@ -22,7 +22,7 @@ class ConcurrentArcs(WebfoldError):
 
 
 class InvalidBoundaryDegrees(WebfoldError):
-    """A web's boundary vertices are not all degree 1 (or labels are wrong)."""
+    """A diagram vertex is neither the source of one arc nor the sink of two."""
 
 
 class UnknownFace(WebfoldError):

@@ -12,13 +12,16 @@ as `Edge` objects, is built on first read.  A web's face table is one
 walk over its darts that records each face's darts, wall contact and
 dual neighbours.  A face is its number in that table: `faces`,
 `exterior_face`, `boundary_face` and `web_distance` all speak in face
-numbers, and `validate_3web` reads the same records.  A web finds its
-boundary circle, the dart from each k to k+1, once (`PlanarWeb._circle`)
-for `validate_3web`, the boundary faces and `canonical`, which builds a
-web's form in one breadth-first walk from the boundary; `mdiagram._resolve`
-hands the webs it builds their circle and walls.  A canonical form
-compares and hashes as the nested tuple it is built from; its bytes and
-its sha256 digest are computed on first read.
+numbers.  `validate_3web` checks each condition once, names every one a
+web breaks, and reads the same records; on a web that breaks no local
+condition, the dual walk from B_0 that `tableau_of_web` reads next
+stands in for the connectivity walk.  A web finds its boundary circle,
+the dart from each k to k+1, once (`PlanarWeb._circle`) for
+`validate_3web`, the boundary faces and `canonical`, which builds a
+web's form in one breadth-first walk from the boundary;
+`mdiagram._resolve` hands the webs it builds their circle and walls.  A
+canonical form compares and hashes as the nested tuple it is built from;
+its bytes and its sha256 digest are computed on first read.
 """
 
 from __future__ import annotations
@@ -334,68 +337,24 @@ def validate_3web(w: PlanarWeb) -> WebReport:
     each k has one to k+1 (`PlanarWeb._circle`), and there are N of them.
     A connected web must also lie in the plane: its rotation system then
     has V - E + F = 2.  The face count, and each face's size and wall
-    contact for the short-face check, are read off the face table.
-
-    A web passes in one pass over what the rotation, the walls, the circle
-    and the face table already hold (`_accepts`); only a web it rejects is
-    checked again, condition by condition, to name each violation.
+    contact for the short-face check, are read off the face table.  A web
+    must also lie on one side of its circle, so that the other side is the
+    exterior face; a web with edges on both sides is named as such.
     """
-    if _accepts(w):
-        return WebReport(True, ())
     bad = _violations(w)
     return WebReport(not bad, tuple(bad))
 
 
-def _accepts(w: PlanarWeb) -> bool:
-    """Whether w is a 3-web, by conditions under which `_violations` finds
-    nothing; a web it passes fails them only if its exterior is missing or
-    does not border B_0:
-
-    - N is a positive multiple of 3;
-    - each vertex has three darts: on the boundary two walls and one
-      outgoing web dart, inside no wall and one parity;
-    - there are N walls and the boundary circle is complete;
-    - V - E + F = 2 and no internal face has fewer than 6 sides;
-    - the dual distances from B_0 reach every face but the exterior, and
-      the exterior is across the circle from B_0.
-
-    Every face then lies in B_0's component of the map, and so does every
-    vertex, as each has a dart on a face other than the exterior: this
-    stands for the connectivity walk.  `tableau_of_web` reads the same
-    distances next.
-    """
-    n, walls, rotation = w.n_boundary, w._walls, w.rotation
-    if n % 3 or not n:
-        return False
-    for v, rot in rotation.items():
-        if len(rot) != 3:
-            return False
-        a, b, c = rot
-        wa, wb, wc = walls[a >> 1], walls[b >> 1], walls[c >> 1]
-        if 0 < v <= n:
-            # the web dart, the one that is not a wall, leaves v
-            if wa + wb + wc != 2 or (c if wa and wb else b if wa else a) & 1:
-                return False
-        elif wa or wb or wc or not a & 1 == b & 1 == c & 1:
-            return False
-    circle = w._circle
-    if walls.count(True) != n or None in circle:
-        return False
-    table = w.face_table
-    if len(rotation) - len(walls) + len(table.orbits) != 2:
-        return False
-    for orbit, walled in zip(table.orbits, table.walled):
-        if len(orbit) < 6 and not walled:
-            return False
-    ext, base, face_of = table.exterior, table.boundary[0], table.face_of
-    if ext is None or base is None or ext not in (face_of[circle[0]], face_of[circle[0] ^ 1]):
-        return False
-    # the exterior has no web edge, so B_0 never reaches it
-    return table.distances(base).count(None) == 1
-
-
 def _violations(w: PlanarWeb) -> list[str]:
-    """Every violated condition of `validate_3web`, each named, in order."""
+    """Every violated condition of `validate_3web`, each named, in order.
+
+    Once every vertex, wall and circle test passes, a face all of whose
+    edges are walls is one whole side of the circle, and the dual walk from
+    B_0, which `tableau_of_web` reads next, reaches every face but it
+    exactly when the web is connected and lies on the other side: the walk
+    then stands in for the vertex walk.  A connected web whose walk failed
+    and that breaks nothing else has edges on both sides of the circle.
+    """
     bad: list[str] = []
     n = w.n_boundary
     origins, walls, rotation, circle = w.origins, w._walls, w.rotation, w._circle
@@ -425,23 +384,32 @@ def _violations(w: PlanarWeb) -> list[str]:
             bad.append(f"internal vertex {v} touches a boundary edge")
         elif not rot[0] & 1 == rot[1] & 1 == rot[2] & 1:
             bad.append(f"internal vertex {v} is neither a source nor a sink")
-    stack = [min(rotation)] if rotation else []
-    seen = set(stack)
-    while stack:
-        for d in rotation[stack.pop()]:
-            u = origins[d ^ 1]
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    if seen != rotation.keys():
-        bad.append("web is not connected")
-    elif (euler := len(rotation) - len(w.tags) + len(w.face_table.orbits)) != 2:
+    walked = False
+    if not bad:
+        table = w.face_table
+        # the exterior has no web edge, so B_0 never reaches it
+        walked = table.exterior is not None and table.distances(table.boundary[0]).count(None) == 1
+    if not walked:
+        stack = [min(rotation)] if rotation else []
+        seen = set(stack)
+        while stack:
+            for d in rotation[stack.pop()]:
+                u = origins[d ^ 1]
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        if seen != rotation.keys():
+            bad.append("web is not connected")
+            return bad
+    table = w.face_table
+    if (euler := len(rotation) - len(walls) + len(table.orbits)) != 2:
         bad.append(f"rotation system is not planar: V - E + F = {euler}, not 2")
     else:
-        table = w.face_table
         for orbit, walled in zip(table.orbits, table.walled):
             if len(orbit) < 6 and not walled:
                 bad.append(f"internal face with {len(orbit)} sides: darts {sorted(orbit)}")
+    if not (bad or walked):
+        bad.append("web has edges on both sides of the boundary circle")
     return bad
 
 

@@ -4,12 +4,12 @@ Tableau to web goes through an arc diagram: first arcs match the top
 two rows left to right, second arcs match the bottom two rows right to
 left, and the diagram resolves to a web.  `web_of_tableau` hands the two
 row pairings to the resolver as (tail, head) positions and builds no
-diagram.  Web to tableau reads the word
-off boundary-face distances.  The symmetric variants swap the distance
-origin for mirror distances and rebuild the web from a domino tableau
-via block decomposition, compression, and a reflected diagram whose
-vertical-pair arcs are crossed over the axis.  The decomposition reads
-the domino tableau once; an odd tableau's compression is skew over (1, 1).
+diagram.  Web to tableau reads the word off boundary-face distances.  The
+symmetric variants swap the distance origin for mirror distances and
+rebuild the web from a domino tableau via block decomposition,
+compression, and a reflected diagram whose vertical-pair arcs are crossed
+over the axis.  The decomposition reads the domino tableau once; an odd
+tableau's compression is skew over (1, 1).
 """
 
 from __future__ import annotations
@@ -102,21 +102,11 @@ def tableau_of_web(w: PlanarWeb) -> Tableau:
 
 
 def _distance_word(w: PlanarWeb) -> str:
-    # distances from B_0 off one walk of the dual, the walk validate_3web's
-    # accept pass took; read straight off the table when every B_k exists
-    # and is reached
+    # distances from B_0 off the walk of the dual that validate_3web took,
+    # which reaches every B_k of a web it accepts
     table = w.face_table
-    faces, d = table.boundary, None
-    if table.exterior is not None and None not in faces:
-        dist = table.distances(faces[0])
-        d = [dist[f] for f in faces]
-    if d is None or None in d:
-        # boundary_face checks each face as it is read, and web_distance
-        # names one B_0 does not reach
-        base = boundary_face(w, 0)
-        dist = table.distances(base)
-        faces = (boundary_face(w, i) for i in range(w.n_boundary + 1))
-        d = [web_distance(w, base, f) if dist[f] is None else dist[f] for f in faces]
+    dist = table.distances(table.boundary[0])
+    d = [dist[f] for f in table.boundary]
     return "".join([_PHI[a - b] for a, b in zip(d, d[1:])])
 
 

@@ -17,7 +17,7 @@ from webfold.cli import main
 from webfold.matchings import web2_of_tableau
 from webfold.tableaux import from_word
 from webfold.web3 import crossed_mdiagram, mdiagram_of_tableau, web_of_tableau
-from webs import open_circle_web, tripod, twisted_web, walled_stem_web
+from webs import open_circle_web, tripod, twisted_web, two_sided_web, walled_stem_web
 
 CHAIN_WORD = "111122213132223333"
 CHAIN_FOLD = "112212121133332323"
@@ -194,6 +194,17 @@ def test_open_boundary_circle_is_not_a_web(capsys, tmp_path):
     assert err == (
         "NotAWeb: boundary circle has no edge from 6 to 1; 5 boundary edges, not 6\n"
     )
+
+
+@pytest.mark.parametrize("action", ["to-tableau", "to-domino"])
+def test_two_sided_web_is_not_a_web(capsys, tmp_path, action):
+    # this used to pass validation and end in "UnknownFace: no exterior face"
+    # or, read as a symmetric web, in NotSymmetrical
+    src = tmp_path / "two-sided.json"
+    src.write_text(json.dumps(two_sided_web().to_dict()))
+    code, out, err = run(capsys, "web3", action, "--in", str(src))
+    assert (code, out) == (1, "")
+    assert err == "NotAWeb: web has edges on both sides of the boundary circle\n"
 
 
 def test_diagram_with_bad_degrees_is_refused(capsys, tmp_path):

@@ -152,6 +152,16 @@ def test_perfbench_names_resolve():
             assert inspect.isfunction(fn) and fn.__module__ == mod.__name__, f"{module}.{name}"
 
 
+def test_perfbench_selftest_passes():
+    """The benchmark's own helper tests pass against this tree."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    env.pop("WEBFOLD_WORKERS", None)
+    done = subprocess.run(
+        [sys.executable, str(PERFBENCH / "selftest.py")], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def test_readme_names_resolve():
     """Every backticked `Name`, `Name.attr` or `Name(...)` in the README, a
     capitalised identifier, is a builtin or an attribute of some webfold

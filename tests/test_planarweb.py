@@ -2,8 +2,7 @@ import hashlib
 
 import pytest
 
-from webfold import planarweb
-from webfold.errors import UnknownFace
+from webfold.errors import NotAWeb, UnknownFace
 from webfold.planarweb import (
     ARC,
     BOUNDARY,
@@ -19,6 +18,7 @@ from webfold.planarweb import (
     validate_3web,
     web_distance,
 )
+from webfold.web3 import tableau_of_web
 from webs import (
     broken_webs,
     checked_web,
@@ -166,25 +166,30 @@ def test_broken_web_violations_are_pinned():
     assert pinned == BROKEN_VIOLATIONS_SHA256
 
 
-def test_accept_pass_agrees_with_the_message_passes(monkeypatch):
-    """validate_3web accepts a web in one pass only if the condition-by-
-    condition passes find no violation; with that pass forced off, every
-    report is the same.  It accepts every golden web and the 461 broken
-    webs that the message passes accept.  A torus component passes every
-    local and Euler test, so only the dual walk from B_0 rejects it."""
+def test_validation_accepts_exactly_the_webs_it_can_read():
+    """The one pass accepts every golden web and 461 broken webs.  A torus
+    component passes every local and Euler test, so only the vertex walk
+    names it; a web drawn on both sides of the circle is connected and
+    planar, and only its failed walk from B_0 names it.  A rejected web
+    makes tableau_of_web raise NotAWeb; an accepted one has an exterior,
+    and its walk from B_0 reaches every B_k."""
     extra = (twisted_web, walled_stem_web, open_circle_web, torus_component_web)
     webs = [*golden_webs(), *(w for _, w in broken_webs())]
-    webs += [PlanarWeb.from_dict(d()) for d in extra]
-    assert validate_3web(webs[-1]).violations == ("web is not connected",)
-    # the message passes accept it, and the accept pass leaves it to them
-    webs.append(two_sided_web())
-    accepted = [planarweb._accepts(w) for w in webs]
+    webs += [PlanarWeb.from_dict(d()) for d in extra] + [two_sided_web()]
     reports = [validate_3web(w) for w in webs]
-    monkeypatch.setattr(planarweb, "_accepts", lambda w: False)
-    assert [validate_3web(w) for w in webs] == reports
-    assert all(report.ok for ok, report in zip(accepted, reports) if ok)
+    assert reports[-2].violations == ("web is not connected",)
+    assert reports[-1].violations == ("web has edges on both sides of the boundary circle",)
+    accepted = [report.ok for report in reports]
     assert (sum(accepted[:2150]), sum(accepted[2150:])) == (2150, 461)
-    assert sum(report.ok for report in reports) == 2150 + 461 + 1
+    for w, ok in zip(webs, accepted):
+        if ok:
+            table = w.face_table
+            dist = table.distances(table.boundary[0])
+            assert table.exterior is not None
+            assert None not in [dist[f] for f in table.boundary]
+        else:
+            with pytest.raises(NotAWeb):
+                tableau_of_web(w)
 
 
 def test_canonical_is_stable():

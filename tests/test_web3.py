@@ -11,7 +11,6 @@ from webfold.errors import (
     NotSymmetrical,
     UnrecognizedBlock,
     VerticalPairNotAnArc,
-    WebfoldError,
     WrongShape,
 )
 from webfold import mdiagram, oracle
@@ -260,13 +259,17 @@ def test_invalid_web_rejected():
 
 
 def test_a_web_without_an_exterior_face_is_named():
-    """validate_3web passes this web, but it has no exterior face, so the
-    distance word cannot be read straight off the face table; reading it
-    fails with a named error, as boundary_face names the missing face."""
+    """This web has tripods on both sides of its boundary circle, so it has
+    no exterior face and is the web of no tableau: both readers refuse it
+    with NotAWeb, naming the two sides, before reading any distance."""
     w = two_sided_web()
-    assert validate_3web(w).ok and w.face_table.exterior is None
-    with pytest.raises(WebfoldError, match="no exterior face"):
-        tableau_of_web(w)
+    message = "web has edges on both sides of the boundary circle"
+    assert w.face_table.exterior is None
+    assert validate_3web(w).violations == (message,)
+    for read in (tableau_of_web, domino_of_symmetric_web):
+        with pytest.raises(NotAWeb) as info:
+            read(w)
+        assert str(info.value) == message
 
 
 def test_asymmetric_web_rejected():
