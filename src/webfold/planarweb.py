@@ -19,9 +19,10 @@ stands in for the connectivity walk.  A web finds its boundary circle,
 the dart from each k to k+1, once (`PlanarWeb._circle`) for
 `validate_3web`, the boundary faces and `canonical`, which builds a
 web's form in one breadth-first walk from the boundary;
-`mdiagram._resolve` hands the webs it builds their circle and walls.  A
-canonical form compares and hashes as the nested tuple it is built from;
-its bytes and its sha256 digest are computed on first read.
+`mdiagram._resolve` and `rotate` hand the webs they build their circle
+and walls, and `reflect` its walls.  A canonical form compares and
+hashes as the nested tuple it is built from; its bytes and its sha256
+digest are computed on first read.
 """
 
 from __future__ import annotations
@@ -288,10 +289,7 @@ def faces(w: PlanarWeb) -> range:
 def exterior_face(w: PlanarWeb) -> int:
     """The number of the face outside the boundary circle, all of whose darts
     are boundary darts."""
-    table = w.face_table
-    if table.exterior is None:
-        raise UnknownFace("no exterior face; boundary circle is broken")
-    return table.exterior
+    return _with_exterior(w).exterior
 
 
 def boundary_face(w: PlanarWeb, k: int) -> int:
@@ -300,14 +298,25 @@ def boundary_face(w: PlanarWeb, k: int) -> int:
     n = w.n_boundary
     if not (0 <= k <= n):
         raise UnknownFace(f"boundary face index {k} outside 0..{n}")
-    table = w.face_table
-    if table.exterior is None:
-        raise UnknownFace("no exterior face; boundary circle is broken")
-    f = table.boundary[k]
+    f = _with_exterior(w).boundary[k]
     if f is None:
         pair = {k, k + 1} if 1 <= k < n else {n, 1}
         raise UnknownFace(f"no boundary edge between {sorted(pair)}")
     return f
+
+
+def _with_exterior(w: PlanarWeb) -> FaceTable:
+    """The face table of a web with an exterior face; UnknownFace says why there is none."""
+    table = w.face_table
+    if table.exterior is None:
+        if None in w._circle:
+            why = "boundary circle is broken"
+        elif len(w.rotation) - len(w.tags) + len(table.orbits) != 2:
+            why = "rotation system is not planar"
+        else:
+            why = "web has edges on both sides of the boundary circle"
+        raise UnknownFace(f"no exterior face; {why}")
+    return table
 
 
 def web_distance(w: PlanarWeb, x: int, y: int) -> int:
@@ -448,63 +457,76 @@ def canonical(w: PlanarWeb) -> CanonicalWebForm:
     writes its row, from its start dart, when it is visited.  A boundary
     vertex starts at its circle dart to the next (`PlanarWeb._circle`); any
     other vertex starts at the twin of the dart it was first reached by.
+    A vertex's row is turned, and its darts' positions in it recorded, when
+    the vertex is named.
     """
     n = w.n_boundary
-    origins, walls, rotation = w.origins, w._walls, w.rotation
-    # each dart's index in its vertex's rotation
-    slot = [0] * len(origins)
-    for rot in rotation.values():
-        for i, d in enumerate(rot):
-            slot[d] = i
-    names = {k: k for k in range(1, n + 1)}
-    start: dict[int, int] = {}
-    for k, d in enumerate(w._circle[1:], start=1):
-        if d is None:
-            raise ValueError(f"no boundary edge from {k} to {k % n + 1}")
-        start[k] = d
+    origins, walls, rotation, circle = w.origins, w._walls, w.rotation, w._circle
+    if None in circle[1:]:
+        k = circle.index(None, 1)
+        raise ValueError(f"no boundary edge from {k} to {k % n + 1}")
+    position = [0] * len(origins)
     order = list(range(1, n + 1))
+    names = dict(zip(order, order))
+    rows = {k: _row(rotation[k], circle[k], position) for k in order}
     entries = []
     # order grows while it is walked, so this is a breadth-first visit
     for v in order:
-        rot = rotation[v]
-        i = slot[start[v]]
         row = []
-        for d in rot[i:] + rot[:i]:
-            u = origins[d ^ 1]
-            if u not in names:
-                names[u] = len(names) + 1
-                start[u] = d ^ 1
+        for d in rows[v]:
+            e = d ^ 1
+            u = origins[e]
+            name = names.get(u)
+            if name is None:
+                name = names[u] = len(names) + 1
                 order.append(u)
-            wall = walls[d >> 1]
+                rows[u] = _row(rotation[u], e, position)
             # arc and intersection edges are interchangeable drawing artifacts,
             # so only the boundary/web distinction is serialized
-            kind = "b" if wall else "w"
-            out = 0 if wall else (1 if d % 2 == 0 else 2)
-            position = (slot[d ^ 1] - slot[start[u]]) % len(rotation[u])
-            row.append((names[u], kind, out, position))
+            p = position[e]
+            row.append((name, "b", 0, p) if walls[d >> 1] else (name, "w", d % 2 + 1, p))
         entries.append((names[v], tuple(row)))
     if len(names) != len(rotation):
         raise ValueError("web is not connected; canonical form undefined")
     return CanonicalWebForm((n, tuple(entries)))
 
 
+def _row(rot: tuple[int, ...], first: int, position: list[int]) -> tuple[int, ...]:
+    """rot turned to start at dart first; each dart's index in it goes to position."""
+    if i := rot.index(first):
+        rot = rot[i:] + rot[:i]
+    if len(rot) == 3:  # position[first] is still 0, as no other row holds it
+        position[rot[1]], position[rot[2]] = 1, 2
+    else:
+        for i, d in enumerate(rot):
+            position[d] = i
+    return rot
+
+
 def rotate(w: PlanarWeb) -> PlanarWeb:
-    """Relabel boundary vertices k to k-1 (label 1 wraps to N); tags are shared."""
+    """Relabel boundary vertices k to k-1 (label 1 wraps to N); tags and
+    walls are shared, and vertex k's circle dart becomes vertex k-1's."""
     n = w.n_boundary
     # only 1..N move: vertices read from JSON may be 0 or negative
     get = {k: k - 1 if k > 1 else n for k in range(1, n + 1)}.get
     origins = [get(v, v) for v in w.origins]
     rotation = {get(v, v): rot for v, rot in w.rotation.items()}
-    return PlanarWeb(n, origins, w.tags, rotation)
+    r = PlanarWeb(n, origins, w.tags, rotation)
+    c = w._circle
+    r._walls, r._circle = w._walls, [*c[1:], c[1]] if n else c
+    return r
 
 
 def reflect(w: PlanarWeb) -> PlanarWeb:
-    """Mirror: relabel k to N+1-k and reverse every rotation order; tags are shared."""
+    """Mirror: relabel k to N+1-k and reverse every rotation order; tags and
+    walls are shared, but the circle darts sit at the other edge ends."""
     n = w.n_boundary
     get = {k: n + 1 - k for k in range(1, n + 1)}.get
     origins = [get(v, v) for v in w.origins]
     rotation = {get(v, v): rot[::-1] for v, rot in w.rotation.items()}
-    return PlanarWeb(n, origins, w.tags, rotation)
+    r = PlanarWeb(n, origins, w.tags, rotation)
+    r._walls = w._walls
+    return r
 
 
 def is_symmetrical(w: PlanarWeb) -> bool:

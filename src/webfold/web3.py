@@ -37,7 +37,7 @@ from .mdiagram import (
     mirror_arc,
     resolve,
 )
-from .planarweb import PlanarWeb, boundary_face, is_symmetrical, validate_3web, web_distance
+from .planarweb import PlanarWeb, is_symmetrical, validate_3web
 from .tableaux import Tableau, from_word, is_domino
 
 _PHI = {-1: "1", 0: "2", 1: "3"}
@@ -120,7 +120,9 @@ def _mirror_word(w: PlanarWeb) -> str:
         raise NotSymmetrical("web differs from its mirror image")
     n = w.n_boundary
     half = n // 2
-    h = [web_distance(w, boundary_face(w, j), boundary_face(w, n - j)) for j in range(half + 1)]
+    # a web that validate_3web accepts reaches every B_k from every other
+    table, b = w.face_table, w.face_table.boundary
+    h = [table.distances(b[j])[b[n - j]] for j in range(half + 1)]
     letters = [""] * (n + 1)
     if n % 2 == 1:
         letters[1] = "1"

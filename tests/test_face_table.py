@@ -4,6 +4,8 @@ The naive walk names a face by its dart set; the face table names it by
 number, so each number is compared through `frozenset(orbits[f])`.
 """
 
+from collections import Counter
+
 import pytest
 
 from webfold.errors import UnknownFace
@@ -19,7 +21,7 @@ from webfold.planarweb import (
 )
 from webfold.tableaux import fold, from_word, is_rotationally_symmetric
 from webfold.web3 import crossed_web, web_of_tableau
-from webs import broken_webs, checked_web, tripod
+from webs import broken_webs, checked_web, tripod, two_sided_web
 
 
 def naive_faces(w):
@@ -117,10 +119,22 @@ def check_faces(name, w):
     ext = next((f for f in all_faces if all(is_wall(w, d) for d in f)), None)
     want = naive_boundary_faces(w, all_faces, ext)
     if ext is None:
-        for k in range(w.n_boundary + 1):
-            with pytest.raises(UnknownFace, match="boundary circle is broken"):
+        # a whole circle on a planar map has two sides, and both hold web edges
+        n = w.n_boundary
+        whole = all(
+            any(e.tag == BOUNDARY and {e.tail, e.head} == {k, k % n + 1} for e in w.edges)
+            for k in range(1, n + 1)
+        )
+        planar = len(w.rotation) - len(w.edges) + len(all_faces) == 2
+        why = (
+            "boundary circle is broken" if not whole
+            else "rotation system is not planar" if not planar
+            else "both sides of the boundary circle"
+        )
+        for k in range(n + 1):
+            with pytest.raises(UnknownFace, match=f"^no exterior face; .*{why}$"):
                 boundary_face(w, k)
-        with pytest.raises(UnknownFace, match="boundary circle is broken"):
+        with pytest.raises(UnknownFace, match=f"^no exterior face; .*{why}$"):
             exterior_face(w)
         return all_faces
     assert dart_set(exterior_face(w)) == ext, name
@@ -153,10 +167,17 @@ def test_face_table_matches_naive_walk():
 def test_face_table_matches_naive_walk_on_broken_webs():
     # validate_3web reads the face table on exactly these webs
     exterior_missing = set()
+    why = Counter()
     for name, w in broken_webs():
         check_faces(name, w)
         exterior_missing.add(w.face_table.exterior is None)
+        if w.face_table.exterior is None:
+            with pytest.raises(UnknownFace) as info:
+                exterior_face(w)
+            why[str(info.value).partition("; ")[2]] += 1
     assert exterior_missing == {False, True}
+    # a circle with a gap, or a whole one on a map that is not planar
+    assert why == {"boundary circle is broken": 381, "rotation system is not planar": 164}
 
 
 def test_boundary_faces_of_webs_drawn_the_other_way_round():
@@ -206,10 +227,21 @@ def test_broken_boundary_circle():
     rotation = {1: (6, 0), 2: (8, 2, 7), 3: (4, 9), 4: (1, 3, 5)}
     w = checked_web(3, edges, rotation)
     assert len(faces(w)) == 3
-    with pytest.raises(UnknownFace, match="boundary circle is broken"):
+    for lookup in (lambda: exterior_face(w), lambda: boundary_face(w, 1)):
+        with pytest.raises(UnknownFace, match="^no exterior face; boundary circle is broken$"):
+            lookup()
+
+
+def test_two_sided_web_has_no_exterior_face():
+    # the circle is whole, but web edges lie on both of its sides
+    w = two_sided_web()
+    assert None not in w._circle
+    why = "no exterior face; web has edges on both sides of the boundary circle"
+    with pytest.raises(UnknownFace, match=f"^{why}$"):
         exterior_face(w)
-    with pytest.raises(UnknownFace, match="boundary circle is broken"):
-        boundary_face(w, 1)
+    for k in range(7):
+        with pytest.raises(UnknownFace, match=f"^{why}$"):
+            boundary_face(w, k)
 
 
 def test_exterior_face_is_walled_off():

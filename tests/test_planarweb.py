@@ -6,6 +6,7 @@ from webfold.errors import NotAWeb, UnknownFace
 from webfold.planarweb import (
     ARC,
     BOUNDARY,
+    CanonicalWebForm,
     Edge,
     PlanarWeb,
     boundary_face,
@@ -23,6 +24,7 @@ from webs import (
     broken_webs,
     checked_web,
     golden_webs,
+    low_labels_web,
     open_circle_web,
     torus_component_web,
     tripod,
@@ -216,6 +218,36 @@ def test_rotate_order_three():
 def test_reflect_involution():
     w = square_web()
     assert canonical(reflect(reflect(w))) == canonical(w)
+
+
+def test_rotate_and_reflect_hand_over_what_a_web_would_find():
+    """rotate hands its web the walls and boundary circle, and reflect the
+    walls; a bare copy of each web finds the same ones.  N rotations give
+    back the web's canonical form, or its error."""
+    extra = (twisted_web, walled_stem_web, open_circle_web, torus_component_web, low_labels_web)
+    webs = [*golden_webs(), *(w for _, w in broken_webs())]
+    webs += [PlanarWeb.from_dict(d()) for d in extra] + [two_sided_web()]
+    assert {v for v in webs[-2].rotation if v < 1} == {0, -1, -2, -3}
+
+    def form(w):
+        try:
+            return canonical(w)
+        except ValueError as error:
+            return str(error)
+
+    for w in webs:
+        n = w.n_boundary
+        turned = w
+        for _ in range(n):
+            turned = rotate(turned)
+            bare = PlanarWeb(n, turned.origins, turned.tags, turned.rotation)
+            assert (turned._walls, turned._circle) == (bare._walls, bare._circle)
+        assert turned.origins == w.origins and form(turned) == form(w)
+        mirror = reflect(w)
+        assert mirror._walls == PlanarWeb(n, mirror.origins, mirror.tags, mirror.rotation)._walls
+    assert {type(form(w)) for w in webs} == {CanonicalWebForm, str}
+    empty = PlanarWeb(0, [], [], {})
+    assert rotate(empty)._circle == [None] and form(rotate(empty)) == form(empty)
 
 
 def test_tripod_symmetrical():

@@ -81,6 +81,19 @@ def torus_component_web() -> dict:
     return d
 
 
+def low_labels_web() -> dict:
+    """The JSON form of the web of 112233 with its internal vertices
+    7, 8, ... relabeled 0, -1, ...: labels outside 1..N name internal
+    vertices, whatever their sign."""
+    d = web_of_tableau(from_word("112233")).to_dict()
+    del d["layout"]
+    relabel = {v: 7 - v if v > 6 else v for v in map(int, d["rotation"])}
+    for e in d["edges"]:
+        e["from"], e["to"] = relabel[e["from"]], relabel[e["to"]]
+    d["rotation"] = {str(relabel[int(v)]): ds for v, ds in d["rotation"].items()}
+    return d
+
+
 def two_sided_web() -> PlanarWeb:
     """Two tripods on opposite sides of the boundary circle 1..6: the one
     on 1, 2, 3 inside it and the one on 4, 5, 6 outside.  Each vertex and
