@@ -5,10 +5,6 @@ class WebfoldError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
-class NotACorner(WebfoldError):
-    """A slide was started from a cell that is not a removable inner corner."""
-
-
 class OutOfRange(WebfoldError):
     """An entry bound or index falls outside the tableau's entries."""
 

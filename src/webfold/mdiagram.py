@@ -5,11 +5,13 @@ A diagram keeps its boundary as two tuples indexed by position 1..N:
 increasing abscissas `xs`.  Arcs name their ends by boundary position, as
 web vertices do, and are exact semicircles over those abscissas, so
 crossing positions and all ordering predicates are rational arithmetic.
-Resolution replaces each degree-2 boundary sink with a fed internal sink
+Resolving replaces each degree-2 boundary sink with a fed internal sink
 and each crossing with a source/sink pair joined by an intersection edge,
 yielding a planar web together with the one table that arc-set distances
-need: the arcs each edge toggles.  An arc is its index in `arcs`, and a set
-of arcs is an int bitmask, bit i for `arcs[i]`.
+need, `edge_arcs`: the arcs each edge toggles.  A diagram keeps that pair
+as `MDiagram.resolution`, and the arcs over each inner face of the web as
+`MDiagram.face_arcs`, both built on first use.  An arc is its index in
+`arcs`, and a set of arcs is an int bitmask, bit i for `arcs[i]`.
 
 A diagram is checked where it enters, by `from_dict`, boundary degrees
 included.  `MDiagram(...)`, like `PlanarWeb(...)`, checks nothing: the
@@ -55,9 +57,37 @@ class MDiagram(Value):
         self.arcs = arcs
 
     @cached_property
-    def resolution(self) -> Resolution:
-        """The resolved web and its arc table, built on first use."""
+    def resolution(self) -> tuple[PlanarWeb, tuple[int, ...]]:
+        """The resolved web and its arc table `edge_arcs`, built on first use."""
         return _resolve(self.labels, self.xs, [(a.tail, a.head) for a in self.arcs])
+
+    @cached_property
+    def face_arcs(self) -> dict[int, int]:
+        """The bitmask of the arcs passing over each inner face of the
+        resolved web, by face number, in the order a breadth-first walk
+        from B_0 reaches the faces."""
+        web, edge_arcs = self.resolution
+        table, walls = web.face_table, web._walls
+        start = boundary_face(web, 0)
+        sets = {start: 0}
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for fi in frontier:
+                for d in table.orbits[fi]:
+                    e = d // 2
+                    if walls[e]:
+                        continue
+                    gi = table.face_of[d ^ 1]
+                    arcs = sets[fi] ^ edge_arcs[e]
+                    if gi in sets:
+                        if sets[gi] != arcs:
+                            raise RuntimeError("inconsistent arc sets across faces")
+                        continue
+                    sets[gi] = arcs
+                    nxt.append(gi)
+            frontier = nxt
+        return sets
 
     @cached_property
     def _mirrors(self) -> tuple[int | None, ...]:
@@ -197,56 +227,22 @@ def crossings(m: MDiagram) -> tuple[tuple[int, int, Fraction], ...]:
     return tuple((i, j, Fraction(num, den)) for i, j, num, den in found)
 
 
-class Resolution(Value, eq=False):
-    """A resolved web with one arc table: per edge, the bitmask of the arcs
-    it toggles, bit i for m.arcs[i].  An arc segment holds its arc, a sink
-    feed or an intersection the pair it resolves, a boundary edge none.
-    """
-
-    _fields = ("web", "edge_arcs")
-
-    def __init__(self, web: PlanarWeb, edge_arcs: tuple[int, ...]) -> None:
-        self.web = web
-        self.edge_arcs = edge_arcs
-
-    @cached_property
-    def face_arcs(self) -> dict[int, int]:
-        """The bitmask of the arcs passing over each inner face, by face
-        number, in the order a breadth-first walk from B_0 reaches the faces."""
-        table, walls, edge_arcs = self.web.face_table, self.web._walls, self.edge_arcs
-        start = boundary_face(self.web, 0)
-        sets = {start: 0}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for fi in frontier:
-                for d in table.orbits[fi]:
-                    e = d // 2
-                    if walls[e]:
-                        continue
-                    gi = table.face_of[d ^ 1]
-                    arcs = sets[fi] ^ edge_arcs[e]
-                    if gi in sets:
-                        if sets[gi] != arcs:
-                            raise RuntimeError("inconsistent arc sets across faces")
-                        continue
-                    sets[gi] = arcs
-                    nxt.append(gi)
-            frontier = nxt
-        return sets
-
-
 def _resolve(
     labels: Sequence[str | int], xs: Sequence[Fraction | int], ends: list[tuple[int, int]]
-) -> Resolution:
+) -> tuple[PlanarWeb, tuple[int, ...]]:
     """The resolution of the diagram over boundary `labels` at abscissas
-    `xs` whose arc i runs from position ends[i][0] to ends[i][1].
+    `xs` whose arc i runs from position ends[i][0] to ends[i][1], as the
+    pair (web, edge_arcs).  edge_arcs is the one arc table: per edge, the
+    bitmask of the arcs it toggles, bit i for arc i.  An arc segment holds
+    its arc, a sink feed or an intersection the pair it resolves, a
+    boundary edge none.
 
     The one resolver: `MDiagram.resolution` passes its arcs' ends, and
     `web3.web_of_tableau` the two row pairings, with no `Arc` built and
-    its positions 1..N, a range, as both labels and abscissas.  Labels are
-    read only by error messages, which print them.  The degrees are
-    checked here as in `from_dict`, since `MDiagram(...)` callers skip it.
+    its positions 1..N, a range, as both labels and abscissas, and it
+    keeps only the web.  Labels are read only by error messages, which
+    print them.  The degrees are checked here as in `from_dict`, since
+    `MDiagram(...)` callers skip it.
     """
     # boundary vertices are named by position 1..n, arcs by index in ends
     n = len(labels)
@@ -333,7 +329,7 @@ def _resolve(
     # rotation (B_0 is B_N)
     web._walls = [False] * first_bnd + [True] * n
     web._circle = [out[n], *out[1:]]
-    return Resolution(web, tuple(edge_arcs))
+    return web, tuple(edge_arcs)
 
 
 def _layout(
@@ -367,12 +363,12 @@ def _layout(
 
 def resolve(m: MDiagram) -> PlanarWeb:
     """The planar web obtained by the local changes at sinks and crossings."""
-    return m.resolution.web
+    return m.resolution[0]
 
 
 def arcs_above(m: MDiagram, face: int) -> int:
     """The bitmask of the arcs passing over inner face number `face` of resolve(m)."""
-    table = m.resolution.face_arcs
+    table = m.face_arcs
     if face not in table:
         raise UnknownFace("not an inner face of the resolved diagram")
     return table[face]
@@ -393,10 +389,10 @@ def coherent_separators(m: MDiagram, x: int, y: int) -> frozenset[int]:
     the sink feeds and intersections: the edges that toggle two arcs.
     """
     sx, sy = arcs_above(m, x), arcs_above(m, y)
-    res = m.resolution
-    table, face_of = res.face_arcs, res.web.face_table.face_of
+    web, edge_arcs = m.resolution
+    table, face_of = m.face_arcs, web.face_table.face_of
     out = []
-    for e, pair in enumerate(res.edge_arcs):
+    for e, pair in enumerate(edge_arcs):
         if pair.bit_count() != 2:
             continue
         sides = {table[face_of[2 * e]] & pair, table[face_of[2 * e + 1]] & pair}
@@ -419,7 +415,7 @@ def reflected_face(m: MDiagram, face: int) -> int:
             if j is None:
                 raise UnknownFace("diagram has no mirror of this face")
             want |= 1 << j
-    for f, s in m.resolution.face_arcs.items():
+    for f, s in m.face_arcs.items():
         if s == want:
             return f
     raise UnknownFace("diagram has no mirror of this face")

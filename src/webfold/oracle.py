@@ -267,7 +267,7 @@ def _json(m: Matching2) -> str:
 
 
 def _violations(w: PlanarWeb) -> str:
-    return "; ".join(validate_3web(w).violations)
+    return "; ".join(validate_3web(w))
 
 
 def _holds(name: str, lhs, rhs, show: Callable = _rows, ok: bool | None = None) -> list[_Found]:

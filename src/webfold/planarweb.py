@@ -6,23 +6,22 @@ counterclockwise order.  Boundary vertices are labeled 1..N and joined in
 a circle by edges tagged "boundary"; those edges close the disk so that
 face walks and rotations are total, but they act as walls for distances.
 
-The edges are stored as two flat lists: `origins`, the origin vertex of
-every dart, and `tags`, one per edge.  `PlanarWeb.edges`, the same edges
-as `Edge` objects, is built on first read.  A web's face table is one
-walk over its darts that records each face's darts, wall contact and
-dual neighbours.  A face is its number in that table: `faces`,
-`exterior_face`, `boundary_face` and `web_distance` all speak in face
-numbers.  `validate_3web` checks each condition once, names every one a
-web breaks, and reads the same records; on a web that breaks no local
-condition, the dual walk from B_0 that `tableau_of_web` reads next
-stands in for the connectivity walk.  A web finds its boundary circle,
-the dart from each k to k+1, once (`PlanarWeb._circle`) for
-`validate_3web`, the boundary faces and `canonical`, which builds a
-web's form in one breadth-first walk from the boundary;
-`mdiagram._resolve` and `rotate` hand the webs they build their circle
-and walls, and `reflect` its walls.  A canonical form compares and
-hashes as the nested tuple it is built from; its bytes and its sha256
-digest are computed on first read.
+An edge is its index i: the edges are two flat lists, `origins`, the
+origin vertex of every dart, and `tags`, one per edge, and no edge object
+exists.  A web's face table is one walk over its darts that records each
+face's darts, wall contact and dual neighbours.  A face is its number in
+that table: `faces`, `exterior_face`, `boundary_face` and `web_distance`
+all speak in face numbers.  `validate_3web` checks each condition once,
+returns the tuple of every one a web breaks, and reads the same records;
+on a web that breaks no local condition, the dual walk from B_0 that
+`tableau_of_web` reads next stands in for the connectivity walk.  A web
+finds its boundary circle, the dart from each k to k+1, once
+(`PlanarWeb._circle`) for `validate_3web`, the boundary faces and
+`canonical`, which builds a web's form in one breadth-first walk from
+the boundary; `mdiagram._resolve` and `rotate` hand the webs they build
+their circle and walls, and `reflect` its walls.  A canonical form
+compares and hashes as the nested tuple it is built from; its bytes and
+its sha256 digest are computed on first read.
 """
 
 from __future__ import annotations
@@ -39,15 +38,6 @@ BOUNDARY = "boundary"
 ARC = "arc"
 INTERSECTION = "intersection"
 TAGS = (ARC, BOUNDARY, INTERSECTION)
-
-
-class Edge(Value):
-    __slots__ = _fields = ("tail", "head", "tag")
-
-    def __init__(self, tail: int, head: int, tag: str = ARC) -> None:
-        self.tail = tail
-        self.head = head
-        self.tag = tag
 
 
 class PlanarWeb(Value, eq=False):
@@ -69,11 +59,6 @@ class PlanarWeb(Value, eq=False):
         self.rotation = rotation
         # computes the drawing coordinates when `layout` is first read
         self._draw = _draw
-
-    @cached_property
-    def edges(self) -> tuple[Edge, ...]:
-        """The edges as `Edge` objects, built on first read."""
-        return tuple(map(Edge, self.origins[0::2], self.origins[1::2], self.tags))
 
     @cached_property
     def layout(self) -> dict[int, tuple[Fraction, Fraction]] | None:
@@ -105,16 +90,14 @@ class PlanarWeb(Value, eq=False):
         """Faces and dual distances, built on first use and kept with this web."""
         return FaceTable(self)
 
-    @property
-    def internal_count(self) -> int:
-        return len(self.rotation) - self.n_boundary
-
     def to_dict(self) -> dict:
+        origins = self.origins
         d = {
             "n": self.n_boundary,
-            "internal": self.internal_count,
+            "internal": len(self.rotation) - self.n_boundary,
             "edges": [
-                {"from": e.tail, "to": e.head, "tag": e.tag} for e in self.edges
+                {"from": tail, "to": head, "tag": tag}
+                for tail, head, tag in zip(origins[0::2], origins[1::2], self.tags)
             ],
             "rotation": {str(v): list(ds) for v, ds in sorted(self.rotation.items())},
         }
@@ -331,16 +314,9 @@ def web_distance(w: PlanarWeb, x: int, y: int) -> int:
     return d
 
 
-class WebReport(Value):
-    __slots__ = _fields = ("ok", "violations")
-
-    def __init__(self, ok: bool, violations: tuple[str, ...]) -> None:
-        self.ok = ok
-        self.violations = violations
-
-
-def validate_3web(w: PlanarWeb) -> WebReport:
-    """Check the defining conditions; violations are reported, not raised.
+def validate_3web(w: PlanarWeb) -> tuple[str, ...]:
+    """Every violated defining condition, each named, in order; an empty
+    tuple means the web is valid.  Violations are returned, not raised.
 
     The boundary edges must be exactly the circle 1 -> 2 -> ... -> N -> 1:
     each k has one to k+1 (`PlanarWeb._circle`), and there are N of them.
@@ -349,13 +325,6 @@ def validate_3web(w: PlanarWeb) -> WebReport:
     contact for the short-face check, are read off the face table.  A web
     must also lie on one side of its circle, so that the other side is the
     exterior face; a web with edges on both sides is named as such.
-    """
-    bad = _violations(w)
-    return WebReport(not bad, tuple(bad))
-
-
-def _violations(w: PlanarWeb) -> list[str]:
-    """Every violated condition of `validate_3web`, each named, in order.
 
     Once every vertex, wall and circle test passes, a face all of whose
     edges are walls is one whole side of the circle, and the dual walk from
@@ -409,7 +378,7 @@ def _violations(w: PlanarWeb) -> list[str]:
                     stack.append(u)
         if seen != rotation.keys():
             bad.append("web is not connected")
-            return bad
+            return tuple(bad)
     table = w.face_table
     if (euler := len(rotation) - len(walls) + len(table.orbits)) != 2:
         bad.append(f"rotation system is not planar: V - E + F = {euler}, not 2")
@@ -419,7 +388,7 @@ def _violations(w: PlanarWeb) -> list[str]:
                 bad.append(f"internal face with {len(orbit)} sides: darts {sorted(orbit)}")
     if not (bad or walked):
         bad.append("web has edges on both sides of the boundary circle")
-    return bad
+    return tuple(bad)
 
 
 class CanonicalWebForm(Value):

@@ -87,19 +87,23 @@ def svg_of_mdiagram(m: MDiagram) -> str:
     return _document(px(hi) + MARGIN, base + MARGIN, body)
 
 
-def _barycentric_layout(w: PlanarWeb) -> dict[int, tuple[float, float]]:
-    """Boundary pinned on a circle, internal vertices relaxed to neighbor means."""
+def _barycentric_layout(
+    w: PlanarWeb, edges: list[tuple[int, int, str]]
+) -> dict[int, tuple[float, float]]:
+    """Boundary pinned on a circle, internal vertices relaxed to neighbor
+    means; edges are w's (tail, head, tag) triples."""
     n = w.n_boundary
     pos: dict[int, tuple[float, float]] = {}
     for k in range(1, n + 1):
         angle = math.pi / 2 + 2 * math.pi * (k - 1) / n
         pos[k] = (math.cos(angle), -math.sin(angle))
     neighbors: dict[int, list[int]] = {v: [] for v in w.rotation}
-    for e in w.edges:
-        if e.tag != BOUNDARY:
-            neighbors[e.tail].append(e.head)
-            neighbors[e.head].append(e.tail)
-    movable = [v for v in sorted(w.rotation) if v > n]
+    for tail, head, tag in edges:
+        if tag != BOUNDARY:
+            neighbors[tail].append(head)
+            neighbors[head].append(tail)
+    # labels outside 1..N, whatever their sign, name internal vertices
+    movable = [v for v in sorted(w.rotation) if not 1 <= v <= n]
     for i, v in enumerate(movable):
         pos[v] = (1e-3 * (i + 1), 1e-3 * (i + 1))
     # a vertex with no web edge has nothing to average and keeps its seed
@@ -115,10 +119,11 @@ def _barycentric_layout(w: PlanarWeb) -> dict[int, tuple[float, float]]:
 
 
 def svg_of_web(w: PlanarWeb) -> str:
+    edges = list(zip(w.origins[0::2], w.origins[1::2], w.tags))
     if w.layout:
         pos = {v: (float(x), float(y)) for v, (x, y) in w.layout.items()}
     else:
-        pos = _barycentric_layout(w)
+        pos = _barycentric_layout(w, edges)
     xs = [p[0] for p in pos.values()]
     ys = [p[1] for p in pos.values()]
     lo_x, hi_x = min(xs), max(xs)
@@ -131,11 +136,11 @@ def svg_of_web(w: PlanarWeb) -> str:
         )
 
     body = []
-    for e in sorted(w.edges, key=lambda e: e.tag != BOUNDARY):
-        (x1, y1), (x2, y2) = px(pos[e.tail]), px(pos[e.head])
-        if e.tag == BOUNDARY:
+    for tail, head, tag in sorted(edges, key=lambda e: e[2] != BOUNDARY):
+        (x1, y1), (x2, y2) = px(pos[tail]), px(pos[head])
+        if tag == BOUNDARY:
             style = 'stroke="#cccccc" stroke-width="1"'
-        elif e.tag == INTERSECTION:
+        elif tag == INTERSECTION:
             style = 'stroke="#c0392b" stroke-width="2" stroke-dasharray="4 3"'
         else:
             style = 'stroke="#000000" stroke-width="1.5"'
@@ -144,12 +149,12 @@ def svg_of_web(w: PlanarWeb) -> str:
             f'y2="{_fmt(y2)}" {style}/>'
         )
     out_degree = {v: 0 for v in w.rotation}
-    for e in w.edges:
-        if e.tag != BOUNDARY:
-            out_degree[e.tail] += 1
+    for tail, _, tag in edges:
+        if tag != BOUNDARY:
+            out_degree[tail] += 1
     for v in sorted(w.rotation):
         x, y = px(pos[v])
-        if v <= w.n_boundary:
+        if 1 <= v <= w.n_boundary:
             body.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="2.5" fill="#000"/>')
             body.append(
                 f'<text x="{_fmt(x)}" y="{_fmt(y + 15)}" font-size="10" '

@@ -11,14 +11,14 @@ Shapes and tableaux are checked where they enter: `Shape(...)`,
 `Tableau(...)`, `Tableau.from_rows`, `from_word` and `from_dict`.  A
 straight word's check is the lattice condition alone, since every
 lattice word encodes a standard tableau; a skew word gets the Shape and
-Tableau checks.  The operators, `slide`, `rectify` and
-`insertion_tableau` build their results standard by construction and do
-not check them again.
+Tableau checks.  The operators, `rectify` and `insertion_tableau` build
+their results standard by construction and do not check them again.
 
 A skew tableau is rectified two ways that share no code: `rectify` by
 jeu-de-taquin slides, and `insertion_tableau` by row-inserting its reading
-word.  The promotion-order suite uses insertion; a unit test checks it
-against the slides.
+word.  The promotion-order suite uses insertion; `rectify` is the
+reference that a unit test checks it against.  No single skew slide is
+public: every slide runs inside `rectify` or a straight-shape operator.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from operator import add, ge, gt, lt, sub
 from random import Random
 
 from ._value import Value
-from .errors import NonLatticeWord, NotACorner, NotRectangular, OutOfRange, WrongShape, _integer
+from .errors import NonLatticeWord, NotRectangular, OutOfRange, WrongShape, _integer
 
 Cell = tuple[int, int]
 
@@ -215,18 +215,6 @@ def _grid(t: Tableau) -> dict[Cell, int]:
     }
 
 
-def _from_grid(grid: dict[Cell, int], inner: list[int]) -> Tableau:
-    """The tableau of grid's cells over inner.
-
-    A bottom row with neither a cell nor an inner cell is dropped.
-    """
-    height = max([r for r, _ in grid] + [r for r, x in enumerate(inner, start=1) if x], default=0)
-    rows: list[list[int]] = [[] for _ in range(height)]
-    for (r, _), v in sorted(grid.items()):
-        rows[r - 1].append(v)
-    return _unchecked(rows, inner)
-
-
 def _slide_out(grid: dict[Cell, int], hole: Cell) -> None:
     """Move the hole right or down into the smaller neighbour until none is left, in place."""
     while True:
@@ -239,21 +227,6 @@ def _slide_out(grid: dict[Cell, int], hole: Cell) -> None:
         nxt = right if bv is None or (rv is not None and rv < bv) else below
         grid[hole] = grid.pop(nxt)
         hole = nxt
-
-
-def slide(t: Tableau, corner: Cell) -> Tableau:
-    """One jeu-de-taquin slide from a removable inner corner."""
-    sh = t.shape
-    r, c = corner
-    if not (1 <= r <= len(sh.inner)) or c != sh.inner_at(r) or c == 0:
-        raise NotACorner(f"({r}, {c}) is not a cell on the inner boundary")
-    if sh.inner_at(r + 1) >= c:
-        raise NotACorner(f"({r}, {c}) has an inner cell below it")
-    grid = _grid(t)
-    _slide_out(grid, corner)
-    inner = list(sh.inner)
-    inner[r - 1] -= 1
-    return _from_grid(grid, inner)
 
 
 def rectify(t: Tableau, rng: Random | None = None) -> Tableau:
@@ -272,7 +245,11 @@ def rectify(t: Tableau, rng: Random | None = None) -> Tableau:
         r = rng.choice(corners) if rng else corners[0]
         _slide_out(grid, (r, inner[r - 1]))
         inner[r - 1] -= 1
-    return _from_grid(grid, inner)
+    # the shape is straight now: rows below the last one holding a cell go
+    rows: list[list[int]] = [[] for _ in range(max([r for r, _ in grid], default=0))]
+    for (r, _), v in sorted(grid.items()):
+        rows[r - 1].append(v)
+    return _unchecked(rows)
 
 
 def insertion_tableau(t: Tableau) -> Tableau:

@@ -80,15 +80,15 @@ def web_of_tableau(t: Tableau) -> PlanarWeb:
     n = _require_3xn(t)
     # position p has abscissa p and label str(p), which messages print as p
     xs = range(1, 3 * n + 1)
-    return _resolve(xs, xs, _ends(t.rows, t.rows[1], 0)).web
+    return _resolve(xs, xs, _ends(t.rows, t.rows[1], 0))[0]
 
 
 def _read_rectangle(w: PlanarWeb, read: Callable[[PlanarWeb], str], what: str) -> Tableau:
     """The tableau of the word read(w) off a checked 3-web; NotAWeb names a
     word that fills no 3-row rectangle as what.format(word)."""
-    report = validate_3web(w)
-    if not report.ok:
-        raise NotAWeb("; ".join(report.violations))
+    violations = validate_3web(w)
+    if violations:
+        raise NotAWeb("; ".join(violations))
     word = read(w)
     t = from_word(word)
     if t.shape.outer != (w.n_boundary // 3,) * 3:

@@ -17,7 +17,14 @@ from webfold.cli import main
 from webfold.matchings import web2_of_tableau
 from webfold.tableaux import from_word
 from webfold.web3 import crossed_mdiagram, mdiagram_of_tableau, web_of_tableau
-from webs import open_circle_web, tripod, twisted_web, two_sided_web, walled_stem_web
+from webs import (
+    low_labels_web,
+    open_circle_web,
+    tripod,
+    twisted_web,
+    two_sided_web,
+    walled_stem_web,
+)
 
 CHAIN_WORD = "111122213132223333"
 CHAIN_FOLD = "112212121133332323"
@@ -553,6 +560,20 @@ def test_render_keeps_an_internal_vertex_without_web_edges(capsys, tmp_path):
     }))
     code, out, _ = run(capsys, "render", "--in", str(src))
     assert code == 0 and out.startswith("<svg")
+
+
+@pytest.mark.parametrize("layout", [False, True], ids=["relaxed", "kept"])
+def test_render_draws_low_labels_as_internal_vertices(capsys, tmp_path, layout):
+    """Internal vertices labeled 0, -1, -2 and -3 are placed and drawn as
+    internal vertices, unlabeled, whether the layout is relaxed or kept."""
+    src = tmp_path / "w.json"
+    src.write_text(json.dumps(low_labels_web(layout)))
+    code, out, err = run(capsys, "render", "--in", str(src))
+    assert (code, err) == (0, "")
+    labels = re.findall(r"<text[^>]*>([^<]*)</text>", out)
+    assert labels == ["1", "2", "3", "4", "5", "6"]
+    assert out.count('r="4"') == 4 and out.count('r="2.5"') == 6
+    assert out.count("<line") == 15
 
 
 def test_bad_worker_count_exits_one(capsys, monkeypatch):

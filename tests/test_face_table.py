@@ -11,8 +11,8 @@ import pytest
 from webfold.errors import UnknownFace
 from webfold.oracle import enumerate_words
 from webfold.planarweb import (
+    ARC,
     BOUNDARY,
-    Edge,
     PlanarWeb,
     boundary_face,
     exterior_face,
@@ -24,16 +24,19 @@ from webfold.web3 import crossed_web, web_of_tableau
 from webs import broken_webs, checked_web, tripod, two_sided_web
 
 
+def edge_list(w):
+    """Each edge i as (tail, head, tag): origins 2i and 2i+1, and tags[i]."""
+    return list(zip(w.origins[0::2], w.origins[1::2], w.tags))
+
+
 def naive_faces(w):
     def next_dart(d):
         t = d ^ 1
-        # the tail of an even dart's edge, the head of an odd one's
-        e = w.edges[t // 2]
-        rot = w.rotation[e.head if t % 2 else e.tail]
+        rot = w.rotation[w.origins[t]]
         return rot[rot.index(t) - 1]
 
     out = []
-    unseen = set(range(2 * len(w.edges)))
+    unseen = set(range(len(w.origins)))
     while unseen:
         d0 = min(unseen)
         orbit = [d0]
@@ -48,7 +51,7 @@ def naive_faces(w):
 
 
 def is_wall(w, d):
-    return w.edges[d // 2].tag == BOUNDARY
+    return w.tags[d // 2] == BOUNDARY
 
 
 def naive_boundary_faces(w, all_faces, ext):
@@ -59,8 +62,8 @@ def naive_boundary_faces(w, all_faces, ext):
     for k in range(n + 1):
         pair = {k, k + 1} if 1 <= k < n else {n, 1}
         found = None
-        for i, e in enumerate(w.edges):
-            if e.tag == BOUNDARY and {e.tail, e.head} == pair:
+        for i, (tail, head, tag) in enumerate(edge_list(w)):
+            if tag == BOUNDARY and {tail, head} == pair:
                 a = next(f for f in all_faces if 2 * i in f)
                 b = next(f for f in all_faces if 2 * i + 1 in f)
                 side = a if a != ext else b
@@ -122,10 +125,11 @@ def check_faces(name, w):
         # a whole circle on a planar map has two sides, and both hold web edges
         n = w.n_boundary
         whole = all(
-            any(e.tag == BOUNDARY and {e.tail, e.head} == {k, k % n + 1} for e in w.edges)
+            any(tag == BOUNDARY and {tail, head} == {k, k % n + 1}
+                for tail, head, tag in edge_list(w))
             for k in range(1, n + 1)
         )
-        planar = len(w.rotation) - len(w.edges) + len(all_faces) == 2
+        planar = len(w.rotation) - len(w.tags) + len(all_faces) == 2
         why = (
             "boundary circle is broken" if not whole
             else "rotation system is not planar" if not planar
@@ -221,8 +225,8 @@ def test_boundary_index_outside_range():
 def test_broken_boundary_circle():
     # the tripod without its boundary edge from 3 back to 1
     edges = (
-        Edge(1, 4), Edge(2, 4), Edge(3, 4),
-        Edge(1, 2, BOUNDARY), Edge(2, 3, BOUNDARY),
+        (1, 4, ARC), (2, 4, ARC), (3, 4, ARC),
+        (1, 2, BOUNDARY), (2, 3, BOUNDARY),
     )
     rotation = {1: (6, 0), 2: (8, 2, 7), 3: (4, 9), 4: (1, 3, 5)}
     w = checked_web(3, edges, rotation)

@@ -201,9 +201,9 @@ def test_family_table_holds_the_oracle_functions():
 UNCHECKED_BUILDERS = {
     "tableaux._unchecked",
     "tableaux.from_word",
-    "tableaux._from_grid",
     "tableaux.restrict_le",
     "tableaux.restrict_gt",
+    "tableaux.rectify",
     "tableaux.insertion_tableau",
     "tableaux._slide_forward",
     "tableaux._slide_back",
@@ -242,6 +242,69 @@ def test_unchecked_construction_stays_where_it_is():
                 if isinstance(node, ast.Call) and name in own:
                     found.add(f"{prefix}.{fn.name}")
     assert found == UNCHECKED_BUILDERS
+
+
+# public functions and classes that no code of the package refers to, each
+# kept for a reason
+UNCALLED = {
+    # the jeu-de-taquin reference that a unit test checks insertion_tableau against
+    "rectify": "tableaux",
+    # the diagram that web_of_tableau resolves without building; a test
+    # checks that both give the same web
+    "mdiagram_of_tableau": "web3",
+    # perfbench/workloads.py imports both
+    "EnumerationFilter": "oracle",
+    "enumerate_tableaux": "oracle",
+    # the operator golden hashes their images
+    "promote_inverse": "tableaux",
+    "promote_bounded": "tableaux",
+    "promote_bounded_inverse": "tableaux",
+}
+
+
+def _names_outside_annotations(node: ast.AST) -> list[str]:
+    """Every name, attribute and identifier-like string in node, outside
+    its annotations.  A string counts, since oracle's _WEB_MAPS names web
+    maps by string; an annotation does not, since it calls nothing."""
+    typed = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = sub.args
+            every = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+            hints = [a.annotation for a in every if a is not None] + [sub.returns]
+        elif isinstance(sub, ast.AnnAssign):
+            hints = [sub.annotation]
+        else:
+            continue
+        typed.update(id(n) for hint in hints if hint is not None for n in ast.walk(hint))
+    names = []
+    for sub in ast.walk(node):
+        if id(sub) in typed:
+            continue
+        if isinstance(sub, ast.Name):
+            names.append(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.append(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) and sub.value.isidentifier():
+            names.append(sub.value)
+    return names
+
+
+def test_every_public_name_is_called():
+    """Every top-level public function and class of the package is named
+    somewhere in the package outside its own definition and annotations,
+    or is listed in UNCALLED; every name listed there exists and is named
+    nowhere, so the table cannot go stale."""
+    defined, named = {}, set()
+    for path in sorted((SRC / "webfold").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            own = None
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                own = node.name
+                defined[own] = path.stem
+            named.update(set(_names_outside_annotations(node)) - {own})
+    uncalled = {name: module for name, module in defined.items() if name not in named}
+    assert uncalled == UNCALLED
 
 
 def test_every_annotation_resolves():

@@ -40,7 +40,7 @@ def test_web_svg_uses_stored_layout_and_fallback():
     stripped = PlanarWeb(w.n_boundary, w.origins, w.tags, w.rotation)
     relaxed = svg_of_web(stripped)
     for svg in (with_layout, relaxed):
-        assert svg.count("<line") == len(w.edges)
+        assert svg.count("<line") == len(w.tags)
         assert svg == svg_of_web(w if svg is with_layout else stripped)
 
 

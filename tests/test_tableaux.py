@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from webfold.errors import (
     NonLatticeWord,
-    NotACorner,
     NotRectangular,
     OutOfRange,
     WrongShape,
@@ -35,44 +34,12 @@ from webfold.tableaux import (
     restrict_gt,
     restrict_le,
     rotate180_complement,
-    slide,
     unfold,
 )
 
 SKEW = Tableau.from_rows(
     [(1, 9), (2, 3, 11, 12), (4, 6, 7, 13), (5, 8, 10, 14)], inner=(3, 1)
 )
-
-
-def test_slide_moves_path_forward():
-    result = slide(SKEW, (2, 1))
-    assert result == Tableau.from_rows(
-        [(1, 9), (2, 3, 7, 11, 12), (4, 6, 10, 13), (5, 8, 14)], inner=(3,)
-    )
-
-
-def test_slide_rejects_straight_shape():
-    t = from_word("1122")
-    with pytest.raises(NotACorner):
-        slide(t, (1, 1))
-
-
-def test_slide_rejects_non_corner():
-    # (1, 1) is inside the inner shape but not removable: (1, 2) and
-    # (2, 1) are both inner cells too.
-    with pytest.raises(NotACorner):
-        slide(SKEW, (1, 1))
-
-
-def test_slide_single_cell():
-    t = Tableau.from_rows([(1,)], inner=(1,))
-    assert slide(t, (1, 1)) == Tableau.from_rows([(1,)])
-
-
-def test_slide_drops_an_emptied_bottom_row():
-    # outer (2, 1) / inner (1, 1): the bottom row holds only an inner cell
-    t = Tableau.from_rows([(1,), ()], inner=(1, 1))
-    assert slide(t, (2, 1)) == Tableau.from_rows([(1,)], inner=(1,))
 
 
 def test_operators_run_no_tableau_checks(monkeypatch):
@@ -86,7 +53,6 @@ def test_operators_run_no_tableau_checks(monkeypatch):
     for rng in (None, random.Random(3)):
         assert rectify(SKEW, rng) == expected
     assert insertion_tableau(SKEW) == expected
-    slide(SKEW, (2, 1))
     for op in (promote, promote_inverse, evacuate, fold, unfold, rotate180_complement):
         op(straight)
     partial_fold(straight, 2)
@@ -147,7 +113,8 @@ def _skew_fillings(outer, inner):
 
 
 def test_slide_and_rectify_results_pass_the_checks():
-    """Every skew filling with outer size <= 9 and at most 6 cells."""
+    """Every skew filling with outer size <= 9 and at most 6 cells, rectified
+    by rectify's slides."""
     count = 0
     for size in range(1, 10):
         for outer in _partitions(size, size):
@@ -158,14 +125,8 @@ def test_slide_and_rectify_results_pass_the_checks():
                 if len(inner) <= len(outer) and all(map(le, inner, outer))
             ]
             for inner in inners:
-                corners = [
-                    (r, x) for r, (x, y) in enumerate(zip(inner, inner[1:] + (0,)), start=1) if x > y
-                ]
                 for rows in _skew_fillings(outer, inner):
-                    t = Tableau.from_rows(rows, inner)
-                    _assert_checked(rectify(t))
-                    for corner in corners:
-                        _assert_checked(slide(t, corner))
+                    _assert_checked(rectify(Tableau.from_rows(rows, inner)))
                     count += 1
     assert count == 7369
 
@@ -486,9 +447,8 @@ def test_from_word_needs_a_string(word):
 
 
 def test_skew_word_needs_inner():
-    t = slide(SKEW, (2, 1))
-    again = from_word(t.word, inner=t.shape.inner)
-    assert again == t
+    again = from_word(SKEW.word, inner=SKEW.shape.inner)
+    assert again == SKEW
 
 
 def test_json_round_trip():

@@ -7,16 +7,17 @@ would be, so their rotation systems are checked.
 from random import Random
 
 from webfold.oracle import _symmetric_words, enumerate_words
-from webfold.planarweb import ARC, BOUNDARY, Edge, PlanarWeb, reflect, rotate
+from webfold.planarweb import ARC, BOUNDARY, PlanarWeb, reflect, rotate
 from webfold.tableaux import fold, from_word
 from webfold.web3 import crossed_web, web_of_tableau
 
 
 def checked_web(n: int, edges, rotation: dict[int, tuple[int, ...]]) -> PlanarWeb:
+    """The web of (tail, head, tag) edge triples and a rotation system."""
     return PlanarWeb.from_dict(
         {
             "n": n,
-            "edges": [{"from": e.tail, "to": e.head, "tag": e.tag} for e in edges],
+            "edges": [{"from": tail, "to": head, "tag": tag} for tail, head, tag in edges],
             "rotation": {str(v): ds for v, ds in rotation.items()},
         }
     )
@@ -24,8 +25,8 @@ def checked_web(n: int, edges, rotation: dict[int, tuple[int, ...]]) -> PlanarWe
 
 def tripod() -> PlanarWeb:
     edges = (
-        Edge(1, 4), Edge(2, 4), Edge(3, 4),
-        Edge(1, 2, BOUNDARY), Edge(2, 3, BOUNDARY), Edge(3, 1, BOUNDARY),
+        (1, 4, ARC), (2, 4, ARC), (3, 4, ARC),
+        (1, 2, BOUNDARY), (2, 3, BOUNDARY), (3, 1, BOUNDARY),
     )
     return checked_web(3, edges, {1: (6, 0, 11), 2: (8, 2, 7), 3: (10, 4, 9), 4: (1, 3, 5)})
 
@@ -81,16 +82,19 @@ def torus_component_web() -> dict:
     return d
 
 
-def low_labels_web() -> dict:
+def low_labels_web(layout: bool = False) -> dict:
     """The JSON form of the web of 112233 with its internal vertices
     7, 8, ... relabeled 0, -1, ...: labels outside 1..N name internal
-    vertices, whatever their sign."""
+    vertices, whatever their sign.  With layout, the resolved web's
+    drawing coordinates are kept and relabeled too."""
     d = web_of_tableau(from_word("112233")).to_dict()
-    del d["layout"]
     relabel = {v: 7 - v if v > 6 else v for v in map(int, d["rotation"])}
     for e in d["edges"]:
         e["from"], e["to"] = relabel[e["from"]], relabel[e["to"]]
-    d["rotation"] = {str(relabel[int(v)]): ds for v, ds in d["rotation"].items()}
+    for key in ("rotation", "layout"):
+        d[key] = {str(relabel[int(v)]): value for v, value in d[key].items()}
+    if not layout:
+        del d["layout"]
     return d
 
 
@@ -100,8 +104,8 @@ def two_sided_web() -> PlanarWeb:
     face is legal and the map is connected and planar, but no face lies
     outside all web edges, so there is no exterior face."""
     edges = (
-        Edge(1, 7), Edge(2, 7), Edge(3, 7), Edge(4, 8), Edge(5, 8), Edge(6, 8),
-        *(Edge(k, k % 6 + 1, BOUNDARY) for k in range(1, 7)),
+        (1, 7, ARC), (2, 7, ARC), (3, 7, ARC), (4, 8, ARC), (5, 8, ARC), (6, 8, ARC),
+        *((k, k % 6 + 1, BOUNDARY) for k in range(1, 7)),
     )
     rotation = {
         1: (0, 12, 23), 2: (2, 14, 13), 3: (4, 16, 15),
