@@ -2,23 +2,25 @@
 
 A diagram keeps its boundary as two tuples indexed by position 1..N:
 `labels`, read only by JSON, SVG and error messages, and the strictly
-increasing abscissas `xs`.  Arcs name their ends by boundary position, as
-web vertices do, and are exact semicircles over those abscissas, so
-crossing positions and all ordering predicates are rational arithmetic.
-Resolving replaces each degree-2 boundary sink with a fed internal sink
-and each crossing with a source/sink pair joined by an intersection edge,
-yielding a planar web together with the one table that arc-set distances
-need, `edge_arcs`: the arcs each edge toggles.  A diagram keeps that pair
-as `MDiagram.resolution`, and the arcs over each inner face of the web as
-`MDiagram.face_arcs`, both built on first use.  An arc is its index in
-`arcs`, and a set of arcs is an int bitmask, bit i for `arcs[i]`.
+increasing abscissas `xs`.  An arc is its (tail, head) pair of boundary
+positions, as web vertices are named, and an exact semicircle over those
+abscissas, so crossing positions and all ordering predicates are rational
+arithmetic.  Resolving replaces each degree-2 boundary sink with a fed
+internal sink and each crossing with a source/sink pair joined by an
+intersection edge, yielding a planar web together with the one table that
+arc-set distances need, `edge_arcs`: the arcs each edge toggles.  A
+diagram keeps that pair as `MDiagram.resolution`, and the arcs over each
+inner face of the web as `MDiagram.face_arcs`, both built on first use.
+Arc i is `ends[i]`, and a set of arcs is an int bitmask, bit i for arc i:
+so are the arcs of the second kind, `MDiagram.second`, and the crossed
+ones, `MDiagram.crossed`.
 
 A diagram is checked where it enters, by `from_dict`, boundary degrees
 included.  `MDiagram(...)`, like `PlanarWeb(...)`, checks nothing: the
 builders in `web3` make their diagrams valid by construction.  The one
-resolver, `_resolve`, reads the arcs as (tail, head) position pairs, so
-`web3` can resolve a tableau's rows without building `Arc`s; it checks the
-degrees again, for diagrams that skip `from_dict`.
+resolver, `_resolve`, reads `ends` as stored, so `web3` can resolve a
+tableau's row pairings without building a diagram; it checks the degrees
+again, for diagrams that skip `from_dict`.
 """
 
 from __future__ import annotations
@@ -35,31 +37,23 @@ FIRST = "first"
 SECOND = "second"
 
 
-class Arc(Value):
-    __slots__ = _fields = ("tail", "head", "kind", "crossed")
-
-    def __init__(self, tail: int, head: int, kind: str = FIRST, crossed: bool = False) -> None:
-        # boundary positions 1..N
-        self.tail = tail
-        self.head = head
-        self.kind = kind
-        self.crossed = crossed
-
-
 class MDiagram(Value):
-    _fields = ("labels", "xs", "arcs")
+    _fields = ("labels", "xs", "ends", "second", "crossed")
 
     def __init__(
-        self, labels: tuple[str, ...], xs: tuple[Fraction | int, ...], arcs: tuple[Arc, ...]
+        self, labels: tuple[str, ...], xs: tuple[Fraction | int, ...],
+        ends: tuple[tuple[int, int], ...], second: int = 0, crossed: int = 0,
     ) -> None:
         self.labels = labels
         self.xs = xs
-        self.arcs = arcs
+        self.ends = ends
+        self.second = second
+        self.crossed = crossed
 
     @cached_property
     def resolution(self) -> tuple[PlanarWeb, tuple[int, ...]]:
         """The resolved web and its arc table `edge_arcs`, built on first use."""
-        return _resolve(self.labels, self.xs, [(a.tail, a.head) for a in self.arcs])
+        return _resolve(self.labels, self.xs, self.ends)
 
     @cached_property
     def face_arcs(self) -> dict[int, int]:
@@ -92,21 +86,24 @@ class MDiagram(Value):
     @cached_property
     def _mirrors(self) -> tuple[int | None, ...]:
         """Per arc index, the index of its mirror arc, or None if it has none."""
+        # p to n + 1 - p, k to k' on a crossed diagram, keeping both bits
         n = len(self.labels)
-        index = {a: i for i, a in enumerate(self.arcs)}
-        return tuple(index.get(mirror_arc(a, n)) for a in self.arcs)
+        keys = [(p, q, self.second >> i & 1, self.crossed >> i & 1)
+                for i, (p, q) in enumerate(self.ends)]
+        index = {key: i for i, key in enumerate(keys)}
+        return tuple(index.get((n + 1 - p, n + 1 - q, s, c)) for p, q, s, c in keys)
 
     def to_dict(self) -> dict:
         return {
             "boundary": [{"label": label, "x": str(x)} for label, x in zip(self.labels, self.xs)],
             "arcs": [
                 {
-                    "tail": self.labels[a.tail - 1],
-                    "head": self.labels[a.head - 1],
-                    "kind": a.kind,
-                    "crossed": a.crossed,
+                    "tail": self.labels[p - 1],
+                    "head": self.labels[q - 1],
+                    "kind": SECOND if self.second >> i & 1 else FIRST,
+                    "crossed": bool(self.crossed >> i & 1),
                 }
-                for a in self.arcs
+                for i, (p, q) in enumerate(self.ends)
             ],
         }
 
@@ -114,7 +111,7 @@ class MDiagram(Value):
     def from_dict(cls, d: dict) -> "MDiagram":
         """The diagram of a JSON form, whose arcs name their ends by label."""
         boundary = [(b["label"], _rational("x", b["x"])) for b in d["boundary"]]
-        ends = [(a["tail"], a["head"], a.get("kind", FIRST), a.get("crossed", False))
+        arcs = [(a["tail"], a["head"], a.get("kind", FIRST), a.get("crossed", False))
                 for a in d["arcs"]]
         labels = tuple(label for label, _ in boundary)
         xs = tuple(x for _, x in boundary)
@@ -126,8 +123,8 @@ class MDiagram(Value):
             raise ValueError("boundary labels must be unique")
         if any(a >= b for a, b in zip(xs, xs[1:])):
             raise ValueError("boundary abscissas must strictly increase")
-        arcs = []
-        for tail, head, kind, crossed in ends:
+        ends, second, crossed = [], 0, 0
+        for i, (tail, head, kind, cross) in enumerate(arcs):
             for what, end in (("tail", tail), ("head", head)):
                 if not isinstance(end, str):
                     raise TypeError(f"{what} must be a string, got {type(end).__name__}")
@@ -137,16 +134,18 @@ class MDiagram(Value):
                 raise ValueError(f"arc ({tail}, {head}) leaves the boundary")
             if kind not in (FIRST, SECOND):
                 raise ValueError(f"arc kind must be {FIRST!r} or {SECOND!r}, got {kind!r}")
-            if not isinstance(crossed, bool):
-                raise TypeError(f"crossed must be a boolean, got {type(crossed).__name__}")
-            arcs.append(Arc(position[tail], position[head], kind, crossed))
+            if not isinstance(cross, bool):
+                raise TypeError(f"crossed must be a boolean, got {type(cross).__name__}")
+            ends.append((position[tail], position[head]))
+            second |= (kind == SECOND) << i
+            crossed |= cross << i
         if not labels:
             raise ValueError("boundary must have at least one vertex")
-        _degree_codes(labels, [(a.tail, a.head) for a in arcs])
-        return cls(labels, xs, tuple(arcs))
+        _degree_codes(labels, ends)
+        return cls(labels, xs, tuple(ends), second, crossed)
 
 
-def _degree_codes(labels: Sequence[str | int], ends: list[tuple[int, int]]) -> list[int]:
+def _degree_codes(labels: Sequence[str | int], ends: Sequence[tuple[int, int]]) -> list[int]:
     """Per boundary position 0..n, its degree code out + big * in, where big
     = len(ends) + 1 is more than any count: a source (1 out, 0 in) has code
     1 and a sink of two arcs (0 out, 2 in) 2 * big.  One set test accepts
@@ -167,7 +166,7 @@ def _degree_codes(labels: Sequence[str | int], ends: list[tuple[int, int]]) -> l
 
 
 def _crossing_pairs(
-    labels: Sequence[str | int], xs: Sequence[Fraction | int], ends: list[tuple[int, int]]
+    labels: Sequence[str | int], xs: Sequence[Fraction | int], ends: Sequence[tuple[int, int]]
 ) -> list[tuple[int, int, int, int]]:
     """Every transversal crossing as (i, j, num, den), i < j: the arcs with
     (tail, head) positions ends[i] and ends[j] cross at x = num / den.
@@ -216,19 +215,19 @@ def _crossing_pairs(
 
 
 def crossings(m: MDiagram) -> tuple[tuple[int, int, Fraction], ...]:
-    """All transversal crossings as (i, j, x), i < j: arcs m.arcs[i] and
-    m.arcs[j] cross at the exact rational abscissa x.
+    """All transversal crossings as (i, j, x), i < j: arcs i and j of m
+    cross at the exact rational abscissa x.
 
     Two semicircles cross iff their endpoint intervals strictly
     interleave; a shared endpoint is a tangency, never a crossing.
     Raises ConcurrentArcs if three arcs pass through one point.
     """
-    found = _crossing_pairs(m.labels, m.xs, [(a.tail, a.head) for a in m.arcs])
+    found = _crossing_pairs(m.labels, m.xs, m.ends)
     return tuple((i, j, Fraction(num, den)) for i, j, num, den in found)
 
 
 def _resolve(
-    labels: Sequence[str | int], xs: Sequence[Fraction | int], ends: list[tuple[int, int]]
+    labels: Sequence[str | int], xs: Sequence[Fraction | int], ends: Sequence[tuple[int, int]]
 ) -> tuple[PlanarWeb, tuple[int, ...]]:
     """The resolution of the diagram over boundary `labels` at abscissas
     `xs` whose arc i runs from position ends[i][0] to ends[i][1], as the
@@ -237,8 +236,8 @@ def _resolve(
     its arc, a sink feed or an intersection the pair it resolves, a
     boundary edge none.
 
-    The one resolver: `MDiagram.resolution` passes its arcs' ends, and
-    `web3.web_of_tableau` the two row pairings, with no `Arc` built and
+    The one resolver: `MDiagram.resolution` passes its `ends`, and
+    `web3.web_of_tableau` the two row pairings, with no diagram built and
     its positions 1..N, a range, as both labels and abscissas, and it
     keeps only the web.  Labels are read only by error messages, which
     print them.  The degrees are checked here as in `from_dict`, since
@@ -335,7 +334,7 @@ def _resolve(
 def _layout(
     xs: Sequence[Fraction | int],
     feeds: dict[int, list[tuple[int, int, int]]],
-    ends: list[tuple[int, int]],
+    ends: Sequence[tuple[int, int]],
     found: list[tuple[int, int, int, int]],
 ) -> dict[int, tuple[Fraction, Fraction]]:
     """Drawing coordinates of a resolved web, numbered as `_resolve` numbers
@@ -401,11 +400,6 @@ def coherent_separators(m: MDiagram, x: int, y: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def mirror_arc(a: Arc, n: int) -> Arc:
-    """The mirror image over n boundary points, p to n + 1 - p: k to k' on a crossed diagram."""
-    return Arc(n + 1 - a.tail, n + 1 - a.head, a.kind, a.crossed)
-
-
 def reflected_face(m: MDiagram, face: int) -> int:
     """The number of the face whose arc set is the mirror image of this one's."""
     above = arcs_above(m, face)
@@ -424,7 +418,7 @@ def reflected_face(m: MDiagram, face: int) -> int:
 def epsilon(m: MDiagram, face: int) -> int:
     """1 if face number `face` is between some vertical pair of crossed arcs."""
     above = arcs_above(m, face)
-    for i, (a, j) in enumerate(zip(m.arcs, m._mirrors)):
-        if a.crossed and j is not None and (above >> i & 1) != (above >> j & 1):
+    for i, j in enumerate(m._mirrors):
+        if m.crossed >> i & 1 and j is not None and (above >> i & 1) != (above >> j & 1):
             return 1
     return 0

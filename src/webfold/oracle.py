@@ -57,7 +57,6 @@ from .tableaux import (
     unfold,
 )
 from .web3 import (
-    crossed_mdiagram,
     crossed_mdiagram_of_decomposition,
     crossed_web,
     decompose_blocks,
@@ -375,9 +374,9 @@ def _check_distance_lemmas(t: Tableau):
     yield from _holds("resolution is a valid web", _violations(web_of_tableau(t)), "", str)
     if not is_rotationally_symmetric(t):
         return
-    d = fold(t)
     yield _VERTICAL_PAIRS
-    m = crossed_mdiagram(d)
+    dec = decompose_blocks(fold(t))
+    m = crossed_mdiagram_of_decomposition(dec)
     yield _COMPLETES
     wx = resolve(m)
     invalid = _holds("crossed resolution is a valid web", _violations(wx), "", str)
@@ -403,7 +402,6 @@ def _check_distance_lemmas(t: Tableau):
     if t.size % 2 == 0:
         # mirror gap distances against the compression web; the identity
         # needs the compression to be a straight rectangle, so even sizes only
-        dec = decompose_blocks(d)
         wc = web_of_tableau(dec.compression)
         half = dec.compression.size
         for k in range(half + 1):

@@ -114,8 +114,9 @@ class PlanarWeb(Value, eq=False):
         `n` is an integer of at least 1, every endpoint and dart is an
         integer, every tag is one of TAGS, and every rotation and layout
         key is an integer written as `str` writes it.  Every dart is
-        listed once, at its own origin, and every boundary vertex is
-        present.  Webs built in the package skip this check.
+        listed once, at its own origin, every boundary vertex is present,
+        and a layout places exactly the vertices of the rotation.  Webs
+        built in the package skip this check.
         """
         n = _integer("n", d["n"])
         if n < 1:
@@ -153,6 +154,10 @@ class PlanarWeb(Value, eq=False):
         for k in range(1, n + 1):
             if k not in rotation:
                 raise ValueError(f"boundary vertex {k} missing")
+        if layout is not None and layout.keys() != rotation.keys():
+            v = min(layout.keys() ^ rotation.keys())
+            what = "missing" if v in rotation else "is not a vertex of the web"
+            raise ValueError(f"layout vertex {v} {what}")
         # a partial rather than a lambda, so that the web still pickles
         return cls(n, origins, tags, rotation, None if layout is None else partial(dict, layout))
 

@@ -11,7 +11,7 @@ import html
 import math
 
 from .matchings import Matching2
-from .mdiagram import FIRST, MDiagram, crossings
+from .mdiagram import MDiagram, crossings
 from .planarweb import BOUNDARY, INTERSECTION, PlanarWeb
 
 SCALE = 40.0
@@ -52,8 +52,8 @@ def svg_of_mdiagram(m: MDiagram) -> str:
     xs = [float(x) for x in m.xs]
     lo, hi = min(xs), max(xs)
     max_r = 0.5
-    for a in m.arcs:
-        max_r = max(max_r, abs(float(m.xs[a.head - 1] - m.xs[a.tail - 1])) / 2)
+    for p, q in m.ends:
+        max_r = max(max_r, abs(float(m.xs[q - 1] - m.xs[p - 1])) / 2)
     base = MARGIN + max_r * SCALE
 
     def px(x: float) -> float:
@@ -63,13 +63,12 @@ def svg_of_mdiagram(m: MDiagram) -> str:
         f'<line x1="{_fmt(px(lo))}" y1="{_fmt(base)}" x2="{_fmt(px(hi))}" '
         f'y2="{_fmt(base)}" stroke="#999" stroke-width="1"/>'
     ]
-    for a in m.arcs:
-        x1, x2 = xs[a.tail - 1], xs[a.head - 1]
-        stroke = "#000000" if a.kind == FIRST else "#1f6fb2"
-        body.append(_semicircle(px(x1), base, px(x2), stroke, a.crossed))
+    for i, (p, q) in enumerate(m.ends):
+        stroke = "#1f6fb2" if m.second >> i & 1 else "#000000"
+        body.append(_semicircle(px(xs[p - 1]), base, px(xs[q - 1]), stroke, m.crossed >> i & 1))
     for i, _, x in crossings(m):
-        a = m.arcs[i]
-        x1, x2 = xs[a.tail - 1], xs[a.head - 1]
+        p, q = m.ends[i]
+        x1, x2 = xs[p - 1], xs[q - 1]
         center, r = (x1 + x2) / 2, abs(x2 - x1) / 2
         x = float(x)
         y = math.sqrt(max(r * r - (x - center) ** 2, 0.0))

@@ -2,14 +2,16 @@
 
 Tableau to web goes through an arc diagram: first arcs match the top
 two rows left to right, second arcs match the bottom two rows right to
-left, and the diagram resolves to a web.  `web_of_tableau` hands the two
-row pairings to the resolver as (tail, head) positions and builds no
-diagram.  Web to tableau reads the word off boundary-face distances.  The
-symmetric variants swap the distance origin for mirror distances and
-rebuild the web from a domino tableau via block decomposition,
-compression, and a reflected diagram whose vertical-pair arcs are crossed
-over the axis.  The decomposition reads the domino tableau once; an odd
-tableau's compression is skew over (1, 1).
+left, and the diagram resolves to a web.  Both diagram builders take the
+arcs' (tail, head) positions from one end-list builder, `_ends`, and
+mark the second kind in a bitmask; `web_of_tableau` hands the same ends
+to the resolver and builds no diagram.  Web to tableau reads the word
+off boundary-face distances.  The symmetric variants swap the distance
+origin for mirror distances and rebuild the web from a domino tableau
+via block decomposition, compression, and a reflected diagram whose
+vertical-pair arcs are crossed over the axis, each pair found by its
+index among the compression's ends.  The decomposition reads the domino
+tableau once; an odd tableau's compression is skew over (1, 1).
 """
 
 from __future__ import annotations
@@ -28,15 +30,7 @@ from .errors import (
     WrongShape,
 )
 from .matchings import _pair
-from .mdiagram import (
-    FIRST,
-    SECOND,
-    Arc,
-    MDiagram,
-    _resolve,
-    mirror_arc,
-    resolve,
-)
+from .mdiagram import MDiagram, _resolve, resolve
 from .planarweb import PlanarWeb, is_symmetrical, validate_3web
 from .tableaux import Tableau, from_word, is_domino
 
@@ -61,18 +55,13 @@ def _ends(
     return [(p + shift, q + shift) for p, q in ends] if shift else ends
 
 
-def _arcs(rows: tuple[tuple[int, ...], ...], low: tuple[int, ...], shift: int) -> list[Arc]:
-    """The arcs of `_ends`, the first len(rows[1]) of them of kind FIRST."""
-    first = len(rows[1])
-    ends = _ends(rows, low, shift)
-    return [Arc(p, q, FIRST if i < first else SECOND) for i, (p, q) in enumerate(ends)]
-
-
 def mdiagram_of_tableau(t: Tableau) -> MDiagram:
     """First arcs from rows 1-2 pointing right, second arcs from rows 2-3 pointing left."""
     n = _require_3xn(t)
     xs = tuple(range(1, 3 * n + 1))
-    return MDiagram(tuple(map(str, xs)), xs, tuple(_arcs(t.rows, t.rows[1], 0)))
+    ends = tuple(_ends(t.rows, t.rows[1], 0))
+    # the last n of the 2n arcs are of the second kind
+    return MDiagram(tuple(map(str, xs)), xs, ends, (1 << 2 * n) - (1 << n))
 
 
 def web_of_tableau(t: Tableau) -> PlanarWeb:
@@ -260,45 +249,53 @@ def crossed_mdiagram_of_decomposition(dec: DominoDecomposition) -> MDiagram:
     n, shift = len(xs), len(xs) - m
     # the lone cell, at label "0", opens a second arc below row 2
     low = (0, *c.rows[1]) if odd else c.rows[1]
-    base = _arcs(c.rows, low, shift)
-    arcs = base + [mirror_arc(a, n) for a in base]
-    by_ends = {(a.tail, a.head): a for a in base}
+    ends = _ends(c.rows, low, shift)
+    # arc i < base of the compression is mirrored by arc i + base; both are
+    # of the second kind from i = first on
+    base, first = len(ends), len(c.rows[1])
+    ends += [(n + 1 - p, n + 1 - q) for p, q in ends]
+    index = {e: i for i, e in enumerate(ends[:base])}
 
     chosen = []
     for k1, k2 in dec.vertical_pairs:
-        arc = by_ends.get((k1 + shift, k2 + shift))
-        if arc is None:
+        i = index.get((k1 + shift, k2 + shift))
+        if i is None:
             raise VerticalPairNotAnArc(
                 f"vertical pair ({k1}, {k2}) is not a directed arc of the compression"
             )
-        chosen.append(arc)
+        chosen.append(i)
 
-    def named(a: Arc) -> str:
-        return f"({labels[a.tail - 1]}, {labels[a.head - 1]})"
+    def named(i: int) -> str:
+        p, q = ends[i]
+        return f"({labels[p - 1]}, {labels[q - 1]})"
 
-    spans = {a: (min(a.tail, a.head), max(a.tail, a.head)) for a in arcs}
-    for arc in chosen:
-        lo, hi = spans[arc]
-        for other in arcs:
-            olo, ohi = spans[other]
-            if other.kind == arc.kind and olo < lo and hi < ohi:
+    spans = [(p, q) if p < q else (q, p) for p, q in ends]
+    for i in chosen:
+        lo, hi = spans[i]
+        for j, (olo, ohi) in enumerate(spans):
+            if (j % base < first) == (i < first) and olo < lo and hi < ohi:
                 raise VerticalPairNotAnArc(
-                    f"{named(arc)} is not maximal: {named(other)} passes above it"
+                    f"{named(i)} is not maximal: {named(j)} passes above it"
                 )
-    for arc, other in combinations(chosen, 2):
-        (a1, b1), (a2, b2) = spans[arc], spans[other]
+    for i, j in combinations(chosen, 2):
+        (a1, b1), (a2, b2) = spans[i], spans[j]
         if a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1:
             raise VerticalPairNotAnArc("vertical pair arcs intersect each other")
 
-    final = []
-    replaced = set()
-    for arc in chosen:
-        replaced.add(arc)
-        replaced.add(mirror_arc(arc, n))
-        final.append(Arc(arc.tail, n + 1 - arc.head, arc.kind, True))
-        final.append(Arc(n + 1 - arc.tail, arc.head, arc.kind, True))
-    final.extend(a for a in arcs if a not in replaced)
-    return MDiagram(labels, xs, tuple(final))
+    # each pair's two crossed arcs, then every arc that no pair replaces;
+    # `kinds` names the compression arc whose kind each of them has
+    final, kinds = [], []
+    for i in chosen:
+        p, q = ends[i]
+        final += [(p, n + 1 - q), (n + 1 - p, q)]
+        kinds += [i, i]
+    replaced = {*chosen, *(i + base for i in chosen)}
+    for i, e in enumerate(ends):
+        if i not in replaced:
+            final.append(e)
+            kinds.append(i % base)
+    second = sum(1 << k for k, i in enumerate(kinds) if i >= first)
+    return MDiagram(labels, xs, tuple(final), second, (1 << 2 * len(chosen)) - 1)
 
 
 def crossed_web(d: Tableau) -> PlanarWeb:

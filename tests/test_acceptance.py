@@ -8,11 +8,12 @@ import functools
 import hashlib
 import json
 import time
+from pathlib import Path
 
 import pytest
 
 from webfold.errors import ConcurrentArcs, UnrecognizedBlock, VerticalPairNotAnArc
-from webfold.mdiagram import Arc, MDiagram, crossings
+from webfold.mdiagram import MDiagram, crossings
 from webfold.oracle import enumerate_words, hook_length_count, verify
 from webfold.planarweb import boundary_face, web_distance
 from webfold.tableaux import fold, from_word, promote_bounded
@@ -180,7 +181,7 @@ def test_criterion_10_error_paths(capfd):
         ("a", "b", "c", "d", "e", "f"),
         (-4, -2, -1, 1, 2, 4),
         # b -> e, c -> f, a -> d
-        (Arc(2, 5), Arc(3, 6), Arc(1, 4)),
+        ((2, 5), (3, 6), (1, 4)),
     )
     with pytest.raises(ConcurrentArcs):
         crossings(concurrent)
@@ -205,3 +206,25 @@ def test_default_reports_are_pinned():
         d = _verified(theorem, max_n)[0].to_dict()
         digests[theorem] = hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
     assert digests == REPORT_SHA256
+
+
+def test_benchmark_sweep_digests_hold():
+    """Every sweep suite in perfbench/spec.json pins its report's digest: a
+    suite run above at that bound must pin its REPORT_SHA256, and any other
+    is run here.  The benchmark hashes the report JSON as above, with an
+    `elapsed` key dropped that the report does not carry."""
+    spec = Path(__file__).resolve().parents[1] / "perfbench" / "spec.json"
+    workloads = json.loads(spec.read_text())["workloads"].values()
+    suites = [suite for w in workloads for suite in w.get("suites", [])]
+    moved = {}
+    for suite in suites:
+        run = (suite["theorem"], suite["max_n"])
+        if run in _SUITE_RUNS:
+            digest = REPORT_SHA256[run[0]]
+        else:
+            report = json.dumps(_verified(*run)[0].to_dict(), sort_keys=True)
+            digest = hashlib.sha256(report.encode()).hexdigest()
+        if digest != suite["digest"]:
+            moved[run] = digest
+    assert suites
+    assert moved == {}

@@ -551,6 +551,24 @@ def test_layout_keys_are_plain_integers(capsys, tmp_path):
     assert err == f"MalformedInput: {src}: ValueError: layout key '+1' must be written '1'\n"
 
 
+@pytest.mark.parametrize(
+    "vertex, message",
+    [("7", "layout vertex 7 missing"), ("99", "layout vertex 99 is not a vertex of the web")],
+    ids=["missing", "extra"],
+)
+def test_layout_places_exactly_the_web_vertices(capsys, tmp_path, vertex, message):
+    """A layout without vertex 7 of the web of 112233, or with a point for
+    a vertex 99 the web lacks, is refused with a message naming it."""
+    web = web_of_tableau(from_word("112233")).to_dict()
+    if web["layout"].pop(vertex, None) is None:
+        web["layout"][vertex] = ["5", "5"]
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(web))
+    code, out, err = run(capsys, "render", "--in", str(src))
+    assert (code, out) == (1, "")
+    assert err == f"MalformedInput: {src}: ValueError: {message}\n"
+
+
 def test_render_keeps_an_internal_vertex_without_web_edges(capsys, tmp_path):
     src = tmp_path / "w.json"
     src.write_text(json.dumps({

@@ -14,7 +14,6 @@ from webfold.errors import ConcurrentArcs, InvalidBoundaryDegrees, UnknownFace
 from webfold.mdiagram import (
     FIRST,
     SECOND,
-    Arc,
     MDiagram,
     _crossing_pairs,
     arc_distance,
@@ -22,7 +21,6 @@ from webfold.mdiagram import (
     coherent_separators,
     crossings,
     epsilon,
-    mirror_arc,
     reflected_face,
     resolve,
 )
@@ -46,10 +44,10 @@ from webs import tripod
 ODD_FOLD = "111232323"
 
 
-def diagram(points, arcs):
+def diagram(points, ends, second=0, crossed=0):
     """The diagram over (label, abscissa) points, unchecked."""
     labels, xs = zip(*points)
-    return MDiagram(labels, tuple(map(F, xs)), arcs)
+    return MDiagram(labels, tuple(map(F, xs)), ends, second, crossed)
 
 
 def bits(mask):
@@ -63,23 +61,27 @@ def bits(mask):
 
 
 def arcs_of(m, mask):
-    """The arcs of bitmask `mask`, bit i for m.arcs[i], in index order."""
-    return tuple(m.arcs[i] for i in bits(mask))
+    """The (tail, head) ends of the arcs of bitmask `mask`, bit i for arc i,
+    in index order."""
+    return tuple(m.ends[i] for i in bits(mask))
 
 
-def arc_fields(a):
-    return (a.tail, a.head, a.kind, a.crossed)
+def arc_fields(m, i):
+    """Arc i of m as (tail, head, kind, crossed), kind FIRST or SECOND."""
+    return (*m.ends[i], SECOND if m.second >> i & 1 else FIRST, bool(m.crossed >> i & 1))
 
 
 def arc_set(m, mask):
     """The arcs of bitmask `mask` as sorted field tuples."""
-    return sorted(map(arc_fields, arcs_of(m, mask)))
+    return sorted(arc_fields(m, i) for i in bits(mask))
 
 
 def tripod_diagram():
     return diagram(
         (("1", 1), ("2", 2), ("3", 3)),
-        (Arc(1, 2, FIRST), Arc(3, 2, SECOND)),
+        # 1 -> 2 of the first kind, 3 -> 2 of the second
+        ((1, 2), (3, 2)),
+        0b10,
     )
 
 
@@ -87,25 +89,19 @@ def hex_diagram():
     # one crossing: (1,4) x (6,3); tangencies at sinks 3 and 4
     return diagram(
         tuple((str(i), i) for i in range(1, 7)),
-        (
-            Arc(1, 4, FIRST),
-            Arc(2, 3, FIRST),
-            Arc(5, 4, SECOND),
-            Arc(6, 3, SECOND),
-        ),
+        # (1, 4) and (2, 3) of the first kind, (5, 4) and (6, 3) of the second
+        ((1, 4), (2, 3), (5, 4), (6, 3)),
+        0b1100,
     )
 
 
 def mirrored_tripods():
     return diagram(
         (("3'", -3), ("2'", -2), ("1'", -1), ("1", 1), ("2", 2), ("3", 3)),
-        (
-            # 1 -> 2, 3 -> 2, 1' -> 2' and 3' -> 2'
-            Arc(4, 5, FIRST),
-            Arc(6, 5, SECOND),
-            Arc(3, 2, FIRST),
-            Arc(1, 2, SECOND),
-        ),
+        # 1 -> 2, 3 -> 2, 1' -> 2' and 3' -> 2', of the first kind out of
+        # 1 and 1' and of the second out of 3 and 3'
+        ((4, 5), (6, 5), (3, 2), (1, 2)),
+        0b1010,
     )
 
 
@@ -118,7 +114,7 @@ def test_resolve_tripod_matches_hand_built_web():
 def test_crossings_exclude_shared_endpoints():
     m = hex_diagram()
     ((i, j, x),) = crossings(m)
-    assert {(m.arcs[i].tail, m.arcs[i].head), (m.arcs[j].tail, m.arcs[j].head)} == {
+    assert {m.ends[i], m.ends[j]} == {
         (1, 4),
         (6, 3),
     }
@@ -138,9 +134,9 @@ def test_arcs_above_boundary_faces():
     m = hex_diagram()
     w = resolve(m)
     assert arcs_above(m, boundary_face(w, 0)) == 0
-    above1 = {(a.tail, a.head) for a in arcs_of(m, arcs_above(m, boundary_face(w, 1)))}
+    above1 = set(arcs_of(m, arcs_above(m, boundary_face(w, 1))))
     assert above1 == {(1, 4)}
-    above4 = {(a.tail, a.head) for a in arcs_of(m, arcs_above(m, boundary_face(w, 4)))}
+    above4 = set(arcs_of(m, arcs_above(m, boundary_face(w, 4))))
     assert above4 == {(5, 4), (6, 3)}
     with pytest.raises(UnknownFace):
         arcs_above(m, exterior_face(w))
@@ -156,7 +152,7 @@ def test_coherent_separators_and_distance_bound():
     assert coherent_separators(m, b0, b3) == frozenset()
     assert web_distance(w, b0, b3) == arc_distance(m, b0, b3) == 2
     cs = coherent_separators(m, b1, b4)
-    named = {frozenset((a.tail, a.head) for a in arcs_of(m, p)) for p in cs}
+    named = {frozenset(arcs_of(m, p)) for p in cs}
     assert named == {
         frozenset({(1, 4), (6, 3)}),
         frozenset({(1, 4), (5, 4)}),
@@ -181,15 +177,16 @@ def test_mirror_labels():
     labels = crossed_mdiagram(from_word(ODD_FOLD)).labels
     mirror = {labels[p - 1]: labels[9 - p] for p in range(1, 10)}
     assert mirror["3"] == "3'" and mirror["3'"] == "3" and mirror["0"] == "0"
-    # 2 -> 1', crossed, on the six points of mirrored_tripods()
-    a = Arc(5, 3, SECOND, crossed=True)
-    assert mirror_arc(a, 6) == Arc(2, 4, SECOND, crossed=True)
+    # 2 -> 1' and 2' -> 1, crossed and of the second kind, on the six
+    # points of mirrored_tripods(), mirror each other
+    points = (("3'", -3), ("2'", -2), ("1'", -1), ("1", 1), ("2", 2), ("3", 3))
+    assert diagram(points, ((5, 3), (2, 4)), 0b11, 0b11)._mirrors == (1, 0)
 
 
 def test_between_vertical_pair_uses_exactly_one_side():
     m = hex_diagram()
     w = resolve(m)
-    a, b = Arc(1, 4, FIRST), Arc(2, 3, FIRST)
+    a, b = (1, 4), (2, 3)
 
     def between(face):
         above = arcs_of(m, arcs_above(m, face))
@@ -203,7 +200,7 @@ def test_concurrent_arcs_detected():
     conc = diagram(
         (("a", -4), ("b", -2), ("c", -1), ("d", 1), ("e", 2), ("f", 4)),
         # b -> e, c -> f, a -> d
-        (Arc(2, 5), Arc(3, 6), Arc(1, 4)),
+        ((2, 5), (3, 6), (1, 4)),
     )
     with pytest.raises(ConcurrentArcs):
         crossings(conc)
@@ -212,7 +209,7 @@ def test_concurrent_arcs_detected():
 def test_bad_boundary_degrees():
     m = diagram(
         (("1", 1), ("2", 2), ("3", 3)),
-        (Arc(1, 2), Arc(2, 3)),
+        ((1, 2), (2, 3)),
     )
     with pytest.raises(InvalidBoundaryDegrees):
         resolve(m)
@@ -222,8 +219,8 @@ def degree_error(m):
     """The message naming the first vertex, in label order, that is neither
     a source (1 out, 0 in) nor a sink (0 out, 2 in); None if there is none."""
     for p, label in enumerate(m.labels, start=1):
-        out = sum(a.tail == p for a in m.arcs)
-        into = sum(a.head == p for a in m.arcs)
+        out = sum(tail == p for tail, _ in m.ends)
+        into = sum(head == p for _, head in m.ends)
         if (out, into) not in {(1, 0), (0, 2)}:
             return f"vertex {label} has {out} outgoing and {into} incoming arcs"
     return None
@@ -238,23 +235,23 @@ def degree_family(rng, count):
         kind = rng.randrange(5)
         if kind == 0:
             n = rng.randint(1, 6)
-            arcs = [Arc(rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(0, 8))]
+            arcs = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(0, 8))]
         else:
             n = rng.choice((3, 6))
             points = rng.sample(range(1, n + 1), n)
             sinks, sources = points[: n // 3], points[n // 3 :]
-            arcs = [Arc(p, sinks[k // 2]) for k, p in enumerate(sources)]
+            arcs = [(p, sinks[k // 2]) for k, p in enumerate(sources)]
             if kind == 1:
                 k = rng.randrange(len(arcs))
-                a, end = arcs[k], rng.randint(1, n)
-                arcs[k] = Arc(end, a.head) if rng.random() < 0.5 else Arc(a.tail, end)
+                (tail, head), end = arcs[k], rng.randint(1, n)
+                arcs[k] = (end, head) if rng.random() < 0.5 else (tail, end)
             elif kind == 2:
-                arcs.append(Arc(rng.randint(1, n), rng.randint(1, n)))
+                arcs.append((rng.randint(1, n), rng.randint(1, n)))
             elif kind == 3:
                 del arcs[rng.randrange(len(arcs))]
             elif rng.random() < 0.5:
                 p = rng.randint(1, n)
-                arcs += [Arc(p, rng.randint(1, n)) for _ in range(rng.choice((3, 4)))]
+                arcs += [(p, rng.randint(1, n)) for _ in range(rng.choice((3, 4)))]
         yield diagram([(chr(ord("a") + k), k + 1) for k in range(n)], tuple(arcs))
 
 
@@ -264,7 +261,7 @@ def test_degree_check_names_the_first_bad_vertex():
     seen = {"bad": 0, "good": 0, "wide": 0}
     for m in degree_family(random.Random(2022), 3000):
         expected = degree_error(m)
-        outs = [sum(a.tail == p for a in m.arcs) for p in range(1, len(m.labels) + 1)]
+        outs = [sum(tail == p for tail, _ in m.ends) for p in range(1, len(m.labels) + 1)]
         seen["wide"] += max(outs) >= 3
         if expected is None:
             seen["good"] += 1
@@ -292,7 +289,7 @@ def test_json_round_trip():
     m = hex_diagram()
     blob = json.dumps(m.to_dict())
     assert MDiagram.from_dict(json.loads(blob)) == m
-    half = diagram((("1", F(1, 2)), ("2", 2), ("3", 3)), (Arc(1, 3), Arc(2, 3)))
+    half = diagram((("1", F(1, 2)), ("2", 2), ("3", 3)), ((1, 3), (2, 3)))
     assert MDiagram.from_dict(json.loads(json.dumps(half.to_dict()))) == half
 
 
@@ -301,7 +298,7 @@ def test_resolution_bookkeeping():
     web, edge_arcs = m.resolution
     # a boundary edge toggles no arc, an arc segment its arc, and each of the
     # 3 pairs that resolve to an edge, two sinks and one crossing, both arcs
-    toggled = [[(a.tail, a.head) for a in arcs_of(m, mask)] for mask in edge_arcs]
+    toggled = [list(arcs_of(m, mask)) for mask in edge_arcs]
     for t, tag in zip(toggled, web.tags):
         assert (len(t) == 0) == (tag == BOUNDARY) and len(t) <= 2
     assert sorted(t for t in toggled if len(t) == 2) == [
@@ -328,7 +325,7 @@ def test_crossing_abscissa_matches_circle_intersection():
     m = diagram(
         (("a", 0), ("b", 1), ("c", 3), ("d", 5)),
         # a -> c, b -> d
-        (Arc(1, 3), Arc(2, 4)),
+        ((1, 3), (2, 4)),
     )
     ((_, _, x),) = crossings(m)
     assert x == F(5, 3)
@@ -347,7 +344,7 @@ def test_resolution_depends_on_boundary_order_not_spacing():
     for name, m in diagrams:
         # strictly increasing, but neither evenly spaced nor integral
         xs = tuple(F(p * p, 3) + F(p % 3, 7) for p in range(1, len(m.xs) + 1))
-        moved = MDiagram(m.labels, xs, m.arcs)
+        moved = MDiagram(m.labels, xs, m.ends, m.second, m.crossed)
         assert canonical(resolve(moved)) == canonical(resolve(m)), name
         assert validate_3web(resolve(moved)) == (), name
 
@@ -356,7 +353,7 @@ def reference_crossings(m):
     """Crossings as Fraction arithmetic computes them: abscissa by the circle
     formula, order by sorted((x, i, j)), concurrency grouped by arc index."""
     x_of = [F(x) for x in m.xs]
-    spans = [sorted((x_of[a.tail - 1], x_of[a.head - 1])) for a in m.arcs]
+    spans = [sorted((x_of[p - 1], x_of[q - 1])) for p, q in m.ends]
     found = []
     for i, (l1, h1) in enumerate(spans):
         for j in range(i + 1, len(spans)):
@@ -369,7 +366,7 @@ def reference_crossings(m):
         per_arc.setdefault(j, []).append(x)
     for i, xs in per_arc.items():
         if len(set(xs)) != len(xs):
-            tail, head = m.labels[m.arcs[i].tail - 1], m.labels[m.arcs[i].head - 1]
+            tail, head = (m.labels[p - 1] for p in m.ends[i])
             raise ConcurrentArcs(f"three arcs meet at one point on ({tail}, {head})")
     return [(i, j, x) for x, i, j in sorted(found)]
 
@@ -406,11 +403,9 @@ def unchecked(payload):
     vertices may have any degrees: crossings do not read them."""
     points = [(b["label"], b["x"]) for b in payload["boundary"]]
     position = {label: p for p, (label, _) in enumerate(points, start=1)}
-    arcs = (
-        Arc(position[a["tail"]], position[a["head"]], a.get("kind", FIRST))
-        for a in payload["arcs"]
-    )
-    return diagram(points, tuple(arcs))
+    ends = tuple((position[a["tail"]], position[a["head"]]) for a in payload["arcs"])
+    second = sum(1 << i for i, a in enumerate(payload["arcs"]) if a.get("kind") == SECOND)
+    return diagram(points, ends, second)
 
 
 SIX = [{"label": str(k), "x": x} for k, x in enumerate(["-4", "-2", "-1", "1", "2", "4"])]
@@ -454,7 +449,7 @@ def test_crossing_order_stays_fast_on_large_diagrams():
     m = MDiagram(
         tuple(map(str, range(len(xs)))),
         tuple(xs),
-        tuple(Arc(p + 1, q + 1) for p, q in zip(order[::2], order[1::2])),
+        tuple((p + 1, q + 1) for p, q in zip(order[::2], order[1::2])),
     )
     start = time.process_time()
     found = crossings(m)
@@ -476,16 +471,16 @@ def test_crossing_order_is_exact_and_fast_on_rational_diagrams():
     m = MDiagram(
         tuple(map(str, range(len(xs)))),
         tuple(xs),
-        tuple(Arc(p + 1, q + 1) for p, q in zip(order[::2], order[1::2])),
+        tuple((p + 1, q + 1) for p, q in zip(order[::2], order[1::2])),
     )
     start = time.process_time()
     found = crossings(m)
     assert time.process_time() - start < 2
     expected = []
-    for i, a in enumerate(m.arcs):
-        l1, h1 = sorted((xs[a.tail - 1], xs[a.head - 1]))
-        for j, b in enumerate(m.arcs[i + 1 :], start=i + 1):
-            l2, h2 = sorted((xs[b.tail - 1], xs[b.head - 1]))
+    for i, (p1, q1) in enumerate(m.ends):
+        l1, h1 = sorted((xs[p1 - 1], xs[q1 - 1]))
+        for j, (p2, q2) in enumerate(m.ends[i + 1 :], start=i + 1):
+            l2, h2 = sorted((xs[p2 - 1], xs[q2 - 1]))
             if l1 < l2 < h1 < h2 or l2 < l1 < h2 < h1:
                 expected.append(((l2 * h2 - l1 * h1) / (l2 + h2 - l1 - h1), i, j))
     expected.sort()
@@ -530,9 +525,9 @@ def test_diagram_json_and_svg_bytes_are_pinned():
     for m in golden_diagrams():
         count += 1
         n = len(m.labels)
-        for a in m.arcs:
-            assert type(a.tail) is int and type(a.head) is int
-            assert 1 <= a.tail <= n and 1 <= a.head <= n
+        for p, q in m.ends:
+            assert type(p) is int and type(q) is int
+            assert 1 <= p <= n and 1 <= q <= n
         blob = json.dumps(m.to_dict(), sort_keys=True)
         assert MDiagram.from_dict(json.loads(blob)) == m
         pinned.update(blob.encode())
@@ -570,7 +565,7 @@ def test_resolutions_are_pinned():
                   if pair.bit_count() == 2]),
             # faces by their darts, in an order that does not depend on the walk
             repr(sorted((sorted(orbits[f]), arc_set(m, s)) for f, s in m.face_arcs.items())),
-            repr([(arc_fields(m.arcs[i]), arc_fields(m.arcs[j]), str(x))
+            repr([(arc_fields(m, i), arc_fields(m, j), str(x))
                   for i, j, x in crossings(m)]),
         ):
             pinned.update(part.encode())
@@ -596,8 +591,7 @@ def test_3x6_resolutions_are_pinned():
     count = most = 0
     for word in islice(enumerate_words((6, 6, 6)), 0, None, 50):
         m = mdiagram_of_tableau(from_word(word))
-        ends = [(a.tail, a.head) for a in m.arcs]
-        (w, edge_arcs), found = m.resolution, _crossing_pairs(m.labels, m.xs, ends)
+        (w, edge_arcs), found = m.resolution, _crossing_pairs(m.labels, m.xs, m.ends)
         pinned.update(
             repr((w.origins, w.tags, list(w.rotation.items()), edge_arcs, found)).encode()
         )
@@ -651,10 +645,13 @@ def test_a_face_without_a_mirror():
 
 def test_epsilon_skips_a_crossed_arc_without_its_mirror():
     def crossed_hex(kind):
-        # (1, 4) and (6, 3) crossed; they mirror each other only if of one kind
+        # (1, 4) and (6, 3) crossed; they mirror each other only if of one
+        # kind, and (1, 4) is of the first
         return diagram(
             tuple((str(i), i) for i in range(1, 7)),
-            (Arc(1, 4, FIRST, True), Arc(2, 3), Arc(5, 4, SECOND), Arc(6, 3, kind, True)),
+            ((1, 4), (2, 3), (5, 4), (6, 3)),
+            0b0100 | (kind == SECOND) << 3,
+            0b1001,
         )
 
     paired, unpaired = crossed_hex(FIRST), crossed_hex(SECOND)
@@ -669,16 +666,22 @@ def test_position_mirror_is_the_label_mirror():
             return label
         return label[:-1] if label.endswith("'") else label + "'"
 
+    # every arc of a crossed diagram has a mirror, another arc, whose ends
+    # carry the mirrored labels and whose kind and crossed flag are its own
+    count = 0
     for t in symmetric_tableaux(6):
         m = crossed_mdiagram(fold(t))
-        n, label = len(m.labels), m.labels
-        for a in m.arcs:
-            b = mirror_arc(a, n)
-            assert (label[b.tail - 1], label[b.head - 1]) == (
-                label_mirror(label[a.tail - 1]),
-                label_mirror(label[a.head - 1]),
+        label, mirrors = m.labels, m._mirrors
+        count += 1
+        for i, j in enumerate(mirrors):
+            assert j is not None and j != i and mirrors[j] == i
+            (p, q), (pj, qj) = m.ends[i], m.ends[j]
+            assert (label[pj - 1], label[qj - 1]) == (
+                label_mirror(label[p - 1]),
+                label_mirror(label[q - 1]),
             )
-            assert (b.kind, b.crossed) == (a.kind, a.crossed)
+            assert arc_fields(m, j)[2:] == arc_fields(m, i)[2:]
+    assert count == 530
 
 
 def vertices(*pairs):

@@ -13,14 +13,13 @@ import pytest
 import webfold
 from webfold._value import Value
 from webfold.matchings import Matching2
-from webfold.mdiagram import FIRST, SECOND, Arc, MDiagram
+from webfold.mdiagram import MDiagram
 from webfold.oracle import EnumerationFilter, Failure, VerificationReport
 from webfold.planarweb import BOUNDARY, CanonicalWebForm, PlanarWeb
 from webfold.tableaux import Shape, Tableau, from_word
 from webfold.web3 import Block, DominoDecomposition
 
 TABLEAU = from_word("112323")
-ARC = Arc(1, 2)
 LABELS, XS = ("1", "b"), (1, Fraction(5, 2))
 WEB = PlanarWeb(2, [1, 2, 2, 1], [BOUNDARY, BOUNDARY], {1: (0, 3), 2: (1, 2)})
 FAILURE = Failure("112233", "lhs = rhs", "a", "b")
@@ -41,13 +40,12 @@ VALUES = [
         (2, ((1, 4), (2, 3))),
         Matching2(2, ((1, 2), (3, 4))),
     ),
-    (ARC, "Arc(tail=1, head=2, kind='first', crossed=False)", (1, 2, FIRST, False), Arc(1, 2, SECOND)),
     (
-        MDiagram(LABELS, XS, (ARC,)),
-        "MDiagram(labels=('1', 'b'), xs=(1, Fraction(5, 2)),"
-        " arcs=(Arc(tail=1, head=2, kind='first', crossed=False),))",
-        (LABELS, XS, (ARC,)),
-        MDiagram(LABELS, (1, 3), (ARC,)),
+        MDiagram(LABELS, XS, ((1, 2),), 1),
+        "MDiagram(labels=('1', 'b'), xs=(1, Fraction(5, 2)), ends=((1, 2),),"
+        " second=1, crossed=0)",
+        (LABELS, XS, ((1, 2),), 1, 0),
+        MDiagram(LABELS, XS, ((1, 2),), 1, 1),
     ),
     (
         CanonicalWebForm((2, ((1, ()),))),
@@ -124,7 +122,7 @@ def test_the_value_classes_are_all_pinned():
                 stack.append(cls)
     pinned = {type(case[0]) for case in VALUES + IDENTITIES}
     assert pinned == found
-    assert len(found) == 12
+    assert len(found) == 11
 
 
 @pytest.mark.parametrize(

@@ -160,7 +160,9 @@ def test_crossed_mdiagram_even():
         "1", "2", "3", "4", "5", "6", "7", "8", "9",
     ]
     label = m.labels
-    crossed = sorted((label[a.tail - 1], label[a.head - 1]) for a in m.arcs if a.crossed)
+    crossed = sorted(
+        (label[p - 1], label[q - 1]) for i, (p, q) in enumerate(m.ends) if m.crossed >> i & 1
+    )
     assert crossed == [("3", "4'"), ("3'", "4"), ("9", "8'"), ("9'", "8")]
     assert len(crossings(m)) == 10
 
@@ -171,7 +173,9 @@ def test_crossed_mdiagram_odd():
         "4'", "3'", "2'", "1'", "0", "1", "2", "3", "4",
     ]
     label = m.labels
-    crossed = sorted((label[a.tail - 1], label[a.head - 1]) for a in m.arcs if a.crossed)
+    crossed = sorted(
+        (label[p - 1], label[q - 1]) for i, (p, q) in enumerate(m.ends) if m.crossed >> i & 1
+    )
     assert crossed == [("2", "0"), ("2'", "0"), ("4", "3'"), ("4'", "3")]
     assert len(crossings(m)) == 3
 
