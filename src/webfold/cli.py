@@ -172,14 +172,20 @@ def _rectangle(text: str) -> tuple[int, int]:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    from .oracle import _FAMILIES, _check_rows, _check_word_limit
+    from .oracle import _FAMILIES, _check_rows, _check_word_limit, enumerate_words
 
     rows, cols = args.shape
     # every word of the shape counts, whatever the filter: a symmetric count
     # of one long rectangle would build a hook per cell
     _check_word_limit([(rows, cols, "all")], f"enumerate --shape {rows}x{cols} would list")
     _check_rows(rows)
-    _emit_lines(args, (w + "\n" for w in _FAMILIES[args.filter]((cols,) * rows)))
+    shape = (cols,) * rows
+    # `all` lists the walk's words as they come and builds no tableau
+    if args.filter == "all":
+        words = enumerate_words(shape)
+    else:
+        words = (w for w, _ in _FAMILIES[args.filter](shape))
+    _emit_lines(args, (w + "\n" for w in words))
     return 0
 
 

@@ -1,12 +1,15 @@
 """Brute-force enumeration and verification drivers.
 
 Enumeration and counting are deliberately independent of the fancier
-constructions in the rest of the package: enumeration works on row-index
-words with a lattice prefix check, and counting uses the hook length
-formula.  `_FAMILIES` maps each tableau family a suite or `enumerate
---filter` names to the generator of one shape's words; the verify
-drivers then cross-check the package's operators and bijections
-instance by instance.
+constructions in the rest of the package: enumeration is one walk over
+row-index words with a lattice prefix check, and counting uses the hook
+length formula.  The walk keeps each row's entries as it places letters,
+so a tableau is built from its rows at each word, standard by
+construction, and no word it generates is decoded again.  `_FAMILIES`
+maps each tableau family a suite or `enumerate --filter` names to the
+generator of one shape's (word, tableau) pairs; the verify sweeps then
+cross-check the package's operators and bijections instance by
+instance, and name each failure by its word.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import os
 from collections.abc import Callable, Iterable, Iterator
 from functools import partial
 from itertools import chain, islice
+from operator import lt
 
 from ._value import Value
 from .errors import BoundTooLarge, InvalidWorkerCount, NotRectangular, UnknownTheorem
@@ -43,9 +47,9 @@ from .tableaux import (
     PREDICATES,
     Shape,
     Tableau,
+    _unchecked,
     evacuate,
     fold,
-    from_word,
     insertion_tableau,
     is_domino,
     is_rotationally_symmetric,
@@ -86,9 +90,16 @@ def enumerate_words(shape: tuple[int, ...]) -> Iterator[str]:
     return _lattice_prefixes(shape, sum(shape))
 
 
-def _lattice_prefixes(shape: tuple[int, ...], length: int) -> Iterator[str]:
+def _lattice_prefixes(
+    shape: tuple[int, ...], length: int, entries: list[list[int]] | None = None
+) -> Iterator[str]:
     """The lattice words of `length` letters whose row counts fit in shape,
-    in lexicographic order; at length sum(shape), the words of shape."""
+    in lexicographic order; at length sum(shape), the words of shape.
+
+    Given `entries`, one empty list per row, the walk keeps in entries[r]
+    the positions of letter r + 1 in its current word: while a word is
+    yielded they are its tableau's rows, until the walk moves on.
+    """
     rows = len(shape)
     counts = [0] * rows
     word: list[str] = []
@@ -108,23 +119,44 @@ def _lattice_prefixes(shape: tuple[int, ...], length: int) -> Iterator[str]:
             nxt[-1] = r + 1
             counts[r] += 1
             word.append(_LETTERS[r])
+            if entries is not None:
+                entries[r].append(len(word))
             nxt.append(0)
         else:
             nxt.pop()
             if nxt:
-                counts[nxt[-1] - 1] -= 1
+                r = nxt[-1] - 1
+                counts[r] -= 1
                 word.pop()
+                if entries is not None:
+                    entries[r].pop()
 
 
-def _symmetric_words(shape: tuple[int, ...]) -> Iterator[str]:
-    """Yield the words of the rotationally symmetric tableaux of a rectangle,
-    in lexicographic order.
+# one instance of a family: a word and its tableau
+_Instance = tuple[str, Tableau]
+
+
+def _lattice_tableaux(shape: tuple[int, ...]) -> Iterator[_Instance]:
+    """Yield (word, tableau) of every standard tableau of a straight shape,
+    in word order; each tableau is the walk's rows, standard by construction."""
+    _check_rows(len(shape))
+    entries: list[list[int]] = [[] for _ in shape]
+    full = Shape(shape)
+    for word in _lattice_prefixes(shape, sum(shape), entries):
+        yield word, _unchecked(entries, shape=full)
+
+
+def _symmetric_tableaux(shape: tuple[int, ...]) -> Iterator[_Instance]:
+    """Yield (word, tableau) of the rotationally symmetric tableaux of a
+    rectangle, in word order.
 
     rotate180_complement sends entry i of row r to entry N+1-i of row R+1-r,
-    so T is symmetric iff its word has w[N+1-i] = R+1-w[i].  Each such word
-    is a lattice prefix of length ceil(N/2) completed by that rule; for odd
-    N the middle letter must be its own mirror.  A completion is kept if
-    the whole word is lattice and has the rectangle's row counts.
+    so T is symmetric iff row r holds N+1-i for each entry i <= N/2 of row
+    R+1-r, and its word has w[N+1-i] = R+1-w[i].  Each such T completes the
+    rows of a lattice prefix of length ceil(N/2) by that rule; for odd N the
+    middle entry must lie in the middle row.  Entries 1..N then fill the
+    rows in increasing order, so a completion is kept, standard, if every
+    row has the rectangle's length and every column increases.
     """
     rows = len(shape)
     _check_rows(rows)
@@ -132,35 +164,44 @@ def _symmetric_words(shape: tuple[int, ...]) -> Iterator[str]:
         raise NotRectangular("rotate-complement needs a rectangular shape")
     total = sum(shape)
     half = total // 2
+    top = total + 1
+    cols = shape[0] if shape else 0
     letters = _LETTERS[:rows]
     mirror = str.maketrans(letters, letters[::-1])
-    for prefix in _lattice_prefixes(shape, total - half):
+    entries: list[list[int]] = [[] for _ in shape]
+    full = Shape(shape)
+    for prefix in _lattice_prefixes(shape, total - half, entries):
         if prefix[half:] != prefix[half:].translate(mirror):
             continue
-        word = prefix + prefix[:half][::-1].translate(mirror)
-        counts = [total] + [0] * rows
-        for r in map(letters.index, word):
-            counts[r + 1] += 1
-            if counts[r + 1] > counts[r]:
-                break
-        else:
-            if counts[1:] == list(shape):
-                yield word
+        # for odd N the middle entry, half + 1, is its own mirror
+        done = [
+            row + [top - i for i in reversed(other) if i <= half]
+            for row, other in zip(entries, entries[::-1])
+        ]
+        if all(len(row) == cols for row in done) and all(
+            all(map(lt, upper, lower)) for upper, lower in zip(done, done[1:])
+        ):
+            yield prefix + prefix[:half][::-1].translate(mirror), _unchecked(done, shape=full)
 
 
-def _domino_words(shape: tuple[int, ...]) -> Iterator[str]:
-    """Yield the words of the domino tableaux of shape, in lexicographic order."""
-    for word in enumerate_words(shape):
-        if is_domino(from_word(word)):
-            yield word
+def _symmetric_words(shape: tuple[int, ...]) -> Iterator[str]:
+    """The words of the rotationally symmetric tableaux of a rectangle, in order."""
+    return (word for word, _ in _symmetric_tableaux(shape))
 
 
-# the words of one shape in each family `enumerate --filter` and the suites
-# name; the values are the functions themselves, which tracers swap by identity
-_FAMILIES: dict[str, Callable[[tuple[int, ...]], Iterator[str]]] = {
-    "all": enumerate_words,
-    "rotationally-symmetric": _symmetric_words,
-    "domino": _domino_words,
+def _domino_tableaux(shape: tuple[int, ...]) -> Iterator[_Instance]:
+    """Yield (word, tableau) of the domino tableaux of shape, in word order;
+    the walk visits every word of the shape to keep them."""
+    return (pair for pair in _lattice_tableaux(shape) if is_domino(pair[1]))
+
+
+# the (word, tableau) pairs of one shape in each family `enumerate --filter`
+# and the suites name; the values are the functions themselves, which
+# tracers swap by identity
+_FAMILIES: dict[str, Callable[[tuple[int, ...]], Iterator[_Instance]]] = {
+    "all": _lattice_tableaux,
+    "rotationally-symmetric": _symmetric_tableaux,
+    "domino": _domino_tableaux,
 }
 
 
@@ -205,7 +246,8 @@ class EnumerationFilter(Value):
 
 def enumerate_tableaux(filt: EnumerationFilter) -> Iterator[Tableau]:
     """All standard tableaux of the filter's shape in its family, in word order."""
-    yield from map(from_word, _FAMILIES[filt.predicate](filt.shape.outer))
+    for _, t in _FAMILIES[filt.predicate](filt.shape.outer):
+        yield t
 
 
 class Failure(Value):
@@ -428,12 +470,14 @@ def _check_block_patterns(t: Tableau):
     crossed_mdiagram_of_decomposition(dec)
 
 
-def _failures(check: Callable[[Tableau], Iterable], word: str) -> list[Failure]:
-    """Every failure of one instance; an exception ends it as one more failure."""
+def _failures(check: Callable[[Tableau], Iterable], instance: _Instance) -> list[Failure]:
+    """Every failure of one (word, tableau) instance, each named by the word;
+    an exception ends it as one more failure."""
+    word, t = instance
     failures: list[Failure] = []
     step = _COMPLETES
     try:
-        for found in check(from_word(word)):
+        for found in check(t):
             if isinstance(found, str):
                 step = found
             else:
@@ -478,7 +522,7 @@ def _check_word_limit(rectangles: Iterable[tuple[int, int, str]], what: str) -> 
     holds more than _MAX_LETTERS letters.  A taller rectangle that long
     holds too many words, or too many rows for `_check_rows`.  The
     rotationally symmetric family counts its own words, by their closed
-    form; the others count every word, which they all decode.
+    form; the others count every word, which they all walk.
     """
     total = 0
     for rows, cols, family in rectangles:
@@ -516,18 +560,19 @@ def worker_count() -> int:
 
 
 def _checked(
-    check: Callable[[str], list[Failure]], words: Iterator[str], workers: int
+    check: Callable[[_Instance], list[Failure]], instances: Iterator[_Instance], workers: int
 ) -> Iterator[list[Failure]]:
-    """check(word) of each word in turn, over a pool of `workers` processes
-    if there is more than one; serially, each word is read as it is checked."""
+    """check(instance) of each instance in turn, over a pool of `workers`
+    processes if there is more than one; serially, each instance is read as
+    it is checked."""
     if workers == 1:
-        yield from map(check, words)
+        yield from map(check, instances)
         return
     # loaded here, so a serial sweep never imports multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(check, words, chunksize=64)
+        yield from pool.map(check, instances, chunksize=64)
 
 
 def verify(theorem_id: str, max_n: int | None = None) -> VerificationReport:
@@ -536,11 +581,13 @@ def verify(theorem_id: str, max_n: int | None = None) -> VerificationReport:
     The suite's entry in `_SUITES` gives its default bound and families,
     and one walk over their rectangles n = 1..max_n (3-row n capped where
     the entry says) counts them against the word limit, raising
-    BoundTooLarge before any word is listed; a second streams their words
-    to the checks, and no list of them is built.  An instance that raises
-    is reported as a failure naming the exception class.  The report
-    depends on the arguments alone.  Set WEBFOLD_WORKERS to fan instances
-    out over that many processes, at most one per CPU.
+    BoundTooLarge before any word is listed; a second streams their
+    (word, tableau) pairs to the checks, and no list of them is built.
+    Each check gets the tableau the walk built, and its failures are
+    named by the walk's word.  An instance that raises is reported as a
+    failure naming the exception class.  The report depends on the
+    arguments alone.  Set WEBFOLD_WORKERS to fan the pairs out over that
+    many processes, at most one per CPU.
     """
     if theorem_id not in _SUITES:
         raise UnknownTheorem(
@@ -557,10 +604,10 @@ def verify(theorem_id: str, max_n: int | None = None) -> VerificationReport:
                 yield rows, n, family
 
     _check_word_limit(rectangles(), f"{theorem_id} up to n={bound} would sweep")
-    words = (w for rows, n, family in rectangles() for w in _FAMILIES[family]((n,) * rows))
+    pairs = (p for rows, n, family in rectangles() for p in _FAMILIES[family]((n,) * rows))
     failures: list[Failure] = []
     instances = 0
-    for found in _checked(partial(_failures, check_one), words, worker_count()):
+    for found in _checked(partial(_failures, check_one), pairs, worker_count()):
         instances += 1
         failures.extend(found)
     failures.sort(key=lambda f: (f.word, f.identity))

@@ -448,16 +448,18 @@ def unfold(d: Tableau) -> Tableau:
     return _slide_back(d, range(2 + d.size % 2, d.size + 1, 2))
 
 
-def _rotated_complement_rows(t: Tableau) -> tuple[tuple[int, ...], ...]:
+def _require_rectangle(t: Tableau) -> None:
     if not t.shape.is_rectangular:
         raise NotRectangular("rotate-complement needs a rectangular shape")
-    n = t.size
-    return tuple(tuple(n + 1 - v for v in reversed(row)) for row in reversed(t.rows))
 
 
 def rotate180_complement(t: Tableau) -> Tableau:
     """Rotate the rectangle by 180 degrees and complement every entry."""
-    return _unchecked(_rotated_complement_rows(t), shape=t.shape)
+    _require_rectangle(t)
+    top = t.size + 1
+    return _unchecked(
+        [[top - v for v in reversed(row)] for row in reversed(t.rows)], shape=t.shape
+    )
 
 
 # the tableau predicates `enumerate --filter` and the sweeps select by name
@@ -465,8 +467,21 @@ PREDICATES = ("all", "rotationally-symmetric", "domino")
 
 
 def is_rotationally_symmetric(t: Tableau) -> bool:
-    """Whether rotate180_complement(t) == t; a non-rectangle raises NotRectangular."""
-    return t.rows == _rotated_complement_rows(t)
+    """Whether rotate180_complement(t) == t; a non-rectangle raises NotRectangular.
+
+    Row r must be the rotated complement of row R+1-r, a relation both rows
+    share, so each row of the top half is compared with its mirror row, up
+    to the first that differs.  When those match, the entries they hold are
+    closed under v -> N+1-v, and so are those a middle row of odd R holds:
+    it is its own rotated complement.
+    """
+    _require_rectangle(t)
+    rows = t.rows
+    top = t.size + 1
+    for r in range(len(rows) // 2):
+        if rows[r] != tuple([top - v for v in reversed(rows[~r])]):
+            return False
+    return True
 
 
 def is_domino(t: Tableau) -> bool:

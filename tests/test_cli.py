@@ -228,28 +228,41 @@ def test_diagram_with_bad_degrees_is_refused(capsys, tmp_path):
 
 @pytest.mark.parametrize("to_file", [False, True])
 def test_enumerate_writes_each_word_as_it_is_listed(capsys, monkeypatch, tmp_path, to_file):
+    words = ("112233", "112323", "121233")
+
     def three_then_fail(shape):
-        yield from ("112233", "112323", "121233")
+        yield from words
         raise ValueError("enumeration broke")
 
-    monkeypatch.setitem(oracle._FAMILIES, "all", three_then_fail)
-    argv = ["enumerate", "--shape", "3x2"]
-    dest = tmp_path / "words.txt"
-    if to_file:
-        argv += ["--out", str(dest)]
-    code, out, err = run(capsys, *argv)
-    written = dest.read_text() if to_file else out
-    assert code == 1 and err == "ValueError: enumeration broke\n"
-    assert written == "112233\n112323\n121233\n"
+    def three_pairs_then_fail(shape):
+        yield from ((w, from_word(w)) for w in words)
+        raise ValueError("enumeration broke")
+
+    # `--filter all` lists enumerate_words, the walk's bare words; the other
+    # filters list the words of their family's (word, tableau) pairs
+    monkeypatch.setattr(oracle, "enumerate_words", three_then_fail)
+    monkeypatch.setitem(oracle._FAMILIES, "domino", three_pairs_then_fail)
+    for family in ("all", "domino"):
+        argv = ["enumerate", "--shape", "3x2", "--filter", family]
+        dest = tmp_path / f"{family}.txt"
+        if to_file:
+            argv += ["--out", str(dest)]
+        code, out, err = run(capsys, *argv)
+        written = dest.read_text() if to_file else out
+        assert code == 1 and err == "ValueError: enumeration broke\n"
+        assert written == "112233\n112323\n121233\n"
 
 
 def test_enumerate_checks_the_word_limit_before_listing(monkeypatch):
     def no_enumeration(shape):
         raise AssertionError(f"enumerated {shape}")
 
-    monkeypatch.setitem(oracle._FAMILIES, "all", no_enumeration)
-    with pytest.raises(AssertionError, match="enumerated"):
-        main(["enumerate", "--shape", "3x7"])
+    monkeypatch.setattr(oracle, "enumerate_words", no_enumeration)
+    for family in oracle._FAMILIES:
+        monkeypatch.setitem(oracle._FAMILIES, family, no_enumeration)
+    for family in oracle._FAMILIES:
+        with pytest.raises(AssertionError, match="enumerated"):
+            main(["enumerate", "--shape", "3x7", "--filter", family])
 
 
 @pytest.mark.parametrize("word", ["\u0660", "\u0661\u0662\u0663", "\u00b2", "1\u0662", "12a", "0"])

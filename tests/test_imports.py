@@ -184,15 +184,21 @@ def test_readme_names_resolve():
 
 
 def test_family_table_holds_the_oracle_functions():
-    """Each word family is the oracle function of the same name, since the
-    perfbench tracer swaps module attributes and dict values by identity
-    and so still counts sweep enumeration; its names are the predicates
-    that `enumerate --filter` offers and its help prints."""
+    """Each family is the oracle function of the same name, since the
+    perfbench tracer swaps module attributes and dict values by identity;
+    its names are the predicates that `enumerate --filter` offers and its
+    help prints.  Each yields (word, tableau) pairs whose tableau has that
+    word."""
     from webfold import oracle
-    from webfold.tableaux import PREDICATES
+    from webfold.tableaux import PREDICATES, Tableau
 
-    for family, words in oracle._FAMILIES.items():
-        assert getattr(oracle, words.__name__) is words, family
+    for family, pairs in oracle._FAMILIES.items():
+        assert getattr(oracle, pairs.__name__) is pairs, family
+        listed = list(pairs((3, 3, 3)))
+        assert listed, family
+        for word, t in listed:
+            assert type(word) is str and type(t) is Tableau, family
+            assert t.word == word, family
     assert tuple(oracle._FAMILIES) == PREDICATES
 
 
@@ -208,6 +214,9 @@ UNCHECKED_BUILDERS = {
     "tableaux._slide_forward",
     "tableaux._slide_back",
     "tableaux.rotate180_complement",
+    # the lattice walk's rows, standard by construction
+    "oracle._lattice_tableaux",
+    "oracle._symmetric_tableaux",
     "mdiagram.MDiagram.from_dict",
     "web3.mdiagram_of_tableau",
     "web3.crossed_mdiagram_of_decomposition",

@@ -101,6 +101,58 @@ def test_symmetric_counts_match_the_closed_form():
     assert {key: counts[key] for key in pinned} == pinned
 
 
+# every rectangle up to 3-row n <= 5, 2-row n <= 8 and 4-row n <= 3, with
+# 5x2, 1x7 and 7x1
+RECTANGLES = [
+    (n,) * rows for rows, top in ((3, 5), (2, 8), (4, 3)) for n in range(1, top + 1)
+] + [(2,) * 5, (7,), (1,) * 7]
+
+
+def test_families_pair_each_word_with_its_decoded_tableau():
+    """Each family lists the words of the full walk that its predicate keeps,
+    in the walk's order, and pairs each with the tableau from_word decodes."""
+    keep = {
+        "all": lambda t: True,
+        "rotationally-symmetric": is_rotationally_symmetric,
+        "domino": tableaux.is_domino,
+    }
+    assert set(keep) == set(oracle._FAMILIES)
+    for shape in RECTANGLES:
+        decoded = [from_word(w) for w in enumerate_words(shape)]
+        for family, pairs in oracle._FAMILIES.items():
+            listed = list(pairs(shape))
+            assert [w for w, _ in listed] == [t.word for t in decoded if keep[family](t)]
+            for word, t in listed:
+                expected = from_word(word)
+                assert (t.rows, t.shape) == (expected.rows, expected.shape), (family, word)
+
+
+def test_sweeps_decode_no_word(monkeypatch):
+    """A sweep checks the tableaux its walk builds: with from_word raising
+    everywhere but web3, whose read-back decodes the word it reads off a
+    web, these reports are the ones pinned before the walk built tableaux
+    (6,580, 532, 110, 40 and 48 instances, all passing)."""
+    monkeypatch.delenv("WEBFOLD_WORKERS", raising=False)
+
+    def no_decoding(word, inner=()):
+        raise AssertionError(f"decoded {word}")
+
+    for module in (oracle, tableaux):
+        monkeypatch.setattr(module, "from_word", no_decoding, raising=False)
+    reports = [
+        verify(theorem, bound).to_dict()
+        for theorem, bound in (
+            ("fold-domino", 5),
+            ("promotion-order", 4),
+            ("block-patterns", 5),
+            ("thm-fw1", 4),
+            ("roundtrip-3web", 3),
+        )
+    ]
+    digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+    assert digest == "5ab801d97dc17dff751cd027462635bb3a93a21623dcaf0b4059376cfa21b4ec"
+
+
 def test_filter_validation():
     with pytest.raises(ValueError):
         EnumerationFilter(Shape((2, 2)), "palindromic")
@@ -264,14 +316,14 @@ def test_verify_refuses_a_bound_past_the_word_limit(monkeypatch):
 
 
 def test_a_serial_sweep_checks_each_word_as_it_is_listed(monkeypatch):
-    """verify builds no list of words: each reaches its check before the
-    next is listed, so a family that fails after three words has had three
-    instances checked."""
+    """verify builds no list of instances: each (word, tableau) reaches its
+    check before the next is listed, so a family that fails after three
+    instances has had three checked."""
     monkeypatch.delenv("WEBFOLD_WORKERS", raising=False)
     checked = []
 
     def three_words(shape):
-        yield from ("123", "112233", "121323")
+        yield from ((w, from_word(w)) for w in ("123", "112233", "121323"))
         raise RuntimeError("listed past the third word")
 
     def roundtrip(t):

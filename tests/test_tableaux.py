@@ -310,6 +310,12 @@ def test_evacuate_is_rotate_complement():
 def test_rotate_complement_fixed_points():
     assert is_rotationally_symmetric(Tableau.from_rows([(1, 3, 4, 7), (2, 5, 6, 8)]))
     assert is_rotationally_symmetric(Tableau.from_rows([(1, 2), (3, 4)]))
+    # the row-by-row test agrees with the rotated tableau, middle rows included
+    for rows, top in ((1, 4), (2, 6), (3, 4), (4, 3), (5, 2)):
+        for n in range(1, top + 1):
+            for word in enumerate_words((n,) * rows):
+                t = from_word(word)
+                assert is_rotationally_symmetric(t) == (rotate180_complement(t) == t), word
 
 
 def test_rotate_complement_involution():
@@ -322,6 +328,8 @@ def test_rotate_complement_needs_rectangle():
     t = from_word("11212")
     with pytest.raises(NotRectangular):
         rotate180_complement(t)
+    with pytest.raises(NotRectangular):
+        is_rotationally_symmetric(t)
 
 
 def test_symmetric_iff_domino_fold():
