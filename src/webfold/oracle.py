@@ -184,11 +184,6 @@ def _symmetric_tableaux(shape: tuple[int, ...]) -> Iterator[_Instance]:
             yield prefix + prefix[:half][::-1].translate(mirror), _unchecked(done, shape=full)
 
 
-def _symmetric_words(shape: tuple[int, ...]) -> Iterator[str]:
-    """The words of the rotationally symmetric tableaux of a rectangle, in order."""
-    return (word for word, _ in _symmetric_tableaux(shape))
-
-
 def _domino_tableaux(shape: tuple[int, ...]) -> Iterator[_Instance]:
     """Yield (word, tableau) of the domino tableaux of shape, in word order;
     the walk visits every word of the shape to keep them."""

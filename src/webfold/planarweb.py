@@ -501,7 +501,3 @@ def reflect(w: PlanarWeb) -> PlanarWeb:
     r = PlanarWeb(n, origins, w.tags, rotation)
     r._walls = w._walls
     return r
-
-
-def is_symmetrical(w: PlanarWeb) -> bool:
-    return canonical(reflect(w)) == canonical(w)

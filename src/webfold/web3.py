@@ -6,12 +6,13 @@ left, and the diagram resolves to a web.  Both diagram builders take the
 arcs' (tail, head) positions from one end-list builder, `_ends`, and
 mark the second kind in a bitmask; `web_of_tableau` hands the same ends
 to the resolver and builds no diagram.  Web to tableau reads the word
-off boundary-face distances.  The symmetric variants swap the distance
-origin for mirror distances and rebuild the web from a domino tableau
-via block decomposition, compression, and a reflected diagram whose
-vertical-pair arcs are crossed over the axis, each pair found by its
-index among the compression's ends.  The decomposition reads the domino
-tableau once; an odd tableau's compression is skew over (1, 1).
+off boundary-face distances.  The symmetric variants read mirror
+distances off a web whose distance word is its own reverse with 1 and 3
+swapped, and rebuild the web from a domino tableau via block
+decomposition, compression, and a reflected diagram whose vertical-pair
+arcs are crossed over the axis, each pair found by its index among the
+compression's ends.  The decomposition reads the domino tableau once; an
+odd tableau's compression is skew over (1, 1).
 """
 
 from __future__ import annotations
@@ -31,11 +32,12 @@ from .errors import (
 )
 from .matchings import _pair
 from .mdiagram import MDiagram, _resolve, resolve
-from .planarweb import PlanarWeb, is_symmetrical, validate_3web
+from .planarweb import PlanarWeb, validate_3web
 from .tableaux import Tableau, from_word, is_domino
 
 _PHI = {-1: "1", 0: "2", 1: "3"}
 _LAMBDA = {-2: "11", -1: "12", 0: "22", 1: "23", 2: "33"}
+_MIRROR = str.maketrans("123", "321")
 
 
 def _require_3xn(t: Tableau) -> int:
@@ -100,12 +102,15 @@ def _distance_word(w: PlanarWeb) -> str:
 
 
 def domino_of_symmetric_web(w: PlanarWeb) -> Tableau:
-    """Read the word from mirror distances h_j = webdist(B_j, B_(N-j))."""
+    """Read the word from mirror distances h_j = webdist(B_j, B_(N-j)) of a symmetric web."""
     return _read_rectangle(w, _mirror_word, "mirror distance word")
 
 
 def _mirror_word(w: PlanarWeb) -> str:
-    if not is_symmetrical(w):
+    """NotSymmetrical unless the distance word u is its own evacuation,
+    u[N+1-i] = 4 - u[i] for every i, as reflecting a web evacuates its tableau."""
+    word = _distance_word(w)
+    if word != word[::-1].translate(_MIRROR):
         raise NotSymmetrical("web differs from its mirror image")
     n = w.n_boundary
     half = n // 2

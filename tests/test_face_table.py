@@ -236,6 +236,19 @@ def test_broken_boundary_circle():
             lookup()
 
 
+def test_gap_in_a_circle_with_an_exterior_is_named():
+    # a circle of walls 1 -> 3 -> 2 -> 4 -> 1: both sides are all walls, so
+    # the first is the exterior, but 1 and 2, and 3 and 4, share no wall
+    edges = ((1, 3, BOUNDARY), (3, 2, BOUNDARY), (2, 4, BOUNDARY), (4, 1, BOUNDARY))
+    w = checked_web(4, edges, {1: (0, 7), 3: (1, 2), 2: (3, 4), 4: (5, 6)})
+    check_faces("crossed circle", w)
+    assert exterior_face(w) == 0
+    for k, pair in ((1, r"\[1, 2\]"), (3, r"\[3, 4\]")):
+        with pytest.raises(UnknownFace, match=f"^no boundary edge between {pair}$"):
+            boundary_face(w, k)
+    assert [boundary_face(w, k) for k in (0, 2, 4)] == [1, 1, 1]
+
+
 def test_two_sided_web_has_no_exterior_face():
     # the circle is whole, but web edges lie on both of its sides
     w = two_sided_web()

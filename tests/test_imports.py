@@ -125,25 +125,34 @@ def test_no_module_imports_dataclasses_or_runs_generated_code():
                 assert getattr(node.func, "id", None) not in ("exec", "eval"), path.name
 
 
-def test_perfbench_names_resolve():
-    """Every name perfbench imports from webfold exists, and every name it
-    traces is a function defined in the module it is listed under."""
+def perfbench_imports(script: str) -> list[tuple[str, str]]:
+    """The (module, name) pairs a perfbench script imports from webfold, read by AST."""
     imported = []
-    for script in ("workloads.py", "cli_entry.py"):
-        tree = ast.parse((PERFBENCH / script).read_text())
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("webfold."):
-                imported += [(node.module, alias.name) for alias in node.names]
-    assert len(imported) > 20
-    for module, name in imported:
-        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+    for node in ast.walk(ast.parse((PERFBENCH / script).read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("webfold."):
+            imported += [(node.module, alias.name) for alias in node.names]
+    return imported
 
+
+def perfbench_layers() -> dict[str, tuple[str, ...]]:
+    """perfbench/tracing.py's LAYERS, the functions it wraps per module, read by AST."""
     tree = ast.parse((PERFBENCH / "tracing.py").read_text())
     (layers,) = [
         node.value for node in tree.body
         if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "LAYERS"
     ]
-    traced = ast.literal_eval(layers)
+    return ast.literal_eval(layers)
+
+
+def test_perfbench_names_resolve():
+    """Every name perfbench imports from webfold exists, and every name it
+    traces is a function defined in the module it is listed under."""
+    imported = perfbench_imports("workloads.py") + perfbench_imports("cli_entry.py")
+    assert len(imported) > 20
+    for module, name in imported:
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+    traced = perfbench_layers()
     assert "mdiagram" in traced and "web3" in traced
     for module, names in traced.items():
         mod = importlib.import_module(f"webfold.{module}")
@@ -254,21 +263,41 @@ def test_unchecked_construction_stays_where_it_is():
 
 
 # public functions and classes that no code of the package refers to, each
-# kept for a reason
+# with its module and its keeper: "workloads", perfbench/workloads.py imports
+# it; "tracing", perfbench/tracing.py's LAYERS wraps it; "operator golden",
+# test_tableaux.py's operator golden hashes its images, until a second,
+# slide-free implementation checks it or it goes
 UNCALLED = {
     # the jeu-de-taquin reference that a unit test checks insertion_tableau against
-    "rectify": "tableaux",
+    "rectify": ("tableaux", "tracing"),
     # the diagram that web_of_tableau resolves without building; a test
     # checks that both give the same web
-    "mdiagram_of_tableau": "web3",
-    # perfbench/workloads.py imports both
-    "EnumerationFilter": "oracle",
-    "enumerate_tableaux": "oracle",
-    # the operator golden hashes their images
-    "promote_inverse": "tableaux",
-    "promote_bounded": "tableaux",
-    "promote_bounded_inverse": "tableaux",
+    "mdiagram_of_tableau": ("web3", "tracing"),
+    "EnumerationFilter": ("oracle", "workloads"),
+    "enumerate_tableaux": ("oracle", "workloads"),
+    "promote_inverse": ("tableaux", "operator golden"),
+    "promote_bounded": ("tableaux", "operator golden"),
+    "promote_bounded_inverse": ("tableaux", "operator golden"),
 }
+
+
+def test_uncalled_names_have_their_keepers():
+    """Each UNCALLED name is still held by the keeper its entry names, so
+    that when a keeper lets go, the entry that can leave is named."""
+    imported = perfbench_imports("workloads.py")
+    traced = perfbench_layers()
+    golden = next(
+        node for node in ast.parse((Path(__file__).parent / "test_tableaux.py").read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name == "test_operator_golden"
+    )
+    hashed = {node.id for node in ast.walk(golden) if isinstance(node, ast.Name)}
+    for name, (module, keeper) in UNCALLED.items():
+        held = {
+            "workloads": (f"webfold.{module}", name) in imported,
+            "tracing": name in traced.get(module, ()),
+            "operator golden": name in hashed,
+        }[keeper]
+        assert held, f"{module}.{name} is no longer held by {keeper}"
 
 
 def _names_outside_annotations(node: ast.AST) -> list[str]:
@@ -313,7 +342,7 @@ def test_every_public_name_is_called():
                 defined[own] = path.stem
             named.update(set(_names_outside_annotations(node)) - {own})
     uncalled = {name: module for name, module in defined.items() if name not in named}
-    assert uncalled == UNCALLED
+    assert uncalled == {name: module for name, (module, _) in UNCALLED.items()}
 
 
 def test_every_annotation_resolves():

@@ -1,6 +1,5 @@
 import pytest
 
-from webfold import oracle
 from webfold.errors import NotSymmetrical, WrongShape
 from webfold.matchings import (
     Matching2,
@@ -21,6 +20,7 @@ from webfold.tableaux import (
     promote,
 )
 from webfold.web3 import decompose_blocks
+from reference import symmetric_words
 
 SELF_EVAC = Tableau.from_rows([(1, 3, 4, 7), (2, 5, 6, 8)])
 
@@ -128,7 +128,7 @@ def test_fold2_needs_symmetry():
 def test_folding_commutes_with_web():
     checked = 0
     for n in range(1, 7):
-        for word in oracle._symmetric_words((n, n)):
+        for word in symmetric_words((n, n)):
             t = from_word(word)
             assert fold2(web2_of_tableau(t)) == web2_of_tableau(fold(t))
             checked += 1
@@ -163,7 +163,7 @@ def test_pair_merge_equals_the_set_matching():
             rows = from_word(word).rows
             sequences += zip(rows, rows[1:])
     for n in (1, 3, 5, 7):
-        for word in oracle._symmetric_words((n, n, n)):
+        for word in symmetric_words((n, n, n)):
             rows = decompose_blocks(fold(from_word(word))).compression.rows
             sequences += [(rows[0], rows[1]), ((0, *rows[1]), rows[2])]
     # 2,055 2-row and 6,516 3-row tableaux, 1,127 compressions

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from webfold import oracle
 from webfold.errors import ConcurrentArcs, InvalidBoundaryDegrees, UnknownFace
 from webfold.mdiagram import (
     FIRST,
@@ -32,13 +31,13 @@ from webfold.planarweb import (
     canonical,
     exterior_face,
     faces,
-    is_symmetrical,
     validate_3web,
     web_distance,
 )
 from webfold.render import svg_of_mdiagram
 from webfold.tableaux import fold, from_word, is_rotationally_symmetric
 from webfold.web3 import crossed_mdiagram, mdiagram_of_tableau
+from reference import is_symmetrical, symmetric_words
 from webs import tripod
 
 ODD_FOLD = "111232323"
@@ -496,7 +495,7 @@ def symmetric_tableaux(max_n):
     """The rotationally symmetric 3-row tableaux with n <= max_n, in word
     order; test_oracle checks this generator against the filtered walk."""
     for n in range(1, max_n + 1):
-        for word in oracle._symmetric_words((n, n, n)):
+        for word in symmetric_words((n, n, n)):
             yield from_word(word)
 
 

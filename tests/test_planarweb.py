@@ -12,13 +12,13 @@ from webfold.planarweb import (
     canonical,
     exterior_face,
     faces,
-    is_symmetrical,
     reflect,
     rotate,
     validate_3web,
     web_distance,
 )
 from webfold.web3 import tableau_of_web
+from reference import is_symmetrical
 from webs import (
     broken_webs,
     checked_web,

@@ -13,7 +13,7 @@ from webfold.errors import (
     OutOfRange,
     WrongShape,
 )
-from webfold.oracle import _symmetric_words, enumerate_words
+from webfold.oracle import enumerate_words
 from webfold.tableaux import (
     Shape,
     Tableau,
@@ -36,6 +36,7 @@ from webfold.tableaux import (
     rotate180_complement,
     unfold,
 )
+from reference import symmetric_words
 
 SKEW = Tableau.from_rows(
     [(1, 9), (2, 3, 11, 12), (4, 6, 7, 13), (5, 8, 10, 14)], inner=(3, 1)
@@ -383,7 +384,7 @@ def test_promotion_folding_lemma():
 
 def test_promotion_folding_symmetric_lemma():
     checked = 0
-    for word in _symmetric_words((4, 4)):
+    for word in symmetric_words((4, 4)):
         t = from_word(word)
         checked += 1
         folded = fold(t)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from functools import cached_property
 
 import pytest
@@ -13,7 +14,7 @@ from webfold.errors import (
     VerticalPairNotAnArc,
     WrongShape,
 )
-from webfold import mdiagram, oracle
+from webfold import mdiagram
 from webfold.mdiagram import crossings, resolve
 from webfold.oracle import enumerate_words
 from webfold.planarweb import (
@@ -23,7 +24,6 @@ from webfold.planarweb import (
     PlanarWeb,
     boundary_face,
     canonical,
-    is_symmetrical,
     reflect,
     rotate,
     validate_3web,
@@ -33,6 +33,7 @@ from webfold.tableaux import evacuate, fold, from_word, is_rotationally_symmetri
 from webfold.web3 import (
     DominoDecomposition,
     _classify_block,
+    _read_rectangle,
     _LAMBDA,
     _PHI,
     crossed_mdiagram,
@@ -44,7 +45,8 @@ from webfold.web3 import (
     tableau_of_web,
     web_of_tableau,
 )
-from webs import checked_web, two_sided_web
+from reference import is_symmetrical, mirror_word, symmetric_words
+from webs import broken_webs, checked_web, golden_webs, two_sided_web
 
 # 3x6 running example: a symmetric tableau, its folded domino tableau,
 # and the sha256 of the canonical form of its web.
@@ -143,7 +145,7 @@ def test_decompositions_are_pinned():
     count = 0
     # test_oracle checks this generator against the filtered walk of all words
     for n in range(1, 7):
-        for word in oracle._symmetric_words((n, n, n)):
+        for word in symmetric_words((n, n, n)):
             dec = decompose_blocks(fold(from_word(word)))
             pinned.update(repr((dec.blocks, dec.vertical_pairs, dec.compression)).encode())
             diagram = crossed_mdiagram_of_decomposition(dec).to_dict()
@@ -185,6 +187,40 @@ def test_crossed_web_equals_web_of_unfolded():
     assert canonical(crossed_web(d)) == canonical(web_of_tableau(unfold(d)))
     d = from_word(ODD_FOLD)
     assert canonical(crossed_web(d)) == canonical(web_of_tableau(unfold(d)))
+
+
+def test_crossed_webs_are_their_own_mirror_images():
+    """The web thm-fw2 compares with web_of_tableau(T) is symmetric, so that
+    suite still checks that the web of a symmetric T is: every crossed web
+    of a symmetric 3-row word with n <= 6."""
+    count = 0
+    for n in range(1, 7):
+        for word in symmetric_words((n, n, n)):
+            assert is_symmetrical(crossed_web(fold(from_word(word)))), word
+            count += 1
+    assert count == 530
+
+
+def outcome(read, w):
+    """What read(w) gives: ("tableau", T), or the class and message it raises."""
+    try:
+        return "tableau", read(w)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_symmetry_from_the_distance_word_matches_the_canonical_reference():
+    """domino_of_symmetric_web, which reads symmetry off the web's distance
+    word, gives the tableau or the error that a reader deciding symmetry by
+    canonical form gives, on every golden and broken web."""
+    webs = [*golden_webs(), *(w for _, w in broken_webs())]
+    kinds = Counter()
+    for w in webs:
+        want = outcome(lambda w: _read_rectangle(w, mirror_word, "mirror distance word"), w)
+        assert outcome(domino_of_symmetric_web, w) == want, w.to_dict()
+        kinds[want[0]] += 1
+    assert len(webs) == 2150 + 2036
+    assert kinds == {"tableau": 309, "NotSymmetrical": 2302, "NotAWeb": 1575}
 
 
 def test_small_exhaustive_roundtrip_and_symmetry():

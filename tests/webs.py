@@ -6,10 +6,11 @@ would be, so their rotation systems are checked.
 
 from random import Random
 
-from webfold.oracle import _symmetric_words, enumerate_words
+from webfold.oracle import enumerate_words
 from webfold.planarweb import ARC, BOUNDARY, PlanarWeb, reflect, rotate
 from webfold.tableaux import fold, from_word
 from webfold.web3 import crossed_web, web_of_tableau
+from reference import symmetric_words
 
 
 def checked_web(n: int, edges, rotation: dict[int, tuple[int, ...]]) -> PlanarWeb:
@@ -125,7 +126,7 @@ def golden_webs():
             w = web_of_tableau(from_word(word))
             yield from (w, rotate(w), reflect(w), PlanarWeb.from_dict(w.to_dict()))
     for n in range(1, 6):
-        for word in _symmetric_words((n, n, n)):
+        for word in symmetric_words((n, n, n)):
             yield crossed_web(fold(from_word(word)))
 
 
