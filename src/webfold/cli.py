@@ -3,9 +3,12 @@
 Exit codes: 0 on success, 1 on a domain error (the message names the
 error class) or a failed verification, 2 on usage errors.
 
-Each command imports the modules it runs when it runs, so one call loads
-only what it uses: `op` loads nothing past `tableaux`, and `render` is
-loaded only for SVG output.
+`op`, `web2` and `web3` read their object through one reader, `_read`
+(an inline `--word` or an `--in` JSON file), and `web2` and `web3` write a
+drawing through one writer, `_emit_drawing` (JSON, or SVG under `--format
+svg`).  Each command imports the modules it runs when it runs, so one call
+loads only what it uses: `op` loads nothing past `tableaux`, and `render`
+loads only for SVG output.
 """
 
 from __future__ import annotations
@@ -36,28 +39,27 @@ OPERATORS = {
 }
 
 
-def _read_json(path: str) -> dict:
+def _read_object(parse, path: str):
+    """parse() of the JSON file at path; JSON nested too deeply or a payload
+    of the wrong shape is MalformedInput."""
     with open(path) as f:
         try:
-            return json.load(f)
+            data = json.load(f)
         except RecursionError:
             raise MalformedInput(f"{path}: JSON nested too deeply") from None
-
-
-def _read_object(parse, path: str):
-    """parse() of the JSON file at path; a payload of the wrong shape is MalformedInput."""
-    data = _read_json(path)
     try:
         return parse(data)
     except (TypeError, KeyError, ValueError, AttributeError, IndexError, ArithmeticError) as exc:
         raise MalformedInput(f"{path}: {type(exc).__name__}: {exc}") from None
 
 
-def _read_tableau(args: argparse.Namespace) -> tuple[Tableau, bool]:
-    """The input tableau plus whether it arrived as an inline word."""
-    if args.word is not None:
-        return from_word(args.word), True
-    return _read_object(Tableau.from_dict, args.infile), False
+def _read(args: argparse.Namespace, parse, build=None):
+    """The --in file read by parse, or the --word tableau, passed through
+    build when the command wants a web."""
+    if args.word is None:
+        return _read_object(parse, args.infile)
+    t = from_word(args.word)
+    return t if build is None else build(t)
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -77,19 +79,29 @@ def _dumps(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _add_tableau_source(p: argparse.ArgumentParser) -> None:
+def _emit_drawing(args: argparse.Namespace, obj, svg: str) -> None:
+    """obj as JSON, or under --format svg as the `render` function named svg draws it."""
+    if args.format == "svg":
+        from . import render
+
+        _emit(args, getattr(render, svg)(obj))
+    else:
+        _emit(args, _dumps(obj.to_dict()))
+
+
+def _add_source(
+    p: argparse.ArgumentParser, in_help: str, word_help: str = "inline row-index word"
+) -> None:
+    """The exclusive --word/--in source of op, web2 and web3, and their --out."""
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--word", help="inline row-index word")
-    src.add_argument("--in", dest="infile", help="tableau JSON file")
+    src.add_argument("--word", help=word_help)
+    src.add_argument("--in", dest="infile", help=in_help)
+    p.add_argument("--out")
 
 
 def _cmd_op(args: argparse.Namespace) -> int:
-    t, inline = _read_tableau(args)
-    result = OPERATORS[args.apply](t)
-    if inline:
-        _emit(args, result.word + "\n")
-    else:
-        _emit(args, _dumps(result.to_dict()))
+    result = OPERATORS[args.apply](_read(args, Tableau.from_dict))
+    _emit(args, result.word + "\n" if args.word is not None else _dumps(result.to_dict()))
     return 0
 
 
@@ -97,22 +109,14 @@ def _cmd_web2(args: argparse.Namespace) -> int:
     from .matchings import Matching2, fold2, tableau_of_web2, web2_of_tableau
 
     if args.action == "from-tableau":
-        m = web2_of_tableau(_read_tableau(args)[0])
+        m = web2_of_tableau(_read(args, Tableau.from_dict))
     else:
-        if args.word is not None:
-            m = web2_of_tableau(from_word(args.word))
-        else:
-            m = _read_object(Matching2.from_dict, args.infile)
+        m = _read(args, Matching2.from_dict, web2_of_tableau)
         if args.action == "to-tableau":
             _emit(args, tableau_of_web2(m).word + "\n")
             return 0
         m = fold2(m)
-    if args.format == "svg":
-        from .render import svg_of_matching2
-
-        _emit(args, svg_of_matching2(m))
-    else:
-        _emit(args, _dumps(m.to_dict()))
+    _emit_drawing(args, m, "svg_of_matching2")
     return 0
 
 
@@ -121,23 +125,12 @@ def _cmd_web3(args: argparse.Namespace) -> int:
     from .web3 import crossed_web, domino_of_symmetric_web, tableau_of_web, web_of_tableau
 
     if args.action in ("from-tableau", "crossed"):
-        t, _ = _read_tableau(args)
-        w = web_of_tableau(t) if args.action == "from-tableau" else crossed_web(t)
-        if args.format == "svg":
-            from .render import svg_of_web
-
-            _emit(args, svg_of_web(w))
-        else:
-            _emit(args, _dumps(w.to_dict()))
-        return 0
-    if args.word is not None:
-        w = web_of_tableau(from_word(args.word))
+        build = web_of_tableau if args.action == "from-tableau" else crossed_web
+        _emit_drawing(args, build(_read(args, Tableau.from_dict)), "svg_of_web")
     else:
-        w = _read_object(PlanarWeb.from_dict, args.infile)
-    if args.action == "to-tableau":
-        _emit(args, tableau_of_web(w).word + "\n")
-    else:
-        _emit(args, domino_of_symmetric_web(w).word + "\n")
+        w = _read(args, PlanarWeb.from_dict, web_of_tableau)
+        read_back = tableau_of_web if args.action == "to-tableau" else domino_of_symmetric_web
+        _emit(args, read_back(w).word + "\n")
     return 0
 
 
@@ -180,8 +173,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     _check_word_limit([(rows, cols, "all")], f"enumerate --shape {rows}x{cols} would list")
     _check_rows(rows)
     shape = (cols,) * rows
-    # `all` lists the walk's words as they come and builds no tableau
-    if args.filter == "all":
+    # `all` lists the walk's words as they come and builds no tableau; so does
+    # one row, whose one tableau 1..N every family keeps
+    if args.filter == "all" or rows == 1:
         words = enumerate_words(shape)
     else:
         words = (w for w, _ in _FAMILIES[args.filter](shape))
@@ -210,27 +204,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("op", help="apply a tableau operator")
     p.add_argument("--apply", required=True, choices=sorted(OPERATORS))
-    _add_tableau_source(p)
-    p.add_argument("--out")
+    _add_source(p, "tableau JSON file")
     p.set_defaults(func=_cmd_op)
 
     p = sub.add_parser("web2", help="two-row tableaux and noncrossing matchings")
     p.add_argument("action", choices=["from-tableau", "to-tableau", "fold"])
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--word", help="inline row-index word (from-tableau)")
-    src.add_argument("--in", dest="infile", help="tableau or matching JSON file")
-    p.add_argument("--out")
+    _add_source(p, "tableau or matching JSON file", "inline row-index word (from-tableau)")
     p.add_argument("--format", choices=["json", "svg"], default="json")
     p.set_defaults(func=_cmd_web2)
 
     p = sub.add_parser("web3", help="three-row tableaux, webs, domino tableaux")
-    p.add_argument(
-        "action", choices=["from-tableau", "to-tableau", "to-domino", "crossed"]
-    )
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--word", help="inline row-index word")
-    src.add_argument("--in", dest="infile", help="tableau or web JSON file")
-    p.add_argument("--out")
+    p.add_argument("action", choices=["from-tableau", "to-tableau", "to-domino", "crossed"])
+    _add_source(p, "tableau or web JSON file")
     p.add_argument("--format", choices=["json", "svg"], default="json")
     p.set_defaults(func=_cmd_web3)
 

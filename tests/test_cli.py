@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import re
@@ -84,6 +85,58 @@ def test_inline_words_where_json_also_works(capsys):
     assert (code, out) == (0, CHAIN_WORD + "\n")
 
 
+def test_every_source_and_format_prints_what_the_library_computes(capsys, tmp_path):
+    """op, web2 and web3, from --word and from --in, under --format json and
+    svg: 38 calls, each compared with the library's own answer."""
+    from webfold.matchings import fold2, tableau_of_web2
+    from webfold.render import svg_of_matching2, svg_of_web
+    from webfold.web3 import crossed_web, domino_of_symmetric_web, tableau_of_web
+
+    def dumps(obj):
+        return json.dumps(obj.to_dict(), indent=2, sort_keys=True) + "\n"
+
+    files = itertools.count()
+
+    def saved(obj):
+        path = tmp_path / f"in{next(files)}.json"
+        path.write_text(dumps(obj))
+        return str(path)
+
+    calls = []
+    t = from_word("112323")
+    for name, operator in cli.OPERATORS.items():
+        result = operator(t)
+        calls.append((["op", "--apply", name, "--word", t.word], result.word + "\n"))
+        calls.append((["op", "--apply", name, "--in", saved(t)], dumps(result)))
+
+    two, sym2 = from_word("12112212"), from_word("11212122")
+    three, sym3 = from_word("112323"), from_word("112233")
+    m2, s2 = web2_of_tableau(two), web2_of_tableau(sym2)
+    w3, s3 = web_of_tableau(three), web_of_tableau(sym3)
+    # (command, action, tableau given by --word, object given by --in, answer, drawing)
+    drawn = [
+        ("web2", "from-tableau", two, two, m2, svg_of_matching2),
+        ("web2", "to-tableau", two, m2, tableau_of_web2(m2), None),
+        ("web2", "fold", sym2, s2, fold2(s2), svg_of_matching2),
+        ("web3", "from-tableau", three, three, w3, svg_of_web),
+        ("web3", "crossed", three, three, crossed_web(three), svg_of_web),
+        ("web3", "to-tableau", three, w3, tableau_of_web(w3), None),
+        ("web3", "to-domino", sym3, s3, domino_of_symmetric_web(s3), None),
+    ]
+    for command, action, tableau, obj, answer, draw in drawn:
+        for source in (["--word", tableau.word], ["--in", saved(obj)]):
+            for fmt in ("json", "svg"):
+                if draw is None:
+                    expected = answer.word + "\n"
+                else:
+                    expected = dumps(answer) if fmt == "json" else draw(answer)
+                calls.append(([command, action, *source, "--format", fmt], expected))
+
+    assert len(calls) == 38
+    for argv, expected in calls:
+        assert run(capsys, *argv) == (0, expected, ""), argv
+
+
 def test_enumerate(capsys):
     code, out, _ = run(capsys, "enumerate", "--shape", "2x3", "--filter", "all")
     assert code == 0
@@ -144,9 +197,27 @@ def test_domain_errors_exit_one(capsys):
     assert code == 1
 
 
-def test_enumerate_long_and_tall_single_lines(capsys):
-    code, out, _ = run(capsys, "enumerate", "--shape", "1x2000")
-    assert (code, out) == (0, "1" * 2000 + "\n")
+def test_skew_word_that_fills_no_tableau_is_refused(capsys, tmp_path):
+    src = tmp_path / "skew.json"
+    src.write_text(json.dumps({"outer": [2, 2], "inner": [1], "word": "221"}))
+    code, out, err = run(capsys, "op", "--apply", "promote", "--in", str(src))
+    assert (code, out) == (1, "")
+    assert err == (
+        "NonLatticeWord: word does not encode a standard tableau: columns must strictly increase\n"
+    )
+
+
+def test_enumerate_long_and_tall_single_lines(capsys, monkeypatch):
+    # one row has one tableau, which every family keeps: each filter lists
+    # the bare word and builds no row of entries
+    def no_family(shape):
+        raise AssertionError(f"built the family of {shape}")
+
+    for family in oracle._FAMILIES:
+        monkeypatch.setitem(oracle._FAMILIES, family, no_family)
+    for family in oracle._FAMILIES:
+        code, out, _ = run(capsys, "enumerate", "--shape", "1x2000", "--filter", family)
+        assert (code, out) == (0, "1" * 2000 + "\n")
     # refused before the billion-entry shape tuple is built
     code, out, err = run(capsys, "enumerate", "--shape", "1000000000x1")
     assert (code, out) == (1, "")

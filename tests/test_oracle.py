@@ -100,6 +100,11 @@ def test_symmetric_counts_match_the_closed_form():
             counts[rows, n] = sum(1 for _ in symmetric_words((n,) * rows))
             assert counts[rows, n] == _self_evacuating_count(rows, n), (rows, n)
     assert {key: counts[key] for key in pinned} == pinned
+    # domino tableaux of a rectangle are as many as its self-evacuating ones
+    for rows, top in ((2, 10), (3, 5), (4, 3), (5, 3)):
+        for n in range(1, top + 1):
+            dominoes = sum(1 for _ in oracle._FAMILIES["domino"]((n,) * rows))
+            assert dominoes == _self_evacuating_count(rows, n), (rows, n)
 
 
 # every rectangle up to 3-row n <= 5, 2-row n <= 8 and 4-row n <= 3, with
