@@ -89,12 +89,10 @@ def _emit_drawing(args: argparse.Namespace, obj, svg: str) -> None:
         _emit(args, _dumps(obj.to_dict()))
 
 
-def _add_source(
-    p: argparse.ArgumentParser, in_help: str, word_help: str = "inline row-index word"
-) -> None:
+def _add_source(p: argparse.ArgumentParser, in_help: str) -> None:
     """The exclusive --word/--in source of op, web2 and web3, and their --out."""
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--word", help=word_help)
+    src.add_argument("--word", help="inline row-index word")
     src.add_argument("--in", dest="infile", help=in_help)
     p.add_argument("--out")
 
@@ -178,7 +176,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.filter == "all" or rows == 1:
         words = enumerate_words(shape)
     else:
-        words = (w for w, _ in _FAMILIES[args.filter](shape))
+        words = (t.word for t in _FAMILIES[args.filter](shape))
     _emit_lines(args, (w + "\n" for w in words))
     return 0
 
@@ -209,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("web2", help="two-row tableaux and noncrossing matchings")
     p.add_argument("action", choices=["from-tableau", "to-tableau", "fold"])
-    _add_source(p, "tableau or matching JSON file", "inline row-index word (from-tableau)")
+    _add_source(p, "tableau or matching JSON file")
     p.add_argument("--format", choices=["json", "svg"], default="json")
     p.set_defaults(func=_cmd_web2)
 

@@ -7,9 +7,9 @@ length formula.  The walk keeps each row's entries as it places letters,
 so a tableau is built from its rows at each word, standard by
 construction, and no word it generates is decoded again.  `_FAMILIES`
 maps each tableau family a suite or `enumerate --filter` names to the
-generator of one shape's (word, tableau) pairs; the verify sweeps then
-cross-check the package's operators and bijections instance by
-instance, and name each failure by its word.
+generator of one shape's tableaux; the verify sweeps then cross-check
+the package's operators and bijections tableau by tableau, and name
+each failure by the word of the tableau it checked.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .planarweb import (
     web_distance,
 )
 from .tableaux import (
+    _LETTERS,
     PREDICATES,
     Shape,
     Tableau,
@@ -68,9 +69,6 @@ from .web3 import (
     tableau_of_web,
     web_of_tableau,
 )
-
-
-_LETTERS = "123456789"
 
 
 def _check_rows(rows: int) -> None:
@@ -132,31 +130,27 @@ def _lattice_prefixes(
                     entries[r].pop()
 
 
-# one instance of a family: a word and its tableau
-_Instance = tuple[str, Tableau]
-
-
-def _lattice_tableaux(shape: tuple[int, ...]) -> Iterator[_Instance]:
-    """Yield (word, tableau) of every standard tableau of a straight shape,
-    in word order; each tableau is the walk's rows, standard by construction."""
+def _lattice_tableaux(shape: tuple[int, ...]) -> Iterator[Tableau]:
+    """Yield every standard tableau of a straight shape, in word order;
+    each is the walk's rows, standard by construction."""
     _check_rows(len(shape))
     entries: list[list[int]] = [[] for _ in shape]
     full = Shape(shape)
-    for word in _lattice_prefixes(shape, sum(shape), entries):
-        yield word, _unchecked(entries, shape=full)
+    for _ in _lattice_prefixes(shape, sum(shape), entries):
+        yield _unchecked(entries, shape=full)
 
 
-def _symmetric_tableaux(shape: tuple[int, ...]) -> Iterator[_Instance]:
-    """Yield (word, tableau) of the rotationally symmetric tableaux of a
-    rectangle, in word order.
+def _symmetric_tableaux(shape: tuple[int, ...]) -> Iterator[Tableau]:
+    """Yield the rotationally symmetric tableaux of a rectangle, in word
+    order.
 
     rotate180_complement sends entry i of row r to entry N+1-i of row R+1-r,
     so T is symmetric iff row r holds N+1-i for each entry i <= N/2 of row
-    R+1-r, and its word has w[N+1-i] = R+1-w[i].  Each such T completes the
-    rows of a lattice prefix of length ceil(N/2) by that rule; for odd N the
-    middle entry must lie in the middle row.  Entries 1..N then fill the
-    rows in increasing order, so a completion is kept, standard, if every
-    row has the rectangle's length and every column increases.
+    R+1-r.  Each such T completes the rows of a lattice prefix of length
+    ceil(N/2) by that rule; for odd N, which forces R odd, the middle entry
+    must lie in the middle row.  Entries 1..N then fill the rows in
+    increasing order, so a completion is kept, standard, if every row has
+    the rectangle's length and every column increases.
     """
     rows = len(shape)
     _check_rows(rows)
@@ -166,14 +160,12 @@ def _symmetric_tableaux(shape: tuple[int, ...]) -> Iterator[_Instance]:
     half = total // 2
     top = total + 1
     cols = shape[0] if shape else 0
-    letters = _LETTERS[:rows]
-    mirror = str.maketrans(letters, letters[::-1])
     entries: list[list[int]] = [[] for _ in shape]
     full = Shape(shape)
     for prefix in _lattice_prefixes(shape, total - half, entries):
-        if prefix[half:] != prefix[half:].translate(mirror):
+        # for odd N the middle entry, half + 1, is its own mirror: letter R//2 + 1
+        if prefix[half:] not in ("", _LETTERS[rows // 2]):
             continue
-        # for odd N the middle entry, half + 1, is its own mirror
         done = [
             row + [top - i for i in reversed(other) if i <= half]
             for row, other in zip(entries, entries[::-1])
@@ -181,19 +173,19 @@ def _symmetric_tableaux(shape: tuple[int, ...]) -> Iterator[_Instance]:
         if all(len(row) == cols for row in done) and all(
             all(map(lt, upper, lower)) for upper, lower in zip(done, done[1:])
         ):
-            yield prefix + prefix[:half][::-1].translate(mirror), _unchecked(done, shape=full)
+            yield _unchecked(done, shape=full)
 
 
-def _domino_tableaux(shape: tuple[int, ...]) -> Iterator[_Instance]:
-    """Yield (word, tableau) of the domino tableaux of shape, in word order;
-    the walk visits every word of the shape to keep them."""
-    return (pair for pair in _lattice_tableaux(shape) if is_domino(pair[1]))
+def _domino_tableaux(shape: tuple[int, ...]) -> Iterator[Tableau]:
+    """Yield the domino tableaux of shape, in word order; the walk visits
+    every tableau of the shape to keep them."""
+    return filter(is_domino, _lattice_tableaux(shape))
 
 
-# the (word, tableau) pairs of one shape in each family `enumerate --filter`
-# and the suites name; the values are the functions themselves, which
-# tracers swap by identity
-_FAMILIES: dict[str, Callable[[tuple[int, ...]], Iterator[_Instance]]] = {
+# the tableaux of one shape in each family `enumerate --filter` and the
+# suites name; the values are the functions themselves, which tracers swap
+# by identity
+_FAMILIES: dict[str, Callable[[tuple[int, ...]], Iterator[Tableau]]] = {
     "all": _lattice_tableaux,
     "rotationally-symmetric": _symmetric_tableaux,
     "domino": _domino_tableaux,
@@ -241,8 +233,7 @@ class EnumerationFilter(Value):
 
 def enumerate_tableaux(filt: EnumerationFilter) -> Iterator[Tableau]:
     """All standard tableaux of the filter's shape in its family, in word order."""
-    for _, t in _FAMILIES[filt.predicate](filt.shape.outer):
-        yield t
+    return _FAMILIES[filt.predicate](filt.shape.outer)
 
 
 class Failure(Value):
@@ -465,21 +456,20 @@ def _check_block_patterns(t: Tableau):
     crossed_mdiagram_of_decomposition(dec)
 
 
-def _failures(check: Callable[[Tableau], Iterable], instance: _Instance) -> list[Failure]:
-    """Every failure of one (word, tableau) instance, each named by the word;
-    an exception ends it as one more failure."""
-    word, t = instance
-    failures: list[Failure] = []
+def _failures(check: Callable[[Tableau], Iterable], t: Tableau) -> list[Failure]:
+    """Every failure of one tableau, each named by its word, which is
+    spelled only for a failure; an exception ends it as one more failure."""
+    failures: list[_Found] = []
     step = _COMPLETES
     try:
         for found in check(t):
             if isinstance(found, str):
                 step = found
             else:
-                failures.append(Failure(word, *found))
+                failures.append(found)
     except Exception as exc:
-        failures.append(Failure(word, step, f"{type(exc).__name__}: {exc}", ""))
-    return failures
+        failures.append((step, f"{type(exc).__name__}: {exc}", ""))
+    return [Failure(t.word, *f) for f in failures]
 
 
 # id: (default bound, the families swept as (rows, cap on n or None, family),
@@ -555,19 +545,19 @@ def worker_count() -> int:
 
 
 def _checked(
-    check: Callable[[_Instance], list[Failure]], instances: Iterator[_Instance], workers: int
+    check: Callable[[Tableau], list[Failure]], tableaux: Iterator[Tableau], workers: int
 ) -> Iterator[list[Failure]]:
-    """check(instance) of each instance in turn, over a pool of `workers`
-    processes if there is more than one; serially, each instance is read as
-    it is checked."""
+    """check(t) of each tableau in turn, over a pool of `workers` processes
+    if there is more than one; serially, each tableau is read as it is
+    checked."""
     if workers == 1:
-        yield from map(check, instances)
+        yield from map(check, tableaux)
         return
     # loaded here, so a serial sweep never imports multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(check, instances, chunksize=64)
+        yield from pool.map(check, tableaux, chunksize=64)
 
 
 def verify(theorem_id: str, max_n: int | None = None) -> VerificationReport:
@@ -577,12 +567,12 @@ def verify(theorem_id: str, max_n: int | None = None) -> VerificationReport:
     and one walk over their rectangles n = 1..max_n (3-row n capped where
     the entry says) counts them against the word limit, raising
     BoundTooLarge before any word is listed; a second streams their
-    (word, tableau) pairs to the checks, and no list of them is built.
-    Each check gets the tableau the walk built, and its failures are
-    named by the walk's word.  An instance that raises is reported as a
-    failure naming the exception class.  The report depends on the
-    arguments alone.  Set WEBFOLD_WORKERS to fan the pairs out over that
-    many processes, at most one per CPU.
+    tableaux to the checks, and no list of them is built.  Each check gets
+    the tableau the walk built, and its failures are named by that
+    tableau's word.  An instance that raises is reported as a failure
+    naming the exception class.  The report depends on the arguments
+    alone.  Set WEBFOLD_WORKERS to fan the tableaux out over that many
+    processes, at most one per CPU.
     """
     if theorem_id not in _SUITES:
         raise UnknownTheorem(
@@ -599,10 +589,10 @@ def verify(theorem_id: str, max_n: int | None = None) -> VerificationReport:
                 yield rows, n, family
 
     _check_word_limit(rectangles(), f"{theorem_id} up to n={bound} would sweep")
-    pairs = (p for rows, n, family in rectangles() for p in _FAMILIES[family]((n,) * rows))
+    tableaux = (t for rows, n, family in rectangles() for t in _FAMILIES[family]((n,) * rows))
     failures: list[Failure] = []
     instances = 0
-    for found in _checked(partial(_failures, check_one), pairs, worker_count()):
+    for found in _checked(partial(_failures, check_one), tableaux, worker_count()):
         instances += 1
         failures.extend(found)
     failures.sort(key=lambda f: (f.word, f.identity))

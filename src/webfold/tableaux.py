@@ -33,8 +33,9 @@ from .errors import NonLatticeWord, NotRectangular, OutOfRange, WrongShape, _int
 
 Cell = tuple[int, int]
 
-# the row index each letter of a word names; nothing else is a letter
-_LETTERS = {str(r): r for r in range(1, 10)}
+# the letters of a word, and the row index each names; nothing else is a letter
+_LETTERS = "123456789"
+_ROW_OF = {letter: r for r, letter in enumerate(_LETTERS, start=1)}
 
 
 class Shape(Value):
@@ -170,7 +171,7 @@ def from_word(word: str, inner=()) -> Tableau:
         raise TypeError(f"word must be a string, not {type(word).__name__}")
     inner = tuple(inner)
     try:
-        letters = list(map(_LETTERS.__getitem__, word))
+        letters = list(map(_ROW_OF.__getitem__, word))
     except KeyError:
         raise NonLatticeWord("word must consist of digits 1-9") from None
     row_count = max(max(letters, default=0), len(inner))

@@ -19,7 +19,7 @@ def is_symmetrical(w: PlanarWeb) -> bool:
 
 def symmetric_words(shape: tuple[int, ...]) -> Iterator[str]:
     """The words of the rotationally symmetric tableaux of a rectangle, in order."""
-    return (word for word, _ in _symmetric_tableaux(shape))
+    return (t.word for t in _symmetric_tableaux(shape))
 
 
 def mirror_word(w: PlanarWeb) -> str:

@@ -210,14 +210,22 @@ def test_skew_word_that_fills_no_tableau_is_refused(capsys, tmp_path):
 def test_enumerate_long_and_tall_single_lines(capsys, monkeypatch):
     # one row has one tableau, which every family keeps: each filter lists
     # the bare word and builds no row of entries
-    def no_family(shape):
-        raise AssertionError(f"built the family of {shape}")
+    def no_listing(shape):
+        raise AssertionError(f"listed {shape}")
 
     for family in oracle._FAMILIES:
-        monkeypatch.setitem(oracle._FAMILIES, family, no_family)
+        monkeypatch.setitem(oracle._FAMILIES, family, no_listing)
     for family in oracle._FAMILIES:
         code, out, _ = run(capsys, "enumerate", "--shape", "1x2000", "--filter", family)
         assert (code, out) == (0, "1" * 2000 + "\n")
+    # one letter past the limit is refused before the word is listed
+    monkeypatch.setattr(oracle, "enumerate_words", no_listing)
+    code, out, err = run(capsys, "enumerate", "--shape", "1x2000001")
+    assert (code, out) == (1, "")
+    assert err == (
+        "BoundTooLarge: enumerate --shape 1x2000001 would list"
+        " a word of more than 2,000,000 letters\n"
+    )
     # refused before the billion-entry shape tuple is built
     code, out, err = run(capsys, "enumerate", "--shape", "1000000000x1")
     assert (code, out) == (1, "")
@@ -305,14 +313,14 @@ def test_enumerate_writes_each_word_as_it_is_listed(capsys, monkeypatch, tmp_pat
         yield from words
         raise ValueError("enumeration broke")
 
-    def three_pairs_then_fail(shape):
-        yield from ((w, from_word(w)) for w in words)
+    def three_tableaux_then_fail(shape):
+        yield from map(from_word, words)
         raise ValueError("enumeration broke")
 
     # `--filter all` lists enumerate_words, the walk's bare words; the other
-    # filters list the words of their family's (word, tableau) pairs
+    # filters list the words of their family's tableaux
     monkeypatch.setattr(oracle, "enumerate_words", three_then_fail)
-    monkeypatch.setitem(oracle._FAMILIES, "domino", three_pairs_then_fail)
+    monkeypatch.setitem(oracle._FAMILIES, "domino", three_tableaux_then_fail)
     for family in ("all", "domino"):
         argv = ["enumerate", "--shape", "3x2", "--filter", family]
         dest = tmp_path / f"{family}.txt"

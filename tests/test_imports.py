@@ -196,18 +196,18 @@ def test_family_table_holds_the_oracle_functions():
     """Each family is the oracle function of the same name, since the
     perfbench tracer swaps module attributes and dict values by identity;
     its names are the predicates that `enumerate --filter` offers and its
-    help prints.  Each yields (word, tableau) pairs whose tableau has that
-    word."""
+    help prints.  Each yields tableaux, each the one from_word decodes from
+    its word."""
     from webfold import oracle
-    from webfold.tableaux import PREDICATES, Tableau
+    from webfold.tableaux import PREDICATES, Tableau, from_word
 
-    for family, pairs in oracle._FAMILIES.items():
-        assert getattr(oracle, pairs.__name__) is pairs, family
-        listed = list(pairs((3, 3, 3)))
+    for family, walk in oracle._FAMILIES.items():
+        assert getattr(oracle, walk.__name__) is walk, family
+        listed = list(walk((3, 3, 3)))
         assert listed, family
-        for word, t in listed:
-            assert type(word) is str and type(t) is Tableau, family
-            assert t.word == word, family
+        for t in listed:
+            assert type(t) is Tableau, family
+            assert t == from_word(t.word), family
     assert tuple(oracle._FAMILIES) == PREDICATES
 
 

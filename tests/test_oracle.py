@@ -115,8 +115,9 @@ RECTANGLES = [
 
 
 def test_families_pair_each_word_with_its_decoded_tableau():
-    """Each family lists the words of the full walk that its predicate keeps,
-    in the walk's order, and pairs each with the tableau from_word decodes."""
+    """Each family lists the tableaux of the full walk that its predicate
+    keeps, in the walk's order, and each is the tableau from_word decodes
+    from its word."""
     keep = {
         "all": lambda t: True,
         "rotationally-symmetric": is_rotationally_symmetric,
@@ -125,12 +126,12 @@ def test_families_pair_each_word_with_its_decoded_tableau():
     assert set(keep) == set(oracle._FAMILIES)
     for shape in RECTANGLES:
         decoded = [from_word(w) for w in enumerate_words(shape)]
-        for family, pairs in oracle._FAMILIES.items():
-            listed = list(pairs(shape))
-            assert [w for w, _ in listed] == [t.word for t in decoded if keep[family](t)]
-            for word, t in listed:
-                expected = from_word(word)
-                assert (t.rows, t.shape) == (expected.rows, expected.shape), (family, word)
+        for family, walk in oracle._FAMILIES.items():
+            listed = list(walk(shape))
+            assert [t.word for t in listed] == [t.word for t in decoded if keep[family](t)]
+            for t in listed:
+                expected = from_word(t.word)
+                assert (t.rows, t.shape) == (expected.rows, expected.shape), (family, t.word)
 
 
 def test_sweeps_decode_no_word(monkeypatch):
@@ -322,14 +323,14 @@ def test_verify_refuses_a_bound_past_the_word_limit(monkeypatch):
 
 
 def test_a_serial_sweep_checks_each_word_as_it_is_listed(monkeypatch):
-    """verify builds no list of instances: each (word, tableau) reaches its
-    check before the next is listed, so a family that fails after three
-    instances has had three checked."""
+    """verify builds no list of instances: each tableau reaches its check
+    before the next is listed, so a family that fails after three instances
+    has had three checked."""
     monkeypatch.delenv("WEBFOLD_WORKERS", raising=False)
     checked = []
 
     def three_words(shape):
-        yield from ((w, from_word(w)) for w in ("123", "112233", "121323"))
+        yield from map(from_word, ("123", "112233", "121323"))
         raise RuntimeError("listed past the third word")
 
     def roundtrip(t):
@@ -591,3 +592,18 @@ def test_failing_reports_are_pinned(monkeypatch, fault):
         failing |= {(theorem, f.identity) for f in report.failures}
     assert failing == identities
     assert digest.hexdigest() == pinned
+
+
+def test_parallel_sweeps_report_failures_as_serial_ones_do(monkeypatch):
+    """Under "fold is the identity", which fails nine identities in six
+    suites, two of them named by the step that raised, every suite at bound
+    3 reports the same failures over two worker processes as serially."""
+    monkeypatch.delenv("WEBFOLD_WORKERS", raising=False)
+    name, replacement, _, identities = FAULTS["fold is the identity"]
+    monkeypatch.setattr(oracle, name, replacement(getattr(oracle, name)))
+    serial = [verify(theorem, 3) for theorem in THEOREMS]
+    assert {(r.theorem, f.identity) for r in serial for f in r.failures} == identities
+    # two processes where the machine has two CPUs or more
+    monkeypatch.setenv("WEBFOLD_WORKERS", "2")
+    pooled = [verify(theorem, 3) for theorem in THEOREMS]
+    assert [r.to_dict() for r in pooled] == [r.to_dict() for r in serial]
