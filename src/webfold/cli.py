@@ -7,14 +7,14 @@ error class) or a failed verification, 2 on usage errors.
 (an inline `--word` or an `--in` JSON file), and `web2` and `web3` write a
 drawing through one writer, `_emit_drawing` (JSON, or SVG under `--format
 svg`).  Each command imports the modules it runs when it runs, so one call
-loads only what it uses: `op` loads nothing past `tableaux`, and `render`
-loads only for SVG output.
+loads only what it uses: `op` loads nothing past `tableaux`, `render`
+loads only for SVG output, and `json` only to read `--in` or to write
+JSON.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections.abc import Iterable
 
@@ -42,6 +42,8 @@ OPERATORS = {
 def _read_object(parse, path: str):
     """parse() of the JSON file at path; JSON nested too deeply or a payload
     of the wrong shape is MalformedInput."""
+    import json
+
     with open(path) as f:
         try:
             data = json.load(f)
@@ -76,6 +78,8 @@ def _emit_lines(args: argparse.Namespace, lines: Iterable[str]) -> None:
 
 
 def _dumps(obj: dict) -> str:
+    import json
+
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 

@@ -5,15 +5,17 @@ A diagram keeps its boundary as two tuples indexed by position 1..N:
 increasing abscissas `xs`.  An arc is its (tail, head) pair of boundary
 positions, as web vertices are named, and an exact semicircle over those
 abscissas, so crossing positions and all ordering predicates are rational
-arithmetic.  Resolving replaces each degree-2 boundary sink with a fed
-internal sink and each crossing with a source/sink pair joined by an
-intersection edge, yielding a planar web together with the one table that
-arc-set distances need, `edge_arcs`: the arcs each edge toggles.  A
-diagram keeps that pair as `MDiagram.resolution`, and the arcs over each
-inner face of the web as `MDiagram.face_arcs`, both built on first use.
-Arc i is `ends[i]`, and a set of arcs is an int bitmask, bit i for arc i:
-so are the arcs of the second kind, `MDiagram.second`, and the crossed
-ones, `MDiagram.crossed`.
+arithmetic: on integers while crossings are found and ordered, and in
+`Fraction`s, imported on first use, only where `crossings` or a layout
+hands an abscissa out.  Resolving replaces each degree-2 boundary sink
+with a fed internal sink and each crossing with a source/sink pair joined
+by an intersection edge, yielding a planar web together with the one
+table that arc-set distances need, `edge_arcs`: the arcs each edge
+toggles.  A diagram keeps that pair as `MDiagram.resolution`, and the
+arcs over each inner face of the web as `MDiagram.face_arcs`, both built
+on first use.  Arc i is `ends[i]`, and a set of arcs is an int bitmask,
+bit i for arc i: so are the arcs of the second kind, `MDiagram.second`,
+and the crossed ones, `MDiagram.crossed`.
 
 A diagram is checked where it enters, by `from_dict`, boundary degrees
 included.  `MDiagram(...)`, like `PlanarWeb(...)`, checks nothing: the
@@ -26,8 +28,8 @@ again, for diagrams that skip `from_dict`.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from fractions import Fraction
 from functools import cached_property, partial
+from numbers import Rational
 
 from ._value import Value
 from .errors import ConcurrentArcs, InvalidBoundaryDegrees, UnknownFace
@@ -41,7 +43,7 @@ class MDiagram(Value):
     _fields = ("labels", "xs", "ends", "second", "crossed")
 
     def __init__(
-        self, labels: tuple[str, ...], xs: tuple[Fraction | int, ...],
+        self, labels: tuple[str, ...], xs: tuple[Rational, ...],
         ends: tuple[tuple[int, int], ...], second: int = 0, crossed: int = 0,
     ) -> None:
         self.labels = labels
@@ -166,7 +168,7 @@ def _degree_codes(labels: Sequence[str | int], ends: Sequence[tuple[int, int]]) 
 
 
 def _crossing_pairs(
-    labels: Sequence[str | int], xs: Sequence[Fraction | int], ends: Sequence[tuple[int, int]]
+    labels: Sequence[str | int], xs: Sequence[Rational], ends: Sequence[tuple[int, int]]
 ) -> list[tuple[int, int, int, int]]:
     """Every transversal crossing as (i, j, num, den), i < j: the arcs with
     (tail, head) positions ends[i] and ends[j] cross at x = num / den.
@@ -214,7 +216,7 @@ def _crossing_pairs(
     return [(i, j, num, den) for _, i, j, num, den in ranked]
 
 
-def crossings(m: MDiagram) -> tuple[tuple[int, int, Fraction], ...]:
+def crossings(m: MDiagram) -> tuple[tuple[int, int, Rational], ...]:
     """All transversal crossings as (i, j, x), i < j: arcs i and j of m
     cross at the exact rational abscissa x.
 
@@ -222,12 +224,14 @@ def crossings(m: MDiagram) -> tuple[tuple[int, int, Fraction], ...]:
     interleave; a shared endpoint is a tangency, never a crossing.
     Raises ConcurrentArcs if three arcs pass through one point.
     """
+    from fractions import Fraction
+
     found = _crossing_pairs(m.labels, m.xs, m.ends)
     return tuple((i, j, Fraction(num, den)) for i, j, num, den in found)
 
 
 def _resolve(
-    labels: Sequence[str | int], xs: Sequence[Fraction | int], ends: Sequence[tuple[int, int]]
+    labels: Sequence[str | int], xs: Sequence[Rational], ends: Sequence[tuple[int, int]]
 ) -> tuple[PlanarWeb, tuple[int, ...]]:
     """The resolution of the diagram over boundary `labels` at abscissas
     `xs` whose arc i runs from position ends[i][0] to ends[i][1], as the
@@ -332,16 +336,18 @@ def _resolve(
 
 
 def _layout(
-    xs: Sequence[Fraction | int],
+    xs: Sequence[Rational],
     feeds: dict[int, list[tuple[int, int, int]]],
     ends: Sequence[tuple[int, int]],
     found: list[tuple[int, int, int, int]],
-) -> dict[int, tuple[Fraction, Fraction]]:
+) -> dict[int, tuple[Rational, Rational]]:
     """Drawing coordinates of a resolved web, numbered as `_resolve` numbers
     its vertices: the boundary on the x-axis, each internal sink a quarter of
     its nearest arc's width above its boundary vertex, and each crossing's
     pair straddling the point where the two semicircles meet.
     """
+    from fractions import Fraction
+
     n = len(xs)
     layout = {k: (x, Fraction(0)) for k, x in enumerate(xs, start=1)}
     for v, (q, fed) in enumerate(feeds.items(), start=n + 1):

@@ -14,7 +14,6 @@ each failure by the word of the tableau it checked.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from collections.abc import Callable, Iterable, Iterator
@@ -290,6 +289,8 @@ def _rows(t: Tableau) -> str:
 
 
 def _json(m: Matching2) -> str:
+    import json
+
     return json.dumps(m.to_dict())
 
 

@@ -22,14 +22,19 @@ the boundary; `mdiagram._resolve` and `rotate` hand the webs they build
 their circle and walls, and `reflect` its walls.  A canonical form
 compares and hashes as the nested tuple it is built from; its bytes and
 its sha256 digest are computed on first read.
+
+Drawing coordinates are exact: ints, or `Fraction`s where a layout is
+computed or read from JSON.  `fractions` is imported on first use, in
+`_rational` and `mdiagram._layout`, so building and checking webs never
+loads it.
 """
 
 from __future__ import annotations
 
 import sys
 from collections.abc import Callable
-from fractions import Fraction
 from functools import cached_property, partial
+from numbers import Rational
 
 from ._value import Value
 from .errors import UnknownFace, _integer
@@ -49,7 +54,7 @@ class PlanarWeb(Value, eq=False):
         origins: list[int],
         tags: list[str],
         rotation: dict[int, tuple[int, ...]],
-        _draw: Callable[[], dict[int, tuple[Fraction, Fraction]] | None] | None = None,
+        _draw: Callable[[], dict[int, tuple[Rational, Rational]] | None] | None = None,
     ) -> None:
         self.n_boundary = n_boundary
         # the origin of every dart: the tail of edge i at 2i, its head at 2i+1
@@ -61,7 +66,7 @@ class PlanarWeb(Value, eq=False):
         self._draw = _draw
 
     @cached_property
-    def layout(self) -> dict[int, tuple[Fraction, Fraction]] | None:
+    def layout(self) -> dict[int, tuple[Rational, Rational]] | None:
         """Drawing coordinates per vertex, or None; computed on first read."""
         return self._draw() if self._draw else None
 
@@ -162,7 +167,7 @@ class PlanarWeb(Value, eq=False):
         return cls(n, origins, tags, rotation, None if layout is None else partial(dict, layout))
 
 
-def _rational(what: str, x) -> Fraction:
+def _rational(what: str, x) -> Rational:
     """x as a Fraction, if it is an int and not a bool, or a string whose
     exponent is at most sys.get_int_max_str_digits() in magnitude; the
     "1e1000000000" that Fraction reads by building 10**1000000000 is a
@@ -172,6 +177,8 @@ def _rational(what: str, x) -> Fraction:
     limit = sys.get_int_max_str_digits()
     if isinstance(x, str) and abs(int(x.lower().partition("e")[2] or 0)) > limit:
         raise ValueError(f"{what} {x!r} has an exponent of more than {limit}")
+    from fractions import Fraction
+
     return Fraction(x)
 
 

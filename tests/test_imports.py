@@ -88,6 +88,40 @@ def test_web_commands_load_what_they_run(tmp_path, argv, expected):
     assert "concurrent.futures" not in modules
 
 
+IMPORT_WEB_BUILDER = """
+import sys
+import webfold.tableaux, webfold.web3, webfold.planarweb
+print(*sys.modules)
+"""
+
+# standard-library modules that only reading or writing JSON and exact
+# drawing coordinates use; decimal comes with fractions
+DEFERRED = {"json", "fractions", "decimal"}
+
+
+@pytest.mark.parametrize(
+    "code, argv",
+    [
+        (IMPORT_ORACLE, []),
+        (IMPORT_WEB_BUILDER, []),
+        (CALL_CLI, ["op", "--apply", "promote", "--word", "112233"]),
+    ],
+    ids=["oracle", "web-builder", "op-word"],
+)
+def test_sweeps_and_word_calls_load_no_json_or_fractions(code, argv):
+    """A sweep's imports, the web builder's and a --word call that prints a
+    word load none of DEFERRED beyond what a bare interpreter holds, which
+    depends on what `site` loads."""
+    bare = loaded_after("import sys\nprint(*sys.modules)")
+    assert loaded_after(code, *argv) & DEFERRED <= bare
+
+
+def test_web_json_loads_fractions():
+    """The web's JSON carries its layout, exact coordinates built on demand."""
+    modules = loaded_after(CALL_CLI, "web3", "from-tableau", "--word", "112233")
+    assert {"json", "fractions"} <= modules
+
+
 def test_oracle_loads_no_process_pool():
     modules = loaded_after(IMPORT_ORACLE)
     assert "concurrent.futures" not in modules

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -105,6 +106,38 @@ def test_symmetric_counts_match_the_closed_form():
         for n in range(1, top + 1):
             dominoes = sum(1 for _ in oracle._FAMILIES["domino"]((n,) * rows))
             assert dominoes == _self_evacuating_count(rows, n), (rows, n)
+
+
+def half_shape_count(rows: int, cols: int) -> int:
+    """The rotationally symmetric tableaux of a rows x cols rectangle with
+    an even number N of boxes: Σ f^μ over the straight shapes μ inside it
+    whose 180° complement in it is μ, μ_i + μ_{R+1-i} = C, so |μ| = N/2.
+    Such a tableau is its entries up to N/2, a standard tableau of shape μ,
+    and the rotated complement of those entries."""
+    assert rows * cols % 2 == 0
+    total = 0
+    # every partition with at most `rows` parts, each at most `cols`
+    for mu in combinations_with_replacement(range(cols, -1, -1), rows):
+        if all(a + b == cols for a, b in zip(mu, mu[::-1])):
+            total += hook_length_count(tuple(part for part in mu if part))
+    return total
+
+
+def test_symmetric_counts_at_even_n_match_the_half_shape_sum():
+    """A second closed form, sharing no code with _self_evacuating_count
+    or the walk, against both where the walk is small and against
+    |f^λ(-1)| alone on larger rectangles."""
+    walked = [(2, n) for n in range(1, 9)] + [(3, 2), (3, 4), (3, 6)]
+    walked += [(4, n) for n in range(1, 5)] + [(5, 2)]
+    for rows, cols in walked:
+        count = half_shape_count(rows, cols)
+        assert count == _self_evacuating_count(rows, cols), (rows, cols)
+        symmetric = oracle._FAMILIES["rotationally-symmetric"]((cols,) * rows)
+        assert count == sum(1 for _ in symmetric), (rows, cols)
+    for rows, cols in ((2, 20), (3, 10), (4, 6), (6, 4), (4, 8)):
+        assert half_shape_count(rows, cols) == _self_evacuating_count(rows, cols), (rows, cols)
+    pinned = {(3, 6): 420, (3, 10): 126_126, (4, 8): 2_522_520}
+    assert {key: half_shape_count(*key) for key in pinned} == pinned
 
 
 # every rectangle up to 3-row n <= 5, 2-row n <= 8 and 4-row n <= 3, with
