@@ -477,8 +477,8 @@ def _failures(check: Callable[[Tableau], Iterable], t: Tableau) -> list[Failure]
 # check); the 2-row bound is the suite's bound, the 3-row one may be capped
 _SUITES: dict[str, tuple[int, tuple[tuple[int, int | None, str], ...], Callable]] = {
     "thm-2byn": (8, ((2, None, "rotationally-symmetric"),), _WEB_MAPS["thm-2byn"]),
-    "thm-fw1": (5, ((3, None, "rotationally-symmetric"),), _check_fw1),
-    "thm-fw2": (5, ((3, None, "rotationally-symmetric"),), _check_fw2),
+    "thm-fw1": (8, ((3, None, "rotationally-symmetric"),), _check_fw1),
+    "thm-fw2": (8, ((3, None, "rotationally-symmetric"),), _check_fw2),
     "roundtrip-3web": (5, ((3, None, "all"),), _check_roundtrip),
     # 3-row instances build webs or run N promotions per tableau, so they stay capped at 4
     "promotion-rotation": (8, ((2, None, "all"), (3, 4, "all")), _WEB_MAPS["promotion-rotation"]),

@@ -68,9 +68,6 @@ class Shape(Value):
         self.inner = inner
         self.size = sum(outer) - sum(inner)
 
-    def inner_at(self, r: int) -> int:
-        return self.inner[r - 1] if 1 <= r <= len(self.inner) else 0
-
     @property
     def row_count(self) -> int:
         return len(self.outer)
@@ -149,13 +146,6 @@ class Tableau(Value):
         if t.shape.outer != outer:
             raise ValueError(f"outer {list(outer)} is not the word's shape {list(t.shape.outer)}")
         return t
-
-    def __str__(self) -> str:
-        lines = []
-        for r, row in enumerate(self.rows, start=1):
-            pad = [" ."] * self.shape.inner_at(r)
-            lines.append(" ".join(pad + [f"{v:2d}" for v in row]))
-        return "\n".join(lines)
 
 
 def from_word(word: str, inner=()) -> Tableau:
@@ -405,21 +395,6 @@ def promote_inverse(t: Tableau) -> Tableau:
     """Inverse promotion: delete N, reverse-slide to (1,1), prepend 1."""
     _require_straight(t)
     return _slide_back(t, [t.size] if t.size else [])
-
-
-def promote_bounded(t: Tableau, k: int) -> Tableau:
-    """Promotion acting on entries 1..k only; entries above k stay put."""
-    _require_straight(t)
-    if not (1 <= k <= t.size):
-        raise OutOfRange(f"k={k} outside 1..{t.size}")
-    return _slide_forward(t, [k])
-
-
-def promote_bounded_inverse(t: Tableau, k: int) -> Tableau:
-    _require_straight(t)
-    if not (1 <= k <= t.size):
-        raise OutOfRange(f"k={k} outside 1..{t.size}")
-    return _slide_back(t, [k])
 
 
 def evacuate(t: Tableau) -> Tableau:

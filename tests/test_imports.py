@@ -310,8 +310,6 @@ UNCALLED = {
     "EnumerationFilter": ("oracle", "workloads"),
     "enumerate_tableaux": ("oracle", "workloads"),
     "promote_inverse": ("tableaux", "operator golden"),
-    "promote_bounded": ("tableaux", "operator golden"),
-    "promote_bounded_inverse": ("tableaux", "operator golden"),
 }
 
 

@@ -27,8 +27,6 @@ from webfold.tableaux import (
     is_rotationally_symmetric,
     partial_fold,
     promote,
-    promote_bounded,
-    promote_bounded_inverse,
     promote_inverse,
     rectify,
     restrict_gt,
@@ -57,8 +55,6 @@ def test_operators_run_no_tableau_checks(monkeypatch):
     for op in (promote, promote_inverse, evacuate, fold, unfold, rotate180_complement):
         op(straight)
     partial_fold(straight, 2)
-    promote_bounded(straight, 5)
-    promote_bounded_inverse(straight, 5)
     restrict_le(SKEW, 7)
     restrict_gt(SKEW, 7)
     # a straight word's lattice check is its entry check
@@ -83,8 +79,6 @@ def test_operator_results_pass_the_checks():
             n = t.size
             results = [promote(t), promote_inverse(t), evacuate(t), fold(t), unfold(t)]
             results += [partial_fold(t, j) for j in range(1, n // 2 + 1)]
-            results += [promote_bounded(t, k) for k in range(1, n + 1)]
-            results += [promote_bounded_inverse(t, k) for k in range(1, n + 1)]
             results += [op(t, k) for op in (restrict_le, restrict_gt) for k in range(n + 1)]
             if t.shape.is_rectangular:
                 results.append(rotate180_complement(t))
@@ -234,18 +228,6 @@ def test_promote_round_trip_exhaustive():
         assert promote(promote_inverse(t)) == t
 
 
-def test_promote_bounded_edges():
-    t = PROMOTE_BEFORE
-    assert promote_bounded(t, 1) == t
-    assert promote_bounded(t, 9) == promote(t)
-    with pytest.raises(OutOfRange):
-        promote_bounded(t, 0)
-    with pytest.raises(OutOfRange):
-        promote_bounded(t, 10)
-    with pytest.raises(OutOfRange):
-        promote_bounded_inverse(t, 10)
-
-
 FOLD_CHAIN = [
     Tableau.from_rows([(1, 3, 4, 7), (2, 5, 6, 8)]),
     Tableau.from_rows([(1, 2, 3, 6), (4, 5, 7, 8)]),
@@ -256,10 +238,9 @@ FOLD_CHAIN = [
 
 
 def test_bounded_promotion_chain():
-    t = FOLD_CHAIN[0]
-    for step, k in enumerate((8, 6, 4, 2), start=1):
-        t = promote_bounded(t, k)
-        assert t == FOLD_CHAIN[step]
+    """The partial folds of FOLD_CHAIN[0], bounds 8, 6, 4, 2 one more at a time."""
+    for j in range(1, 5):
+        assert partial_fold(FOLD_CHAIN[0], j) == FOLD_CHAIN[j]
 
 
 def test_fold_example():
@@ -498,18 +479,19 @@ def _partitions(n, largest):
 
 
 def test_bounded_promotion_on_straight_shapes():
-    """Every straight tableau of size <= 8 against the skew jeu-de-taquin."""
+    """Every straight tableau of size <= 8 and bound k, slid forward and back
+    with that one bound, against the skew jeu-de-taquin."""
     shapes = [shape for n in range(1, 9) for shape in _partitions(n, n)]
     assert len(shapes) == 1 + 2 + 3 + 5 + 7 + 11 + 15 + 22
     for shape in shapes:
         for word in enumerate_words(shape):
             t = from_word(word)
             for k in range(1, t.size + 1):
-                p = promote_bounded(t, k)
+                p = _slide_forward(t, [k])
                 assert restrict_le(p, k - 1) == rectify(restrict_gt(restrict_le(t, k), 1))
                 for row, moved in zip(t.rows, p.rows):
                     assert [v if v > k else 0 for v in row] == [v if v > k else 0 for v in moved]
-                assert promote_bounded_inverse(p, k) == t
+                assert _slide_back(p, [k]) == t
 
 
 def _slide_forward_per_step(t, bounds):
@@ -541,8 +523,8 @@ def _slide_forward_per_step(t, bounds):
 
 
 def _forward_bounds(n):
-    """Every bound sequence the operators pass to _slide_forward at size n:
-    promote, promote_bounded, evacuate, partial_fold and fold."""
+    """Every bound sequence the operators pass to _slide_forward at size n
+    (promote, evacuate, partial_fold and fold), and each single bound."""
     yield [n] if n else []
     yield from ([k] for k in range(1, n + 1))
     yield range(n, 0, -1)
@@ -604,8 +586,8 @@ def _slide_back_per_step(t, bounds):
 
 
 def _backward_bounds(n):
-    """Every bound sequence the operators pass to _slide_back at size n:
-    promote_inverse, promote_bounded_inverse and unfold."""
+    """Every bound sequence the operators pass to _slide_back at size n
+    (promote_inverse and unfold), and each single bound."""
     yield [n] if n else []
     yield from ([k] for k in range(1, n + 1))
     yield range(2 + n % 2, n + 1, 2)
@@ -621,15 +603,16 @@ def test_backward_slides_match_the_per_step_relabelling():
     assert count == 32977
 
 
-# the shapes of the operator golden and the sha256 of its lines, taken from
-# the straight-shape operators before the slide loops were padded
+# the shapes of the operator golden and the sha256 of its lines; the lines'
+# images are those the straight-shape operators gave before the slide loops
+# were padded
 GOLDEN_SHAPES = [(n, n) for n in range(1, 7)] + [(n, n, n) for n in range(1, 5)] + [(4, 2, 1), (3, 3, 2)]
-GOLDEN_SHA256 = "aa75c9a3086d90ddb808425e25e1864ace5a768740b6a42db591f1728e102fd7"
+GOLDEN_SHA256 = "1fd2fd716cf912ea8b79ce1ba28c7586f2aa8e4f9d5426b6f2edc078eaa4329c"
 
 
 def test_operator_golden():
     """One line per tableau: its word and the words of its images under the
-    eight straight-shape operators, every bound and j included."""
+    six straight-shape operators, every j included."""
     digest = hashlib.sha256()
     count = 0
     for shape in GOLDEN_SHAPES:
@@ -638,8 +621,6 @@ def test_operator_golden():
             n = t.size
             images = [promote(t), promote_inverse(t), evacuate(t), fold(t), unfold(t)]
             images += [partial_fold(t, j) for j in range(1, n // 2 + 1)]
-            images += [promote_bounded(t, k) for k in range(1, n + 1)]
-            images += [promote_bounded_inverse(t, k) for k in range(1, n + 1)]
             digest.update((" ".join([word] + [u.word for u in images]) + "\n").encode())
             count += 1
     assert (count, digest.hexdigest()) == (783, GOLDEN_SHA256)

@@ -145,12 +145,6 @@ def test_a_shape_compares_and_shows_without_its_size():
     assert other == shape and hash(other) == hash(shape) and repr(other) == repr(shape)
 
 
-def test_a_tableau_prints_its_rows():
-    skew = Tableau(Shape((3, 2), (1,)), ((1, 3), (2, 4)))
-    assert str(TABLEAU) == " 1  2\n 3  5\n 4  6"
-    assert str(skew) == " .  1  3\n 2  4"
-
-
 def test_a_pickled_web_keeps_its_layout():
     web = PlanarWeb(2, [1, 2], [BOUNDARY], {1: (0,), 2: (1,)}, partial(dict, {1: (0, 0)}))
     again = pickle.loads(pickle.dumps(web))
