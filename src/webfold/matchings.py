@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ._value import Value
 from .errors import NotSymmetrical, WrongShape, _integer
-from .tableaux import Tableau
+from .tableaux import Tableau, _pair
 
 
 class Matching2(Value):
@@ -47,20 +47,6 @@ class Matching2(Value):
             elif not stack or stack.pop() != partner[k]:
                 raise ValueError("matching has crossing arcs")
         return m
-
-
-def _pair(openers: tuple[int, ...], closers: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Nearest-unmatched matching of two increasing sequences, in one merge:
-    each closer takes the latest opener still open."""
-    stack: list[int] = []
-    pairs = []
-    k, n = 0, len(openers)
-    for c in closers:
-        while k < n and openers[k] < c:
-            stack.append(openers[k])
-            k += 1
-        pairs.append((stack.pop(), c))
-    return pairs
 
 
 def web2_of_tableau(t: Tableau) -> Matching2:

@@ -10,6 +10,15 @@ maps each tableau family a suite or `enumerate --filter` names to the
 generator of one shape's tableaux; the verify sweeps then cross-check
 the package's operators and bijections tableau by tableau, and name
 each failure by the word of the tableau it checked.
+
+The web layer (`matchings`, `mdiagram`, `planarweb` and `web3`) loads
+only when it is used: `verify` binds the names that the checks read,
+listed in `_WEB_LAYER`, as globals of this module before the walk of any
+suite outside `_TABLEAU_SUITES`; each pool worker binds them as it
+starts, and a read of one from outside binds them too.  So
+promotion-order, fold-domino and enumeration load no web module in the
+calling process.  A name this module already holds is never rebound, so
+a replacement that a test patched in stays for every sweep.
 """
 
 from __future__ import annotations
@@ -18,30 +27,12 @@ import math
 import os
 from collections.abc import Callable, Iterable, Iterator
 from functools import partial
+from importlib import import_module
 from itertools import chain, islice
 from operator import lt
 
 from ._value import Value
 from .errors import BoundTooLarge, InvalidWorkerCount, NotRectangular, UnknownTheorem
-from .matchings import Matching2, fold2, reflect2, rotate2, web2_of_tableau
-from .mdiagram import (
-    arc_distance,
-    coherent_separators,
-    epsilon,
-    reflected_face,
-    resolve,
-)
-from .planarweb import (
-    PlanarWeb,
-    boundary_face,
-    canonical,
-    exterior_face,
-    faces,
-    reflect,
-    rotate,
-    validate_3web,
-    web_distance,
-)
 from .tableaux import (
     _LETTERS,
     PREDICATES,
@@ -60,14 +51,41 @@ from .tableaux import (
     rotate180_complement,
     unfold,
 )
-from .web3 import (
-    crossed_mdiagram_of_decomposition,
-    crossed_web,
-    decompose_blocks,
-    domino_of_symmetric_web,
-    tableau_of_web,
-    web_of_tableau,
-)
+
+# the web-layer names the checks read, by module; `_bind_web_layer` binds
+# them as globals of this module when a suite that reads them runs, so the
+# suites of _TABLEAU_SUITES never load these modules
+_WEB_LAYER = {
+    "matchings": ("fold2", "reflect2", "rotate2", "web2_of_tableau"),
+    "mdiagram": ("arc_distance", "coherent_separators", "epsilon", "reflected_face", "resolve"),
+    "planarweb": (
+        "boundary_face", "canonical", "exterior_face", "faces", "reflect", "rotate",
+        "validate_3web", "web_distance",
+    ),
+    "web3": (
+        "crossed_mdiagram_of_decomposition", "crossed_web", "decompose_blocks",
+        "domino_of_symmetric_web", "tableau_of_web", "web_of_tableau",
+    ),
+}
+
+
+def _bind_web_layer() -> None:
+    """Import the web modules and bind each _WEB_LAYER name this module
+    does not hold yet.  A name already bound is kept, so a replacement that
+    a test set on this module stays in place."""
+    names = globals()
+    for module, attrs in _WEB_LAYER.items():
+        layer = import_module(f"{__package__}.{module}")
+        for attr in attrs:
+            names.setdefault(attr, getattr(layer, attr))
+
+
+def __getattr__(name: str):
+    """A web-layer name read from outside binds the web layer first."""
+    if any(name in attrs for attrs in _WEB_LAYER.values()):
+        _bind_web_layer()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _check_rows(rows: int) -> None:
@@ -288,13 +306,15 @@ def _rows(t: Tableau) -> str:
     return str(t.rows)
 
 
-def _json(m: Matching2) -> str:
+def _json(m) -> str:
+    """A 2-row matching as JSON."""
     import json
 
     return json.dumps(m.to_dict())
 
 
-def _violations(w: PlanarWeb) -> str:
+def _violations(w) -> str:
+    """The violations validate_3web finds in a web, joined."""
     return "; ".join(validate_3web(w))
 
 
@@ -490,6 +510,9 @@ _SUITES: dict[str, tuple[int, tuple[tuple[int, int | None, str], ...], Callable]
     "distance-lemmas": (4, ((3, None, "all"),), _check_distance_lemmas),
     "block-patterns": (5, ((3, None, "domino"),), _check_block_patterns),
 }
+# the suites whose checks read no name of _WEB_LAYER; every other suite
+# binds the web layer before its walk
+_TABLEAU_SUITES = frozenset({"promotion-order", "fold-domino"})
 
 THEOREMS = tuple(sorted(_SUITES))
 
@@ -557,7 +580,9 @@ def _checked(
     # loaded here, so a serial sweep never imports multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # a worker that was not forked imports this module afresh, without the
+    # names verify bound, so each worker binds the web layer itself
+    with ProcessPoolExecutor(max_workers=workers, initializer=_bind_web_layer) as pool:
         yield from pool.map(check, tableaux, chunksize=64)
 
 
@@ -590,6 +615,8 @@ def verify(theorem_id: str, max_n: int | None = None) -> VerificationReport:
                 yield rows, n, family
 
     _check_word_limit(rectangles(), f"{theorem_id} up to n={bound} would sweep")
+    if theorem_id not in _TABLEAU_SUITES:
+        _bind_web_layer()
     tableaux = (t for rows, n, family in rectangles() for t in _FAMILIES[family]((n,) * rows))
     failures: list[Failure] = []
     instances = 0

@@ -479,3 +479,20 @@ def is_domino(t: Tableau) -> bool:
         if s != r and (s != r + 1 or rows[r].index(a) != rows[s].index(a + 1)):
             return False
     return True
+
+
+def _pair(openers: tuple[int, ...], closers: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Nearest-unmatched matching of two increasing sequences, in one merge:
+    each closer takes the latest opener still open.  Both web builders pair
+    a tableau's rows with it, the 2-row matching and the 3-row arcs; it
+    lives here, which both import, so building a 3-row web loads no
+    `matchings`."""
+    stack: list[int] = []
+    pairs = []
+    k, n = 0, len(openers)
+    for c in closers:
+        while k < n and openers[k] < c:
+            stack.append(openers[k])
+            k += 1
+        pairs.append((stack.pop(), c))
+    return pairs

@@ -30,10 +30,9 @@ from .errors import (
     VerticalPairNotAnArc,
     WrongShape,
 )
-from .matchings import _pair
 from .mdiagram import MDiagram, _resolve, resolve
 from .planarweb import PlanarWeb, validate_3web
-from .tableaux import Tableau, from_word, is_domino
+from .tableaux import Tableau, _pair, from_word, is_domino
 
 _PHI = {-1: "1", 0: "2", 1: "3"}
 _LAMBDA = {-2: "11", -1: "12", 0: "22", 1: "23", 2: "33"}

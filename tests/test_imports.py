@@ -8,6 +8,8 @@ loads `_value`, the base of the value classes.
 
 import ast
 import builtins
+import dis
+import functools
 import importlib
 import inspect
 import json
@@ -47,9 +49,8 @@ def loaded_after(code: str, *argv: str) -> set[str]:
     """The modules a fresh interpreter holds after running code, which must exit 0."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.pop("WEBFOLD_WORKERS", None)
-    done = subprocess.run(
-        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True
-    )
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
     return set(done.stdout.split())
 
 
@@ -76,7 +77,7 @@ def test_op_loads_only_tableaux():
         ),
         (
             ["web3", "to-tableau", "--in", "{web}"],
-            {"_value", "cli", "errors", "tableaux", "matchings", "mdiagram", "planarweb", "web3"},
+            {"_value", "cli", "errors", "tableaux", "mdiagram", "planarweb", "web3"},
         ),
     ],
 )
@@ -120,6 +121,108 @@ def test_web_json_loads_fractions():
     """The web's JSON carries its layout, exact coordinates built on demand."""
     modules = loaded_after(CALL_CLI, "web3", "from-tableau", "--word", "112233")
     assert {"json", "fractions"} <= modules
+
+
+VERIFY = """
+import sys
+from webfold.oracle import verify
+suites = sys.argv[1:]
+for theorem, bound in zip(suites[::2], suites[1::2]):
+    assert verify(theorem, int(bound)).passed, theorem
+print(*sys.modules)
+"""
+
+TABLEAU_LAYER = {"_value", "errors", "tableaux"}
+WEB_LAYER = {"matchings", "mdiagram", "planarweb", "web3"}
+
+
+@pytest.mark.parametrize(
+    "code, argv, expected",
+    [
+        (VERIFY, ["promotion-order", "3", "fold-domino", "3"], TABLEAU_LAYER | {"oracle"}),
+        (
+            CALL_CLI,
+            ["enumerate", "--shape", "3x3", "--filter", "domino"],
+            TABLEAU_LAYER | {"cli", "oracle"},
+        ),
+        (
+            CALL_CLI,
+            ["verify", "--theorem", "fold-domino", "--max-n", "2"],
+            TABLEAU_LAYER | {"cli", "oracle"},
+        ),
+        (VERIFY, ["roundtrip-3web", "2"], TABLEAU_LAYER | WEB_LAYER | {"oracle"}),
+        (IMPORT_WEB_BUILDER, [], TABLEAU_LAYER | WEB_LAYER - {"matchings"}),
+    ],
+    ids=["tableau-suites", "enumerate", "verify-fold-domino", "roundtrip-3web", "web-builder"],
+)
+def test_the_web_layer_loads_only_where_webs_are_built(code, argv, expected):
+    """The tableau suites and enumeration load no web module, a web suite
+    loads all four, and the 3-row web builder loads no 2-row module."""
+    assert webfold_modules(loaded_after(code, *argv)) == expected
+
+
+POOLED_SWEEP = """
+import multiprocessing, os, sys
+from webfold.oracle import verify
+multiprocessing.set_start_method(sys.argv[1])
+os.environ["WEBFOLD_WORKERS"] = "2"
+pooled = verify("thm-fw1", 4).to_dict()
+del os.environ["WEBFOLD_WORKERS"]
+serial = verify("thm-fw1", 4).to_dict()
+assert serial["passed"] and serial["instances"] > 0, serial
+assert pooled == serial, pooled
+"""
+
+
+@pytest.mark.parametrize("start", ["fork", "spawn"])
+def test_a_pool_started_before_any_web_is_built_reports_as_a_serial_sweep(start):
+    """In an interpreter that has imported only the oracle, a web suite
+    over two worker processes, run first, reports what it does serially:
+    a forked worker inherits the web layer that verify bound before the
+    walk, and a spawned one, which imports the oracle afresh, binds it as
+    it starts."""
+    loaded_after(POOLED_SWEEP, start)
+
+
+def _globals_read(fn, oracle) -> set[str]:
+    """The global names fn reads, through its nested code and the oracle
+    functions it calls; a partial of _check_web_map also reads its string
+    arguments, the operators it looks up by name."""
+    if isinstance(fn, functools.partial):
+        return _globals_read(fn.func, oracle) | {a for a in fn.args if isinstance(a, str)}
+    names: set[str] = set()
+    codes = [fn.__code__]
+    while codes:
+        code = codes.pop()
+        codes += [c for c in code.co_consts if inspect.iscode(c)]
+        names |= {i.argval for i in dis.get_instructions(code) if i.opname == "LOAD_GLOBAL"}
+    for name in list(names):
+        called = getattr(oracle, name, None)
+        if inspect.isfunction(called) and called.__module__ == oracle.__name__ and called is not fn:
+            names |= _globals_read(called, oracle)
+    return names
+
+
+def test_web_layer_table_matches_what_the_checks_read():
+    """Every global a suite's check reads is the oracle's own, a builtin or
+    a name of _WEB_LAYER, and exactly the suites outside _TABLEAU_SUITES
+    read one of _WEB_LAYER: a name missing from either table would fail
+    every instance of a sweep that loaded no web module.  Every name of
+    _WEB_LAYER is read by some check."""
+    from webfold import oracle
+
+    table = {name for names in oracle._WEB_LAYER.values() for name in names}
+    own = set(vars(oracle)) - table
+    reading_the_web_layer = set()
+    read_by_any: set[str] = set()
+    for suite, (_, _, check) in oracle._SUITES.items():
+        read = _globals_read(check, oracle)
+        assert read - own - set(vars(builtins)) <= table, suite
+        if read & table:
+            reading_the_web_layer.add(suite)
+        read_by_any |= read
+    assert set(oracle._SUITES) - reading_the_web_layer == oracle._TABLEAU_SUITES
+    assert table <= read_by_any
 
 
 def test_oracle_loads_no_process_pool():

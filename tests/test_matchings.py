@@ -3,7 +3,6 @@ import pytest
 from webfold.errors import NotSymmetrical, WrongShape
 from webfold.matchings import (
     Matching2,
-    _pair,
     fold2,
     is_symmetrical2,
     reflect2,
@@ -14,6 +13,7 @@ from webfold.matchings import (
 from webfold.oracle import enumerate_words
 from webfold.tableaux import (
     Tableau,
+    _pair,
     evacuate,
     fold,
     from_word,
