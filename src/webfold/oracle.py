@@ -11,14 +11,12 @@ generator of one shape's tableaux; the verify sweeps then cross-check
 the package's operators and bijections tableau by tableau, and name
 each failure by the word of the tableau it checked.
 
-The web layer (`matchings`, `mdiagram`, `planarweb` and `web3`) loads
-only when it is used: `verify` binds the names that the checks read,
-listed in `_WEB_LAYER`, as globals of this module before the walk of any
-suite outside `_TABLEAU_SUITES`; each pool worker binds them as it
-starts, and a read of one from outside binds them too.  So
-promotion-order, fold-domino and enumeration load no web module in the
-calling process.  A name this module already holds is never rebound, so
-a replacement that a test patched in stays for every sweep.
+Each check imports the web-layer functions it reads (from `matchings`,
+`mdiagram`, `planarweb` or `web3`) when it runs, as each CLI command
+does, so a suite loads only the modules its check imports:
+promotion-order, fold-domino and enumeration load none of them.  A check
+reads each such name from its home module as it runs, so a replacement
+that a test patches into that module reaches every check that reads it.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ import math
 import os
 from collections.abc import Callable, Iterable, Iterator
 from functools import partial
-from importlib import import_module
 from itertools import chain, islice
 from operator import lt
 
@@ -51,42 +48,6 @@ from .tableaux import (
     rotate180_complement,
     unfold,
 )
-
-# the web-layer names the checks read, by module; `_bind_web_layer` binds
-# them as globals of this module when a suite that reads them runs, so the
-# suites of _TABLEAU_SUITES never load these modules
-_WEB_LAYER = {
-    "matchings": ("fold2", "reflect2", "rotate2", "web2_of_tableau"),
-    "mdiagram": ("arc_distance", "coherent_separators", "epsilon", "reflected_face", "resolve"),
-    "planarweb": (
-        "boundary_face", "canonical", "exterior_face", "faces", "reflect", "rotate",
-        "validate_3web", "web_distance",
-    ),
-    "web3": (
-        "crossed_mdiagram_of_decomposition", "crossed_web", "decompose_blocks",
-        "domino_of_symmetric_web", "tableau_of_web", "web_of_tableau",
-    ),
-}
-
-
-def _bind_web_layer() -> None:
-    """Import the web modules and bind each _WEB_LAYER name this module
-    does not hold yet.  A name already bound is kept, so a replacement that
-    a test set on this module stays in place."""
-    names = globals()
-    for module, attrs in _WEB_LAYER.items():
-        layer = import_module(f"{__package__}.{module}")
-        for attr in attrs:
-            names.setdefault(attr, getattr(layer, attr))
-
-
-def __getattr__(name: str):
-    """A web-layer name read from outside binds the web layer first."""
-    if any(name in attrs for attrs in _WEB_LAYER.values()):
-        _bind_web_layer()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 def _check_rows(rows: int) -> None:
     """Raise ValueError if words of this many rows need more than one digit a letter."""
@@ -315,7 +276,9 @@ def _json(m) -> str:
 
 def _violations(w) -> str:
     """The violations validate_3web finds in a web, joined."""
-    return "; ".join(validate_3web(w))
+    from . import planarweb
+
+    return "; ".join(planarweb.validate_3web(w))
 
 
 def _holds(name: str, lhs, rhs, show: Callable = _rows, ok: bool | None = None) -> list[_Found]:
@@ -339,28 +302,42 @@ _VERTICAL_PAIRS = "vertical pairs are maximal non-intersecting arcs"
 
 
 def _check_fw1(t: Tableau):
-    lhs = domino_of_symmetric_web(web_of_tableau(t))
+    from . import web3
+
+    lhs = web3.domino_of_symmetric_web(web3.web_of_tableau(t))
     return _holds("domino_of_symmetric_web(web_of_tableau(T)) = fold(T)", lhs, fold(t))
 
 
 def _check_fw2(t: Tableau):
-    lhs = canonical(crossed_web(fold(t)))
-    rhs = canonical(web_of_tableau(t))
+    from . import planarweb, web3
+
+    lhs = planarweb.canonical(web3.crossed_web(fold(t)))
+    rhs = planarweb.canonical(web3.web_of_tableau(t))
     return _holds("crossed_web(fold(T)) = web_of_tableau(T)", lhs, rhs, repr)
 
 
 def _check_roundtrip(t: Tableau):
-    return _holds("tableau_of_web(web_of_tableau(T)) = T", tableau_of_web(web_of_tableau(t)), t)
+    from . import web3
+
+    lhs = web3.tableau_of_web(web3.web_of_tableau(t))
+    return _holds("tableau_of_web(web_of_tableau(T)) = T", lhs, t)
 
 
 def _check_web_map(op: str, op2: str, op3: str | None, t: Tableau):
     """Web operator op2 (2 rows) or op3 (3 rows) on the web of T is the web of
-    tableau operator op(T); each names a global of this module, read as the check runs."""
+    tableau operator op(T); op names a global of this module, op2 a function
+    of matchings and op3 one of planarweb, each read as the check runs."""
     ops = globals()
     if t.shape.row_count == 2:
-        lhs, rhs = ops[op2](web2_of_tableau(t)), web2_of_tableau(ops[op](t))
+        from . import matchings
+
+        web2 = matchings.web2_of_tableau
+        lhs, rhs = getattr(matchings, op2)(web2(t)), web2(ops[op](t))
         return _holds(f"{op2}(web2(T)) = web2({op}(T))", lhs, rhs, _json)
-    lhs, rhs = canonical(ops[op3](web_of_tableau(t))), canonical(web_of_tableau(ops[op](t)))
+    from . import planarweb, web3
+
+    canonical, web = planarweb.canonical, web3.web_of_tableau
+    lhs, rhs = canonical(getattr(planarweb, op3)(web(t))), canonical(web(ops[op](t)))
     return _holds(f"{op3}(web_of_tableau(T)) = web_of_tableau({op}(T))", lhs, rhs, repr)
 
 
@@ -420,6 +397,10 @@ def _check_fold_domino(t: Tableau):
 
 
 def _check_distance_lemmas(t: Tableau):
+    from .mdiagram import arc_distance, coherent_separators, epsilon, reflected_face, resolve
+    from .planarweb import boundary_face, exterior_face, faces, web_distance
+    from .web3 import crossed_mdiagram_of_decomposition, decompose_blocks, web_of_tableau
+
     yield from _holds("resolution is a valid web", _violations(web_of_tableau(t)), "", str)
     if not is_rotationally_symmetric(t):
         return
@@ -464,8 +445,10 @@ def _check_distance_lemmas(t: Tableau):
 
 
 def _check_block_patterns(t: Tableau):
+    from . import web3
+
     yield "domino tableau decomposes into typed blocks"
-    dec = decompose_blocks(t)
+    dec = web3.decompose_blocks(t)
     columns = [c for b in dec.blocks for c in range(b.columns[0], b.columns[1] + 1)]
     n = t.shape.outer[0]
     yield from _holds("block columns tile 1..n left to right", columns, [*range(1, n + 1)], str)
@@ -474,7 +457,7 @@ def _check_block_patterns(t: Tableau):
         name = "lone-cell block only leads an odd tableau"
         yield from _holds(name, f"block {i} has type 0", "", str, ok)
     yield _VERTICAL_PAIRS
-    crossed_mdiagram_of_decomposition(dec)
+    web3.crossed_mdiagram_of_decomposition(dec)
 
 
 def _failures(check: Callable[[Tableau], Iterable], t: Tableau) -> list[Failure]:
@@ -496,7 +479,7 @@ def _failures(check: Callable[[Tableau], Iterable], t: Tableau) -> list[Failure]
 # id: (default bound, the families swept as (rows, cap on n or None, family),
 # check); the 2-row bound is the suite's bound, the 3-row one may be capped
 _SUITES: dict[str, tuple[int, tuple[tuple[int, int | None, str], ...], Callable]] = {
-    "thm-2byn": (8, ((2, None, "rotationally-symmetric"),), _WEB_MAPS["thm-2byn"]),
+    "thm-2byn": (16, ((2, None, "rotationally-symmetric"),), _WEB_MAPS["thm-2byn"]),
     "thm-fw1": (8, ((3, None, "rotationally-symmetric"),), _check_fw1),
     "thm-fw2": (8, ((3, None, "rotationally-symmetric"),), _check_fw2),
     "roundtrip-3web": (5, ((3, None, "all"),), _check_roundtrip),
@@ -510,16 +493,13 @@ _SUITES: dict[str, tuple[int, tuple[tuple[int, int | None, str], ...], Callable]
     "distance-lemmas": (4, ((3, None, "all"),), _check_distance_lemmas),
     "block-patterns": (5, ((3, None, "domino"),), _check_block_patterns),
 }
-# the suites whose checks read no name of _WEB_LAYER; every other suite
-# binds the web layer before its walk
-_TABLEAU_SUITES = frozenset({"promotion-order", "fold-domino"})
 
 THEOREMS = tuple(sorted(_SUITES))
 
 # words a sweep or an enumeration may list, summed over its rectangles;
 # all words of 3-row n <= 7 and 2-row n <= 13 fit, the symmetric ones of
 # 3-row n <= 11 and 2-row n <= 22 do, and every default bound walks at most
-# 8,571 words
+# 26,364 words
 _MAX_WORDS = 2_000_000
 # letters in the one word of a one-row rectangle
 _MAX_LETTERS = 2_000_000
@@ -580,9 +560,7 @@ def _checked(
     # loaded here, so a serial sweep never imports multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    # a worker that was not forked imports this module afresh, without the
-    # names verify bound, so each worker binds the web layer itself
-    with ProcessPoolExecutor(max_workers=workers, initializer=_bind_web_layer) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(check, tableaux, chunksize=64)
 
 
@@ -615,8 +593,6 @@ def verify(theorem_id: str, max_n: int | None = None) -> VerificationReport:
                 yield rows, n, family
 
     _check_word_limit(rectangles(), f"{theorem_id} up to n={bound} would sweep")
-    if theorem_id not in _TABLEAU_SUITES:
-        _bind_web_layer()
     tableaux = (t for rows, n, family in rectangles() for t in _FAMILIES[family]((n,) * rows))
     failures: list[Failure] = []
     instances = 0

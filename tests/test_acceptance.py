@@ -46,7 +46,7 @@ def _verified(theorem: str, max_n: int):
 
 
 _SUITE_RUNS = [
-    ("thm-2byn", 8),
+    ("thm-2byn", 16),
     ("thm-fw1", 8),
     ("thm-fw2", 8),
     ("roundtrip-3web", 5),
@@ -68,16 +68,16 @@ REPORT_SHA256 = {
     "promotion-order": "3e38edd6974d013dce1e75f9c1444d0348a9dc0e5b1d4241373ab63a76f1baaf",
     "promotion-rotation": "1b2a9894a929043c80a1f49ae9ba539837ec5c72cb4e055c23b7abef4584eedb",
     "roundtrip-3web": "a3502d42571d9bef9f26a142160e805e3dcf7adea237bc5cbd9661a852471ae7",
-    "thm-2byn": "b26519e004dd332a0a8657778cece233e40b6c80f459bb5a110ef2545adabb53",
+    "thm-2byn": "5e3a3c757704190d95c6bd3fe8bfb5d437cc20e913b81f399a1036979e262926",
     "thm-fw1": "1c194fb9d14b672b8188c71d324330b3ed14228c815c2bdabedc59957f279125",
     "thm-fw2": "eb3f365179936dc217ecdb4434c3ea14c36782f1bf3eec55a4d4c8685e36f099",
 }
 
 
 def test_criterion_01_two_row_folding(capfd):
-    r, seconds = _verified("thm-2byn", 8)
+    r, seconds = _verified("thm-2byn", 16)
     ok = r.passed and seconds < 5.0
-    _report(capfd, 1, ok, f"2-row folding theorem, n<=8 ({r.instances} instances, {seconds:.2f}s)")
+    _report(capfd, 1, ok, f"2-row folding theorem, n<=16 ({r.instances} instances, {seconds:.2f}s)")
     assert r.passed, r.text()
     assert seconds < 5.0
 

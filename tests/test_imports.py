@@ -8,8 +8,6 @@ loads `_value`, the base of the value classes.
 
 import ast
 import builtins
-import dis
-import functools
 import importlib
 import inspect
 import json
@@ -133,7 +131,7 @@ print(*sys.modules)
 """
 
 TABLEAU_LAYER = {"_value", "errors", "tableaux"}
-WEB_LAYER = {"matchings", "mdiagram", "planarweb", "web3"}
+WEB_3ROW = {"mdiagram", "planarweb", "web3"}
 
 
 @pytest.mark.parametrize(
@@ -150,14 +148,26 @@ WEB_LAYER = {"matchings", "mdiagram", "planarweb", "web3"}
             ["verify", "--theorem", "fold-domino", "--max-n", "2"],
             TABLEAU_LAYER | {"cli", "oracle"},
         ),
-        (VERIFY, ["roundtrip-3web", "2"], TABLEAU_LAYER | WEB_LAYER | {"oracle"}),
-        (IMPORT_WEB_BUILDER, [], TABLEAU_LAYER | WEB_LAYER - {"matchings"}),
+        (VERIFY, ["roundtrip-3web", "2"], TABLEAU_LAYER | WEB_3ROW | {"oracle"}),
+        (IMPORT_WEB_BUILDER, [], TABLEAU_LAYER | WEB_3ROW),
+        (VERIFY, ["thm-2byn", "4"], TABLEAU_LAYER | {"matchings", "oracle"}),
+        (
+            VERIFY,
+            ["thm-fw1", "3", "distance-lemmas", "2", "block-patterns", "2"],
+            TABLEAU_LAYER | WEB_3ROW | {"oracle"},
+        ),
+        (VERIFY, ["promotion-rotation", "3"], TABLEAU_LAYER | WEB_3ROW | {"matchings", "oracle"}),
     ],
-    ids=["tableau-suites", "enumerate", "verify-fold-domino", "roundtrip-3web", "web-builder"],
+    ids=[
+        "tableau-suites", "enumerate", "verify-fold-domino", "roundtrip-3web", "web-builder",
+        "thm-2byn", "3-row-web-suites", "promotion-rotation",
+    ],
 )
 def test_the_web_layer_loads_only_where_webs_are_built(code, argv, expected):
-    """The tableau suites and enumeration load no web module, a web suite
-    loads all four, and the 3-row web builder loads no 2-row module."""
+    """Each suite loads the modules its check imports: the tableau suites
+    and enumeration load no web module, the 2-row suite only `matchings`,
+    the 3-row web suites and the 3-row web builder no 2-row module, and a
+    suite over both row counts all four."""
     assert webfold_modules(loaded_after(code, *argv)) == expected
 
 
@@ -178,51 +188,9 @@ assert pooled == serial, pooled
 def test_a_pool_started_before_any_web_is_built_reports_as_a_serial_sweep(start):
     """In an interpreter that has imported only the oracle, a web suite
     over two worker processes, run first, reports what it does serially:
-    a forked worker inherits the web layer that verify bound before the
-    walk, and a spawned one, which imports the oracle afresh, binds it as
-    it starts."""
+    each worker, forked or spawned, loads the web modules the check
+    imports on its first check."""
     loaded_after(POOLED_SWEEP, start)
-
-
-def _globals_read(fn, oracle) -> set[str]:
-    """The global names fn reads, through its nested code and the oracle
-    functions it calls; a partial of _check_web_map also reads its string
-    arguments, the operators it looks up by name."""
-    if isinstance(fn, functools.partial):
-        return _globals_read(fn.func, oracle) | {a for a in fn.args if isinstance(a, str)}
-    names: set[str] = set()
-    codes = [fn.__code__]
-    while codes:
-        code = codes.pop()
-        codes += [c for c in code.co_consts if inspect.iscode(c)]
-        names |= {i.argval for i in dis.get_instructions(code) if i.opname == "LOAD_GLOBAL"}
-    for name in list(names):
-        called = getattr(oracle, name, None)
-        if inspect.isfunction(called) and called.__module__ == oracle.__name__ and called is not fn:
-            names |= _globals_read(called, oracle)
-    return names
-
-
-def test_web_layer_table_matches_what_the_checks_read():
-    """Every global a suite's check reads is the oracle's own, a builtin or
-    a name of _WEB_LAYER, and exactly the suites outside _TABLEAU_SUITES
-    read one of _WEB_LAYER: a name missing from either table would fail
-    every instance of a sweep that loaded no web module.  Every name of
-    _WEB_LAYER is read by some check."""
-    from webfold import oracle
-
-    table = {name for names in oracle._WEB_LAYER.values() for name in names}
-    own = set(vars(oracle)) - table
-    reading_the_web_layer = set()
-    read_by_any: set[str] = set()
-    for suite, (_, _, check) in oracle._SUITES.items():
-        read = _globals_read(check, oracle)
-        assert read - own - set(vars(builtins)) <= table, suite
-        if read & table:
-            reading_the_web_layer.add(suite)
-        read_by_any |= read
-    assert set(oracle._SUITES) - reading_the_web_layer == oracle._TABLEAU_SUITES
-    assert table <= read_by_any
 
 
 def test_oracle_loads_no_process_pool():
@@ -438,7 +406,8 @@ def test_uncalled_names_have_their_keepers():
 def _names_outside_annotations(node: ast.AST) -> list[str]:
     """Every name, attribute and identifier-like string in node, outside
     its annotations.  A string counts, since oracle's _WEB_MAPS names web
-    maps by string; an annotation does not, since it calls nothing."""
+    maps by string, and the CLI names the render function cli._emit_drawing
+    draws with by string; an annotation does not, since it calls nothing."""
     typed = set()
     for sub in ast.walk(node):
         if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):

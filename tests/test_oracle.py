@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from webfold import oracle, tableaux
+from webfold import matchings, mdiagram, oracle, planarweb, tableaux, web3
 from webfold.errors import (
     BoundTooLarge,
     InvalidWorkerCount,
@@ -459,14 +459,14 @@ def test_failed_tableau_identities_show_two_different_fillings(monkeypatch):
 
 def test_raising_instance_is_a_failure_and_the_sweep_goes_on(monkeypatch):
     monkeypatch.delenv("WEBFOLD_WORKERS", raising=False)
-    web_of_tableau = oracle.web_of_tableau
+    web_of_tableau = web3.web_of_tableau
 
     def broken(t):
         if t.word == "121323":
             raise NotAWeb("injected")
         return web_of_tableau(t)
 
-    monkeypatch.setattr(oracle, "web_of_tableau", broken)
+    monkeypatch.setattr(web3, "web_of_tableau", broken)
     report = verify("roundtrip-3web", 3)
     assert report.instances == 1 + 5 + 42
     (failure,) = report.failures
@@ -480,7 +480,7 @@ def test_raise_in_a_structural_step_keeps_the_step_name(monkeypatch):
     def broken(t):
         raise KeyError(t.word)
 
-    monkeypatch.setattr(oracle, "decompose_blocks", broken)
+    monkeypatch.setattr(web3, "decompose_blocks", broken)
     report = verify("block-patterns", 2)
     assert [f.word for f in report.failures] == ["112233", "112323", "121233", "123"]
     for f in report.failures:
@@ -504,35 +504,41 @@ def _blocks_reversed(decompose):
     return reversed_blocks
 
 
-# name: (oracle global to patch, replacement given the original, sha256 of
-# every suite's report text and sorted JSON at bound 3, in THEOREMS order,
-# and the (suite, identity) pairs that fail)
+# name: (module and name to patch, the oracle for a tableau operator and the
+# function's home module for a web one, replacement given the original,
+# sha256 of every suite's report text and sorted JSON at bound 3, in
+# THEOREMS order, and the (suite, identity) pairs that fail)
 FAULTS = {
     "rotate applied twice": (
+        planarweb,
         "rotate",
         lambda rotate: lambda w: rotate(rotate(w)),
         "6a154db1362b0faadfbd62fd38c37d921c61db1d43e1e1e231e2ef2caf5b560c",
         {("promotion-rotation", "rotate(web_of_tableau(T)) = web_of_tableau(promote(T))")},
     ),
     "rotate2 applied twice": (
+        matchings,
         "rotate2",
         lambda rotate2: lambda m: rotate2(rotate2(m)),
         "020cc933b50d49c2c644abd7f1c03cf99cab8eab0501511905f3868764f4b977",
         {("promotion-rotation", "rotate2(web2(T)) = web2(promote(T))")},
     ),
     "reflect is the identity": (
+        planarweb,
         "reflect",
         lambda reflect: lambda w: w,
         "d7d5f48a0f0e155849ea1a9ddf12259c4cc41adc80670b45ff59abcaca210f7f",
         {("evacuation-reflection", "reflect(web_of_tableau(T)) = web_of_tableau(evacuate(T))")},
     ),
     "reflect2 is the identity": (
+        matchings,
         "reflect2",
         lambda reflect2: lambda m: m,
         "61d2c957b85b2e9d92b390295cc0e77e3e9be48a6d66f5eb1d3daeb121766dfb",
         {("evacuation-reflection", "reflect2(web2(T)) = web2(evacuate(T))")},
     ),
     "fold is the identity": (
+        oracle,
         "fold",
         lambda fold: lambda t: t,
         "0222d2dfd051a57177e740afe48e325a6966b3775c9add5121332b718f8792b4",
@@ -549,6 +555,7 @@ FAULTS = {
         },
     ),
     "unfold is the identity": (
+        oracle,
         "unfold",
         lambda unfold: lambda t: t,
         "42577839f93835221f1ec84744495ac9f604f649f40a7455482f5f1bddeaa890",
@@ -560,6 +567,7 @@ FAULTS = {
         },
     ),
     "web_distance is 0": (
+        planarweb,
         "web_distance",
         lambda web_distance: lambda w, x, y: 0,
         "b1abdea7ef9aec64eaca6d6be336b4e2348784eed0d2988295d7507925a4295c",
@@ -571,6 +579,7 @@ FAULTS = {
         },
     ),
     "arc_distance one too large": (
+        mdiagram,
         "arc_distance",
         lambda arc_distance: lambda m, x, y: arc_distance(m, x, y) + 1,
         "325b2f2191e79e95b2b36c81e4f6e2afc5080cb14e8a2c048cb41ebb9338cb2b",
@@ -584,6 +593,7 @@ FAULTS = {
         },
     ),
     "blocks reversed": (
+        web3,
         "decompose_blocks",
         _blocks_reversed,
         "3471e8ea673d41d096ff2aa536b06e7a15e5ffe3771b1acc6848facde4aa1388",
@@ -593,6 +603,7 @@ FAULTS = {
         },
     ),
     "promote is the identity past N = 4": (
+        oracle,
         "promote",
         lambda promote: lambda t: t if t.size > 4 else promote(t),
         "3a5b831fa72858718af70adfdf4fdf054fb18337f0346f71efa5d0a8bdd2a29d",
@@ -614,8 +625,8 @@ def test_failing_reports_are_pinned(monkeypatch, fault):
     """Under each fault every suite at bound 3 reports the same failures,
     word for word in text and JSON, and fails exactly the pinned identities."""
     monkeypatch.delenv("WEBFOLD_WORKERS", raising=False)
-    name, replacement, pinned, identities = FAULTS[fault]
-    monkeypatch.setattr(oracle, name, replacement(getattr(oracle, name)))
+    module, name, replacement, pinned, identities = FAULTS[fault]
+    monkeypatch.setattr(module, name, replacement(getattr(module, name)))
     digest = hashlib.sha256()
     failing = set()
     for theorem in THEOREMS:
@@ -629,14 +640,18 @@ def test_failing_reports_are_pinned(monkeypatch, fault):
 
 def test_parallel_sweeps_report_failures_as_serial_ones_do(monkeypatch):
     """Under "fold is the identity", which fails nine identities in six
-    suites, two of them named by the step that raised, every suite at bound
-    3 reports the same failures over two worker processes as serially."""
-    monkeypatch.delenv("WEBFOLD_WORKERS", raising=False)
-    name, replacement, _, identities = FAULTS["fold is the identity"]
-    monkeypatch.setattr(oracle, name, replacement(getattr(oracle, name)))
-    serial = [verify(theorem, 3) for theorem in THEOREMS]
-    assert {(r.theorem, f.identity) for r in serial for f in r.failures} == identities
-    # two processes where the machine has two CPUs or more
-    monkeypatch.setenv("WEBFOLD_WORKERS", "2")
-    pooled = [verify(theorem, 3) for theorem in THEOREMS]
-    assert [r.to_dict() for r in pooled] == [r.to_dict() for r in serial]
+    suites, two of them named by the step that raised, and under "rotate
+    applied twice", patched into planarweb, which a forked worker reads as
+    its check runs, every suite at bound 3 reports the same failures over
+    two worker processes as serially."""
+    for fault in ("fold is the identity", "rotate applied twice"):
+        module, name, replacement, _, identities = FAULTS[fault]
+        with monkeypatch.context() as patched:
+            patched.delenv("WEBFOLD_WORKERS", raising=False)
+            patched.setattr(module, name, replacement(getattr(module, name)))
+            serial = [verify(theorem, 3) for theorem in THEOREMS]
+            assert {(r.theorem, f.identity) for r in serial for f in r.failures} == identities
+            # two processes where the machine has two CPUs or more
+            patched.setenv("WEBFOLD_WORKERS", "2")
+            pooled = [verify(theorem, 3) for theorem in THEOREMS]
+            assert [r.to_dict() for r in pooled] == [r.to_dict() for r in serial], fault
