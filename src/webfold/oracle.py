@@ -38,11 +38,11 @@ from .tableaux import (
     _unchecked,
     evacuate,
     fold,
-    insertion_tableau,
     is_domino,
     is_rotationally_symmetric,
     partial_fold,
     promote,
+    rectify,
     restrict_gt,
     restrict_le,
     rotate180_complement,
@@ -361,12 +361,12 @@ def _check_operator_algebra(t: Tableau):
     yield from _holds("evacuate(T) = rotate180_complement(T)", e, rotate180_complement(t))
     yield from _holds("unfold(fold(T)) = T", unfold(fold(t)), t)
     # the right side rectifies by row insertion, which shares no code with
-    # the slides of promote; `rectify` by slides is the unit-tested reference
+    # the slides of promote
     yield from _first(
         _holds(
             f"restrict_le(promote^{k}(T), N-{k}) = rectify(restrict_gt(T, {k}))",
             restrict_le(powers[k], total - k),
-            insertion_tableau(restrict_gt(t, k)),
+            rectify(restrict_gt(t, k)),
         )
         for k in range(total + 1)
     )
@@ -399,14 +399,14 @@ def _check_fold_domino(t: Tableau):
 def _check_distance_lemmas(t: Tableau):
     from .mdiagram import arc_distance, coherent_separators, epsilon, reflected_face, resolve
     from .planarweb import boundary_face, exterior_face, faces, web_distance
-    from .web3 import crossed_mdiagram_of_decomposition, decompose_blocks, web_of_tableau
+    from .web3 import crossed_mdiagram, decompose_blocks, web_of_tableau
 
     yield from _holds("resolution is a valid web", _violations(web_of_tableau(t)), "", str)
     if not is_rotationally_symmetric(t):
         return
     yield _VERTICAL_PAIRS
     dec = decompose_blocks(fold(t))
-    m = crossed_mdiagram_of_decomposition(dec)
+    m = crossed_mdiagram(dec)
     yield _COMPLETES
     wx = resolve(m)
     invalid = _holds("crossed resolution is a valid web", _violations(wx), "", str)
@@ -457,7 +457,7 @@ def _check_block_patterns(t: Tableau):
         name = "lone-cell block only leads an odd tableau"
         yield from _holds(name, f"block {i} has type 0", "", str, ok)
     yield _VERTICAL_PAIRS
-    web3.crossed_mdiagram_of_decomposition(dec)
+    web3.crossed_mdiagram(dec)
 
 
 def _failures(check: Callable[[Tableau], Iterable], t: Tableau) -> list[Failure]:

@@ -11,14 +11,14 @@ Shapes and tableaux are checked where they enter: `Shape(...)`,
 `Tableau(...)`, `Tableau.from_rows`, `from_word` and `from_dict`.  A
 straight word's check is the lattice condition alone, since every
 lattice word encodes a standard tableau; a skew word gets the Shape and
-Tableau checks.  The operators, `rectify` and `insertion_tableau` build
-their results standard by construction and do not check them again.
+Tableau checks.  The operators and `rectify` build their results
+standard by construction and do not check them again.
 
-A skew tableau is rectified two ways that share no code: `rectify` by
-jeu-de-taquin slides, and `insertion_tableau` by row-inserting its reading
-word.  The promotion-order suite uses insertion; `rectify` is the
-reference that a unit test checks it against.  No single skew slide is
-public: every slide runs inside `rectify` or a straight-shape operator.
+The package slides only inside straight shapes, in the promotion
+operators.  `rectify` straightens a skew tableau by row-inserting its
+reading word, which reaches the one straight tableau that jeu-de-taquin
+slides reach (Fulton, Young Tableaux, ch. 2-3); the tests check it
+against a reference that slides.
 """
 
 from __future__ import annotations
@@ -26,12 +26,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import chain
 from operator import add, ge, gt, lt, sub
-from random import Random
 
 from ._value import Value
 from .errors import NonLatticeWord, NotRectangular, OutOfRange, WrongShape, _integer
-
-Cell = tuple[int, int]
 
 # the letters of a word, and the row index each names; nothing else is a letter
 _LETTERS = "123456789"
@@ -197,53 +194,7 @@ def _unchecked(rows, inner=(), shape: Shape | None = None) -> Tableau:
     return t
 
 
-def _grid(t: Tableau) -> dict[Cell, int]:
-    inner = t.shape.inner + (0,) * (len(t.rows) - len(t.shape.inner))
-    return {
-        (r, c): v
-        for r, (x, row) in enumerate(zip(inner, t.rows), start=1)
-        for c, v in enumerate(row, start=x + 1)
-    }
-
-
-def _slide_out(grid: dict[Cell, int], hole: Cell) -> None:
-    """Move the hole right or down into the smaller neighbour until none is left, in place."""
-    while True:
-        right = (hole[0], hole[1] + 1)
-        below = (hole[0] + 1, hole[1])
-        rv = grid.get(right)
-        bv = grid.get(below)
-        if rv is None and bv is None:
-            return
-        nxt = right if bv is None or (rv is not None and rv < bv) else below
-        grid[hole] = grid.pop(nxt)
-        hole = nxt
-
-
-def rectify(t: Tableau, rng: Random | None = None) -> Tableau:
-    """Slide until the shape is straight.
-
-    The result does not depend on the corner order; pass an rng to pick
-    corners at random instead of always the topmost one.  The slides run
-    on one copy of the cells.  This is the jeu-de-taquin reference that a
-    unit test checks `insertion_tableau` against.
-    """
-    grid = _grid(t)
-    inner = list(t.shape.inner)
-    while any(inner):
-        # rows whose last inner cell has no inner cell below it, topmost first
-        corners = [r for r, (x, y) in enumerate(zip(inner, inner[1:] + [0]), start=1) if x > y]
-        r = rng.choice(corners) if rng else corners[0]
-        _slide_out(grid, (r, inner[r - 1]))
-        inner[r - 1] -= 1
-    # the shape is straight now: rows below the last one holding a cell go
-    rows: list[list[int]] = [[] for _ in range(max([r for r, _ in grid], default=0))]
-    for (r, _), v in sorted(grid.items()):
-        rows[r - 1].append(v)
-    return _unchecked(rows)
-
-
-def insertion_tableau(t: Tableau) -> Tableau:
+def rectify(t: Tableau) -> Tableau:
     """The rectification of t, as the row-insertion tableau of its reading word.
 
     The reading word lists the rows from the bottom row up, each left to

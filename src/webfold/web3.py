@@ -238,12 +238,9 @@ def decompose_blocks(d: Tableau) -> DominoDecomposition:
     )
 
 
-def crossed_mdiagram(d: Tableau) -> MDiagram:
-    """The reflected compression diagram with each vertical pair's arcs crossed."""
-    return crossed_mdiagram_of_decomposition(decompose_blocks(d))
-
-
-def crossed_mdiagram_of_decomposition(dec: DominoDecomposition) -> MDiagram:
+def crossed_mdiagram(dec: DominoDecomposition) -> MDiagram:
+    """The reflected compression diagram of a domino decomposition, with
+    each vertical pair's arcs crossed."""
     # labels m', ..., 1', then "0" for an odd tableau, then 1, ..., m, at
     # abscissas -m..m; entry k of the compression is at position n - m + k
     c, m = dec.compression, dec.compression.size
@@ -303,4 +300,4 @@ def crossed_mdiagram_of_decomposition(dec: DominoDecomposition) -> MDiagram:
 
 
 def crossed_web(d: Tableau) -> PlanarWeb:
-    return resolve(crossed_mdiagram(d))
+    return resolve(crossed_mdiagram(decompose_blocks(d)))

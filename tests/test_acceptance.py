@@ -20,7 +20,7 @@ from webfold.tableaux import fold, from_word, partial_fold
 from webfold.web3 import (
     DominoDecomposition,
     _classify_block,
-    crossed_mdiagram_of_decomposition,
+    crossed_mdiagram,
     decompose_blocks,
     web_of_tableau,
 )
@@ -187,7 +187,7 @@ def test_criterion_10_error_paths(capfd):
         _classify_block(False, (0, 1), "columns 1..2")
     dec = decompose_blocks(from_word(CHAIN_FOLD))
     with pytest.raises(VerticalPairNotAnArc):
-        crossed_mdiagram_of_decomposition(
+        crossed_mdiagram(
             DominoDecomposition(dec.blocks, ((1, 6),), dec.compression)
         )
 

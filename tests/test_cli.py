@@ -17,7 +17,7 @@ from webfold import cli, oracle
 from webfold.cli import main
 from webfold.matchings import web2_of_tableau
 from webfold.tableaux import from_word
-from webfold.web3 import crossed_mdiagram, mdiagram_of_tableau, web_of_tableau
+from webfold.web3 import crossed_mdiagram, decompose_blocks, mdiagram_of_tableau, web_of_tableau
 from webs import (
     low_labels_web,
     open_circle_web,
@@ -402,7 +402,8 @@ def test_outputs_are_byte_stable(capsys):
 
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     diagram = tmp_path / "crossed.json"
-    diagram.write_text(json.dumps(crossed_mdiagram(from_word(CHAIN_FOLD)).to_dict()))
+    crossed = crossed_mdiagram(decompose_blocks(from_word(CHAIN_FOLD)))
+    diagram.write_text(json.dumps(crossed.to_dict()))
     calls = [
         ["web3", action, "--word", word, "--format", fmt]
         for action, word in (("from-tableau", CHAIN_WORD), ("crossed", CHAIN_FOLD))

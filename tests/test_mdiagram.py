@@ -36,7 +36,7 @@ from webfold.planarweb import (
 )
 from webfold.render import svg_of_mdiagram
 from webfold.tableaux import fold, from_word, is_rotationally_symmetric
-from webfold.web3 import crossed_mdiagram, mdiagram_of_tableau
+from webfold.web3 import crossed_mdiagram, decompose_blocks, mdiagram_of_tableau
 from reference import is_symmetrical, symmetric_words
 from webs import tripod
 
@@ -173,7 +173,7 @@ def test_mirrored_tripods_are_symmetric():
 
 def test_mirror_labels():
     # 4', ..., 1', 0, 1, ..., 4: the position mirror maps k to k' and fixes 0
-    labels = crossed_mdiagram(from_word(ODD_FOLD)).labels
+    labels = crossed_mdiagram(decompose_blocks(from_word(ODD_FOLD))).labels
     mirror = {labels[p - 1]: labels[9 - p] for p in range(1, 10)}
     assert mirror["3"] == "3'" and mirror["3'"] == "3" and mirror["0"] == "0"
     # 2 -> 1' and 2' -> 1, crossed and of the second kind, on the six
@@ -339,7 +339,7 @@ def test_resolution_depends_on_boundary_order_not_spacing():
             t = from_word(word)
             diagrams.append((word, mdiagram_of_tableau(t)))
             if is_rotationally_symmetric(t):
-                diagrams.append((f"crossed {word}", crossed_mdiagram(fold(t))))
+                diagrams.append((f"crossed {word}", crossed_mdiagram(decompose_blocks(fold(t)))))
     for name, m in diagrams:
         # strictly increasing, but neither evenly spaced nor integral
         xs = tuple(F(p * p, 3) + F(p % 3, 7) for p in range(1, len(m.xs) + 1))
@@ -506,7 +506,7 @@ def golden_diagrams():
         for word in enumerate_words((n, n, n)):
             yield mdiagram_of_tableau(from_word(word))
     for t in symmetric_tableaux(5):
-        yield crossed_mdiagram(fold(t))
+        yield crossed_mdiagram(decompose_blocks(fold(t)))
 
 
 def test_resolved_webs_are_given_the_walls_and_circle_they_would_find():
@@ -547,7 +547,7 @@ def golden_resolutions():
         for word in enumerate_words((n, n, n)):
             yield mdiagram_of_tableau(from_word(word)), False
     for t in symmetric_tableaux(6):
-        yield crossed_mdiagram(fold(t)), True
+        yield crossed_mdiagram(decompose_blocks(fold(t))), True
 
 
 def test_resolutions_are_pinned():
@@ -612,7 +612,7 @@ def test_arc_functions_are_pinned():
     pinned = hashlib.sha256()
     count = pairs = 0
     for t in symmetric_tableaux(5):
-        m = crossed_mdiagram(fold(t))
+        m = crossed_mdiagram(decompose_blocks(fold(t)))
         count += 1
         w = resolve(m)
         name = [min(orbit) for orbit in w.face_table.orbits]
@@ -669,7 +669,7 @@ def test_position_mirror_is_the_label_mirror():
     # carry the mirrored labels and whose kind and crossed flag are its own
     count = 0
     for t in symmetric_tableaux(6):
-        m = crossed_mdiagram(fold(t))
+        m = crossed_mdiagram(decompose_blocks(fold(t)))
         label, mirrors = m.labels, m._mirrors
         count += 1
         for i, j in enumerate(mirrors):

@@ -425,9 +425,9 @@ def test_rectification_side_is_row_insertion(monkeypatch):
     monkeypatch.delenv("WEBFOLD_WORKERS", raising=False)
 
     def top_row_first(t):
-        return tableaux.insertion_tableau(tableaux._unchecked(t.rows[::-1]))
+        return tableaux.rectify(tableaux._unchecked(t.rows[::-1]))
 
-    monkeypatch.setattr(oracle, "insertion_tableau", top_row_first)
+    monkeypatch.setattr(oracle, "rectify", top_row_first)
     report = verify("promotion-order", 3)
     # every tableau of two or three rows already differs at k = 0
     assert len(report.failures) == report.instances == 56

@@ -9,7 +9,7 @@ from webfold.mdiagram import MDiagram
 from webfold.planarweb import PlanarWeb
 from webfold.render import svg_of_json, svg_of_matching2, svg_of_mdiagram, svg_of_web
 from webfold.tableaux import fold, from_word
-from webfold.web3 import crossed_mdiagram, mdiagram_of_tableau, web_of_tableau
+from webfold.web3 import crossed_mdiagram, decompose_blocks, mdiagram_of_tableau, web_of_tableau
 from webs import golden_webs
 
 CHAIN_WORD = "111122213132223333"
@@ -18,7 +18,7 @@ GOLDEN_WEB_BYTES_SHA256 = "b009b95cb26e096f14d14db4f3279e0a5f7c2f2d0528614f5dcbc
 
 
 def test_mdiagram_svg_marks_crossings():
-    m = crossed_mdiagram(fold(from_word(CHAIN_WORD)))
+    m = crossed_mdiagram(decompose_blocks(fold(from_word(CHAIN_WORD))))
     svg = svg_of_mdiagram(m)
     assert svg.startswith("<svg") and svg.endswith("</svg>\n")
     # ten crossings, each drawn as a hollow red circle

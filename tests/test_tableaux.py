@@ -22,7 +22,6 @@ from webfold.tableaux import (
     evacuate,
     fold,
     from_word,
-    insertion_tableau,
     is_domino,
     is_rotationally_symmetric,
     partial_fold,
@@ -34,7 +33,7 @@ from webfold.tableaux import (
     rotate180_complement,
     unfold,
 )
-from reference import symmetric_words
+from reference import rectify_by_slides, symmetric_words
 
 SKEW = Tableau.from_rows(
     [(1, 9), (2, 3, 11, 12), (4, 6, 7, 13), (5, 8, 10, 14)], inner=(3, 1)
@@ -46,12 +45,12 @@ def test_operators_run_no_tableau_checks(monkeypatch):
     Shape or Tableau checks; test_operator_results_pass_the_checks runs them."""
     straight = Tableau.from_rows([(1, 2, 5), (3, 4, 8), (6, 7, 9)])
     expected = from_word("12134213122134")
+    for rng in (None, random.Random(3)):
+        assert rectify_by_slides(SKEW, rng) == expected
     checks = []
     for cls in (Shape, Tableau):
         monkeypatch.setattr(cls, "__init__", lambda value, *_: checks.append(type(value).__name__))
-    for rng in (None, random.Random(3)):
-        assert rectify(SKEW, rng) == expected
-    assert insertion_tableau(SKEW) == expected
+    assert rectify(SKEW) == expected
     for op in (promote, promote_inverse, evacuate, fold, unfold, rotate180_complement):
         op(straight)
     partial_fold(straight, 2)
@@ -108,8 +107,8 @@ def _skew_fillings(outer, inner):
 
 
 def test_slide_and_rectify_results_pass_the_checks():
-    """Every skew filling with outer size <= 9 and at most 6 cells, rectified
-    by rectify's slides."""
+    """Every skew filling with outer size <= 9 and at most 6 cells: rectify
+    passes the checks and equals the rectification by slides."""
     count = 0
     for size in range(1, 10):
         for outer in _partitions(size, size):
@@ -121,7 +120,10 @@ def test_slide_and_rectify_results_pass_the_checks():
             ]
             for inner in inners:
                 for rows in _skew_fillings(outer, inner):
-                    _assert_checked(rectify(Tableau.from_rows(rows, inner)))
+                    skew = Tableau.from_rows(rows, inner)
+                    inserted = rectify(skew)
+                    _assert_checked(inserted)
+                    assert inserted == rectify_by_slides(skew)
                     count += 1
     assert count == 7369
 
@@ -160,7 +162,7 @@ def test_restrictions_keep_inner_cells_in_an_empty_bottom_row():
     assert restrict_gt(from_word("1121"), 3) == Tableau.from_rows([(1,), ()], inner=(2, 1))
 
 
-def test_insertion_tableau_agrees_with_slides():
+def test_rectify_agrees_with_slides():
     """Every restrict_gt(T, k) of the straight shapes below, each distinct one
     once: row insertion of the reading word equals jeu de taquin, topmost or
     random corners first."""
@@ -172,9 +174,9 @@ def test_insertion_tableau_agrees_with_slides():
     distinct = dict.fromkeys(skews)
     assert len(distinct) == 10257
     for skew in distinct:
-        inserted = insertion_tableau(skew)
+        inserted = rectify(skew)
         _assert_checked(inserted)
-        assert inserted == rectify(skew) == rectify(skew, rng)
+        assert inserted == rectify_by_slides(skew) == rectify_by_slides(skew, rng)
 
 
 def test_rectify_fixes_straight():
@@ -186,7 +188,7 @@ def test_rectify_order_independent():
     rng = random.Random(20260814)
     base = rectify(SKEW)
     for _ in range(20):
-        assert rectify(SKEW, rng) == base
+        assert rectify_by_slides(SKEW, rng) == base
 
 
 def test_rectify_matches_promotion():

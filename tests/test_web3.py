@@ -37,7 +37,6 @@ from webfold.web3 import (
     _LAMBDA,
     _PHI,
     crossed_mdiagram,
-    crossed_mdiagram_of_decomposition,
     crossed_web,
     decompose_blocks,
     domino_of_symmetric_web,
@@ -148,7 +147,7 @@ def test_decompositions_are_pinned():
         for word in symmetric_words((n, n, n)):
             dec = decompose_blocks(fold(from_word(word)))
             pinned.update(repr((dec.blocks, dec.vertical_pairs, dec.compression)).encode())
-            diagram = crossed_mdiagram_of_decomposition(dec).to_dict()
+            diagram = crossed_mdiagram(dec).to_dict()
             pinned.update(json.dumps(diagram, sort_keys=True).encode())
             count += 1
     assert count == 530
@@ -156,7 +155,7 @@ def test_decompositions_are_pinned():
 
 
 def test_crossed_mdiagram_even():
-    m = crossed_mdiagram(from_word(CHAIN_FOLD))
+    m = crossed_mdiagram(decompose_blocks(from_word(CHAIN_FOLD)))
     assert list(m.labels) == [
         "9'", "8'", "7'", "6'", "5'", "4'", "3'", "2'", "1'",
         "1", "2", "3", "4", "5", "6", "7", "8", "9",
@@ -170,7 +169,7 @@ def test_crossed_mdiagram_even():
 
 
 def test_crossed_mdiagram_odd():
-    m = crossed_mdiagram(from_word(ODD_FOLD))
+    m = crossed_mdiagram(decompose_blocks(from_word(ODD_FOLD)))
     assert list(m.labels) == [
         "4'", "3'", "2'", "1'", "0", "1", "2", "3", "4",
     ]
@@ -329,7 +328,7 @@ def test_tampered_vertical_pairs_are_rejected():
     for pairs, fragment in cases:
         bad = DominoDecomposition(dec.blocks, pairs, dec.compression)
         with pytest.raises(VerticalPairNotAnArc, match=fragment):
-            crossed_mdiagram_of_decomposition(bad)
+            crossed_mdiagram(bad)
 
 
 @pytest.mark.parametrize(
@@ -344,7 +343,7 @@ def test_tampered_vertical_pair_messages(word, pairs, message):
     dec = decompose_blocks(from_word(word))
     dec = DominoDecomposition(dec.blocks, pairs, dec.compression)
     with pytest.raises(VerticalPairNotAnArc) as info:
-        crossed_mdiagram_of_decomposition(dec)
+        crossed_mdiagram(dec)
     assert str(info.value) == message
 
 
