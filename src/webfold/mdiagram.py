@@ -21,8 +21,8 @@ A diagram is checked where it enters, by `from_dict`, boundary degrees
 included.  `MDiagram(...)`, like `PlanarWeb(...)`, checks nothing: the
 builders in `web3` make their diagrams valid by construction.  The one
 resolver, `_resolve`, reads `ends` as stored, so `web3` can resolve a
-tableau's row pairings without building a diagram; it checks the degrees
-again, for diagrams that skip `from_dict`.
+tableau's row pairings without building a diagram; it checks nothing
+either, since every diagram it is handed was checked or built valid.
 """
 
 from __future__ import annotations
@@ -143,16 +143,15 @@ class MDiagram(Value):
             crossed |= cross << i
         if not labels:
             raise ValueError("boundary must have at least one vertex")
-        _degree_codes(labels, ends)
+        _check_degrees(labels, ends)
         return cls(labels, xs, tuple(ends), second, crossed)
 
 
-def _degree_codes(labels: Sequence[str | int], ends: Sequence[tuple[int, int]]) -> list[int]:
-    """Per boundary position 0..n, its degree code out + big * in, where big
-    = len(ends) + 1 is more than any count: a source (1 out, 0 in) has code
-    1 and a sink of two arcs (0 out, 2 in) 2 * big.  One set test accepts
-    the codes; only on failure does a loop name the first vertex, in label
-    order, that is neither, with InvalidBoundaryDegrees."""
+def _check_degrees(labels: Sequence[str], ends: Sequence[tuple[int, int]]) -> None:
+    """Raise InvalidBoundaryDegrees naming the first vertex, in label order,
+    that is neither a source (1 out, 0 in) nor a sink of two arcs (0 out,
+    2 in).  Its code out + big * in, big = len(ends) + 1, is 1 or 2 * big:
+    one set test accepts the codes, and only on failure does a loop look."""
     n, big = len(labels), len(ends) + 1
     code = [0] * (n + 1)
     for p, q in ends:
@@ -164,7 +163,6 @@ def _degree_codes(labels: Sequence[str | int], ends: Sequence[tuple[int, int]]) 
         raise InvalidBoundaryDegrees(
             f"vertex {labels[p - 1]} has {outs} outgoing and {ins} incoming arcs"
         )
-    return code
 
 
 def _crossing_pairs(
@@ -244,14 +242,13 @@ def _resolve(
     `web3.web_of_tableau` the two row pairings, with no diagram built and
     its positions 1..N, a range, as both labels and abscissas, and it
     keeps only the web.  Labels are read only by error messages, which
-    print them.  The degrees are checked here as in `from_dict`, since
-    `MDiagram(...)` callers skip it.
+    print them.  The degrees are not checked: `from_dict` checks them
+    where a diagram enters, and the `web3` builders make them valid.
     """
     # boundary vertices are named by position 1..n, arcs by index in ends
     n = len(labels)
-    code = _degree_codes(labels, ends)
-    # per sink, (tail, dart, index) of the last segment of each arc into it
-    feeds: dict[int, list[tuple[int, int, int]]] = {p: [] for p, c in enumerate(code) if c > 1}
+    # per sink, by position, (tail, dart, index) of the last segment of each arc into it
+    feeds: dict[int, list[tuple[int, int, int]]] = {q: [] for q in sorted({q for _, q in ends})}
 
     # crossings are named by their index t in found below; they come sorted
     # by abscissa, so each arc meets its own in index order when it points

@@ -1,4 +1,4 @@
-"""Skew shapes, standard Young tableaux, and the slide-based operators.
+"""Skew shapes, standard Young tableaux, and the promotion operators.
 
 Cells are addressed (row, column) with both indices starting at 1.  A
 tableau stores its entries row by row; row r occupies the columns
@@ -14,11 +14,13 @@ lattice word encodes a standard tableau; a skew word gets the Shape and
 Tableau checks.  The operators and `rectify` build their results
 standard by construction and do not check them again.
 
-The package slides only inside straight shapes, in the promotion
-operators.  `rectify` straightens a skew tableau by row-inserting its
-reading word, which reaches the one straight tableau that jeu-de-taquin
-slides reach (Fulton, Young Tableaux, ch. 2-3); the tests check it
-against a reference that slides.
+The package slides only inside straight shapes, in the forward promotion
+operators; the inverse ones swap entries by Bender-Knuth involutions, so
+`unfold(fold(T)) == T` sets two algorithms against each other.  `rectify`
+straightens a skew tableau by row-inserting its reading word, which
+reaches the one straight tableau that jeu-de-taquin slides reach (Fulton,
+Young Tableaux, ch. 2-3); the tests check it against a reference that
+slides.
 """
 
 from __future__ import annotations
@@ -289,51 +291,27 @@ def _slide_forward(t: Tableau, bounds: range | list[int]) -> Tableau:
     return _unchecked([map(relabel, row[:m]) for row, m in zip(grid, outer)], shape=t.shape)
 
 
-def _slide_back(t: Tableau, bounds: range | list[int]) -> Tableau:
-    """Inverse bounded promotions of a straight tableau, one per bound k in turn.
-
-    For each k the hole left by k slides up or left into the larger
-    neighbour until it reaches (1, 1); entries below k rise by one and 1
-    goes to (1, 1).  The bounds must strictly increase, so k has neither
-    moved nor changed before its own step and is found where it started.
-    With S bounds, the steps key an entry not yet placed by its original
-    value v plus S and the one placed at step s by S - s, its final label;
-    both keep the order of the current labels.  The walls above and to the
-    left are 0, and each v rises, at the end, by the number of bounds > v.
-    """
+def _bender_knuth(t: Tableau, steps: range | list[int]) -> Tableau:
+    """The Bender-Knuth involutions tau_i of a straight tableau, one per i
+    in turn: tau_i swaps the cells of i and i + 1 unless they share a row or
+    a column.  The bounded promotion with bound k is tau_1, ..., tau_{k-1}
+    (Stanley, "Promotion and evacuation", 2009), so the steps k - 1, ..., 1
+    undo it.  The swaps move a row and a column per entry in two tables."""
     n = t.size
-    outer = t.shape.outer
-    top = len(bounds)
-    grid = [[0] * (outer[0] + 1 if outer else 1)]
-    position = [(0, 0)] * (n + 1)
-    for r, row in enumerate(t.rows, start=1):
-        grid.append([0, *[v + top for v in row]])
-        for c, v in enumerate(row, start=1):
-            position[v] = (r, c)
-    for s, k in enumerate(bounds):
-        r, c = position[k]
-        while True:
-            up = grid[r - 1][c]
-            left = grid[r][c - 1]
-            if up > left:
-                grid[r][c] = up
-                r -= 1
-            elif left:
-                grid[r][c] = left
-                c -= 1
-            else:
-                break
-        grid[1][1] = top - s
-    # placed keys are their labels; then v + S -> v + #{bounds > v}, one
-    # range per bound, the smallest first
-    table = list(range(top + 1))
-    last = 0
-    for s, k in enumerate(bounds):
-        table += range(last + 1 + top - s, k + 1 + top - s)
-        last = k
-    table += range(last + 1, n + 1)
-    relabel = table.__getitem__
-    return _unchecked([map(relabel, row[1:]) for row in grid[1:]], shape=t.shape)
+    row_of = [0] * (n + 1)
+    col_of = [0] * (n + 1)
+    for r, row in enumerate(t.rows):
+        for c, v in enumerate(row):
+            row_of[v], col_of[v] = r, c
+    for i in steps:
+        j = i + 1
+        if row_of[i] != row_of[j] and col_of[i] != col_of[j]:
+            row_of[i], row_of[j] = row_of[j], row_of[i]
+            col_of[i], col_of[j] = col_of[j], col_of[i]
+    rows = [[0] * len(row) for row in t.rows]
+    for v in range(1, n + 1):
+        rows[row_of[v]][col_of[v]] = v
+    return _unchecked(rows, shape=t.shape)
 
 
 def promote(t: Tableau) -> Tableau:
@@ -343,9 +321,10 @@ def promote(t: Tableau) -> Tableau:
 
 
 def promote_inverse(t: Tableau) -> Tableau:
-    """Inverse promotion: delete N, reverse-slide to (1,1), prepend 1."""
+    """Inverse promotion: the swaps tau_{N-1}, ..., tau_1, which undo
+    promotion's tau_1, ..., tau_{N-1}."""
     _require_straight(t)
-    return _slide_back(t, [t.size] if t.size else [])
+    return _bender_knuth(t, range(t.size - 1, 0, -1))
 
 
 def evacuate(t: Tableau) -> Tableau:
@@ -370,9 +349,11 @@ def fold(t: Tableau) -> Tableau:
 
 
 def unfold(d: Tableau) -> Tableau:
-    """Inverse of fold: undo the bounded promotions in reverse order."""
+    """Inverse of fold: its bounds k = 2 or 3, ..., N in turn, each undone
+    by the swaps tau_{k-1}, ..., tau_1."""
     _require_straight(d)
-    return _slide_back(d, range(2 + d.size % 2, d.size + 1, 2))
+    n = d.size
+    return _bender_knuth(d, [i for k in range(2 + n % 2, n + 1, 2) for i in range(k - 1, 0, -1)])
 
 
 def _require_rectangle(t: Tableau) -> None:

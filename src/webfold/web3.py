@@ -150,17 +150,14 @@ class DominoDecomposition(Value):
         self.compression = compression
 
 
+# block type by (holds the lone cell, upper rows (0-based) of its vertical dominoes)
+_BLOCK_TYPES = {(True, (1,)): 0, (False, (0, 0)): 1, (False, (1, 1)): 2, (False, ()): 3}
+
+
 def _classify_block(has_lone: bool, vertical_rows: tuple[int, ...], span: str) -> int:
     """Block type from the upper rows (0-based) of its vertical dominoes."""
-    if has_lone:
-        if vertical_rows == (1,):
-            return 0
-    elif vertical_rows == ():
-        return 3
-    elif vertical_rows == (0, 0):
-        return 1
-    elif vertical_rows == (1, 1):
-        return 2
+    if (has_lone, vertical_rows) in _BLOCK_TYPES:
+        return _BLOCK_TYPES[has_lone, vertical_rows]
     raise UnrecognizedBlock(
         f"block at {span} has vertical dominoes in rows {vertical_rows}"
         + (" next to the lone cell" if has_lone else "")

@@ -346,7 +346,7 @@ UNCHECKED_BUILDERS = {
     "tableaux.restrict_gt",
     "tableaux.rectify",
     "tableaux._slide_forward",
-    "tableaux._slide_back",
+    "tableaux._bender_knuth",
     "tableaux.rotate180_complement",
     # the lattice walk's rows, standard by construction
     "oracle._lattice_tableaux",

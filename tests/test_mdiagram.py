@@ -14,6 +14,7 @@ from webfold.mdiagram import (
     FIRST,
     SECOND,
     MDiagram,
+    _check_degrees,
     _crossing_pairs,
     arc_distance,
     arcs_above,
@@ -211,7 +212,7 @@ def test_bad_boundary_degrees():
         ((1, 2), (2, 3)),
     )
     with pytest.raises(InvalidBoundaryDegrees):
-        resolve(m)
+        MDiagram.from_dict(m.to_dict())
 
 
 def degree_error(m):
@@ -255,8 +256,10 @@ def degree_family(rng, count):
 
 
 def test_degree_check_names_the_first_bad_vertex():
-    """resolve raises InvalidBoundaryDegrees exactly when some vertex is
-    neither a source nor a sink of two arcs, naming the first such vertex."""
+    """from_dict's degree check raises InvalidBoundaryDegrees exactly when
+    some vertex is neither a source nor a sink of two arcs, naming the first
+    such vertex.  The check is called directly, since from_dict refuses the
+    family's self-loops before it counts degrees; the good diagrams resolve."""
     seen = {"bad": 0, "good": 0, "wide": 0}
     for m in degree_family(random.Random(2022), 3000):
         expected = degree_error(m)
@@ -264,6 +267,7 @@ def test_degree_check_names_the_first_bad_vertex():
         seen["wide"] += max(outs) >= 3
         if expected is None:
             seen["good"] += 1
+            _check_degrees(m.labels, m.ends)
             try:
                 resolve(m)
             except ConcurrentArcs:
@@ -271,9 +275,27 @@ def test_degree_check_names_the_first_bad_vertex():
         else:
             seen["bad"] += 1
             with pytest.raises(InvalidBoundaryDegrees) as info:
-                resolve(m)
+                _check_degrees(m.labels, m.ends)
             assert str(info.value) == expected
     assert min(seen.values()) >= 300, seen
+
+
+def test_built_diagrams_pass_the_degree_check():
+    """resolve checks no degrees, so the web3 builders must make them valid:
+    every diagram of a 3-row tableau with n <= 5, and every crossed diagram
+    of fold(T) for a symmetric T with n <= 6."""
+    count = 0
+    for n in range(1, 6):
+        for word in enumerate_words((n, n, n)):
+            m = mdiagram_of_tableau(from_word(word))
+            _check_degrees(m.labels, m.ends)
+            count += 1
+    for n in range(1, 7):
+        for word in symmetric_words((n, n, n)):
+            m = crossed_mdiagram(decompose_blocks(fold(from_word(word))))
+            _check_degrees(m.labels, m.ends)
+            count += 1
+    assert count == 6516 + 530
 
 
 def test_diagram_validation():

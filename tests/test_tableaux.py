@@ -17,7 +17,7 @@ from webfold.oracle import enumerate_words
 from webfold.tableaux import (
     Shape,
     Tableau,
-    _slide_back,
+    _bender_knuth,
     _slide_forward,
     evacuate,
     fold,
@@ -481,8 +481,9 @@ def _partitions(n, largest):
 
 
 def test_bounded_promotion_on_straight_shapes():
-    """Every straight tableau of size <= 8 and bound k, slid forward and back
-    with that one bound, against the skew jeu-de-taquin."""
+    """Every straight tableau of size <= 8 and bound k, slid forward with
+    that one bound against the skew jeu-de-taquin, and brought back by the
+    swaps tau_{k-1}, ..., tau_1."""
     shapes = [shape for n in range(1, 9) for shape in _partitions(n, n)]
     assert len(shapes) == 1 + 2 + 3 + 5 + 7 + 11 + 15 + 22
     for shape in shapes:
@@ -493,7 +494,7 @@ def test_bounded_promotion_on_straight_shapes():
                 assert restrict_le(p, k - 1) == rectify(restrict_gt(restrict_le(t, k), 1))
                 for row, moved in zip(t.rows, p.rows):
                     assert [v if v > k else 0 for v in row] == [v if v > k else 0 for v in moved]
-                assert _slide_back(p, [k]) == t
+                assert _bender_knuth(p, range(k - 1, 0, -1)) == t
 
 
 def _slide_forward_per_step(t, bounds):
@@ -559,9 +560,11 @@ def test_forward_slides_match_the_per_step_relabelling():
 
 
 def _slide_back_per_step(t, bounds):
-    """The rows of the backward slides as first written: k is looked up
-    before each bound, and after it the whole grid is relabelled, entries
-    below k rising by one."""
+    """The rows of the inverse bounded promotions by backward slides, the
+    reference for the swap products: for each bound k the hole left by k
+    slides up or left into the larger neighbour until it reaches (1, 1),
+    then the whole grid is relabelled, entries below k rising by one, and
+    1 goes to (1, 1)."""
     n = t.size
     outer = t.shape.outer
     grid = [[0] * (outer[0] + 1 if outer else 1)] + [[0, *row] for row in t.rows]
@@ -588,21 +591,43 @@ def _slide_back_per_step(t, bounds):
 
 
 def _backward_bounds(n):
-    """Every bound sequence the operators pass to _slide_back at size n
-    (promote_inverse and unfold), and each single bound."""
+    """Every bound sequence that promote_inverse and unfold undo at size n,
+    and each single bound."""
     yield [n] if n else []
     yield from ([k] for k in range(1, n + 1))
     yield range(2 + n % 2, n + 1, 2)
 
 
-def test_backward_slides_match_the_per_step_relabelling():
-    """_slide_back relabels once, after the last bound, on every sampled tableau."""
+def _backward_steps(bounds):
+    """The swaps that undo the bounded promotions of `bounds`, the first
+    bound first: tau_{k-1}, ..., tau_1 for each k."""
+    return [i for k in bounds for i in range(k - 1, 0, -1)]
+
+
+def test_swap_products_match_the_backward_slides():
+    """The reversed swap products equal the backward slides on every
+    sampled tableau, for every bound sequence the inverse operators undo."""
     count = 0
     for t in _sampled_tableaux():
         for bounds in _backward_bounds(t.size):
-            assert _slide_back(t, bounds).rows == _slide_back_per_step(t, bounds)
+            assert _bender_knuth(t, _backward_steps(bounds)).rows == _slide_back_per_step(t, bounds)
             count += 1
     assert count == 32977
+
+
+def test_inverse_operators_match_the_backward_slides_past_ten_cells():
+    """unfold and promote_inverse against the backward slides at N = 15
+    and 16, past the sampled tableaux: every 10th tableau of 2x8 and 3x5
+    and every 50th of 4x4."""
+    count = 0
+    for shape, every in (((8, 8), 10), ((5, 5, 5), 10), ((4, 4, 4, 4), 50)):
+        for word in list(enumerate_words(shape))[::every]:
+            t = from_word(word)
+            n = t.size
+            assert unfold(t).rows == _slide_back_per_step(t, range(2 + n % 2, n + 1, 2))
+            assert promote_inverse(t).rows == _slide_back_per_step(t, [n])
+            count += 1
+    assert count == 143 + 601 + 481
 
 
 # the shapes of the operator golden and the sha256 of its lines; the lines'
