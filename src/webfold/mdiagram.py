@@ -18,11 +18,11 @@ bit i for arc i: so are the arcs of the second kind, `MDiagram.second`,
 and the crossed ones, `MDiagram.crossed`.
 
 A diagram is checked where it enters, by `from_dict`, boundary degrees
-included.  `MDiagram(...)`, like `PlanarWeb(...)`, checks nothing: the
-builders in `web3` make their diagrams valid by construction.  The one
-resolver, `_resolve`, reads `ends` as stored, so `web3` can resolve a
-tableau's row pairings without building a diagram; it checks nothing
-either, since every diagram it is handed was checked or built valid.
+included.  `MDiagram(...)`, like `PlanarWeb(...)`, checks nothing, but a
+diagram's first resolution checks its degrees: the one resolver,
+`_resolve`, checks none, and on bad ones can build a web that
+`validate_3web` never finishes.  `_resolve` reads `ends` as stored, so
+`web3` can resolve a tableau's row pairings without building a diagram.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ class MDiagram(Value):
     @cached_property
     def resolution(self) -> tuple[PlanarWeb, tuple[int, ...]]:
         """The resolved web and its arc table `edge_arcs`, built on first use."""
+        _check_degrees(self.labels, self.ends)
         return _resolve(self.labels, self.xs, self.ends)
 
     @cached_property
@@ -242,8 +243,8 @@ def _resolve(
     `web3.web_of_tableau` the two row pairings, with no diagram built and
     its positions 1..N, a range, as both labels and abscissas, and it
     keeps only the web.  Labels are read only by error messages, which
-    print them.  The degrees are not checked: `from_dict` checks them
-    where a diagram enters, and the `web3` builders make them valid.
+    print them.  It checks no degrees: `MDiagram.resolution` checks a
+    diagram's first, and a tableau's row pairings are valid by construction.
     """
     # boundary vertices are named by position 1..n, arcs by index in ends
     n = len(labels)

@@ -26,7 +26,6 @@ import os
 from collections.abc import Callable, Iterable, Iterator
 from functools import partial
 from itertools import chain, islice
-from operator import lt
 
 from ._value import Value
 from .errors import BoundTooLarge, InvalidWorkerCount, NotRectangular, UnknownTheorem
@@ -126,9 +125,11 @@ def _symmetric_tableaux(shape: tuple[int, ...]) -> Iterator[Tableau]:
     so T is symmetric iff row r holds N+1-i for each entry i <= N/2 of row
     R+1-r.  Each such T completes the rows of a lattice prefix of length
     ceil(N/2) by that rule; for odd N, which forces R odd, the middle entry
-    must lie in the middle row.  Entries 1..N then fill the rows in
-    increasing order, so a completion is kept, standard, if every row has
-    the rectangle's length and every column increases.
+    must lie in the middle row.  A completion is kept if its rows have the
+    rectangle's length C, and it is then standard: the prefix fills a
+    straight shape mu; its entries up to N/2, rotated and complemented,
+    fill the 180-degree turn of their cells, which full rows make exactly
+    lambda/mu; both parts are standard, and mu holds the smaller entries.
     """
     rows = len(shape)
     _check_rows(rows)
@@ -148,9 +149,7 @@ def _symmetric_tableaux(shape: tuple[int, ...]) -> Iterator[Tableau]:
             row + [top - i for i in reversed(other) if i <= half]
             for row, other in zip(entries, entries[::-1])
         ]
-        if all(len(row) == cols for row in done) and all(
-            all(map(lt, upper, lower)) for upper, lower in zip(done, done[1:])
-        ):
+        if all(len(row) == cols for row in done):
             yield _unchecked(done, shape=full)
 
 

@@ -15,12 +15,12 @@ Tableau checks.  The operators and `rectify` build their results
 standard by construction and do not check them again.
 
 The package slides only inside straight shapes, in the forward promotion
-operators; the inverse ones swap entries by Bender-Knuth involutions, so
-`unfold(fold(T)) == T` sets two algorithms against each other.  `rectify`
-straightens a skew tableau by row-inserting its reading word, which
-reaches the one straight tableau that jeu-de-taquin slides reach (Fulton,
-Young Tableaux, ch. 2-3); the tests check it against a reference that
-slides.
+operators; the one inverse, `unfold`, swaps entries by Bender-Knuth
+involutions, so `unfold(fold(T)) == T` sets two algorithms against each
+other.  `rectify` straightens a skew tableau by row-inserting its reading
+word, which reaches the one straight tableau that jeu-de-taquin slides
+reach (Fulton, Young Tableaux, ch. 2-3); the tests check it against a
+reference that slides.
 """
 
 from __future__ import annotations
@@ -166,17 +166,14 @@ def from_word(word: str, inner=()) -> Tableau:
     row_count = max(max(letters, default=0), len(inner))
     rows: list[list[int]] = [[] for _ in range(row_count)]
     for j, r in enumerate(letters, start=1):
+        if r > 1 and not inner and len(rows[r - 1]) >= len(rows[r - 2]):
+            raise NonLatticeWord(f"lattice condition fails at position {j}")
         rows[r - 1].append(j)
     if inner:
         try:
             return Tableau.from_rows(rows, inner)
         except ValueError as e:
             raise NonLatticeWord(f"word does not encode a standard tableau: {e}") from None
-    counts = [0] * (row_count + 1)
-    for j, r in enumerate(letters):
-        counts[r] += 1
-        if r > 1 and counts[r] > counts[r - 1]:
-            raise NonLatticeWord(f"lattice condition fails at position {j + 1}")
     return _unchecked(rows)
 
 
@@ -318,13 +315,6 @@ def promote(t: Tableau) -> Tableau:
     """Promotion: delete 1, rectify the rest minus one, append N."""
     _require_straight(t)
     return _slide_forward(t, [t.size] if t.size else [])
-
-
-def promote_inverse(t: Tableau) -> Tableau:
-    """Inverse promotion: the swaps tau_{N-1}, ..., tau_1, which undo
-    promotion's tau_1, ..., tau_{N-1}."""
-    _require_straight(t)
-    return _bender_knuth(t, range(t.size - 1, 0, -1))
 
 
 def evacuate(t: Tableau) -> Tableau:

@@ -389,17 +389,14 @@ def test_unchecked_construction_stays_where_it_is():
 
 # public functions and classes that no code of the package refers to, each
 # with its module and its keeper: "workloads", perfbench/workloads.py imports
-# it; "tracing", perfbench/tracing.py's LAYERS wraps it; "operator golden",
-# test_tableaux.py's operator golden hashes its images, until a second,
-# slide-free implementation checks it or it goes.  A reference that only
-# the tests compare against lives in tests/reference.py, not here.
+# it; "tracing", perfbench/tracing.py's LAYERS wraps it.  A reference that
+# only the tests compare against lives in tests/reference.py, not here.
 UNCALLED = {
     # the diagram that web_of_tableau resolves without building; a test
     # checks that both give the same web
     "mdiagram_of_tableau": ("web3", "tracing"),
     "EnumerationFilter": ("oracle", "workloads"),
     "enumerate_tableaux": ("oracle", "workloads"),
-    "promote_inverse": ("tableaux", "operator golden"),
 }
 
 
@@ -408,16 +405,10 @@ def test_uncalled_names_have_their_keepers():
     that when a keeper lets go, the entry that can leave is named."""
     imported = perfbench_imports("workloads.py")
     traced = perfbench_layers()
-    golden = next(
-        node for node in ast.parse((Path(__file__).parent / "test_tableaux.py").read_text()).body
-        if isinstance(node, ast.FunctionDef) and node.name == "test_operator_golden"
-    )
-    hashed = {node.id for node in ast.walk(golden) if isinstance(node, ast.Name)}
     for name, (module, keeper) in UNCALLED.items():
         held = {
             "workloads": (f"webfold.{module}", name) in imported,
             "tracing": name in traced.get(module, ()),
-            "operator golden": name in hashed,
         }[keeper]
         assert held, f"{module}.{name} is no longer held by {keeper}"
 

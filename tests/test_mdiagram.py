@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
 from itertools import islice
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -280,8 +284,44 @@ def test_degree_check_names_the_first_bad_vertex():
     assert min(seen.values()) >= 300, seen
 
 
+# resolves two diagrams built with bad degrees and validates each web it gets,
+# in 1 GB of address space
+BAD_DEGREE_PROBE = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+from webfold.mdiagram import MDiagram, resolve
+from webfold.planarweb import validate_3web
+
+for n, ends in ((5, ((1, 3), (2, 3), (3, 5), (4, 5))), (4, ((1, 4), (2, 4), (3, 4)))):
+    try:
+        validate_3web(resolve(MDiagram(tuple("abcde"[:n]), tuple(range(1, n + 1)), ends)))
+    except Exception as exc:
+        print(type(exc).__name__, exc)
+"""
+
+
+def test_diagrams_with_bad_degrees_raise_on_resolution():
+    """A diagram built with bad degrees raises InvalidBoundaryDegrees on its
+    first resolution.  Unchecked, a sink with an outgoing arc resolves to a
+    web that validate_3web never finishes, and a sink of three arcs raises a
+    bare ValueError; run in a subprocess with a memory cap, so that a hang
+    fails the test instead of stalling it."""
+    proc = subprocess.run(
+        [sys.executable, "-c", BAD_DEGREE_PROBE],
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+        capture_output=True, text=True, timeout=10,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [
+        "InvalidBoundaryDegrees vertex c has 1 outgoing and 2 incoming arcs",
+        "InvalidBoundaryDegrees vertex d has 0 outgoing and 3 incoming arcs",
+    ]
+
+
 def test_built_diagrams_pass_the_degree_check():
-    """resolve checks no degrees, so the web3 builders must make them valid:
+    """web_of_tableau resolves its row pairings with no degree check, so the
+    web3 builders must make the degrees valid:
     every diagram of a 3-row tableau with n <= 5, and every crossed diagram
     of fold(T) for a symmetric T with n <= 6."""
     count = 0

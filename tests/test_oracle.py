@@ -85,7 +85,10 @@ def test_filtered_enumeration():
 
 
 def test_symmetric_words_are_the_filtered_walk():
-    for rows, top in ((2, 10), (3, 6)):
+    """The symmetric walk keeps exactly the symmetric tableaux of the full
+    walk, in its order; the taller rectangles have two or more mirror pairs
+    of rows."""
+    for rows, top in ((2, 10), (3, 6), (4, 3), (5, 3), (6, 2), (7, 2), (8, 2)):
         for n in range(1, top + 1):
             shape = (n,) * rows
             words = enumerate_words(shape)

@@ -26,7 +26,6 @@ from webfold.tableaux import (
     is_rotationally_symmetric,
     partial_fold,
     promote,
-    promote_inverse,
     rectify,
     restrict_gt,
     restrict_le,
@@ -40,6 +39,12 @@ SKEW = Tableau.from_rows(
 )
 
 
+def inverse_promotion(t):
+    """Inverse promotion as the swap product tau_{N-1}, ..., tau_1, which
+    undoes promotion's tau_1, ..., tau_{N-1}."""
+    return _bender_knuth(t, range(t.size - 1, 0, -1))
+
+
 def test_operators_run_no_tableau_checks(monkeypatch):
     """Results are built standard by construction, so no operator runs the
     Shape or Tableau checks; test_operator_results_pass_the_checks runs them."""
@@ -51,7 +56,7 @@ def test_operators_run_no_tableau_checks(monkeypatch):
     for cls in (Shape, Tableau):
         monkeypatch.setattr(cls, "__init__", lambda value, *_: checks.append(type(value).__name__))
     assert rectify(SKEW) == expected
-    for op in (promote, promote_inverse, evacuate, fold, unfold, rotate180_complement):
+    for op in (promote, inverse_promotion, evacuate, fold, unfold, rotate180_complement):
         op(straight)
     partial_fold(straight, 2)
     restrict_le(SKEW, 7)
@@ -76,7 +81,7 @@ def test_operator_results_pass_the_checks():
         for word in enumerate_words(shape):
             t = from_word(word)
             n = t.size
-            results = [promote(t), promote_inverse(t), evacuate(t), fold(t), unfold(t)]
+            results = [promote(t), inverse_promotion(t), evacuate(t), fold(t), unfold(t)]
             results += [partial_fold(t, j) for j in range(1, n // 2 + 1)]
             results += [op(t, k) for op in (restrict_le, restrict_gt) for k in range(n + 1)]
             if t.shape.is_rectangular:
@@ -207,7 +212,7 @@ def test_promote_example():
 def test_promote_fixes_column():
     t = Tableau.from_rows([(1,), (2,), (3,), (4,)])
     assert promote(t) == t
-    assert promote_inverse(t) == t
+    assert inverse_promotion(t) == t
 
 
 def test_promote_order_divides_cell_count():
@@ -220,14 +225,14 @@ def test_promote_order_divides_cell_count():
 
 
 def test_promote_inverse_example():
-    assert promote_inverse(PROMOTE_AFTER) == PROMOTE_BEFORE
+    assert inverse_promotion(PROMOTE_AFTER) == PROMOTE_BEFORE
 
 
 def test_promote_round_trip_exhaustive():
     for word in enumerate_words((4, 4)):
         t = from_word(word)
-        assert promote_inverse(promote(t)) == t
-        assert promote(promote_inverse(t)) == t
+        assert inverse_promotion(promote(t)) == t
+        assert promote(inverse_promotion(t)) == t
 
 
 FOLD_CHAIN = [
@@ -469,7 +474,7 @@ def test_shape_validation():
 @given(st.sampled_from(sorted(enumerate_words((4, 4)))))
 def test_promotion_conjugates_evacuation(word):
     t = from_word(word)
-    assert evacuate(promote(t)) == promote_inverse(evacuate(t))
+    assert promote(evacuate(promote(t))) == evacuate(t)
 
 
 def _partitions(n, largest):
@@ -591,7 +596,7 @@ def _slide_back_per_step(t, bounds):
 
 
 def _backward_bounds(n):
-    """Every bound sequence that promote_inverse and unfold undo at size n,
+    """Every bound sequence that inverse promotion and unfold undo at size n,
     and each single bound."""
     yield [n] if n else []
     yield from ([k] for k in range(1, n + 1))
@@ -616,7 +621,7 @@ def test_swap_products_match_the_backward_slides():
 
 
 def test_inverse_operators_match_the_backward_slides_past_ten_cells():
-    """unfold and promote_inverse against the backward slides at N = 15
+    """unfold and inverse promotion against the backward slides at N = 15
     and 16, past the sampled tableaux: every 10th tableau of 2x8 and 3x5
     and every 50th of 4x4."""
     count = 0
@@ -625,7 +630,7 @@ def test_inverse_operators_match_the_backward_slides_past_ten_cells():
             t = from_word(word)
             n = t.size
             assert unfold(t).rows == _slide_back_per_step(t, range(2 + n % 2, n + 1, 2))
-            assert promote_inverse(t).rows == _slide_back_per_step(t, [n])
+            assert inverse_promotion(t).rows == _slide_back_per_step(t, [n])
             count += 1
     assert count == 143 + 601 + 481
 
@@ -646,7 +651,7 @@ def test_operator_golden():
         for word in enumerate_words(shape):
             t = from_word(word)
             n = t.size
-            images = [promote(t), promote_inverse(t), evacuate(t), fold(t), unfold(t)]
+            images = [promote(t), inverse_promotion(t), evacuate(t), fold(t), unfold(t)]
             images += [partial_fold(t, j) for j in range(1, n // 2 + 1)]
             digest.update((" ".join([word] + [u.word for u in images]) + "\n").encode())
             count += 1
