@@ -9,13 +9,13 @@ arithmetic: on integers while crossings are found and ordered, and in
 `Fraction`s, imported on first use, only where `crossings` or a layout
 hands an abscissa out.  Resolving replaces each degree-2 boundary sink
 with a fed internal sink and each crossing with a source/sink pair joined
-by an intersection edge, yielding a planar web together with the one
-table that arc-set distances need, `edge_arcs`: the arcs each edge
-toggles.  A diagram keeps that pair as `MDiagram.resolution`, and the
-arcs over each inner face of the web as `MDiagram.face_arcs`, both built
-on first use.  Arc i is `ends[i]`, and a set of arcs is an int bitmask,
-bit i for arc i: so are the arcs of the second kind, `MDiagram.second`,
-and the crossed ones, `MDiagram.crossed`.
+by an intersection edge, and yields a planar web alone.  A diagram keeps
+the web as `MDiagram.resolution` with the one table that arc-set distances
+need, `edge_arcs`, the arcs each edge toggles, built from its arcs and the
+resolver's crossings, and the arcs over each inner face of the web as
+`MDiagram.face_arcs`, both on first use.  Arc i is `ends[i]`, and a set of
+arcs is an int bitmask, bit i for arc i: so are the arcs of the second
+kind, `MDiagram.second`, and the crossed ones, `MDiagram.crossed`.
 
 A diagram is checked where it enters, by `from_dict`, boundary degrees
 included.  `MDiagram(...)`, like `PlanarWeb(...)`, checks nothing, but a
@@ -54,9 +54,20 @@ class MDiagram(Value):
 
     @cached_property
     def resolution(self) -> tuple[PlanarWeb, tuple[int, ...]]:
-        """The resolved web and its arc table `edge_arcs`, built on first use."""
+        """The resolved web and its arc table `edge_arcs`, built on first use:
+        per edge, as `_resolve` numbers them, the bitmask of the arcs it toggles:
+        a segment its arc, a sink feed or an intersection its pair, a circle edge none."""
         _check_degrees(self.labels, self.ends)
-        return _resolve(self.labels, self.xs, self.ends)
+        web, found = _resolve(self.labels, self.xs, self.ends)
+        # arc i once per segment: once more than it meets crossings
+        met, fed = [*range(len(self.ends))], [0] * (len(self.labels) + 1)
+        for i, (_, q) in enumerate(self.ends):
+            fed[q] |= 1 << i
+        for i, j, _, _ in found:
+            met += i, j
+        edge_arcs = [1 << i for i in sorted(met)] + [arcs for arcs in fed if arcs]
+        edge_arcs += [1 << i | 1 << j for i, j, _, _ in found] + [0] * len(self.labels)
+        return web, tuple(edge_arcs)
 
     @cached_property
     def face_arcs(self) -> dict[int, int]:
@@ -231,25 +242,23 @@ def crossings(m: MDiagram) -> tuple[tuple[int, int, Rational], ...]:
 
 def _resolve(
     labels: Sequence[str | int], xs: Sequence[Rational], ends: Sequence[tuple[int, int]]
-) -> tuple[PlanarWeb, tuple[int, ...]]:
+) -> tuple[PlanarWeb, list[tuple[int, int, int, int]]]:
     """The resolution of the diagram over boundary `labels` at abscissas
     `xs` whose arc i runs from position ends[i][0] to ends[i][1], as the
-    pair (web, edge_arcs).  edge_arcs is the one arc table: per edge, the
-    bitmask of the arcs it toggles, bit i for arc i.  An arc segment holds
-    its arc, a sink feed or an intersection the pair it resolves, a
-    boundary edge none.
+    pair (web, crossings), the crossings as `_crossing_pairs` lists them.
+    Edges are numbered each arc's segments, arc by arc and each from its
+    tail, then the sink feeds by sink position, the intersections by
+    crossing, and the N circle edges, k to k % N + 1.
 
-    The one resolver: `MDiagram.resolution` passes its `ends`, and
-    `web3.web_of_tableau` the two row pairings, with no diagram built and
-    its positions 1..N, a range, as both labels and abscissas, and it
-    keeps only the web.  Labels are read only by error messages, which
-    print them.  It checks no degrees: `MDiagram.resolution` checks a
-    diagram's first, and a tableau's row pairings are valid by construction.
+    The one resolver: `MDiagram.resolution` passes its `ends`, and builds
+    its arc table from them and the crossings; `web3.web_of_tableau` passes
+    the two row pairings, with no diagram built and its positions 1..N as
+    both labels and abscissas.  Labels are read only by error messages.  It
+    checks no degrees: `MDiagram.resolution` checks a diagram's first, and
+    a tableau's row pairings are valid by construction.
     """
     # boundary vertices are named by position 1..n, arcs by index in ends
     n = len(labels)
-    # per sink, by position, (tail, dart, index) of the last segment of each arc into it
-    feeds: dict[int, list[tuple[int, int, int]]] = {q: [] for q in sorted({q for _, q in ends})}
 
     # crossings are named by their index t in found below; they come sorted
     # by abscissa, so each arc meets its own in index order when it points
@@ -262,80 +271,72 @@ def _resolve(
         by_arc[j].append(2 * t + 1)
     enter = [0] * (2 * len(found))
 
-    # vertices: the boundary 1..n, an internal sink per boundary sink, then
-    # u = base + 2t + 1 and w = base + 2t + 2 for crossing t
-    base = n + len(feeds)
-
+    # vertices: the boundary 1..n, an internal sink per boundary sink, which
+    # takes two arcs, then u = base + 2t + 1 and w = base + 2t + 2 for crossing t
+    base = n + len(ends) // 2
     # edge e runs origins[2e] -> origins[2e + 1], so a dart is its index in
-    # origins; edges are numbered arc segments first, then sink feeds,
-    # intersections and the boundary circle, whose edge first_bnd + k - 1
-    # runs from k to k % n + 1 (the fill gives the last one its 1).  Vertex
-    # k's darts are out[k] round the circle, one into the web and into[k] in.
-    first_int = len(ends) + 2 * len(found) + len(feeds)
-    first_bnd = first_int + len(found)
-    out = range(2 * first_bnd - 2, 2 * (first_bnd + n), 2)
-    into = [0, 2 * (first_bnd + n) - 1, *range(2 * first_bnd + 1, 2 * (first_bnd + n) - 1, 2)]
-    origins = [1] * (2 * (first_bnd + n))
-    origins[2 * first_bnd :: 2] = range(1, n + 1)
-    origins[2 * first_bnd + 1 : -1 : 2] = range(2, n + 1)
+    # origins; a sink and a crossing each add three edges before the circle,
+    # whose first dart is c.  Vertex k's darts are c + 2k - 2 round the circle,
+    # one into the web and c + (2k - 3) % 2n in (the fill gives the last its 1)
+    first_bnd = 3 * (len(ends) // 2 + len(found))
+    c, circle = 2 * first_bnd, 2 * n
+    origins = [1] * (c + circle)
+    origins[c::2] = range(1, n + 1)
+    origins[c + 1 : -1 : 2] = range(2, n + 1)
     rotation: dict[int, tuple[int, ...]] = {}
-    edge_arcs: list[int] = []
 
-    # each arc's path p, (u, w) per crossing met, its sink (set with the
-    # feeds); consecutive pairs of it are segments, and d is the next dart
+    # each arc's path p, (u, w) per crossing met, its sink: consecutive pairs of
+    # it are segments, d is the next dart, and feeds takes (sink, tail, dart) of the last
+    feeds: list[tuple[int, int, int]] = []
     d = 0
     for i, (p, q) in enumerate(ends):
-        met = by_arc[i] if p < q else by_arc[i][::-1]
-        rotation[p] = (out[p], d, into[p])
+        rotation[p] = (c + 2 * p - 2, d, c + (2 * p - 3) % circle)
         origins[d] = p
-        for s in met:
+        for s in by_arc[i] if p < q else by_arc[i][::-1]:
             enter[s] = d + 1
-            origins[d + 1 : d + 3] = base + (s | 1), base + (s | 1) + 1
+            origins[d + 1] = u = base + (s | 1)
+            origins[d + 2] = u + 1
             d += 2
-        feeds[q].append((p, d + 1, i))
-        edge_arcs += [1 << i] * (len(met) + 1)
+        feeds.append((q, p, d + 1))
         d += 2
 
-    for v, (q, fed) in enumerate(feeds.items(), start=n + 1):
+    feeds.sort()
+    for v, ((q, p1, d1), (_, p2, d2)) in enumerate(zip(feeds[::2], feeds[1::2]), start=n + 1):
         # feeds from the right come first, each side left to right
-        (p1, d1, i1), (p2, d2, i2) = fed
-        if (p1 < q, p1) > (p2 < q, p2):
+        if p1 < q < p2:
             d1, d2 = d2, d1
         origins[d1] = origins[d2] = v
-        rotation[q] = (out[q], d, into[q])
+        rotation[q] = (c + 2 * q - 2, d, c + (2 * q - 3) % circle)
         rotation[v] = (d1, d2, d + 1)
         origins[d : d + 2] = q, v
-        edge_arcs.append(1 << i1 | 1 << i2)
         d += 2
 
-    for t, (a, b, _, _) in enumerate(found):
-        edge_arcs.append(1 << a | 1 << b)
+    u = base + 1
+    for (a, b, _, _), da, db in zip(found, enter[::2], enter[1::2]):
         # the arc starting further left (so its centre is left, as the spans
         # interleave) comes first at u, unless the arcs point opposite ways:
         # in and out darts alternate around the crossing
         (pa, qa), (pb, qb) = ends[a], ends[b]
-        da, db = enter[2 * t], enter[2 * t + 1]
         if (min(pb, qb) < min(pa, qa)) != ((pa < qa) != (pb < qb)):
             da, db = db, da
-        rotation[base + 2 * t + 1] = (da, db, d + 1)
-        rotation[base + 2 * t + 2] = (da + 1, db + 1, d)
-        origins[d : d + 2] = base + 2 * t + 2, base + 2 * t + 1
+        rotation[u] = (da, db, d + 1)
+        rotation[u + 1] = (da + 1, db + 1, d)
+        origins[d : d + 2] = u + 1, u
+        u += 2
         d += 2
 
-    edge_arcs += [0] * n
-    tags = [ARC] * first_int + [INTERSECTION] * len(found) + [BOUNDARY] * n
+    tags = [ARC] * (first_bnd - len(found)) + [INTERSECTION] * len(found) + [BOUNDARY] * n
     web = PlanarWeb(n, origins, tags, rotation, partial(_layout, xs, feeds, ends, found))
-    # what the web would find on first use, known here: the walls are the
-    # last n edges, and vertex k's circle dart is out[k], first in its
-    # rotation (B_0 is B_N)
+    # what the web would find on first use, known here: the walls are the last
+    # n edges, and vertex k's circle dart, c + 2k - 2, is first in its rotation (B_0 is B_N)
     web._walls = [False] * first_bnd + [True] * n
-    web._circle = [out[n], *out[1:]]
-    return web, tuple(edge_arcs)
+    web._circle = [c + circle - 2, *range(c, c + circle, 2)]
+    return web, found
 
 
 def _layout(
     xs: Sequence[Rational],
-    feeds: dict[int, list[tuple[int, int, int]]],
+    feeds: list[tuple[int, int, int]],
     ends: Sequence[tuple[int, int]],
     found: list[tuple[int, int, int, int]],
 ) -> dict[int, tuple[Rational, Rational]]:
@@ -348,11 +349,10 @@ def _layout(
 
     n = len(xs)
     layout = {k: (x, Fraction(0)) for k, x in enumerate(xs, start=1)}
-    for v, (q, fed) in enumerate(feeds.items(), start=n + 1):
+    for v, ((q, p1, _), (_, p2, _)) in enumerate(zip(feeds[::2], feeds[1::2]), start=n + 1):
         x = xs[q - 1]
-        near = min(abs(xs[p - 1] - x) for p, _, _ in fed)
-        layout[v] = (x, Fraction(near) / 4)
-    base = n + len(feeds)
+        layout[v] = (x, Fraction(min(abs(xs[p1 - 1] - x), abs(xs[p2 - 1] - x))) / 4)
+    base = n + len(feeds) // 2
     for t, (i, _, num, den) in enumerate(found):
         p, q = sorted(ends[i])
         lo, hi, x = xs[p - 1], xs[q - 1], Fraction(num, den)

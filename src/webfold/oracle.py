@@ -444,7 +444,7 @@ def _check_distance_lemmas(t: Tableau):
 
 
 def _check_block_patterns(t: Tableau):
-    from . import web3
+    from . import mdiagram, web3
 
     yield "domino tableau decomposes into typed blocks"
     dec = web3.decompose_blocks(t)
@@ -456,7 +456,12 @@ def _check_block_patterns(t: Tableau):
         name = "lone-cell block only leads an odd tableau"
         yield from _holds(name, f"block {i} has type 0", "", str, ok)
     yield _VERTICAL_PAIRS
-    web3.crossed_mdiagram(dec)
+    # crossed_web(D) from the diagram just built; the reader decides symmetry
+    # from the distance word, so its NotSymmetrical is reported under the identity
+    crossed = mdiagram.resolve(web3.crossed_mdiagram(dec))
+    name = "domino_of_symmetric_web(crossed_web(D)) = D"
+    yield name
+    yield from _holds(name, web3.domino_of_symmetric_web(crossed), t)
 
 
 def _failures(check: Callable[[Tableau], Iterable], t: Tableau) -> list[Failure]:

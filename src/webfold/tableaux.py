@@ -112,6 +112,9 @@ class Tableau(Value):
     def from_rows(cls, rows, inner=()) -> "Tableau":
         rows = tuple(map(tuple, rows))
         inner = tuple(inner)
+        # a negative pad would shrink an outer row: name the inner row first
+        if inner and min(inner) < 0:
+            raise ValueError("inner rows must be nonnegative")
         pad = inner + (0,) * (len(rows) - len(inner))
         return cls(Shape(tuple(map(add, map(len, rows), pad)), inner), rows)
 

@@ -5,14 +5,14 @@ two rows left to right, second arcs match the bottom two rows right to
 left, and the diagram resolves to a web.  Both diagram builders take the
 arcs' (tail, head) positions from one end-list builder, `_ends`, and
 mark the second kind in a bitmask; `web_of_tableau` hands the same ends
-to the resolver and builds no diagram.  Web to tableau reads the word
-off boundary-face distances.  The symmetric variants read mirror
-distances off a web whose distance word is its own reverse with 1 and 3
-swapped, and rebuild the web from a domino tableau via block
-decomposition, compression, and a reflected diagram whose vertical-pair
-arcs are crossed over the axis, each pair found by its index among the
-compression's ends.  The decomposition reads the domino tableau once; an
-odd tableau's compression is skew over (1, 1).
+to the resolver, which builds the web alone: no diagram, no arc table.
+Web to tableau reads the word off boundary-face distances.  The
+symmetric variants read mirror distances off a web whose distance word
+is its own reverse with 1 and 3 swapped, and rebuild the web from a
+domino tableau via block decomposition, compression, and a reflected
+diagram whose vertical-pair arcs are crossed over the axis, each pair
+found by its index among the compression's ends.  The decomposition
+reads the domino tableau once; an odd tableau's compression is skew over (1, 1).
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def mdiagram_of_tableau(t: Tableau) -> MDiagram:
 
 
 def web_of_tableau(t: Tableau) -> PlanarWeb:
-    """resolve(mdiagram_of_tableau(t)), resolved straight from the row pairings."""
+    """resolve(mdiagram_of_tableau(t)) from the row pairings, with no diagram and no arc table."""
     n = _require_3xn(t)
     # position p has abscissa p and label str(p), which messages print as p
     xs = range(1, 3 * n + 1)

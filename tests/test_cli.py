@@ -207,6 +207,16 @@ def test_skew_word_that_fills_no_tableau_is_refused(capsys, tmp_path):
     )
 
 
+def test_skew_word_with_a_negative_inner_row_is_refused(capsys, tmp_path):
+    src = tmp_path / "skew.json"
+    src.write_text(json.dumps({"outer": [2, 2], "word": "12", "inner": [-1]}))
+    code, out, err = run(capsys, "op", "--apply", "promote", "--in", str(src))
+    assert (code, out) == (1, "")
+    assert err == (
+        "NonLatticeWord: word does not encode a standard tableau: inner rows must be nonnegative\n"
+    )
+
+
 def test_enumerate_long_and_tall_single_lines(capsys, monkeypatch):
     # one row has one tableau, which every family keeps: each filter lists
     # the bare word and builds no row of entries

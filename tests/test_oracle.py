@@ -605,6 +605,16 @@ FAULTS = {
             ("block-patterns", "lone-cell block only leads an odd tableau"),
         },
     ),
+    "mirror steps ±1 swapped in web3._LAMBDA": (
+        web3,
+        "_LAMBDA",
+        lambda lam: {**lam, -1: lam[1], 1: lam[-1]},
+        "7e53ec804ddba0a0ba5c9d8eb1123c938c256515d2aa7fdcee482504d05b2a47",
+        {
+            ("block-patterns", "domino_of_symmetric_web(crossed_web(D)) = D"),
+            ("thm-fw1", "check completes without raising"),
+        },
+    ),
     "promote is the identity past N = 4": (
         oracle,
         "promote",

@@ -443,6 +443,15 @@ def test_from_word_needs_a_string(word):
         from_word(word)
 
 
+@pytest.mark.parametrize("word, inner", [("12", (-1,)), ("1", (-2,)), ("112", (1, -1)), ("11", (0, -1))])
+def test_a_negative_inner_row_is_named(word, inner):
+    """The inner rows are checked before the outer rows are computed from
+    them, so a negative one is not reported as a nonpositive outer row."""
+    message = "^word does not encode a standard tableau: inner rows must be nonnegative$"
+    with pytest.raises(NonLatticeWord, match=message):
+        from_word(word, inner)
+
+
 def test_skew_word_needs_inner():
     again = from_word(SKEW.word, inner=SKEW.shape.inner)
     assert again == SKEW
