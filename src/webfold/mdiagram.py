@@ -9,13 +9,13 @@ arithmetic: on integers while crossings are found and ordered, and in
 `Fraction`s, imported on first use, only where `crossings` or a layout
 hands an abscissa out.  Resolving replaces each degree-2 boundary sink
 with a fed internal sink and each crossing with a source/sink pair joined
-by an intersection edge, and yields a planar web alone.  A diagram keeps
-the web as `MDiagram.resolution` with the one table that arc-set distances
-need, `edge_arcs`, the arcs each edge toggles, built from its arcs and the
-resolver's crossings, and the arcs over each inner face of the web as
-`MDiagram.face_arcs`, both on first use.  Arc i is `ends[i]`, and a set of
-arcs is an int bitmask, bit i for arc i: so are the arcs of the second
-kind, `MDiagram.second`, and the crossed ones, `MDiagram.crossed`.
+by an intersection edge, and yields a planar web alone, which a diagram
+keeps as `MDiagram.resolution`.  Only the arc functions read arcs over
+faces: on first use a diagram keeps the arcs over each inner face as
+`MDiagram.face_arcs`, whose walk builds the arcs each edge toggles as a
+local, and the separator list, (pair, side, side) per edge whose faces
+differ in two arcs.  Arc i is `ends[i]`, and a set of arcs is an int
+bitmask, bit i for arc i, as are `MDiagram.second` and `MDiagram.crossed`.
 
 A diagram is checked where it enters, by `from_dict`, boundary degrees
 included.  `MDiagram(...)`, like `PlanarWeb(...)`, checks nothing, but a
@@ -53,32 +53,29 @@ class MDiagram(Value):
         self.crossed = crossed
 
     @cached_property
-    def resolution(self) -> tuple[PlanarWeb, tuple[int, ...]]:
-        """The resolved web and its arc table `edge_arcs`, built on first use:
-        per edge, as `_resolve` numbers them, the bitmask of the arcs it toggles:
-        a segment its arc, a sink feed or an intersection its pair, a circle edge none."""
+    def resolution(self) -> PlanarWeb:
+        """The resolved web, built on first use after a degree check."""
         _check_degrees(self.labels, self.ends)
-        web, found = _resolve(self.labels, self.xs, self.ends)
-        # arc i once per segment: once more than it meets crossings
-        met, fed = [*range(len(self.ends))], [0] * (len(self.labels) + 1)
-        for i, (_, q) in enumerate(self.ends):
-            fed[q] |= 1 << i
-        for i, j, _, _ in found:
-            met += i, j
-        edge_arcs = [1 << i for i in sorted(met)] + [arcs for arcs in fed if arcs]
-        edge_arcs += [1 << i | 1 << j for i, j, _, _ in found] + [0] * len(self.labels)
-        return web, tuple(edge_arcs)
+        return _resolve(self.labels, self.xs, self.ends)
 
     @cached_property
     def face_arcs(self) -> dict[int, int]:
-        """The bitmask of the arcs passing over each inner face of the
-        resolved web, by face number, in the order a breadth-first walk
-        from B_0 reaches the faces."""
-        web, edge_arcs = self.resolution
+        """The bitmask of the arcs over each inner face of the resolved web,
+        by face number, in the order a breadth-first walk from B_0 reaches
+        them.  An edge toggles its entry of `edge_arcs`, a local in `_resolve`'s
+        edge numbering: a segment its arc, a sink feed or an intersection its pair."""
+        web = self.resolution
+        found = _crossing_pairs(self.labels, self.xs, self.ends)
+        # arc i once per segment: once more than it meets crossings
+        met = sorted([*range(len(self.ends))] + [k for i, j, _, _ in found for k in (i, j)])
+        fed = [0] * (len(self.labels) + 1)
+        for i, (_, q) in enumerate(self.ends):
+            fed[q] |= 1 << i
+        edge_arcs = [1 << i for i in met] + [arcs for arcs in fed if arcs]
+        edge_arcs += [1 << i | 1 << j for i, j, _, _ in found]
         table, walls = web.face_table, web._walls
-        start = boundary_face(web, 0)
-        sets = {start: 0}
-        frontier = [start]
+        sets = {boundary_face(web, 0): 0}
+        frontier = [*sets]
         while frontier:
             nxt = []
             for fi in frontier:
@@ -96,6 +93,17 @@ class MDiagram(Value):
                     nxt.append(gi)
             frontier = nxt
         return sets
+
+    @cached_property
+    def _separators(self) -> list[tuple[int, int, int]]:
+        """(pair, side, side) per web edge whose two faces' arc sets differ
+        in exactly two arcs, the sink feeds and intersections: the pair as a
+        two-bit mask, then each face's arc set restricted to it."""
+        web = self.resolution
+        sets, face_of = self.face_arcs, web.face_table.face_of
+        sides = [(sets[face_of[2 * e]], sets[face_of[2 * e + 1]])
+                 for e, wall in enumerate(web._walls) if not wall]
+        return [(a ^ b, a & ~b, b & ~a) for a, b in sides if (a ^ b).bit_count() == 2]
 
     @cached_property
     def _mirrors(self) -> tuple[int | None, ...]:
@@ -242,20 +250,20 @@ def crossings(m: MDiagram) -> tuple[tuple[int, int, Rational], ...]:
 
 def _resolve(
     labels: Sequence[str | int], xs: Sequence[Rational], ends: Sequence[tuple[int, int]]
-) -> tuple[PlanarWeb, list[tuple[int, int, int, int]]]:
+) -> PlanarWeb:
     """The resolution of the diagram over boundary `labels` at abscissas
-    `xs` whose arc i runs from position ends[i][0] to ends[i][1], as the
-    pair (web, crossings), the crossings as `_crossing_pairs` lists them.
-    Edges are numbered each arc's segments, arc by arc and each from its
-    tail, then the sink feeds by sink position, the intersections by
-    crossing, and the N circle edges, k to k % N + 1.
+    `xs` whose arc i runs from position ends[i][0] to ends[i][1].  Edges
+    are numbered each arc's segments, arc by arc and each from its tail,
+    then the sink feeds by sink position, the intersections by crossing
+    as `_crossing_pairs` lists them, and the N circle edges, k to k % N + 1.
 
-    The one resolver: `MDiagram.resolution` passes its `ends`, and builds
-    its arc table from them and the crossings; `web3.web_of_tableau` passes
-    the two row pairings, with no diagram built and its positions 1..N as
-    both labels and abscissas.  Labels are read only by error messages.  It
-    checks no degrees: `MDiagram.resolution` checks a diagram's first, and
-    a tableau's row pairings are valid by construction.
+    The one resolver: `MDiagram.resolution` passes its `ends`, and
+    `MDiagram.face_arcs` numbers its local arc table as here;
+    `web3.web_of_tableau` passes the two row pairings, with no diagram built
+    and its positions 1..N as both labels and abscissas.  Labels are read
+    only by error messages.  It checks no degrees: `MDiagram.resolution`
+    checks a diagram's first, and a tableau's row pairings are valid by
+    construction.
     """
     # boundary vertices are named by position 1..n, arcs by index in ends
     n = len(labels)
@@ -331,7 +339,7 @@ def _resolve(
     # n edges, and vertex k's circle dart, c + 2k - 2, is first in its rotation (B_0 is B_N)
     web._walls = [False] * first_bnd + [True] * n
     web._circle = [c + circle - 2, *range(c, c + circle, 2)]
-    return web, found
+    return web
 
 
 def _layout(
@@ -366,7 +374,7 @@ def _layout(
 
 def resolve(m: MDiagram) -> PlanarWeb:
     """The planar web obtained by the local changes at sinks and crossings."""
-    return m.resolution[0]
+    return m.resolution
 
 
 def arcs_above(m: MDiagram, face: int) -> int:
@@ -389,19 +397,11 @@ def coherent_separators(m: MDiagram, x: int, y: int) -> frozenset[int]:
     A pair {a, b} qualifies when X and Y lie (one each) in the two regions
     that the resolution of the intersection makes adjacent; regions are
     identified by restricting a face's arc set to {a, b}.  The pairs are
-    the sink feeds and intersections: the edges that toggle two arcs.
+    those of the diagram's separator list, read off `face_arcs` once.
     """
     sx, sy = arcs_above(m, x), arcs_above(m, y)
-    web, edge_arcs = m.resolution
-    table, face_of = m.face_arcs, web.face_table.face_of
-    out = []
-    for e, pair in enumerate(edge_arcs):
-        if pair.bit_count() != 2:
-            continue
-        sides = {table[face_of[2 * e]] & pair, table[face_of[2 * e + 1]] & pair}
-        if {sx & pair, sy & pair} == sides:
-            out.append(pair)
-    return frozenset(out)
+    return frozenset([pair for pair, a, b in m._separators
+                      if (sx & pair, sy & pair) in ((a, b), (b, a))])
 
 
 def reflected_face(m: MDiagram, face: int) -> int:

@@ -5,7 +5,7 @@ two rows left to right, second arcs match the bottom two rows right to
 left, and the diagram resolves to a web.  Both diagram builders take the
 arcs' (tail, head) positions from one end-list builder, `_ends`, and
 mark the second kind in a bitmask; `web_of_tableau` hands the same ends
-to the resolver, which builds the web alone: no diagram, no arc table.
+to the resolver, which returns the web alone: no diagram, no arc data.
 Web to tableau reads the word off boundary-face distances.  The
 symmetric variants read mirror distances off a web whose distance word
 is its own reverse with 1 and 3 swapped, and rebuild the web from a
@@ -66,11 +66,11 @@ def mdiagram_of_tableau(t: Tableau) -> MDiagram:
 
 
 def web_of_tableau(t: Tableau) -> PlanarWeb:
-    """resolve(mdiagram_of_tableau(t)) from the row pairings, with no diagram and no arc table."""
+    """resolve(mdiagram_of_tableau(t)) from the row pairings, with no diagram built."""
     n = _require_3xn(t)
     # position p has abscissa p and label str(p), which messages print as p
     xs = range(1, 3 * n + 1)
-    return _resolve(xs, xs, _ends(t.rows, t.rows[1], 0))[0]
+    return _resolve(xs, xs, _ends(t.rows, t.rows[1], 0))
 
 
 def _read_rectangle(w: PlanarWeb, read: Callable[[PlanarWeb], str], what: str) -> Tableau:

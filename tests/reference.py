@@ -8,6 +8,7 @@ from collections.abc import Iterator
 from random import Random
 
 from webfold.errors import NonLatticeWord, NotSymmetrical
+from webfold.mdiagram import MDiagram, _crossing_pairs
 from webfold.oracle import _symmetric_tableaux
 from webfold.planarweb import PlanarWeb, boundary_face, canonical, reflect, web_distance
 from webfold.tableaux import Tableau
@@ -40,6 +41,23 @@ def mirror_word(w: PlanarWeb) -> str:
             raise NonLatticeWord(f"mirror distance step {z} outside -2..2")
         steps.append(_LAMBDA[z])
     return "1" * (n % 2) + "".join(reversed(steps))
+
+
+def arc_table(m: MDiagram) -> tuple[int, ...]:
+    """Per edge of resolve(m), in the numbering `_resolve` states, the
+    bitmask of the arcs it toggles: a segment its arc, a sink feed or an
+    intersection its pair, a circle edge none.  Built from the diagram's
+    ends and crossings; `MDiagram.face_arcs` walks the same table as a local."""
+    found = _crossing_pairs(m.labels, m.xs, m.ends)
+    # arc i once per segment: once more than it meets crossings
+    met, fed = [*range(len(m.ends))], [0] * (len(m.labels) + 1)
+    for i, (_, q) in enumerate(m.ends):
+        fed[q] |= 1 << i
+    for i, j, _, _ in found:
+        met += i, j
+    table = [1 << i for i in sorted(met)] + [arcs for arcs in fed if arcs]
+    table += [1 << i | 1 << j for i, j, _, _ in found] + [0] * len(m.labels)
+    return tuple(table)
 
 
 def rectify_by_slides(t: Tableau, rng: Random | None = None) -> Tableau:

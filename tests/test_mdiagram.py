@@ -28,7 +28,7 @@ from webfold.mdiagram import (
     reflected_face,
     resolve,
 )
-from webfold.oracle import enumerate_words
+from webfold.oracle import _domino_tableaux, enumerate_words
 from webfold.planarweb import (
     BOUNDARY,
     PlanarWeb,
@@ -42,7 +42,7 @@ from webfold.planarweb import (
 from webfold.render import svg_of_mdiagram
 from webfold.tableaux import fold, from_word, is_rotationally_symmetric
 from webfold.web3 import crossed_mdiagram, decompose_blocks, mdiagram_of_tableau
-from reference import is_symmetrical, symmetric_words
+from reference import arc_table, is_symmetrical, symmetric_words
 from webs import tripod
 
 ODD_FOLD = "111232323"
@@ -356,7 +356,7 @@ def test_json_round_trip():
 
 def test_resolution_bookkeeping():
     m = hex_diagram()
-    web, edge_arcs = m.resolution
+    web, edge_arcs = m.resolution, arc_table(m)
     # a boundary edge toggles no arc, an arc segment its arc, and each of the
     # 3 pairs that resolve to an edge, two sinks and one crossing, both arcs
     toggled = [list(arcs_of(m, mask)) for mask in edge_arcs]
@@ -372,13 +372,34 @@ def test_resolution_bookkeeping():
 def test_resolution_is_kept_per_diagram_object():
     m = hex_diagram()
     assert m.resolution is m.resolution
-    assert resolve(m) is m.resolution[0]
+    assert resolve(m) is m.resolution
     assert m.face_arcs is m.face_arcs
     twin = hex_diagram()
     assert twin == m and twin is not m
     # equal diagrams share nothing: no cache outlives the diagram object
     assert twin.resolution is not m.resolution
     assert canonical(resolve(twin)) == canonical(resolve(m))
+
+
+def test_resolving_builds_no_arc_data():
+    """A diagram's resolution is its web alone: the arc sets of its faces
+    wait for the first arc function, and the separator list for the first
+    coherent_separators, on the crossed diagram of each domino tableau with
+    n <= 5, block-patterns' family."""
+    count = 0
+    for n in range(1, 6):
+        for d in _domino_tableaux((n, n, n)):
+            m = crossed_mdiagram(decompose_blocks(d))
+            count += 1
+            assert resolve(m) is m.resolution
+            assert type(m.resolution) is PlanarWeb
+            assert not {"face_arcs", "_separators"} & vars(m).keys()
+            b0 = boundary_face(m.resolution, 0)
+            arcs_above(m, b0)
+            assert "face_arcs" in vars(m) and "_separators" not in vars(m)
+            coherent_separators(m, b0, b0)
+            assert "_separators" in vars(m)
+    assert count == 110
 
 
 def test_crossing_abscissa_matches_circle_intersection():
@@ -617,8 +638,15 @@ def test_resolutions_are_pinned():
     count = 0
     for m, crossed in golden_resolutions():
         count += 1
-        web, edge_arcs = m.resolution
-        orbits = web.face_table.orbits
+        web, edge_arcs = m.resolution, arc_table(m)
+        orbits, face_of = web.face_table.orbits, web.face_table.face_of
+        # crossing an edge toggles its arcs: the table is the XOR of the arc
+        # sets of the edge's two faces, and 0 on the circle
+        sets = m.face_arcs
+        assert list(edge_arcs) == [
+            0 if tag == BOUNDARY else sets[face_of[2 * e]] ^ sets[face_of[2 * e + 1]]
+            for e, tag in enumerate(web.tags)
+        ]
         for part in (
             json.dumps(web.to_dict(), sort_keys=True),
             repr(tuple(map(bits, edge_arcs))),
@@ -652,7 +680,8 @@ def test_3x6_resolutions_are_pinned():
     count = most = 0
     for word in islice(enumerate_words((6, 6, 6)), 0, None, 50):
         m = mdiagram_of_tableau(from_word(word))
-        (w, edge_arcs), found = m.resolution, _crossing_pairs(m.labels, m.xs, m.ends)
+        w, edge_arcs = m.resolution, arc_table(m)
+        found = _crossing_pairs(m.labels, m.xs, m.ends)
         pinned.update(
             repr((w.origins, w.tags, list(w.rotation.items()), edge_arcs, found)).encode()
         )

@@ -595,6 +595,22 @@ FAULTS = {
             ("distance-lemmas", "webdist(X, Y) >= arcdist(X, Y) - |CS(X, Y)|"),
         },
     ),
+    "_crossing_pairs drops its last crossing": (
+        mdiagram,
+        "_crossing_pairs",
+        lambda crossing_pairs: lambda *args: crossing_pairs(*args)[:-1],
+        "925f4a377c07510ad0f2900340df335f5855f0fa294c173092552a6fbe7f3d74",
+        {
+            ("block-patterns", "domino_of_symmetric_web(crossed_web(D)) = D"),
+            ("distance-lemmas", "crossed resolution is a valid web"),
+            ("distance-lemmas", "resolution is a valid web"),
+            ("evacuation-reflection", "reflect(web_of_tableau(T)) = web_of_tableau(evacuate(T))"),
+            ("promotion-rotation", "rotate(web_of_tableau(T)) = web_of_tableau(promote(T))"),
+            ("roundtrip-3web", "check completes without raising"),
+            ("thm-fw1", "check completes without raising"),
+            ("thm-fw2", "crossed_web(fold(T)) = web_of_tableau(T)"),
+        },
+    ),
     "blocks reversed": (
         web3,
         "decompose_blocks",
